@@ -34,7 +34,10 @@ __all__ = [
     "read_bla_csv",
     "write_record_bundle",
     "read_record_bundle",
+    "MIN_ENSEMBLE_SIZE",
 ]
+
+MIN_ENSEMBLE_SIZE = 100
 
 
 class UnsupportedOperationError(TypeError):
@@ -268,8 +271,9 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
     supplied reference response then separates the linear part from the
     nonlinear distortion.
     """
-    if ensemble_size < 100:
-        raise ValueError("ensemble_size must be >= 100 for a usable noise average")
+    if ensemble_size < MIN_ENSEMBLE_SIZE:
+        raise ValueError(
+            f"ensemble_size must be >= {MIN_ENSEMBLE_SIZE} for a usable noise average")
     for attr in ("run", "draw_output_noise"):
         if not callable(getattr(simulator, attr, None)):
             raise UnsupportedOperationError(

@@ -26,6 +26,7 @@ from .analytic import (
     decomposition_report_json,
 )
 from .estimator import (
+    MIN_ENSEMBLE_SIZE,
     BlaEstimate,
     ExperimentRecord,
     decompose_output,
@@ -103,6 +104,24 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "the robust estimator needs realizations >= 2 and periods >= 2"
             )
+        n = self.samples_per_period
+        if n < 4:
+            raise ConfigurationError(f"samples_per_period must be >= 4, got {n}")
+        bins = sorted({int(k) for k in self.excited_bins})
+        if not bins:
+            raise ConfigurationError("excited-bin set is empty")
+        if bins[0] < 1 or 2 * bins[-1] >= n:
+            raise ConfigurationError(
+                f"excited bins must satisfy 0 < k < N/2 with N = {n}, "
+                f"got {bins[0]}..{bins[-1]}"
+            )
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master seed must be >= 0, got {self.master_seed}")
+        if self.decompose and self.decompose_draws < MIN_ENSEMBLE_SIZE:
+            raise ConfigurationError(
+                f"decomposition ensemble_size must be >= {MIN_ENSEMBLE_SIZE}, "
+                f"got {self.decompose_draws}"
+            )
         if self.loop == "closed" and (self.system.actuator is None
                                       or self.system.feedback is None):
             raise ConfigurationError("closed-loop experiments need G_act and M blocks")
@@ -112,8 +131,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "analytic reference needs f(x) = x + c*x^3 (or identity)"
             )
-        object.__setattr__(self, "excited_bins",
-                           tuple(sorted({int(k) for k in self.excited_bins})))
+        object.__setattr__(self, "excited_bins", tuple(bins))
 
     def _analytic_supported(self) -> bool:
         c = self.system.nonlinearity.coefficients

@@ -18,7 +18,6 @@ import configparser
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .signals import PeriodicSignal, derive_rng, generate_noise
 from .volterra import DualVolterraKernel
@@ -57,6 +56,17 @@ class ConfigurationError(ValueError):
 
 class InstabilityError(RuntimeError):
     """A simulation diverged or failed to reach a periodic steady state."""
+
+
+def _lfilter(*args, **kwargs):
+    """``scipy.signal.lfilter``, imported on first use.
+
+    Importing ``scipy.signal`` takes about a second, so ``import blakit``
+    leaves it out and only runs that filter do the import.
+    """
+    from scipy.signal import lfilter
+
+    return lfilter(*args, **kwargs)
 
 
 class RationalLTI:
@@ -146,7 +156,7 @@ class RationalLTI:
 
     def filter(self, x) -> np.ndarray:
         """Zero-state time-domain recursion along the last axis."""
-        return sps.lfilter(self.numerator, self.denominator, np.asarray(x, dtype=float))
+        return _lfilter(self.numerator, self.denominator, np.asarray(x, dtype=float))
 
     def stepper(self, width: int = 1) -> "_LtiStepper":
         return _LtiStepper(self, width)
@@ -319,7 +329,7 @@ class HammersteinSimulator:
         state = {"zi": zi}
 
         def run():
-            y, state["zi"] = sps.lfilter(
+            y, state["zi"] = _lfilter(
                 self.dynamics.numerator, self.dynamics.denominator, x_period, zi=state["zi"]
             )
             return y
@@ -436,32 +446,46 @@ class VolterraPlant:
         object.__setattr__(self, "kernels", kernels)
 
     def stepper(self, width: int):
+        """Per-sample plant update over ``width`` parallel channels.
+
+        The kernels' term tables are concatenated in tuple order.  Each term
+        gathers its factors from one history array whose row 0 is constant
+        ones, rows ``1..lag_u+1`` the lagged excitation and the rest the
+        lagged noise; terms of lower degree are padded with the ones row, so
+        every term becomes ``((c * u_a) * u_b) * nx_c ...`` in
+        ``max_degree`` vectorized multiplies (multiplying by 1.0 is exact).
+        The terms are then added one after another onto zero.
+        """
         lag_u = max(k.input_max_lag for k in self.kernels)
         lag_x = max(k.noise_max_lag for k in self.kernels)
-        u_hist = np.zeros((lag_u + 1, width))
-        x_hist = np.zeros((lag_x + 1, width))
-        kernels = self.kernels
+        x_row = lag_u + 2
+        max_degree = max(1, max(k.input_degree + k.noise_degree for k in self.kernels))
+        rows = []
+        for kern in self.kernels:
+            m = kern.input_degree
+            lags = kern.term_lags
+            index = np.zeros((lags.shape[0], max_degree), dtype=np.intp)
+            index[:, :m] = lags[:, :m] + 1
+            index[:, m:lags.shape[1]] = lags[:, m:] + x_row
+            rows.append(index)
+        index = np.concatenate(rows)
+        first, *rest = [index[:, d].copy() for d in range(max_degree)]
+        coefficients = np.concatenate([k.term_coefficients for k in self.kernels])[:, None]
+        history = np.zeros((x_row + lag_x + 1, width))
+        history[0] = 1.0
+        terms = np.zeros((coefficients.shape[0] + 1, width))
+        products = terms[1:]
 
         def step(u0, nx):
-            u_hist[1:] = u_hist[:-1]
-            u_hist[0] = u0
-            x_hist[1:] = x_hist[:-1]
-            x_hist[0] = nx
-            out = np.zeros(width)
-            for kern in kernels:
-                m, n = kern.input_degree, kern.noise_degree
-                coeff = kern.coefficients
-                for idx in np.ndindex(coeff.shape):
-                    c = coeff[idx]
-                    if c == 0.0:
-                        continue
-                    term = np.full(width, c)
-                    for lag in idx[:m]:
-                        term = term * u_hist[lag]
-                    for lag in idx[m:]:
-                        term = term * x_hist[lag]
-                    out += term
-            return out
+            # One shift ages both blocks; row x_row then receives nx in
+            # place of the oldest excitation sample shifted into it.
+            history[2:] = history[1:-1]
+            history[1] = u0
+            history[x_row] = nx
+            np.multiply(coefficients, history[first], out=products)
+            for factor in rest:
+                np.multiply(products, history[factor], out=products)
+            return np.add.accumulate(terms, axis=0)[-1]
 
         return step
 

@@ -7,15 +7,18 @@ the noise tap indices contracted against Gaussian joint moments; that
 contraction is :func:`expected_kernel` and the moments come from
 :func:`gaussian_moment` (Isserlis pairing enumeration).
 
-Kernels are stored dense over the full tap hypercube.  Enumeration cost
-grows as ``(taps+1)**degree``, so construction is bounded to total degree
-``m + n <= 6`` and tap lag ``<= 8``.
+Kernels are stored dense over the full tap hypercube.  Enumerating it costs
+``(taps+1)**degree``, so construction is bounded to total degree
+``m + n <= 6`` and tap lag ``<= 8``.  That cost is paid once per kernel:
+construction compiles the nonzero coefficients, in C order, into a term
+table of coefficients and their u- and nx-lags, and evaluation then costs
+one gather-multiply per term.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +55,18 @@ def _check_coefficients(coefficients: np.ndarray, degree: int, name: str) -> np.
     return coefficients
 
 
+def _set_term_table(kernel, coefficients: np.ndarray) -> None:
+    """Compile the nonzero coefficients into the kernel's term table.
+
+    ``term_coefficients[i]`` is the i-th nonzero coefficient in C
+    (``np.ndindex``) order and ``term_lags[i]`` its tap lags, one column per
+    axis of the coefficient array: excitation lags first, then noise lags.
+    """
+    nonzero = coefficients != 0.0
+    object.__setattr__(kernel, "term_coefficients", coefficients[nonzero])
+    object.__setattr__(kernel, "term_lags", np.argwhere(nonzero))
+
+
 @dataclass(frozen=True)
 class VolterraKernel:
     """Dense kernel of a single-input homogeneous term.
@@ -62,12 +77,15 @@ class VolterraKernel:
     """
 
     coefficients: np.ndarray
+    term_coefficients: np.ndarray = field(init=False, repr=False, compare=False)
+    term_lags: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeff = _check_coefficients(self.coefficients, np.ndim(self.coefficients), "kernel")
         if coeff.ndim > MAX_TOTAL_DEGREE:
             raise ValueError(f"degree {coeff.ndim} exceeds {MAX_TOTAL_DEGREE}")
         object.__setattr__(self, "coefficients", coeff)
+        _set_term_table(self, coeff)
 
     @property
     def degree(self) -> int:
@@ -90,6 +108,8 @@ class DualVolterraKernel:
     input_degree: int
     noise_degree: int
     coefficients: np.ndarray
+    term_coefficients: np.ndarray = field(init=False, repr=False, compare=False)
+    term_lags: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = int(self.input_degree)
@@ -115,6 +135,7 @@ class DualVolterraKernel:
         object.__setattr__(self, "input_degree", m)
         object.__setattr__(self, "noise_degree", n)
         object.__setattr__(self, "coefficients", coeff)
+        _set_term_table(self, coeff)
 
     @property
     def input_max_lag(self) -> int:
@@ -164,13 +185,46 @@ class NoiseMomentModel:
 
 
 def _lagged(x: np.ndarray, max_lag: int, periodic: bool) -> np.ndarray:
-    """Rows of ``x(t - l)`` for lags 0..max_lag; circular or zero-padded."""
+    """``x(t - l)`` along the last axis for lags 0..max_lag, lag axis first.
+
+    Periodic lagging is circular, one modular-index gather; otherwise the
+    sequence is zero-padded before its start.
+    """
+    t_len = x.shape[-1]
     if periodic:
-        return np.stack([np.roll(x, lag) for lag in range(max_lag + 1)])
-    rows = np.zeros((max_lag + 1, x.size))
+        # Negative indices wrap once, which is ``(t - l) % t_len`` for l < t_len.
+        index = np.arange(t_len) - np.arange(max_lag + 1)[:, None]
+        return x[..., index].swapaxes(0, -2)
+    rows = np.zeros((max_lag + 1,) + x.shape)
     for lag in range(max_lag + 1):
-        rows[lag, lag:] = x[: x.size - lag]
+        rows[lag, ..., lag:] = x[..., : t_len - lag]
     return rows
+
+
+def _lag_product(lagged: np.ndarray, lags) -> np.ndarray:
+    """Left-to-right product of the lagged rows named by ``lags`` (non-empty)."""
+    product = lagged[lags[0]]
+    for lag in lags[1:]:
+        product = product * lagged[lag]
+    return product
+
+
+def _sum_terms(kernel, m: int, u_lagged, nx_lagged, shape) -> np.ndarray:
+    """Sum of ``(c * prod u) * prod nx`` over the term table, one term after another.
+
+    ``m`` is the number of excitation lags per term.  Terms are added in
+    order into a zero array rather than reduced with ``sum``, whose pairwise
+    summation would change the rounding.
+    """
+    out = np.zeros(shape)
+    for c, lags in zip(kernel.term_coefficients.tolist(), kernel.term_lags.tolist()):
+        term = c
+        if m:
+            term = term * _lag_product(u_lagged, lags[:m])
+        if len(lags) > m:
+            term = term * _lag_product(nx_lagged, lags[m:])
+        out += term
+    return out
 
 
 def evaluate_kernel(kernel: VolterraKernel, u, periodic: bool = True) -> np.ndarray:
@@ -185,43 +239,29 @@ def evaluate_kernel(kernel: VolterraKernel, u, periodic: bool = True) -> np.ndar
         return np.full(u.size, float(kernel.coefficients))
     if u.size <= kernel.max_lag:
         raise ValueError("input shorter than the kernel tap support")
-    lagged = _lagged(u, kernel.max_lag, periodic)
-    out = np.zeros(u.size)
-    coeff = kernel.coefficients
-    for idx in np.ndindex(coeff.shape):
-        c = coeff[idx]
-        if c == 0.0:
-            continue
-        out += c * lagged[list(idx)].prod(axis=0)
-    return out
+    return _sum_terms(kernel, kernel.degree, _lagged(u, kernel.max_lag, periodic), None, u.size)
 
 
 def evaluate_dual_kernel(kernel: DualVolterraKernel, u, nx, periodic: bool = True) -> np.ndarray:
-    """Exact nested-sum output of a dual-input kernel over both tap sets."""
+    """Exact nested-sum output of a dual-input kernel over both tap sets.
+
+    ``nx`` is one noise sequence of the length of ``u``, or a stack of
+    ``K`` draws of shape ``(K, len(u))``; the output has the shape of ``nx``,
+    and each row equals the call with that draw alone, bit for bit.
+    """
     u = np.asarray(u, dtype=float)
     nx = np.asarray(nx, dtype=float)
-    if u.size != nx.size:
-        raise ValueError("input and noise sequences must share one length")
+    if u.ndim != 1 or nx.ndim not in (1, 2) or nx.shape[-1] != u.size:
+        raise ValueError("input and noise sequences must share one length "
+                         "(u of shape (T,), nx of shape (T,) or (K, T))")
     m, n = kernel.input_degree, kernel.noise_degree
     if m + n == 0:
-        return np.full(u.size, float(kernel.coefficients))
+        return np.full(nx.shape, float(kernel.coefficients))
     if u.size <= max(kernel.input_max_lag, kernel.noise_max_lag):
         raise ValueError("sequences shorter than the kernel tap support")
     u_lagged = _lagged(u, kernel.input_max_lag, periodic) if m else None
     nx_lagged = _lagged(nx, kernel.noise_max_lag, periodic) if n else None
-    out = np.zeros(u.size)
-    coeff = kernel.coefficients
-    for idx in np.ndindex(coeff.shape):
-        c = coeff[idx]
-        if c == 0.0:
-            continue
-        term = np.full(u.size, c)
-        if m:
-            term = term * u_lagged[list(idx[:m])].prod(axis=0)
-        if n:
-            term = term * nx_lagged[list(idx[m:])].prod(axis=0)
-        out += term
-    return out
+    return _sum_terms(kernel, m, u_lagged, nx_lagged, nx.shape)
 
 
 def gaussian_moment(model: NoiseMomentModel, lags) -> float:

@@ -12,8 +12,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from mc_helpers import dual_kernel_output_batch
-
 from blakit.analytic import (
     GaussianInputModel,
     analytic_hammerstein_bla,
@@ -53,6 +51,7 @@ from blakit.systems import (
 from blakit.volterra import (
     DualVolterraKernel,
     NoiseMomentModel,
+    evaluate_dual_kernel,
     evaluate_kernel,
     expected_kernel,
     gaussian_moment,
@@ -168,7 +167,7 @@ def test_04_noise_averaged_kernel_oracle_equivalence():
             model = NoiseMomentModel.white(s2, max_lag=side_x - 1)
             predicted = evaluate_kernel(expected_kernel(kernel, model), u)
             nx = np.sqrt(s2) * rng.standard_normal((draws, t_len))
-            outputs = dual_kernel_output_batch(kernel, u, nx)
+            outputs = evaluate_dual_kernel(kernel, u, nx)
             mean = outputs.mean(axis=0)
             std = outputs.std(axis=0)
             band = 4.0 * std / np.sqrt(draws) + 1e-12

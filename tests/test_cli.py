@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -185,6 +188,71 @@ class TestSubcommands:
         assert var_total.max() < 1e-26
         summary = json.loads((out / "summary.json").read_text())
         assert summary["analytic_comparison"]["max_abs_error"] < 1e-12
+
+
+class TestInvalidInputExits2:
+    """Invalid configs and arguments exit 2 with the JSON error, never a traceback."""
+
+    @staticmethod
+    def assert_config_error(capsys, argv):
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "configuration"
+        return error["message"]
+
+    @staticmethod
+    def edit_config(path, old, new):
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+
+    def test_excited_bin_at_nyquist(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, samples_per_period=64)
+        self.edit_config(path, "excited_bins = 1:31", "excited_bins = 1:32")
+        message = self.assert_config_error(
+            capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert "N/2" in message
+
+    def test_empty_bin_range(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, samples_per_period=64)
+        self.edit_config(path, "excited_bins = 1:31", "excited_bins = 5:3")
+        message = self.assert_config_error(
+            capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert "empty" in message
+
+    def test_period_too_short(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, samples_per_period=64)
+        self.edit_config(path, "samples_per_period = 64", "samples_per_period = 3")
+        self.edit_config(path, "excited_bins = 1:31", "excited_bins = 1")
+        message = self.assert_config_error(
+            capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert "samples_per_period" in message
+
+    def test_negative_seed(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        message = self.assert_config_error(
+            capsys, ["simulate", "--config", str(path), "--seed", "-1",
+                     "--out", str(tmp_path / "out")])
+        assert "seed" in message
+
+    def test_small_decomposition_ensemble(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, decompose=True, decompose_draws=150)
+        self.edit_config(path, "ensemble_size = 150", "ensemble_size = 50")
+        message = self.assert_config_error(
+            capsys, ["decompose", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert "ensemble_size" in message
+
+
+class TestImports:
+    def test_import_leaves_scipy_signal_unloaded(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (str(src),
+                                                           os.environ.get("PYTHONPATH"))))}
+        code = "import blakit, blakit.cli, sys; assert 'scipy.signal' not in sys.modules"
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert done.returncode == 0
 
 
 class TestDeterminism:

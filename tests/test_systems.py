@@ -291,22 +291,36 @@ class TestClosedLoop:
 
     def test_batch_matches_single_runs(self):
         plant_lti, actuator, feedback = linear_loop_blocks()
-        config = ClosedLoopConfig(
-            plant=HammersteinPlant(plant_lti, CUBIC),
-            actuator=actuator,
-            feedback=feedback,
-            process_noise_variance=0.01,
-            output_noise_variance=0.001,
-            input_noise_variance=0.002,
-        )
+        # Twelve nonzero Volterra terms: a sum over eight or more terms is
+        # where a pairwise reduction would part width-1 from width-3 runs.
+        cubic = np.zeros((2, 2, 2))
+        cubic[0, 0, 0], cubic[0, 0, 1], cubic[0, 1, 1], cubic[1, 1, 1] = 0.04, 0.02, 0.01, 0.005
+        cross = np.zeros((2, 2, 2))
+        cross[0, 0, 0], cross[0, 0, 1], cross[1, 1, 1] = 0.5, 0.2, 0.25
+        volterra = VolterraPlant((
+            DualVolterraKernel(1, 0, np.array([0.5, 0.25, 0.1])),
+            DualVolterraKernel(0, 1, np.array([1.0, 0.5])),
+            DualVolterraKernel(3, 0, cubic),
+            DualVolterraKernel(1, 2, cross),
+        ))
+        assert sum(np.count_nonzero(k.coefficients) for k in volterra.kernels) >= 8
         refs = [flat_multisine(n=64, seed=s).tile(2) for s in (0, 1, 2)]
-        batch = simulate_closed_loop_batch(config, refs, seed=42)
-        for i, r in enumerate(refs):
-            single = simulate_closed_loop(config, r, seed=42, realization=i)
-            np.testing.assert_array_equal(single.output_measured.samples,
-                                          batch[i].output_measured.samples)
-            np.testing.assert_array_equal(single.input_measured.samples,
-                                          batch[i].input_measured.samples)
+        for plant in (HammersteinPlant(plant_lti, CUBIC), volterra):
+            config = ClosedLoopConfig(
+                plant=plant,
+                actuator=actuator,
+                feedback=feedback,
+                process_noise_variance=0.01,
+                output_noise_variance=0.001,
+                input_noise_variance=0.002,
+            )
+            batch = simulate_closed_loop_batch(config, refs, seed=42)
+            for i, r in enumerate(refs):
+                single = simulate_closed_loop(config, r, seed=42, realization=i)
+                np.testing.assert_array_equal(single.output_measured.samples,
+                                              batch[i].output_measured.samples)
+                np.testing.assert_array_equal(single.input_measured.samples,
+                                              batch[i].input_measured.samples)
 
     def test_volterra_plant_matches_hammerstein_equivalent(self):
         # Static cubic plant y0 = v + 0.1 v^3 with v = u0 + nx expands into

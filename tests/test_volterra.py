@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mc_helpers import dual_kernel_output_batch
-
+from blakit.systems import VolterraPlant
 from blakit.volterra import (
     DualVolterraKernel,
     NoiseMomentModel,
@@ -130,6 +129,40 @@ class TestEvaluateDualKernel:
         np.testing.assert_allclose(got, brute_force_dual(kernel, u, nx, periodic),
                                    rtol=1e-12, atol=1e-12)
 
+    def test_plant_stepper_matches_brute_force_exactly(self):
+        # The stepper multiplies ((c * u_a) * u_b) * nx_c and sums terms in
+        # C order from zero, as the scalar loop does, so no rounding may differ.
+        rng = np.random.default_rng(23)
+        u = rng.standard_normal(20)
+        nx = rng.standard_normal(20)
+        for m, n in ((0, 0), (1, 0), (0, 1), (3, 0), (1, 2), (2, 2)):
+            coefficients = rng.standard_normal((3,) * m + (2,) * n)
+            coefficients[rng.random(coefficients.shape) < 0.3] = 0.0
+            kernel = DualVolterraKernel(m, n, coefficients)
+            step = VolterraPlant((kernel,)).stepper(1)
+            got = np.array([step(a, b)[0] for a, b in zip(u, nx)])
+            np.testing.assert_array_equal(got, brute_force_dual(kernel, u, nx, periodic=False))
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_stacked_draws_match_single_draws_exactly(self, periodic):
+        rng = np.random.default_rng(31)
+        u = rng.standard_normal(12)
+        nx = rng.standard_normal((5, 12))
+        for m, n in ((0, 1), (1, 0), (1, 2), (2, 1), (0, 3), (3, 2)):
+            coefficients = rng.standard_normal((3,) * m + (2,) * n)
+            coefficients[rng.random(coefficients.shape) < 0.3] = 0.0
+            kernel = DualVolterraKernel(m, n, coefficients)
+            batch = evaluate_dual_kernel(kernel, u, nx, periodic=periodic)
+            assert batch.shape == nx.shape
+            for draw, row in zip(nx, batch):
+                np.testing.assert_array_equal(
+                    row, evaluate_dual_kernel(kernel, u, draw, periodic=periodic))
+
+    def test_stacked_draws_length_mismatch_rejected(self):
+        kernel = DualVolterraKernel(1, 1, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="length"):
+            evaluate_dual_kernel(kernel, np.zeros(8), np.zeros((3, 9)))
+
     def test_total_degree_bound(self):
         with pytest.raises(ValueError, match="degree"):
             DualVolterraKernel(input_degree=4, noise_degree=3,
@@ -247,11 +280,10 @@ class TestExpectedKernel:
         predicted = evaluate_kernel(reduced, u)
         draws = 100_000
         nx = np.sqrt(s2) * rng.standard_normal((draws, 12))
-        outputs = dual_kernel_output_batch(dual, u, nx)
-        # The batch evaluator must agree with the exact one draw by draw.
+        outputs = evaluate_dual_kernel(dual, u, nx)
+        # Stacked draws must agree with one-draw calls bit for bit.
         for i in range(3):
-            np.testing.assert_allclose(outputs[i], evaluate_dual_kernel(dual, u, nx[i]),
-                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(outputs[i], evaluate_dual_kernel(dual, u, nx[i]))
         mean = outputs.mean(axis=0)
         std = outputs.std(axis=0)
         assert np.all(np.abs(mean - predicted) < 4.0 * std / np.sqrt(draws) + 1e-12)
@@ -298,11 +330,10 @@ class TestExpectedKernel:
         # MA(1) coloring gives exactly the covariance r; evaluate aperiodically
         # so the wrap never mixes unmatched covariances, and skip the transient.
         nx = white[:, 1:] + theta * white[:, :-1]
-        outputs = dual_kernel_output_batch(dual, u, nx, periodic=False)
+        outputs = evaluate_dual_kernel(dual, u, nx, periodic=False)
         for i in range(3):
-            np.testing.assert_allclose(
-                outputs[i], evaluate_dual_kernel(dual, u, nx[i], periodic=False),
-                rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(
+                outputs[i], evaluate_dual_kernel(dual, u, nx[i], periodic=False))
         mean = outputs.mean(axis=0)
         std = outputs.std(axis=0)
         steady = slice(1, None)
@@ -328,7 +359,7 @@ class TestExpectedKernel:
         predicted = evaluate_kernel(expected_kernel(kernel, model), u)
         draws = 100_000
         nx = np.sqrt(s2) * rng.standard_normal((draws, 12))
-        outputs = dual_kernel_output_batch(kernel, u, nx)
+        outputs = evaluate_dual_kernel(kernel, u, nx)
         errors = []
         for k in (1_000, 10_000, 100_000):
             mean = outputs[:k].mean(axis=0)
