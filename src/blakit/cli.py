@@ -168,6 +168,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Checked before any command writes to --out.
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
         return _COMMANDS[args.command](args)
     except ConfigurationError as exc:
         print(json.dumps({"error": "configuration", "message": str(exc)}),

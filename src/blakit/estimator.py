@@ -18,7 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import PeriodicSignal, Spectrum, cross_power_spectrum, derive_rng, dft, inverse_dft
+from .signals import (
+    PeriodicSignal,
+    Spectrum,
+    _full_from_half,
+    _write_table,
+    cross_power_spectrum,
+    derive_rng,
+    dft,
+    inverse_dft,
+)
 
 __all__ = [
     "UnsupportedOperationError",
@@ -257,7 +266,38 @@ class Decomposition:
 
 
 def _unitary_dft_block(x: np.ndarray, n: int) -> np.ndarray:
-    return np.fft.fft(x.reshape(-1, n), axis=-1) / np.sqrt(n)
+    spectra = np.fft.fft(x.reshape(-1, n), axis=-1)
+    spectra /= np.sqrt(n)
+    return spectra
+
+
+def _centered_power(spectra: np.ndarray) -> np.ndarray:
+    """Per-bin sum of ``|X - mean(X)|^2`` over the rows, centering in place."""
+    spectra -= spectra.mean(axis=0)
+    power = np.abs(spectra)
+    power **= 2
+    return power.sum(axis=0)
+
+
+def _process_ensemble(simulator, u: PeriodicSignal, ensemble_size: int, master: int):
+    """Noise-averaged output and process-noise variance spectrum of the re-runs.
+
+    The draws stream from ``simulator.process_noise_ensemble``: each one is
+    added onto a running sum (row by row from zero, exactly as
+    ``mean(axis=0)`` adds) and its periods are transformed straight into
+    preallocated spectra, so the time-domain ensemble is never stacked.
+    """
+    n = u.samples_per_period
+    p = u.period_count
+    y_sum = np.zeros(p * n)
+    spectra = np.empty((ensemble_size * p, n), dtype=complex)
+    draws = simulator.process_noise_ensemble(
+        u, (derive_rng(master, "decompose", "ensemble", i) for i in range(ensemble_size)))
+    for i, y in enumerate(draws):
+        y_sum += y
+        np.fft.fft(y.reshape(p, n), axis=-1, out=spectra[i * p:(i + 1) * p])
+    spectra /= np.sqrt(n)
+    return y_sum / ensemble_size, _centered_power(spectra) / (ensemble_size * p - 1)
 
 
 def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
@@ -274,7 +314,7 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
     if ensemble_size < MIN_ENSEMBLE_SIZE:
         raise ValueError(
             f"ensemble_size must be >= {MIN_ENSEMBLE_SIZE} for a usable noise average")
-    for attr in ("run", "draw_output_noise"):
+    for attr in ("run", "process_noise_ensemble", "draw_output_noise"):
         if not callable(getattr(simulator, attr, None)):
             raise UnsupportedOperationError(
                 f"simulator lacks {attr}(); controlled re-simulation is impossible"
@@ -282,6 +322,9 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
     n = u.samples_per_period
     p = u.period_count
     master = seed if seed is not None else 0
+    g_bla = np.asarray(g_bla, dtype=complex)
+    if g_bla.shape != (n,):
+        raise ValueError(f"g_bla must have one value per bin, expected shape ({n},)")
 
     measured = simulator.run(
         u,
@@ -291,22 +334,11 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
     y_total = measured.output.samples
     y_bar = y_total - measured.output_noise
 
-    ensemble = np.empty((ensemble_size, p * n))
-    for i in range(ensemble_size):
-        rec = simulator.run(
-            u,
-            process_noise_rng=derive_rng(master, "decompose", "ensemble", i),
-            include_output_noise=False,
-        )
-        ensemble[i] = rec.output.samples
-    y_bar_bar = ensemble.mean(axis=0)
+    y_bar_bar, var_process = _process_ensemble(simulator, u, ensemble_size, master)
 
-    g_bla = np.asarray(g_bla, dtype=complex)
-    if g_bla.shape != (n,):
-        raise ValueError(f"g_bla must have one value per bin, expected shape ({n},)")
     u_spec = dft(u)
     bla_period = inverse_dft(Spectrum(
-        bins=_symmetrized(g_bla * u_spec.bins, n),
+        bins=_full_from_half((g_bla * u_spec.bins)[: n // 2 + 1], n),
         samples_per_period=n,
         sampling_frequency=u.sampling_frequency,
     ))
@@ -316,17 +348,12 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
     y_process = y_bar - y_bar_bar
     y_output_noise = measured.output_noise
 
-    ensemble_spectra = _unitary_dft_block(ensemble, n)
-    ensemble_spectra -= ensemble_spectra.mean(axis=0)
-    var_process = (np.abs(ensemble_spectra) ** 2).sum(axis=0) / (ensemble_size * p - 1)
-
     noise_draws = np.stack([
         simulator.draw_output_noise(n, derive_rng(master, "decompose", "noise_var", j))
         for j in range(ensemble_size)
     ])
-    noise_spec = _unitary_dft_block(noise_draws, n)
-    noise_spec -= noise_spec.mean(axis=0)
-    var_noise = (np.abs(noise_spec) ** 2).sum(axis=0) / max(ensemble_size - 1, 1)
+    var_noise = (_centered_power(_unitary_dft_block(noise_draws, n))
+                 / max(ensemble_size - 1, 1))
 
     var_nonlinear = (np.abs(_unitary_dft_block(y_nonlinear, n)) ** 2).mean(axis=0)
 
@@ -341,17 +368,6 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
         var_noise=var_noise,
         ensemble_size=ensemble_size,
     )
-
-
-def _symmetrized(bins: np.ndarray, n: int) -> np.ndarray:
-    half = bins[: n // 2 + 1].copy()
-    full = np.empty(n, dtype=complex)
-    full[: n // 2 + 1] = half
-    full[n // 2 + 1:] = np.conj(half[1: (n + 1) // 2][::-1])
-    full[0] = full[0].real
-    if n % 2 == 0:
-        full[n // 2] = full[n // 2].real
-    return full
 
 
 def predict_variances(var_noise_spectrum, var_process_spectrum, var_nonlinear_spectrum,
@@ -386,23 +402,11 @@ def predict_variances(var_noise_spectrum, var_process_spectrum, var_nonlinear_sp
 # Serialization: BLA result CSV and experiment record bundles
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_bla_csv(path, estimate: BlaEstimate) -> None:
-    freqs = estimate.frequencies
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_index", "frequency_hz", "g_real", "g_imag",
-                         "var_noise", "var_total", "defined_flag"])
-        for i, k in enumerate(estimate.excited_bins):
-            g = estimate.g_bla[i]
-            writer.writerow([
-                int(k), _fmt(freqs[i]), _fmt(g.real), _fmt(g.imag),
-                _fmt(estimate.var_noise[i]), _fmt(estimate.var_total[i]),
-                int(bool(np.isfinite(g))),
-            ])
+    g = estimate.g_bla
+    _write_table(path, "bin_index,frequency_hz,g_real,g_imag,var_noise,var_total,defined_flag",
+                 (estimate.excited_bins, estimate.frequencies, g.real, g.imag,
+                  estimate.var_noise, estimate.var_total, np.isfinite(g)))
 
 
 def read_bla_csv(path, realization_count: int = 0, period_count: int = 0,

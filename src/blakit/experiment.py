@@ -39,6 +39,8 @@ from .estimator import (
 )
 from .signals import (
     MultisineSpec,
+    _fmt,
+    _write_table,
     derive_rng,
     dft,
     generate_multisine,
@@ -70,9 +72,6 @@ __all__ = [
     "compare_reports",
     "hammerstein_demo_config",
 ]
-
-_FMT = ".17g"
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -233,16 +232,16 @@ def write_experiment_config(path, config: ExperimentConfig, system_file: str) ->
     contiguous = bins.size == bins[-1] - bins[0] + 1
     parser["multisine"] = {
         "samples_per_period": str(config.samples_per_period),
-        "sampling_frequency_hz": format(config.sampling_frequency, _FMT),
+        "sampling_frequency_hz": _fmt(config.sampling_frequency),
         "excited_bins": (f"{bins[0]}:{bins[-1]}" if contiguous
                          else ", ".join(str(k) for k in bins)),
-        "rms": format(config.input_rms, _FMT),
+        "rms": _fmt(config.input_rms),
     }
     parser["system"] = {"file": system_file}
     parser["noise"] = {
-        "process_variance": format(config.process_noise_variance, _FMT),
-        "output_variance": format(config.output_noise_variance, _FMT),
-        "input_variance": format(config.input_noise_variance, _FMT),
+        "process_variance": _fmt(config.process_noise_variance),
+        "output_variance": _fmt(config.output_noise_variance),
+        "input_variance": _fmt(config.input_noise_variance),
     }
     parser["decomposition"] = {
         "enabled": str(config.decompose).lower(),
@@ -250,8 +249,8 @@ def write_experiment_config(path, config: ExperimentConfig, system_file: str) ->
     }
     parser["oracle"] = {
         "compare_analytic": str(config.compare_analytic).lower(),
-        "band_sigma": format(config.band_sigma, _FMT),
-        "min_fraction_in_band": format(config.min_fraction_in_band, _FMT),
+        "band_sigma": _fmt(config.band_sigma),
+        "min_fraction_in_band": _fmt(config.min_fraction_in_band),
     }
     with open(path, "w") as fh:
         parser.write(fh)
@@ -309,6 +308,11 @@ def _closed_loop_task(config: ExperimentConfig, start: int, count: int):
     return out
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+
+
 def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
     parts = max(1, min(parts, total))
     base, extra = divmod(total, parts)
@@ -323,6 +327,7 @@ def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
 
 def run_open_loop_records(config: ExperimentConfig,
                           workers: int = 1) -> tuple[ExperimentRecord, int]:
+    _check_workers(workers)
     m_count = config.realizations
     n = config.samples_per_period
     u = np.empty((m_count, n), dtype=complex)
@@ -348,6 +353,7 @@ def run_open_loop_records(config: ExperimentConfig,
 
 def run_closed_loop_records(config: ExperimentConfig,
                             workers: int = 1) -> tuple[ExperimentRecord, int]:
+    _check_workers(workers)
     m_count = config.realizations
     n = config.samples_per_period
     r = np.empty((m_count, n), dtype=complex)
@@ -537,16 +543,12 @@ def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
         decomposition_report_json(report))
 
     n = config.samples_per_period
-    freqs = np.arange(n) * (config.sampling_frequency / n)
-    with open(out_dir / "decomposition_variances.csv", "w", newline="") as fh:
-        fh.write("bin_index,frequency_hz,var_nonlinear,var_process,var_noise\n")
-        for k in range(n):
-            fh.write(
-                f"{k},{format(freqs[k], _FMT)},"
-                f"{format(decomposition.var_nonlinear[k], _FMT)},"
-                f"{format(decomposition.var_process[k], _FMT)},"
-                f"{format(decomposition.var_noise[k], _FMT)}\n"
-            )
+    _write_table(out_dir / "decomposition_variances.csv",
+                 "bin_index,frequency_hz,var_nonlinear,var_process,var_noise",
+                 (np.arange(n), np.arange(n) * (config.sampling_frequency / n),
+                  decomposition.var_nonlinear, decomposition.var_process,
+                  decomposition.var_noise),
+                 newline="\n")
     rebuild = (decomposition.y_bla + decomposition.y_nonlinear
                + decomposition.y_process + decomposition.y_output_noise)
     return {

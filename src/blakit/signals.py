@@ -282,11 +282,10 @@ def generate_noise(variance: float, length: int, seed=None, coloring=None) -> np
     if variance == 0.0:
         return np.zeros(length)
     rng = _as_generator(seed)
-    if coloring is None:
-        return np.sqrt(variance) * rng.standard_normal(length)
-    warmup = coloring.settling_length()
-    white = np.sqrt(variance) * rng.standard_normal(length + warmup)
-    return coloring.filter(white)[warmup:]
+    warmup = 0 if coloring is None else coloring.settling_length()
+    white = rng.standard_normal(length + warmup)
+    white *= np.sqrt(variance)  # in place: the same products, one array fewer
+    return white if coloring is None else coloring.filter(white)[warmup:]
 
 
 def cross_power_spectrum(x_records, y_records) -> np.ndarray:
@@ -316,17 +315,38 @@ def cross_power_spectrum(x_records, y_records) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV serialization (round-trip precision, 17 significant digits)
 
+_FLOAT = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    """One float as round-trip text; every float blakit writes goes through ``_FLOAT``."""
+    return _FLOAT % float(x)
+
+
+def _write_table(path, header: str, columns, newline: str = "\r\n") -> None:
+    """Write a header line and equal-length columns as CSV in one formatting pass.
+
+    Integer and boolean columns print with ``%d``, all others with
+    ``_FLOAT``; the rows come from one ``%`` of a repeated row template over
+    one flat tuple.  With the default CRLF line ending this is byte for byte
+    what ``csv.writer`` writes for the same strings.
+    """
+    columns = [np.asarray(c) for c in columns]
+    width = len(columns)
+    rows = len(columns[0])
+    template = ",".join("%d" if c.dtype.kind in "biu" else _FLOAT for c in columns)
+    flat = [None] * (rows * width)
+    for j, column in enumerate(columns):
+        flat[j::width] = column.tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write(header + newline)
+        fh.write(((template + newline) * rows) % tuple(flat))
 
 
 def write_signal_csv(path, sig: PeriodicSignal) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "time_s", "value"])
-        dt = 1.0 / sig.sampling_frequency
-        for i, v in enumerate(sig.samples):
-            writer.writerow([i, _fmt(i * dt), _fmt(v)])
+    index = np.arange(sig.samples.size)
+    _write_table(path, "sample_index,time_s,value",
+                 (index, index * (1.0 / sig.sampling_frequency), sig.samples))
 
 
 def read_signal_csv(path) -> np.ndarray:
@@ -339,12 +359,9 @@ def read_signal_csv(path) -> np.ndarray:
 
 
 def write_spectrum_csv(path, spectrum: Spectrum) -> None:
-    freqs = spectrum.frequencies
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_index", "frequency_hz", "real", "imag"])
-        for k, (f, v) in enumerate(zip(freqs, spectrum.bins)):
-            writer.writerow([k, _fmt(f), _fmt(v.real), _fmt(v.imag)])
+    bins = spectrum.bins
+    _write_table(path, "bin_index,frequency_hz,real,imag",
+                 (np.arange(bins.size), spectrum.frequencies, bins.real, bins.imag))
 
 
 def read_spectrum_csv(path) -> Spectrum:

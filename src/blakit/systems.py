@@ -15,11 +15,12 @@ and seed-independent; noisy ones are a pure function of their seeds.
 from __future__ import annotations
 
 import configparser
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import PeriodicSignal, derive_rng, generate_noise
+from .signals import PeriodicSignal, _fmt, _full_from_half, derive_rng, generate_noise
 from .volterra import DualVolterraKernel
 
 __all__ = [
@@ -55,7 +56,45 @@ class ConfigurationError(ValueError):
 
 
 class InstabilityError(RuntimeError):
-    """A simulation diverged or failed to reach a periodic steady state."""
+    """A simulation diverged or failed to reach a periodic steady state.
+
+    ``draw`` is the ensemble draw that failed (None outside an ensemble),
+    ``period`` the first simulated period, warm-up included, holding an
+    ``|y|`` above ``DIVERGENCE_LIMIT`` or a non-finite sample, and ``peak``
+    that period's largest ``|y|`` (inf if any of its samples is not finite).
+    """
+
+    def __init__(self, message: str, draw: int | None = None, period: int | None = None,
+                 peak: float | None = None):
+        super().__init__(message)
+        self.draw = draw
+        self.period = period
+        self.peak = peak
+
+
+def _check_divergence(y: np.ndarray, period_size: int, stage: str = "",
+                      draw: int | None = None, first_period: int = 0) -> None:
+    """Raise InstabilityError naming the first diverged period of ``y``.
+
+    ``y`` holds consecutive periods of ``period_size`` values (in flattened
+    order); the first of them is simulated period ``first_period``.
+    """
+    magnitude = np.abs(y).reshape(-1)
+    if magnitude.max() <= DIVERGENCE_LIMIT:  # NaN compares False as well
+        return
+    offset = int(np.flatnonzero(~(magnitude <= DIVERGENCE_LIMIT))[0]) // period_size
+    span = magnitude[offset * period_size:(offset + 1) * period_size]
+    peak = float(np.inf if np.isnan(span).any() else span.max())
+    period = first_period + offset
+    where = [stage] if stage else []
+    if draw is not None:
+        where.append(f"draw {draw}")
+    where.append(f"simulated period {period}")
+    raise InstabilityError(
+        f"simulation diverged at {', '.join(where)}: peak |y| = {peak:.6g} "
+        f"exceeds DIVERGENCE_LIMIT = {DIVERGENCE_LIMIT:.6g}",
+        draw=draw, period=period, peak=peak,
+    )
 
 
 def _lfilter(*args, **kwargs):
@@ -144,15 +183,8 @@ class RationalLTI:
     def bin_response(self, samples_per_period: int) -> np.ndarray:
         """Response on the full DFT bin grid, exactly conjugate symmetric."""
         n = samples_per_period
-        w = 2.0 * np.pi * np.arange(n // 2 + 1) / n
-        half = self.frequency_response(w)
-        full = np.empty(n, dtype=complex)
-        full[: n // 2 + 1] = half
-        full[n // 2 + 1:] = np.conj(half[1: (n + 1) // 2][::-1])
-        full[0] = full[0].real
-        if n % 2 == 0:
-            full[n // 2] = full[n // 2].real
-        return full
+        half = self.frequency_response(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+        return _full_from_half(half, n)
 
     def filter(self, x) -> np.ndarray:
         """Zero-state time-domain recursion along the last axis."""
@@ -264,8 +296,8 @@ def _steady_state_warmup(step_period, min_periods: int = _MIN_WARMUP,
     resid = np.inf
     for count in range(1, max_periods + 1):
         current = step_period()
-        if not np.isfinite(current).all() or np.abs(current).max() > DIVERGENCE_LIMIT:
-            raise InstabilityError("simulation diverged during warm-up")
+        _check_divergence(current, current.size, "noise-free warm-up",
+                          first_period=count - 1)
         if previous is not None:
             scale = max(float(np.max(_rms(current, axis=0))), 1e-300)
             resid = float(np.max(_rms(current - previous, axis=0))) / scale
@@ -368,28 +400,20 @@ class HammersteinSimulator:
 
         if not draw_nx and not draw_ny:
             warmup, resid = self.required_warmup(u)
-            x = PeriodicSignal(self.nonlinearity(u.period(0)), n, 1, u.sampling_frequency)
-            period = filter_periodic(self.dynamics, x).samples
-            if not np.isfinite(period).all() or np.abs(period).max() > DIVERGENCE_LIMIT:
-                raise InstabilityError("simulation diverged")
             return SimulationRecord(
-                output=PeriodicSignal(np.tile(period, p), n, p, u.sampling_frequency),
+                output=PeriodicSignal(np.tile(self._periodic_output(u), p), n, p,
+                                      u.sampling_frequency),
                 process_noise=np.zeros(p * n),
                 output_noise=np.zeros(p * n),
                 warmup_periods=warmup,
                 steady_state_residual=resid,
             )
 
-        warmup, resid = self.required_warmup(u)
+        warmup, resid, simulate = self._warmed_up(u)
         total = (warmup + p) * n
-        u_full = np.concatenate([np.tile(u.period(0), warmup), u.samples])
         nx = self.draw_process_noise(total, process_noise_rng) if draw_nx else np.zeros(total)
         ny = self.draw_output_noise(total, output_noise_rng) if draw_ny else np.zeros(total)
-
-        y0 = self.dynamics.filter(self.nonlinearity(u_full + nx))
-        if not np.isfinite(y0).all() or np.abs(y0).max() > DIVERGENCE_LIMIT:
-            raise InstabilityError("simulation diverged")
-        y = y0 + ny
+        y = simulate(nx) + ny
         rec = slice(warmup * n, total)
         return SimulationRecord(
             output=PeriodicSignal(
@@ -401,6 +425,55 @@ class HammersteinSimulator:
             warmup_periods=warmup,
             steady_state_residual=resid,
         )
+
+    def process_noise_ensemble(self, u: PeriodicSignal,
+                               process_noise_rngs: Iterable) -> Iterator[np.ndarray]:
+        """Steady-state outputs of ``u`` without output noise, one per generator.
+
+        Draw ``i`` has the values of ``run(u, rng_i,
+        include_output_noise=False).output.samples`` for the ``i``-th
+        generator, but the warm-up is probed and the warm-up excitation built
+        once for all draws.  Without process noise every draw is the exact
+        periodic output, yielded as the same read-only array.
+        """
+        n = u.samples_per_period
+        if self.process_noise_variance == 0:
+            self.required_warmup(u)  # fails as run does if no steady state is reached
+            output = np.tile(self._periodic_output(u), u.period_count)
+            output.flags.writeable = False
+            for _ in process_noise_rngs:
+                yield output
+            return
+        warmup, _, simulate = self._warmed_up(u)
+        total = (warmup + u.period_count) * n
+        for draw, rng in enumerate(process_noise_rngs):
+            yield simulate(self.draw_process_noise(total, rng), draw)[warmup * n:]
+
+    def _warmed_up(self, u: PeriodicSignal):
+        """Probe the warm-up of ``u`` once; return it with a noisy-run kernel.
+
+        ``simulate(nx, draw=None)`` runs ``S(q)[f(u + nx)]`` from zero state
+        over the warm-up and recorded periods and raises InstabilityError,
+        naming ``draw``, if the response diverges.
+        """
+        warmup, resid = self.required_warmup(u)
+        n = u.samples_per_period
+        u_full = np.concatenate([np.tile(u.period(0), warmup), u.samples])
+
+        def simulate(nx: np.ndarray, draw: int | None = None) -> np.ndarray:
+            y0 = self.dynamics.filter(self.nonlinearity(u_full + nx))
+            _check_divergence(y0, n, draw=draw)
+            return y0
+
+        return warmup, resid, simulate
+
+    def _periodic_output(self, u: PeriodicSignal) -> np.ndarray:
+        """One period of the exact noise-free periodic steady state."""
+        n = u.samples_per_period
+        x = PeriodicSignal(self.nonlinearity(u.period(0)), n, 1, u.sampling_frequency)
+        period = filter_periodic(self.dynamics, x).samples
+        _check_divergence(period, n, "periodic steady state")
+        return period
 
 
 def simulate_hammerstein(dynamics: RationalLTI, nonlinearity: PolynomialNonlinearity,
@@ -685,15 +758,13 @@ def write_system_file(path, description: SystemDescription) -> None:
 
     def put(name, lti):
         parser[name] = {
-            "b": ", ".join(format(v, ".17g") for v in lti.numerator),
-            "a": ", ".join(format(v, ".17g") for v in lti.denominator),
+            "b": ", ".join(map(_fmt, lti.numerator)),
+            "a": ", ".join(map(_fmt, lti.denominator)),
         }
 
     put("S", description.dynamics)
     parser["f"] = {
-        "coefficients": ", ".join(
-            format(v, ".17g") for v in description.nonlinearity.coefficients
-        )
+        "coefficients": ", ".join(map(_fmt, description.nonlinearity.coefficients))
     }
     if description.actuator is not None:
         put("G_act", description.actuator)

@@ -17,7 +17,9 @@ from blakit.experiment import (
     hammerstein_demo_config,
     hammerstein_demo_system,
     read_experiment_config,
+    run_closed_loop_records,
     run_experiment,
+    run_open_loop_records,
     write_experiment_config,
 )
 from blakit.systems import (
@@ -242,6 +244,31 @@ class TestInvalidInputExits2:
         message = self.assert_config_error(
             capsys, ["decompose", "--config", str(path), "--out", str(tmp_path / "out")])
         assert "ensemble_size" in message
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["demo-hammerstein", "simulate"])
+    def test_workers_below_one(self, tmp_path, capsys, command, workers):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        message = self.assert_config_error(
+            capsys, [command, "--config", str(path), "--workers", workers, "--out", str(out)])
+        assert "--workers" in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("loop", ["open", "closed"])
+    def test_record_builders_reject_workers_below_one(self, loop):
+        config = hammerstein_demo_config(realizations=2, samples_per_period=64,
+                                         decompose=False)
+        run = run_open_loop_records if loop == "open" else run_closed_loop_records
+        if loop == "closed":
+            config = ExperimentConfig(**{
+                **config.__dict__, "loop": "closed", "compare_analytic": False,
+                "system": SystemDescription(
+                    dynamics=RationalLTI(b=[0.5]), nonlinearity=PolynomialNonlinearity.identity(),
+                    actuator=RationalLTI(b=[1.0]), feedback=RationalLTI(b=[0.0, 0.2])),
+            })
+        with pytest.raises(ConfigurationError, match="workers"):
+            run(config, workers=0)
 
 
 class TestImports:

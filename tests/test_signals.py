@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blakit.signals import (
     MultisineSpec,
@@ -44,6 +48,14 @@ def make_signal(x, fs=1.0):
     x = np.asarray(x, dtype=float)
     return PeriodicSignal(samples=x, samples_per_period=x.size, period_count=1,
                           sampling_frequency=fs)
+
+
+def complex_bins(real, imag) -> np.ndarray:
+    # Set the parts directly: ``1j * inf`` would turn the real part into NaN.
+    bins = np.empty(len(real), dtype=complex)
+    bins.real = real
+    bins.imag = imag
+    return bins
 
 
 class TestMultisine:
@@ -287,6 +299,52 @@ class TestCsv:
         np.testing.assert_array_equal(back.bins, spectrum.bins)
         assert back.sampling_frequency == pytest.approx(spectrum.sampling_frequency)
         assert back.samples_per_period == spectrum.samples_per_period
+
+    EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1, -2.5e-17]
+
+    def test_spectrum_bytes_match_csv_writer(self, tmp_path):
+        edges = np.array(self.EDGE_VALUES)
+        spectrum = Spectrum(bins=complex_bins(edges, edges[::-1]),
+                            samples_per_period=edges.size, sampling_frequency=0.3)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["bin_index", "frequency_hz", "real", "imag"])
+            for k, (f, v) in enumerate(zip(spectrum.frequencies, spectrum.bins)):
+                writer.writerow([k, format(float(f), ".17g"), format(float(v.real), ".17g"),
+                                 format(float(v.imag), ".17g")])
+        path = tmp_path / "spectrum.csv"
+        write_spectrum_csv(path, spectrum)
+        assert path.read_bytes() == reference.read_bytes()
+        assert b"\r\n" in path.read_bytes()
+
+    def test_signal_bytes_match_csv_writer(self, tmp_path):
+        sig = PeriodicSignal(np.array(self.EDGE_VALUES), 4, 2, 3.7)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["sample_index", "time_s", "value"])
+            for i, v in enumerate(sig.samples):
+                writer.writerow([i, format(i * (1.0 / 3.7), ".17g"), format(float(v), ".17g")])
+        path = tmp_path / "signal.csv"
+        write_signal_csv(path, sig)
+        assert path.read_bytes() == reference.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False), min_size=4, max_size=40),
+           fs=st.floats(min_value=1e-3, max_value=1e6))
+    def test_spectrum_round_trip_property(self, tmp_path_factory, values, fs):
+        # Every finite or infinite value, signed zeros and subnormals
+        # included, reads back bit for bit.
+        half = len(values) // 2
+        bins = complex_bins(values[:half], values[half:2 * half])
+        spectrum = Spectrum(bins=bins, samples_per_period=half, sampling_frequency=fs)
+        path = tmp_path_factory.mktemp("csv") / "spectrum.csv"
+        write_spectrum_csv(path, spectrum)
+        back = read_spectrum_csv(path)
+        assert back.samples_per_period == half
+        assert np.array_equal(back.bins.view(np.uint64), spectrum.bins.view(np.uint64))
+        assert back.sampling_frequency == pytest.approx(fs, rel=1e-12)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -6,6 +6,7 @@ from scipy import signal as sps
 
 from blakit.signals import MultisineSpec, PeriodicSignal, derive_rng, dft, generate_multisine
 from blakit.systems import (
+    DIVERGENCE_LIMIT,
     ClosedLoopConfig,
     ConfigurationError,
     HammersteinPlant,
@@ -212,6 +213,79 @@ class TestHammersteinSimulator:
         via_kernels = filter_periodic(
             lti, PeriodicSignal(contracted, n, 1, 1.0)).samples
         np.testing.assert_allclose(via_kernels, predicted, rtol=1e-12, atol=1e-14)
+
+
+class TestProcessNoiseEnsemble:
+    """The streamed ensemble is ``run`` without output noise, draw for draw."""
+
+    @pytest.mark.parametrize("process_var, coloring", [
+        (0.04, None),
+        (0.04, RationalLTI(b=[1.0, 0.5], a=[1.0, -0.7])),
+        (0.0, None),
+    ], ids=["white", "colored", "zero"])
+    def test_matches_per_draw_runs(self, process_var, coloring):
+        u = flat_multisine(n=64, seed=8).tile(3)
+        sim = HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC,
+                                   process_noise_variance=process_var,
+                                   output_noise_variance=0.01,
+                                   process_noise_coloring=coloring)
+        draws = list(sim.process_noise_ensemble(
+            u, (derive_rng(4, "ens", i) for i in range(5))))
+        assert len(draws) == 5
+        for i, y in enumerate(draws):
+            rec = sim.run(u, process_noise_rng=derive_rng(4, "ens", i),
+                          include_output_noise=False)
+            assert np.array_equal(y, rec.output.samples)
+        assert np.array_equal(draws[0], draws[1]) == (process_var == 0.0)
+
+    def test_warmup_probed_once(self, monkeypatch):
+        sim = HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC, process_noise_variance=0.04)
+        calls = []
+        probe = HammersteinSimulator.required_warmup
+        monkeypatch.setattr(HammersteinSimulator, "required_warmup",
+                            lambda self, u: calls.append(1) or probe(self, u))
+        u = flat_multisine(n=64, seed=8).tile(2)
+        for _ in sim.process_noise_ensemble(u, (derive_rng(4, i) for i in range(6))):
+            pass
+        assert len(calls) == 1
+
+
+class TestInstabilityDiagnostics:
+    """A large-coefficient polynomial that only noisy draws push past the limit."""
+
+    @staticmethod
+    def make():
+        # Noise-free, f(u) ~ 1e20 * (1e-6)^9 is tiny and the probe converges;
+        # with unit process noise, 1e20 * x^9 dwarfs DIVERGENCE_LIMIT.
+        f = PolynomialNonlinearity(coefficients=[1.0] + [0.0] * 7 + [1e20])
+        sim = HammersteinSimulator(RationalLTI(**LOWPASS), f, process_noise_variance=1.0)
+        return sim, flat_multisine(n=64, seed=9, rms=1e-6).tile(2)
+
+    def test_run_names_period_and_peak(self):
+        sim, u = self.make()
+        with pytest.raises(InstabilityError, match="DIVERGENCE_LIMIT") as info:
+            sim.run(u, process_noise_rng=derive_rng(1, "nx"))
+        err = info.value
+        assert err.draw is None
+        assert err.period == 0
+        assert err.peak > DIVERGENCE_LIMIT
+        assert "draw" not in str(err) and f"{err.peak:.6g}" in str(err)
+
+    def test_ensemble_names_draw(self):
+        sim, u = self.make()
+        with pytest.raises(InstabilityError, match=r"draw 0, simulated period 0") as info:
+            list(sim.process_noise_ensemble(u, [derive_rng(1, "nx")]))
+        assert info.value.draw == 0
+        assert info.value.peak > DIVERGENCE_LIMIT
+
+    def test_overflow_reports_infinite_peak(self):
+        f = PolynomialNonlinearity(coefficients=[1.0] + [0.0] * 7 + [1e300])
+        sim = HammersteinSimulator(RationalLTI(**LOWPASS), f, process_noise_variance=100.0)
+        u = flat_multisine(n=64, seed=9, rms=1e-200).tile(2)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InstabilityError) as info:
+            list(sim.process_noise_ensemble(u, [derive_rng(1, "a"), derive_rng(1, "b")]))
+        assert info.value.draw == 0 and info.value.peak == np.inf
 
 
 def linear_loop_blocks():
