@@ -22,9 +22,8 @@ from .experiment import (
     hammerstein_demo_config,
     hammerstein_demo_system,
     read_experiment_config,
-    run_closed_loop_records,
     run_experiment,
-    run_open_loop_records,
+    run_records,
     write_experiment_config,
     write_generated_signals,
 )
@@ -95,11 +94,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args)
-    if config.loop == "open":
-        record, _ = run_open_loop_records(config, workers=args.workers)
-    else:
-        record, _ = run_closed_loop_records(config, workers=args.workers)
+    record, _ = run_records(_load_config(args), workers=args.workers)
     write_record_bundle(args.out / "records", record)
     print(f"wrote record bundle ({record.realization_count} realizations, "
           f"{record.period_count} periods) under {args.out / 'records'}")

@@ -39,6 +39,7 @@ from .estimator import (
 )
 from .signals import (
     MultisineSpec,
+    PeriodicSignal,
     _fmt,
     _write_table,
     derive_rng,
@@ -67,6 +68,7 @@ __all__ = [
     "multisine_spec",
     "run_open_loop_records",
     "run_closed_loop_records",
+    "run_records",
     "run_experiment",
     "write_generated_signals",
     "compare_reports",
@@ -174,49 +176,43 @@ def read_experiment_config(path) -> ExperimentConfig:
     if not parser.read(str(path)):
         raise ConfigurationError(f"cannot read config file {path}")
     try:
-        exp = parser["experiment"]
-        ms = parser["multisine"]
-        n = ms.getint("samples_per_period")
+        n = parser.getint("multisine", "samples_per_period")
         system_ref = parser.get("system", "file")
         system = read_system_file((path.parent / system_ref).resolve())
-        noise = parser["noise"] if parser.has_section("noise") else {}
-        dec = parser["decomposition"] if parser.has_section("decomposition") else {}
-        oracle = parser["oracle"] if parser.has_section("oracle") else {}
-
-        def getfloat(section, key, default):
-            value = section.get(key) if hasattr(section, "get") else None
-            return float(value) if value is not None else default
-
-        def getbool(section, key, default):
-            value = section.get(key) if hasattr(section, "get") else None
-            if value is None:
-                return default
-            return value.strip().lower() in ("1", "true", "yes", "on")
-
         return ExperimentConfig(
-            loop=exp.get("loop", "open"),
-            realizations=exp.getint("realizations"),
-            periods=exp.getint("periods"),
+            loop=parser.get("experiment", "loop", fallback="open"),
+            realizations=parser.getint("experiment", "realizations"),
+            periods=parser.getint("experiment", "periods"),
             samples_per_period=n,
-            sampling_frequency=ms.getfloat("sampling_frequency_hz", 1.0),
-            excited_bins=_parse_bins(ms.get("excited_bins", "all"), n),
-            input_rms=ms.getfloat("rms", 1.0),
+            sampling_frequency=parser.getfloat("multisine", "sampling_frequency_hz",
+                                               fallback=1.0),
+            excited_bins=_parse_bins(parser.get("multisine", "excited_bins",
+                                                fallback="all"), n),
+            input_rms=parser.getfloat("multisine", "rms", fallback=1.0),
             system=system,
-            process_noise_variance=getfloat(noise, "process_variance", 0.0),
-            output_noise_variance=getfloat(noise, "output_variance", 0.0),
-            input_noise_variance=getfloat(noise, "input_variance", 0.0),
-            master_seed=exp.getint("master_seed", 0),
-            warmup_minimum=exp.getint("warmup_periods", 4),
-            decompose=getbool(dec, "enabled", False),
-            decompose_draws=int(getfloat(dec, "ensemble_size", 1000)),
-            compare_analytic=getbool(oracle, "compare_analytic", True),
-            band_sigma=getfloat(oracle, "band_sigma", 3.0),
-            min_fraction_in_band=getfloat(oracle, "min_fraction_in_band", 0.95),
+            process_noise_variance=parser.getfloat("noise", "process_variance", fallback=0.0),
+            output_noise_variance=parser.getfloat("noise", "output_variance", fallback=0.0),
+            input_noise_variance=parser.getfloat("noise", "input_variance", fallback=0.0),
+            master_seed=parser.getint("experiment", "master_seed", fallback=0),
+            warmup_minimum=parser.getint("experiment", "warmup_periods", fallback=4),
+            decompose=parser.getboolean("decomposition", "enabled", fallback=False),
+            decompose_draws=parser.getint("decomposition", "ensemble_size", fallback=1000),
+            compare_analytic=parser.getboolean("oracle", "compare_analytic", fallback=True),
+            band_sigma=parser.getfloat("oracle", "band_sigma", fallback=3.0),
+            min_fraction_in_band=parser.getfloat("oracle", "min_fraction_in_band",
+                                                 fallback=0.95),
         )
-    except (configparser.Error, KeyError, ValueError) as exc:
+    except (configparser.Error, ValueError) as exc:
         if isinstance(exc, ConfigurationError):
             raise
         raise ConfigurationError(f"invalid config file {path}: {exc}") from exc
+
+
+def _bin_range(bins) -> str | None:
+    """``"lo:hi"`` when the sorted ``bins`` form one contiguous run, else None."""
+    if len(bins) == bins[-1] - bins[0] + 1:
+        return f"{bins[0]}:{bins[-1]}"
+    return None
 
 
 def write_experiment_config(path, config: ExperimentConfig, system_file: str) -> None:
@@ -228,13 +224,11 @@ def write_experiment_config(path, config: ExperimentConfig, system_file: str) ->
         "master_seed": str(config.master_seed),
         "warmup_periods": str(config.warmup_minimum),
     }
-    bins = np.asarray(config.excited_bins)
-    contiguous = bins.size == bins[-1] - bins[0] + 1
+    bins = config.excited_bins
     parser["multisine"] = {
         "samples_per_period": str(config.samples_per_period),
         "sampling_frequency_hz": _fmt(config.sampling_frequency),
-        "excited_bins": (f"{bins[0]}:{bins[-1]}" if contiguous
-                         else ", ".join(str(k) for k in bins)),
+        "excited_bins": _bin_range(bins) or ", ".join(map(str, bins)),
         "rms": _fmt(config.input_rms),
     }
     parser["system"] = {"file": system_file}
@@ -260,32 +254,45 @@ def write_experiment_config(path, config: ExperimentConfig, system_file: str) ->
 # Record building
 
 
-def _open_loop_task(config: ExperimentConfig, m: int):
-    spec = multisine_spec(config)
-    u = generate_multisine(spec, derive_rng(config.master_seed, "input", m))
-    sim = HammersteinSimulator(
+def _excitation(config: ExperimentConfig, m: int) -> PeriodicSignal:
+    """One period of realization ``m``'s multisine.
+
+    It is the plant input in open loop and the reference in closed loop.
+    """
+    label = "reference" if config.loop == "closed" else "input"
+    return generate_multisine(multisine_spec(config),
+                              derive_rng(config.master_seed, label, m))
+
+
+def _simulator(config: ExperimentConfig) -> HammersteinSimulator:
+    return HammersteinSimulator(
         config.system.dynamics, config.system.nonlinearity,
         config.process_noise_variance, config.output_noise_variance,
         warmup_minimum=config.warmup_minimum,
     )
-    rec = sim.run(
-        u.tile(config.periods),
-        process_noise_rng=derive_rng(config.master_seed, "process_noise", m),
-        output_noise_rng=derive_rng(config.master_seed, "output_noise", m),
-    )
-    u_bins = dft(u).bins
-    y_bins = np.stack([dft(rec.output, period=p).bins for p in range(config.periods)])
-    return m, u_bins, y_bins, rec.warmup_periods
+
+
+def _period_spectra(sig: PeriodicSignal) -> np.ndarray:
+    """``(P, N)`` stack of the DFTs of each period of ``sig``."""
+    return np.stack([dft(sig, period=p).bins for p in range(sig.period_count)])
+
+
+def _open_loop_task(config: ExperimentConfig, start: int, count: int):
+    sim = _simulator(config)
+    out = []
+    for m in range(start, start + count):
+        u = _excitation(config, m)
+        rec = sim.run(
+            u.tile(config.periods),
+            process_noise_rng=derive_rng(config.master_seed, "process_noise", m),
+            output_noise_rng=derive_rng(config.master_seed, "output_noise", m),
+        )
+        out.append((dft(u).bins, _period_spectra(rec.output), rec.warmup_periods))
+    return out
 
 
 def _closed_loop_task(config: ExperimentConfig, start: int, count: int):
-    spec = multisine_spec(config)
-    refs = [
-        generate_multisine(
-            spec, derive_rng(config.master_seed, "reference", start + i)
-        ).tile(config.periods)
-        for i in range(count)
-    ]
+    refs = [_excitation(config, m).tile(config.periods) for m in range(start, start + count)]
     loop = ClosedLoopConfig(
         plant=HammersteinPlant(config.system.dynamics, config.system.nonlinearity),
         actuator=config.system.actuator,
@@ -297,20 +304,9 @@ def _closed_loop_task(config: ExperimentConfig, start: int, count: int):
     records = simulate_closed_loop_batch(loop, refs, config.master_seed,
                                          first_realization=start,
                                          warmup_minimum=config.warmup_minimum)
-    out = []
-    for i, rec in enumerate(records):
-        r_bins = dft(rec.reference).bins
-        u_bins = np.stack([dft(rec.input_measured, period=p).bins
-                           for p in range(config.periods)])
-        y_bins = np.stack([dft(rec.output_measured, period=p).bins
-                           for p in range(config.periods)])
-        out.append((start + i, r_bins, u_bins, y_bins, rec.warmup_periods))
-    return out
-
-
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    return [(dft(rec.reference).bins, _period_spectra(rec.input_measured),
+             _period_spectra(rec.output_measured), rec.warmup_periods)
+            for rec in records]
 
 
 def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
@@ -325,62 +321,54 @@ def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
     return spans
 
 
+def _per_realization(config: ExperimentConfig, task, workers: int) -> list[tuple]:
+    """Run ``task(config, start, count)`` over contiguous spans of realizations.
+
+    One span per worker, each in its own process when there are several.
+    The per-realization results come back in realization order.
+    """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    spans = _chunks(config.realizations, workers)
+    if len(spans) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(spans)) as pool:
+            chunks = list(pool.map(functools.partial(task, config), *zip(*spans)))
+    else:
+        chunks = [task(config, *spans[0])]
+    return [result for chunk in chunks for result in chunk]
+
+
+def _record(config: ExperimentConfig, **spectra) -> ExperimentRecord:
+    return ExperimentRecord(
+        excited_bins=np.asarray(config.excited_bins, dtype=int),
+        samples_per_period=config.samples_per_period,
+        sampling_frequency=config.sampling_frequency, **spectra,
+    )
+
+
 def run_open_loop_records(config: ExperimentConfig,
                           workers: int = 1) -> tuple[ExperimentRecord, int]:
-    _check_workers(workers)
-    m_count = config.realizations
-    n = config.samples_per_period
-    u = np.empty((m_count, n), dtype=complex)
-    y = np.empty((m_count, config.periods, n), dtype=complex)
-    warmups = [0] * m_count
-    task = functools.partial(_open_loop_task, config)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, range(m_count)))
-    else:
-        results = [task(m) for m in range(m_count)]
-    for m, u_bins, y_bins, warmup in sorted(results):
-        u[m] = u_bins
-        y[m] = y_bins
-        warmups[m] = warmup
-    record = ExperimentRecord(
-        input_spectra=u, output_spectra=y,
-        excited_bins=np.asarray(config.excited_bins, dtype=int),
-        samples_per_period=n, sampling_frequency=config.sampling_frequency,
-    )
-    return record, max(warmups)
+    u, y, warmups = zip(*_per_realization(config, _open_loop_task, workers))
+    return _record(config, input_spectra=np.stack(u), output_spectra=np.stack(y)), max(warmups)
 
 
 def run_closed_loop_records(config: ExperimentConfig,
                             workers: int = 1) -> tuple[ExperimentRecord, int]:
-    _check_workers(workers)
-    m_count = config.realizations
-    n = config.samples_per_period
-    r = np.empty((m_count, n), dtype=complex)
-    u_pp = np.empty((m_count, config.periods, n), dtype=complex)
-    y = np.empty((m_count, config.periods, n), dtype=complex)
-    warmup_max = 0
-    spans = _chunks(m_count, workers)
-    if workers > 1 and len(spans) > 1:
-        task = functools.partial(_closed_loop_task, config)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(task, *zip(*spans)))
-    else:
-        chunk_results = [_closed_loop_task(config, start, count)
-                         for start, count in spans]
-    for chunk in chunk_results:
-        for m, r_bins, u_bins, y_bins, warmup in chunk:
-            r[m] = r_bins
-            u_pp[m] = u_bins
-            y[m] = y_bins
-            warmup_max = max(warmup_max, warmup)
-    record = ExperimentRecord(
-        input_spectra=u_pp.mean(axis=1), output_spectra=y,
-        excited_bins=np.asarray(config.excited_bins, dtype=int),
-        samples_per_period=n, sampling_frequency=config.sampling_frequency,
-        reference_spectra=r, input_spectra_per_period=u_pp,
-    )
-    return record, warmup_max
+    r, u_pp, y, warmups = zip(*_per_realization(config, _closed_loop_task, workers))
+    u_pp = np.stack(u_pp)
+    record = _record(config, input_spectra=u_pp.mean(axis=1), output_spectra=np.stack(y),
+                     reference_spectra=np.stack(r), input_spectra_per_period=u_pp)
+    return record, max(warmups)
+
+
+def run_records(config: ExperimentConfig, workers: int = 1) -> tuple[ExperimentRecord, int]:
+    """Simulate the record of ``config`` with the builder of its loop.
+
+    Returns the record and the largest warm-up period count used.
+    """
+    # Looked up at call time, so a wrapped builder (e.g. a tracer's) is used.
+    build = run_closed_loop_records if config.loop == "closed" else run_open_loop_records
+    return build(config, workers=workers)
 
 
 def write_generated_signals(config: ExperimentConfig, out_dir) -> list[pathlib.Path]:
@@ -388,11 +376,9 @@ def write_generated_signals(config: ExperimentConfig, out_dir) -> list[pathlib.P
     out_dir = pathlib.Path(out_dir)
     signals_dir = out_dir / "signals"
     signals_dir.mkdir(parents=True, exist_ok=True)
-    spec = multisine_spec(config)
-    label = "reference" if config.loop == "closed" else "input"
     written = []
     for m in range(config.realizations):
-        sig = generate_multisine(spec, derive_rng(config.master_seed, label, m))
+        sig = _excitation(config, m)
         sig_path = signals_dir / f"u_m{m:03d}.csv"
         spec_path = signals_dir / f"u_m{m:03d}_spectrum.csv"
         write_signal_csv(sig_path, sig)
@@ -471,8 +457,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
                           if config.system.feedback else None),
     }
     bins = config.excited_bins
-    contiguous = len(bins) == bins[-1] - bins[0] + 1
-    echo["excited_bins"] = f"{bins[0]}:{bins[-1]}" if contiguous else list(bins)
+    echo["excited_bins"] = _bin_range(bins) or list(bins)
     echo["excited_bin_count"] = len(bins)
     return echo
 
@@ -486,56 +471,18 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     """
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if config.loop == "open":
-        record, warmup = run_open_loop_records(config, workers=workers)
-        estimate = robust_bla(record)
-    else:
-        record, warmup = run_closed_loop_records(config, workers=workers)
-        estimate = robust_bla_closed_loop(record)
+    record, warmup = run_records(config, workers=workers)
     write_record_bundle(out_dir / "records", record)
-    write_bla_csv(out_dir / "bla.csv", estimate)
-
-    summary = {
-        "config": _config_echo(config),
-        "estimate": {
-            "realizations": estimate.realization_count,
-            "periods": estimate.period_count,
-            "excited_bins": int(estimate.excited_bins.size),
-            "defined_bins": int(estimate.defined.sum()),
-            "warmup_periods_used": warmup,
-        },
-    }
-
-    comparison = (_comparison_summary(config, estimate)
-                  if config.compare_analytic else {"enabled": False})
-    summary["analytic_comparison"] = comparison
-
-    if config.decompose:
-        summary["decomposition"] = _run_decomposition(config, out_dir)
-    else:
-        summary["decomposition"] = {"enabled": False}
-
-    tolerance_ok = bool(comparison.get("pass", True))
-    summary["pass"] = tolerance_ok
-    summary["files"] = _hash_tree(out_dir, skip={"summary.json"})
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    return ExperimentReport(summary=summary, estimate=estimate, record=record,
-                            tolerance_ok=tolerance_ok)
+    decomposition = (_run_decomposition(config, out_dir) if config.decompose
+                     else {"enabled": False})
+    return _report(config, out_dir, record, decomposition, warmup=warmup)
 
 
 def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
-    spec = multisine_spec(config)
-    u = generate_multisine(spec, derive_rng(config.master_seed, "input", 0))
-    sim = HammersteinSimulator(
-        config.system.dynamics, config.system.nonlinearity,
-        config.process_noise_variance, config.output_noise_variance,
-        warmup_minimum=config.warmup_minimum,
-    )
-    g_ref = _analytic_reference(config)
+    u = _excitation(config, 0)
     decomposition = decompose_output(
-        sim, u.tile(config.periods), config.decompose_draws, g_ref,
-        seed=config.master_seed,
+        _simulator(config), u.tile(config.periods), config.decompose_draws,
+        _analytic_reference(config), seed=config.master_seed,
     )
     report = analytic_hammerstein_decomposition(
         config.system.nonlinearity, config.gaussian_model, alternate=True)
@@ -560,17 +507,46 @@ def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
 
 
 def estimate_from_bundle(config: ExperimentConfig, out_dir) -> ExperimentReport:
-    """Estimate from an existing record bundle and write result plus summary."""
+    """Estimate from an existing record bundle and write result plus summary.
+
+    The bundle must have been recorded on the grid of ``config``: the same
+    samples per period, sampling frequency, excited bins, realization and
+    period counts, and loop.  Otherwise ConfigurationError is raised before
+    anything is written.
+    """
     out_dir = pathlib.Path(out_dir)
     bundle = out_dir / "records"
     if not (bundle / "manifest.json").exists():
         raise ConfigurationError(f"no record bundle under {bundle}")
     record = read_record_bundle(bundle)
+    grid = {  # bundle value, config value
+        "samples_per_period": (record.samples_per_period, config.samples_per_period),
+        "sampling_frequency_hz": (record.sampling_frequency, config.sampling_frequency),
+        "excited_bins": (record.excited_bins.tolist(), list(config.excited_bins)),
+        "realizations": (record.realization_count, config.realizations),
+        "periods": (record.period_count, config.periods),
+        "closed_loop": (record.reference_spectra is not None, config.loop == "closed"),
+    }
+    mismatched = [name for name, (recorded, wanted) in grid.items() if recorded != wanted]
+    if mismatched:
+        raise ConfigurationError(f"record bundle under {bundle} does not match the "
+                                 f"config in: {', '.join(mismatched)}")
+    return _report(config, out_dir, record, {"enabled": False})
+
+
+def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentRecord,
+            decomposition: dict, warmup: int | None = None) -> ExperimentReport:
+    """Estimate from ``record``, then write ``bla.csv`` and ``summary.json``.
+
+    ``summary.json`` hashes every other file under ``out_dir``.  ``warmup``
+    is known only for a record simulated in this run and is reported then.
+    """
     estimate = (robust_bla_closed_loop(record) if record.reference_spectra is not None
                 else robust_bla(record))
     write_bla_csv(out_dir / "bla.csv", estimate)
     comparison = (_comparison_summary(config, estimate)
                   if config.compare_analytic else {"enabled": False})
+    tolerance_ok = bool(comparison.get("pass", True))
     summary = {
         "config": _config_echo(config),
         "estimate": {
@@ -580,13 +556,15 @@ def estimate_from_bundle(config: ExperimentConfig, out_dir) -> ExperimentReport:
             "defined_bins": int(estimate.defined.sum()),
         },
         "analytic_comparison": comparison,
-        "decomposition": {"enabled": False},
-        "pass": bool(comparison.get("pass", True)),
+        "decomposition": decomposition,
+        "pass": tolerance_ok,
     }
+    if warmup is not None:
+        summary["estimate"]["warmup_periods_used"] = warmup
     summary["files"] = _hash_tree(out_dir, skip={"summary.json"})
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     return ExperimentReport(summary=summary, estimate=estimate, record=record,
-                            tolerance_ok=summary["pass"])
+                            tolerance_ok=tolerance_ok)
 
 
 # ---------------------------------------------------------------------------

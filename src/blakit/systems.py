@@ -376,9 +376,8 @@ class HammersteinSimulator:
         return generate_noise(self.output_noise_variance, length, rng,
                               coloring=self.output_noise_coloring)
 
-    def run(self, u: PeriodicSignal, process_noise_rng=None, output_noise_rng=None,
-            include_process_noise: bool = True,
-            include_output_noise: bool = True) -> SimulationRecord:
+    def run(self, u: PeriodicSignal, process_noise_rng=None,
+            output_noise_rng=None) -> SimulationRecord:
         """Simulate ``u.period_count`` steady-state periods.
 
         With noise on, the recursion runs over the warm-up and recorded
@@ -391,8 +390,8 @@ class HammersteinSimulator:
         """
         n = u.samples_per_period
         p = u.period_count
-        draw_nx = include_process_noise and self.process_noise_variance > 0
-        draw_ny = include_output_noise and self.output_noise_variance > 0
+        draw_nx = self.process_noise_variance > 0
+        draw_ny = self.output_noise_variance > 0
         if draw_nx and process_noise_rng is None:
             raise ValueError("process_noise_rng is required when process noise is on")
         if draw_ny and output_noise_rng is None:
@@ -430,10 +429,10 @@ class HammersteinSimulator:
                                process_noise_rngs: Iterable) -> Iterator[np.ndarray]:
         """Steady-state outputs of ``u`` without output noise, one per generator.
 
-        Draw ``i`` has the values of ``run(u, rng_i,
-        include_output_noise=False).output.samples`` for the ``i``-th
-        generator, but the warm-up is probed and the warm-up excitation built
-        once for all draws.  Without process noise every draw is the exact
+        Draw ``i`` has the values of ``run(u, rng_i).output.samples`` on a
+        twin simulator without output noise, for the ``i``-th generator, but
+        the warm-up is probed and the warm-up excitation built once for all
+        draws.  Without process noise every draw is the exact
         periodic output, yielded as the same read-only array.
         """
         n = u.samples_per_period
@@ -604,13 +603,20 @@ class ClosedLoopRecord:
 
 
 class _LoopEngine:
-    """Sample-by-sample loop runner, vectorized over parallel realizations."""
+    """Sample-by-sample loop runner, vectorized over parallel realizations.
 
-    def __init__(self, config: ClosedLoopConfig, width: int):
+    Column ``i`` is realization ``first_realization + i``.  Periods are
+    counted from the engine's zero state, so a divergence is reported at the
+    simulated period, warm-up included.
+    """
+
+    def __init__(self, config: ClosedLoopConfig, width: int, first_realization: int):
         self._act = config.actuator.stepper(width)
         self._fb = config.feedback.stepper(width)
         self._plant = config.plant.stepper(width)
         self._width = width
+        self._first_realization = first_realization
+        self._period = 0
 
     def run_period(self, r_block: np.ndarray, nx_block: np.ndarray):
         n = r_block.shape[0]
@@ -624,8 +630,10 @@ class _LoopEngine:
                 u0[t] = self._act.step(e)
                 y0[t] = self._plant(u0[t], nx_block[t])
                 self._fb.step(y0[t])
-        if not np.isfinite(y0).all() or np.abs(y0).max() > DIVERGENCE_LIMIT:
-            raise InstabilityError("closed loop diverged")
+        for i in range(self._width):
+            _check_divergence(y0[:, i], n, "closed loop, realization "
+                              f"{self._first_realization + i}", first_period=self._period)
+        self._period += 1
         return u0, y0
 
 
@@ -652,7 +660,7 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
 
     # Warm-up length from the noise-free loop; the steady-state criterion is
     # meaningful only on the deterministic part of the response.
-    probe = _LoopEngine(config, width)
+    probe = _LoopEngine(config, width, first_realization)
     zero_block = np.zeros_like(r_period)
     warmup, resid = _steady_state_warmup(
         lambda: probe.run_period(r_period, zero_block)[1],
@@ -668,7 +676,7 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
                                       derive_rng(master, "loop_process_noise", m)))
     nx_full = np.stack(nx_cols, axis=1)
 
-    engine = _LoopEngine(config, width)
+    engine = _LoopEngine(config, width, first_realization)
     for block in range(warmup):
         engine.run_period(r_period, nx_full[block * n:(block + 1) * n])
     u0_blocks = []

@@ -49,6 +49,15 @@ def write_config(tmp_path, name="config.ini", system=None, **overrides):
     return tmp_path / name, config
 
 
+# A linear loop, so the closed-loop analytic reference applies.
+LOOP_SYSTEM = SystemDescription(
+    dynamics=RationalLTI(b=[0.25, 0.2], a=[1.0, -1.1, 0.46]),
+    nonlinearity=PolynomialNonlinearity.identity(),
+    actuator=RationalLTI(b=[0.9], a=[1.0, -0.3]),
+    feedback=RationalLTI(b=[0.0, 0.4], a=[1.0, -0.1]),
+)
+
+
 def hash_tree(root: pathlib.Path) -> dict:
     return {
         p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -138,6 +147,23 @@ class TestSubcommands:
         assert (out / "bla.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["analytic_comparison"]["pass"] is True
+
+    @pytest.mark.parametrize("loop", ["open", "closed"])
+    def test_simulate_then_estimate_matches_run_experiment(self, tmp_path, loop):
+        system = LOOP_SYSTEM if loop == "closed" else None
+        path, _ = write_config(tmp_path, system=system, loop=loop,
+                               process_noise_variance=0.01, output_noise_variance=0.0009)
+        split, whole = tmp_path / "split", tmp_path / "whole"
+        assert main(["simulate", "--config", str(path), "--out", str(split)]) == EXIT_OK
+        assert main(["estimate", "--config", str(path), "--out", str(split)]) == EXIT_OK
+        run_experiment(read_experiment_config(path), whole)
+        assert hash_tree(split / "records") == hash_tree(whole / "records")
+        assert (split / "bla.csv").read_bytes() == (whole / "bla.csv").read_bytes()
+        estimated = json.loads((split / "summary.json").read_text())
+        simulated = json.loads((whole / "summary.json").read_text())
+        assert "warmup_periods_used" not in estimated["estimate"]
+        assert simulated["estimate"].pop("warmup_periods_used") >= 4
+        assert estimated == simulated
 
     def test_estimate_without_bundle_is_config_error(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -245,6 +271,39 @@ class TestInvalidInputExits2:
             capsys, ["decompose", "--config", str(path), "--out", str(tmp_path / "out")])
         assert "ensemble_size" in message
 
+    @pytest.mark.parametrize("old, new", [
+        ("compare_analytic = true", "compare_analytic = ture"),
+        ("ensemble_size = 150", "ensemble_size = 150.7"),
+        ("realizations = 3\n", ""),
+        ("periods = 2\n", ""),
+        ("samples_per_period = 128\n", ""),
+    ], ids=["bad-boolean", "fractional-int", "no-realizations", "no-periods",
+            "no-samples-per-period"])
+    def test_malformed_config_value(self, tmp_path, capsys, old, new):
+        path, _ = write_config(tmp_path, decompose=True, decompose_draws=150)
+        self.edit_config(path, old, new)
+        message = self.assert_config_error(
+            capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert "invalid config file" in message
+
+    @pytest.mark.parametrize("estimate_with, field", [
+        (dict(samples_per_period=128), "samples_per_period, excited_bins"),
+        (dict(samples_per_period=512, realizations=4), "samples_per_period, excited_bins, "
+                                                       "realizations"),
+        (dict(periods=3), "periods"),
+        (dict(loop="closed", system=LOOP_SYSTEM), "closed_loop"),
+    ], ids=["smaller-grid", "larger-grid", "periods", "loop"])
+    def test_bundle_not_matching_config(self, tmp_path, capsys, estimate_with, field):
+        recorded, _ = write_config(tmp_path, name="recorded.ini", samples_per_period=256)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(recorded), "--out", str(out)]) == EXIT_OK
+        other, _ = write_config(tmp_path, name="other.ini",
+                                **{"samples_per_period": 256, **estimate_with})
+        message = self.assert_config_error(
+            capsys, ["estimate", "--config", str(other), "--out", str(out)])
+        assert message.endswith(f"does not match the config in: {field}")
+        assert sorted(p.name for p in out.iterdir()) == ["records"]
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     @pytest.mark.parametrize("command", ["demo-hammerstein", "simulate"])
     def test_workers_below_one(self, tmp_path, capsys, command, workers):
@@ -318,24 +377,22 @@ class TestDeterminism:
     def test_workers_bit_identical_open_loop(self, tmp_path):
         path, _ = write_config(tmp_path, realizations=4,
                                process_noise_variance=0.01)
-        for out, workers in ((tmp_path / "w1", "1"), (tmp_path / "w2", "2")):
-            assert main(["simulate", "--config", str(path), "--out", str(out),
-                         "--workers", workers]) == EXIT_OK
+        # Five workers exceed the four realizations.
+        for workers in ("1", "2", "5"):
+            assert main(["simulate", "--config", str(path), "--out",
+                         str(tmp_path / f"w{workers}"), "--workers", workers]) == EXIT_OK
         assert hash_tree(tmp_path / "w1") == hash_tree(tmp_path / "w2")
+        assert hash_tree(tmp_path / "w1") == hash_tree(tmp_path / "w5")
 
     def test_workers_bit_identical_closed_loop(self, tmp_path):
-        system = SystemDescription(
-            dynamics=RationalLTI(b=[0.25, 0.2], a=[1.0, -1.1, 0.46]),
-            nonlinearity=PolynomialNonlinearity.identity(),
-            actuator=RationalLTI(b=[0.9], a=[1.0, -0.3]),
-            feedback=RationalLTI(b=[0.0, 0.4], a=[1.0, -0.1]),
-        )
-        path, _ = write_config(tmp_path, system=system, loop="closed",
+        path, _ = write_config(tmp_path, system=LOOP_SYSTEM, loop="closed",
                                realizations=4, process_noise_variance=0.01)
-        for out, workers in ((tmp_path / "w1", "1"), (tmp_path / "w2", "2")):
-            assert main(["simulate", "--config", str(path), "--out", str(out),
-                         "--workers", workers]) == EXIT_OK
+        # Five workers exceed the four realizations.
+        for workers in ("1", "2", "5"):
+            assert main(["simulate", "--config", str(path), "--out",
+                         str(tmp_path / f"w{workers}"), "--workers", workers]) == EXIT_OK
         assert hash_tree(tmp_path / "w1") == hash_tree(tmp_path / "w2")
+        assert hash_tree(tmp_path / "w1") == hash_tree(tmp_path / "w5")
 
 
 class TestCompare:

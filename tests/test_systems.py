@@ -225,16 +225,16 @@ class TestProcessNoiseEnsemble:
     ], ids=["white", "colored", "zero"])
     def test_matches_per_draw_runs(self, process_var, coloring):
         u = flat_multisine(n=64, seed=8).tile(3)
-        sim = HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC,
-                                   process_noise_variance=process_var,
-                                   output_noise_variance=0.01,
-                                   process_noise_coloring=coloring)
+        sim, twin = (HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC,
+                                          process_noise_variance=process_var,
+                                          output_noise_variance=output_var,
+                                          process_noise_coloring=coloring)
+                     for output_var in (0.01, 0.0))
         draws = list(sim.process_noise_ensemble(
             u, (derive_rng(4, "ens", i) for i in range(5))))
         assert len(draws) == 5
         for i, y in enumerate(draws):
-            rec = sim.run(u, process_noise_rng=derive_rng(4, "ens", i),
-                          include_output_noise=False)
+            rec = twin.run(u, process_noise_rng=derive_rng(4, "ens", i))
             assert np.array_equal(y, rec.output.samples)
         assert np.array_equal(draws[0], draws[1]) == (process_var == 0.0)
 
@@ -360,8 +360,33 @@ class TestClosedLoop:
             feedback=RationalLTI(b=[0.0, 5.0]),
         )
         r = flat_multisine(n=64, seed=11, rms=10.0).tile(2)
-        with pytest.raises(InstabilityError):
+        with pytest.raises(InstabilityError,
+                           match="closed loop, realization 0, simulated period 0") as info:
             simulate_closed_loop(config, r, seed=1)
+        assert info.value.period == 0 and info.value.peak == np.inf
+        assert info.value.draw is None
+
+        # A linear loop with its closed-loop pole at -1.05 grows slowly, so the
+        # limit is crossed several periods into the warm-up; the exact
+        # recursion y = r / (1 + 1.05 q^-1) says where.
+        config = ClosedLoopConfig(
+            plant=HammersteinPlant(RationalLTI(b=[1.0], a=[1.0, -0.9]),
+                                   PolynomialNonlinearity.identity()),
+            actuator=RationalLTI(b=[1.0]),
+            feedback=RationalLTI(b=[0.0, 1.95]),
+        )
+        quiet = flat_multisine(n=64, seed=11, rms=1e-30).tile(2)
+        r = flat_multisine(n=64, seed=11).tile(2)
+        y = sps.lfilter([1.0], [1.0, 1.05], np.tile(r.period(0), 20))
+        period = int(np.flatnonzero(np.abs(y) > DIVERGENCE_LIMIT)[0]) // 64
+        with pytest.raises(InstabilityError) as info:
+            simulate_closed_loop_batch(config, [quiet, r], seed=1, first_realization=4)
+        err = info.value
+        assert err.period == period > 1
+        assert err.peak == pytest.approx(np.abs(y[period * 64:(period + 1) * 64]).max(),
+                                         rel=1e-9)
+        assert (f"closed loop, realization 5, simulated period {period}: "
+                f"peak |y| = {err.peak:.6g}") in str(err)
 
     def test_batch_matches_single_runs(self):
         plant_lti, actuator, feedback = linear_loop_blocks()
