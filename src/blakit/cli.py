@@ -35,31 +35,38 @@ EXIT_INSTABILITY = 3
 EXIT_TOLERANCE = 4
 
 
-def _add_common(sub: argparse.ArgumentParser, config_required: bool = True) -> None:
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 2 with the JSON error, as for any invalid input
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
+def _add_common(sub: argparse.ArgumentParser, config_required: bool = True,
+                workers: bool = False) -> None:
     sub.add_argument("--config", type=pathlib.Path, required=config_required,
                      help="experiment configuration file")
     sub.add_argument("--seed", type=int, default=None,
                      help="master seed override (unsigned 64-bit)")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="parallel workers over realizations (default 1)")
+    if workers:
+        sub.add_argument("--workers", type=int, default=1,
+                         help="parallel workers over realizations (default 1)")
     sub.add_argument("--out", type=pathlib.Path, default=pathlib.Path("."),
                      help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blakit",
         description="Multisine experiments: simulate nonlinear systems with "
                     "process noise and estimate their best linear approximation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("generate", help="write the excitation signals"))
-    _add_common(sub.add_parser("simulate", help="simulate and write the record bundle"))
-    _add_common(sub.add_parser(
-        "estimate", help="estimate from an existing record bundle"))
-    _add_common(sub.add_parser(
-        "decompose", help="run the full experiment including output decomposition"))
+    for name, text, workers in (
+            ("generate", "write the excitation signals", False),
+            ("simulate", "simulate and write the record bundle", True),
+            ("estimate", "estimate from an existing record bundle", False),
+            ("decompose", "run the full experiment including output decomposition", True)):
+        _add_common(sub.add_parser(name, help=text), workers=workers)
 
     comp = sub.add_parser("compare", help="compare two result bundles")
     comp.add_argument("bundle_a", type=pathlib.Path)
@@ -72,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser(
         "demo-hammerstein",
         help="run the canonical cubic Hammerstein experiment end to end")
-    _add_common(demo, config_required=False)
+    _add_common(demo, config_required=False, workers=True)
     demo.add_argument("--realizations", type=int, default=10)
     demo.add_argument("--periods", type=int, default=2)
     demo.add_argument("--samples-per-period", type=int, default=4096)
@@ -161,8 +168,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # Checked before any command writes to --out.
         if getattr(args, "workers", 1) < 1:
             raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")

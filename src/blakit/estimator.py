@@ -11,7 +11,6 @@ period.  Bins where the excitation power is zero are reported as undefined
 
 from __future__ import annotations
 
-import csv
 import json
 import pathlib
 from dataclasses import dataclass
@@ -22,11 +21,14 @@ from .signals import (
     PeriodicSignal,
     Spectrum,
     _full_from_half,
+    _read_table,
     _write_table,
     cross_power_spectrum,
     derive_rng,
     dft,
     inverse_dft,
+    read_spectrum_csv,
+    write_spectrum_csv,
 )
 
 __all__ = [
@@ -402,30 +404,36 @@ def predict_variances(var_noise_spectrum, var_process_spectrum, var_nonlinear_sp
 # Serialization: BLA result CSV and experiment record bundles
 
 
+_BLA_HEADER = "bin_index,frequency_hz,g_real,g_imag,var_noise,var_total,defined_flag"
+
+
 def write_bla_csv(path, estimate: BlaEstimate) -> None:
     g = estimate.g_bla
-    _write_table(path, "bin_index,frequency_hz,g_real,g_imag,var_noise,var_total,defined_flag",
+    _write_table(path, _BLA_HEADER,
                  (estimate.excited_bins, estimate.frequencies, g.real, g.imag,
                   estimate.var_noise, estimate.var_total, np.isfinite(g)))
 
 
 def read_bla_csv(path, realization_count: int = 0, period_count: int = 0,
                  samples_per_period: int = 0, sampling_frequency: float = 0.0) -> BlaEstimate:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["bin_index", "frequency_hz"]:
-            raise ValueError(f"not a BLA result CSV: header {header!r}")
-        rows = list(reader)
-    bins = np.array([int(r[0]) for r in rows])
-    g = np.array([complex(float(r[2]), float(r[3])) for r in rows])
-    var_n = np.array([float(r[4]) for r in rows])
-    var_t = np.array([float(r[5]) for r in rows])
+    bins, _, g, g_imag, var_noise, var_total, _ = _read_table(path, _BLA_HEADER)
+    g = g.astype(complex)
+    g.imag = g_imag  # bit-exact, unlike g + 1j*g_imag (-0.0 and inf)
     return BlaEstimate(
-        excited_bins=bins, g_bla=g, var_noise=var_n, var_total=var_t,
+        excited_bins=bins.astype(int), g_bla=g, var_noise=var_noise, var_total=var_total,
         realization_count=realization_count, period_count=period_count,
         samples_per_period=samples_per_period, sampling_frequency=sampling_frequency,
     )
+
+
+# One spectrum CSV per realization (and period): (file name over the indices,
+# ExperimentRecord field, one file per period, closed loop only).
+_BUNDLE_FILES = (
+    ("u_m{0:03d}.csv", "input_spectra", False, False),
+    ("y_m{0:03d}_p{1:02d}.csv", "output_spectra", True, False),
+    ("u_m{0:03d}_p{1:02d}.csv", "input_spectra_per_period", True, True),
+    ("r_m{0:03d}.csv", "reference_spectra", False, True),
+)
 
 
 def write_record_bundle(directory, record: ExperimentRecord) -> None:
@@ -434,24 +442,13 @@ def write_record_bundle(directory, record: ExperimentRecord) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     n = record.samples_per_period
     fs = record.sampling_frequency
-
-    def spectrum(bins):
-        return Spectrum(bins=bins, samples_per_period=n, sampling_frequency=fs)
-
-    from .signals import write_spectrum_csv
-
-    for m in range(record.realization_count):
-        write_spectrum_csv(directory / f"u_m{m:03d}.csv", spectrum(record.input_spectra[m]))
-        for p in range(record.period_count):
-            write_spectrum_csv(directory / f"y_m{m:03d}_p{p:02d}.csv",
-                               spectrum(record.output_spectra[m, p]))
-            if record.input_spectra_per_period is not None:
-                write_spectrum_csv(directory / f"u_m{m:03d}_p{p:02d}.csv",
-                                   spectrum(record.input_spectra_per_period[m, p]))
-        if record.reference_spectra is not None:
-            write_spectrum_csv(directory / f"r_m{m:03d}.csv",
-                               spectrum(record.reference_spectra[m]))
-
+    for pattern, field, _, _ in _BUNDLE_FILES:
+        spectra = getattr(record, field)
+        if spectra is None:
+            continue
+        for index in np.ndindex(spectra.shape[:-1]):
+            write_spectrum_csv(directory / pattern.format(*index), Spectrum(
+                bins=spectra[index], samples_per_period=n, sampling_frequency=fs))
     manifest = {
         "realizations": record.realization_count,
         "periods": record.period_count,
@@ -464,31 +461,24 @@ def write_record_bundle(directory, record: ExperimentRecord) -> None:
 
 
 def read_record_bundle(directory) -> ExperimentRecord:
+    """Read a bundle back; a damaged one raises OSError, ValueError or KeyError."""
     directory = pathlib.Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    m_count = manifest["realizations"]
-    p_count = manifest["periods"]
     n = manifest["samples_per_period"]
-    fs = manifest["sampling_frequency_hz"]
-
-    from .signals import read_spectrum_csv
-
-    u = np.empty((m_count, n), dtype=complex)
-    y = np.empty((m_count, p_count, n), dtype=complex)
-    closed = manifest.get("closed_loop", False)
-    r = np.empty((m_count, n), dtype=complex) if closed else None
-    u_pp = np.empty((m_count, p_count, n), dtype=complex) if closed else None
-    for m in range(m_count):
-        u[m] = read_spectrum_csv(directory / f"u_m{m:03d}.csv").bins
-        for p in range(p_count):
-            y[m, p] = read_spectrum_csv(directory / f"y_m{m:03d}_p{p:02d}.csv").bins
-            if closed:
-                u_pp[m, p] = read_spectrum_csv(directory / f"u_m{m:03d}_p{p:02d}.csv").bins
-        if closed:
-            r[m] = read_spectrum_csv(directory / f"r_m{m:03d}.csv").bins
+    spectra = {}
+    for pattern, field, per_period, closed_only in _BUNDLE_FILES:
+        if closed_only and not manifest["closed_loop"]:
+            continue
+        shape = (manifest["realizations"],) + ((manifest["periods"],) if per_period else ())
+        spectra[field] = np.empty(shape + (n,), dtype=complex)
+        for index in np.ndindex(shape):
+            path = directory / pattern.format(*index)
+            bins = read_spectrum_csv(path).bins
+            if bins.size != n:
+                raise ValueError(f"{path}: expected {n} bins, got {bins.size}")
+            spectra[field][index] = bins
     return ExperimentRecord(
-        input_spectra=u, output_spectra=y,
         excited_bins=np.asarray(manifest["excited_bins"], dtype=int),
-        samples_per_period=n, sampling_frequency=fs,
-        reference_spectra=r, input_spectra_per_period=u_pp,
+        samples_per_period=n, sampling_frequency=manifest["sampling_frequency_hz"],
+        **spectra,
     )

@@ -15,7 +15,7 @@ import functools
 import hashlib
 import json
 import pathlib
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -169,45 +169,6 @@ def _parse_bins(text: str, samples_per_period: int) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
-def read_experiment_config(path) -> ExperimentConfig:
-    """Parse an experiment configuration file (INI sections, explicit units)."""
-    path = pathlib.Path(path)
-    parser = configparser.ConfigParser()
-    if not parser.read(str(path)):
-        raise ConfigurationError(f"cannot read config file {path}")
-    try:
-        n = parser.getint("multisine", "samples_per_period")
-        system_ref = parser.get("system", "file")
-        system = read_system_file((path.parent / system_ref).resolve())
-        return ExperimentConfig(
-            loop=parser.get("experiment", "loop", fallback="open"),
-            realizations=parser.getint("experiment", "realizations"),
-            periods=parser.getint("experiment", "periods"),
-            samples_per_period=n,
-            sampling_frequency=parser.getfloat("multisine", "sampling_frequency_hz",
-                                               fallback=1.0),
-            excited_bins=_parse_bins(parser.get("multisine", "excited_bins",
-                                                fallback="all"), n),
-            input_rms=parser.getfloat("multisine", "rms", fallback=1.0),
-            system=system,
-            process_noise_variance=parser.getfloat("noise", "process_variance", fallback=0.0),
-            output_noise_variance=parser.getfloat("noise", "output_variance", fallback=0.0),
-            input_noise_variance=parser.getfloat("noise", "input_variance", fallback=0.0),
-            master_seed=parser.getint("experiment", "master_seed", fallback=0),
-            warmup_minimum=parser.getint("experiment", "warmup_periods", fallback=4),
-            decompose=parser.getboolean("decomposition", "enabled", fallback=False),
-            decompose_draws=parser.getint("decomposition", "ensemble_size", fallback=1000),
-            compare_analytic=parser.getboolean("oracle", "compare_analytic", fallback=True),
-            band_sigma=parser.getfloat("oracle", "band_sigma", fallback=3.0),
-            min_fraction_in_band=parser.getfloat("oracle", "min_fraction_in_band",
-                                                 fallback=0.95),
-        )
-    except (configparser.Error, ValueError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise ConfigurationError(f"invalid config file {path}: {exc}") from exc
-
-
 def _bin_range(bins) -> str | None:
     """``"lo:hi"`` when the sorted ``bins`` form one contiguous run, else None."""
     if len(bins) == bins[-1] - bins[0] + 1:
@@ -215,37 +176,67 @@ def _bin_range(bins) -> str | None:
     return None
 
 
+# The config file in write order: (section, key, ExperimentConfig field, type).
+# "bins" is written as "lo:hi" or a comma list and also read as "all"; "file" is
+# the system file's path.  A key without a _FALLBACKS entry (the field default,
+# or a file-only one) is required.
+_CONFIG_KEYS = (
+    ("experiment", "loop", "loop", str),
+    ("experiment", "realizations", "realizations", int),
+    ("experiment", "periods", "periods", int),
+    ("experiment", "master_seed", "master_seed", int),
+    ("experiment", "warmup_periods", "warmup_minimum", int),
+    ("multisine", "samples_per_period", "samples_per_period", int),
+    ("multisine", "sampling_frequency_hz", "sampling_frequency", float),
+    ("multisine", "excited_bins", "excited_bins", "bins"),
+    ("multisine", "rms", "input_rms", float),
+    ("system", "file", "system", "file"),
+    ("noise", "process_variance", "process_noise_variance", float),
+    ("noise", "output_variance", "output_noise_variance", float),
+    ("noise", "input_variance", "input_noise_variance", float),
+    ("decomposition", "enabled", "decompose", bool),
+    ("decomposition", "ensemble_size", "decompose_draws", int),
+    ("oracle", "compare_analytic", "compare_analytic", bool),
+    ("oracle", "band_sigma", "band_sigma", float),
+    ("oracle", "min_fraction_in_band", "min_fraction_in_band", float),
+)
+_FALLBACKS = {"loop": "open", "sampling_frequency": 1.0, "excited_bins": "all", "input_rms": 1.0,
+              **{f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}}
+_GETTERS = {int: "getint", float: "getfloat", bool: "getboolean"}  # others: "get"
+_TEXT = {float: _fmt, bool: lambda flag: str(flag).lower(),  # others: str
+         "bins": lambda bins: _bin_range(bins) or ", ".join(map(str, bins))}
+
+
+def read_experiment_config(path) -> ExperimentConfig:
+    """Parse an experiment configuration file (INI sections, explicit units)."""
+    path = pathlib.Path(path)
+    parser = configparser.ConfigParser()
+    if not parser.read(str(path)):
+        raise ConfigurationError(f"cannot read config file {path}")
+    values = {}
+    try:
+        for section, key, field, kind in _CONFIG_KEYS:
+            if field in _FALLBACKS and not parser.has_option(section, key):
+                value = _FALLBACKS[field]
+            else:
+                value = getattr(parser, _GETTERS.get(kind, "get"))(section, key)
+            if kind == "bins":
+                value = _parse_bins(value, values["samples_per_period"])
+            elif kind == "file":
+                value = read_system_file((path.parent / value).resolve())
+            values[field] = value
+        return ExperimentConfig(**values)
+    except (configparser.Error, ValueError) as exc:
+        if isinstance(exc, ConfigurationError):
+            raise
+        raise ConfigurationError(f"invalid config file {path}: {exc}") from exc
+
+
 def write_experiment_config(path, config: ExperimentConfig, system_file: str) -> None:
     parser = configparser.ConfigParser()
-    parser["experiment"] = {
-        "loop": config.loop,
-        "realizations": str(config.realizations),
-        "periods": str(config.periods),
-        "master_seed": str(config.master_seed),
-        "warmup_periods": str(config.warmup_minimum),
-    }
-    bins = config.excited_bins
-    parser["multisine"] = {
-        "samples_per_period": str(config.samples_per_period),
-        "sampling_frequency_hz": _fmt(config.sampling_frequency),
-        "excited_bins": _bin_range(bins) or ", ".join(map(str, bins)),
-        "rms": _fmt(config.input_rms),
-    }
-    parser["system"] = {"file": system_file}
-    parser["noise"] = {
-        "process_variance": _fmt(config.process_noise_variance),
-        "output_variance": _fmt(config.output_noise_variance),
-        "input_variance": _fmt(config.input_noise_variance),
-    }
-    parser["decomposition"] = {
-        "enabled": str(config.decompose).lower(),
-        "ensemble_size": str(config.decompose_draws),
-    }
-    parser["oracle"] = {
-        "compare_analytic": str(config.compare_analytic).lower(),
-        "band_sigma": _fmt(config.band_sigma),
-        "min_fraction_in_band": _fmt(config.min_fraction_in_band),
-    }
+    for section, key, field, kind in _CONFIG_KEYS:
+        value = system_file if kind == "file" else getattr(config, field)
+        parser.read_dict({section: {key: _TEXT.get(kind, str)(value)}})
     with open(path, "w") as fh:
         parser.write(fh)
 
@@ -509,16 +500,20 @@ def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
 def estimate_from_bundle(config: ExperimentConfig, out_dir) -> ExperimentReport:
     """Estimate from an existing record bundle and write result plus summary.
 
-    The bundle must have been recorded on the grid of ``config``: the same
-    samples per period, sampling frequency, excited bins, realization and
-    period counts, and loop.  Otherwise ConfigurationError is raised before
-    anything is written.
+    The bundle must be readable and recorded on the grid of ``config``: the
+    same samples per period, sampling frequency, excited bins, realization
+    and period counts, and loop.  Otherwise ConfigurationError is raised
+    before anything is written.  The output decomposition needs
+    re-simulation, so it is never run here.
     """
     out_dir = pathlib.Path(out_dir)
     bundle = out_dir / "records"
-    if not (bundle / "manifest.json").exists():
-        raise ConfigurationError(f"no record bundle under {bundle}")
-    record = read_record_bundle(bundle)
+    try:
+        record = read_record_bundle(bundle)
+    except KeyError as exc:
+        raise ConfigurationError(f"{bundle / 'manifest.json'} lacks key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigurationError(f"cannot read the record bundle under {bundle}: {exc}") from exc
     grid = {  # bundle value, config value
         "samples_per_period": (record.samples_per_period, config.samples_per_period),
         "sampling_frequency_hz": (record.sampling_frequency, config.sampling_frequency),
@@ -531,7 +526,9 @@ def estimate_from_bundle(config: ExperimentConfig, out_dir) -> ExperimentReport:
     if mismatched:
         raise ConfigurationError(f"record bundle under {bundle} does not match the "
                                  f"config in: {', '.join(mismatched)}")
-    return _report(config, out_dir, record, {"enabled": False})
+    skipped = {"skipped": "estimate does not re-simulate; run decompose"}
+    return _report(config, out_dir, record,
+                   {"enabled": False, **(skipped if config.decompose else {})})
 
 
 def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentRecord,
@@ -578,8 +575,10 @@ def compare_reports(dir_a, dir_b, g_rel_tol: float | None = None,
     Returns the diff summary and whether the supplied tolerances hold
     (absent tolerances are not checked).  Grids must match bin for bin.
     """
-    a = read_bla_csv(pathlib.Path(dir_a) / "bla.csv")
-    b = read_bla_csv(pathlib.Path(dir_b) / "bla.csv")
+    try:
+        a, b = (read_bla_csv(pathlib.Path(d) / "bla.csv") for d in (dir_a, dir_b))
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read a result: {exc}") from exc
     if not np.array_equal(a.excited_bins, b.excited_bins):
         raise ConfigurationError("bin grids differ; reports are not comparable")
     both = a.defined & b.defined

@@ -9,7 +9,7 @@ of white noise with variance ``s2`` has ``E{|X_k|^2} = s2`` at every bin.
 
 from __future__ import annotations
 
-import csv
+import warnings
 import zlib
 from dataclasses import dataclass, field
 
@@ -316,6 +316,8 @@ def cross_power_spectrum(x_records, y_records) -> np.ndarray:
 # CSV serialization (round-trip precision, 17 significant digits)
 
 _FLOAT = "%.17g"
+_SIGNAL_HEADER = "sample_index,time_s,value"
+_SPECTRUM_HEADER = "bin_index,frequency_hz,real,imag"
 
 
 def _fmt(x: float) -> str:
@@ -343,40 +345,46 @@ def _write_table(path, header: str, columns, newline: str = "\r\n") -> None:
         fh.write(((template + newline) * rows) % tuple(flat))
 
 
+def _read_table(path, header: str) -> np.ndarray:
+    """The columns of a CSV that ``_write_table`` wrote, ``_FLOAT`` text bit for bit.
+
+    Content other than ``header`` and rows of one number per header column
+    raises ValueError naming the file.
+    """
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt warns of a table without rows
+        if fh.readline().rstrip("\n") != header:
+            raise ValueError(f"{path}: the first line is not {header!r}")
+        try:
+            columns = np.loadtxt(fh, delimiter=",", ndmin=2, unpack=True)
+        except (ValueError, UserWarning) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if len(columns) != header.count(",") + 1:
+        raise ValueError(f"{path}: the rows do not match {header!r}")
+    return columns
+
+
 def write_signal_csv(path, sig: PeriodicSignal) -> None:
     index = np.arange(sig.samples.size)
-    _write_table(path, "sample_index,time_s,value",
+    _write_table(path, _SIGNAL_HEADER,
                  (index, index * (1.0 / sig.sampling_frequency), sig.samples))
 
 
 def read_signal_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:1] != ["sample_index"]:
-            raise ValueError(f"not a signal CSV: header {header!r}")
-        return np.array([float(row[2]) for row in reader])
+    return _read_table(path, _SIGNAL_HEADER)[2]
 
 
 def write_spectrum_csv(path, spectrum: Spectrum) -> None:
     bins = spectrum.bins
-    _write_table(path, "bin_index,frequency_hz,real,imag",
+    _write_table(path, _SPECTRUM_HEADER,
                  (np.arange(bins.size), spectrum.frequencies, bins.real, bins.imag))
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["bin_index", "frequency_hz"]:
-            raise ValueError(f"not a spectrum CSV: header {header!r}")
-        rows = [(float(r[1]), complex(float(r[2]), float(r[3]))) for r in reader]
-    n = len(rows)
+    _, frequency, real, imag = _read_table(path, _SPECTRUM_HEADER)
+    n = frequency.size
     if n < 2:
-        raise ValueError("spectrum CSV must hold at least two bins")
-    fs = rows[1][0] * n
-    return Spectrum(
-        bins=np.array([v for _, v in rows]),
-        samples_per_period=n,
-        sampling_frequency=fs,
-    )
+        raise ValueError(f"{path}: a spectrum CSV must hold at least two bins")
+    bins = real.astype(complex)
+    bins.imag = imag  # bit-exact, unlike real + 1j*imag (-0.0 and inf)
+    return Spectrum(bins=bins, samples_per_period=n, sampling_frequency=frequency[1] * n)

@@ -151,13 +151,10 @@ class NoiseMomentModel:
     """Second-order description of stationary Gaussian process noise.
 
     ``autocovariance[tau]`` is ``E{nx(t) nx(t - tau)}`` for lags
-    ``0..len-1``; higher joint moments follow from Gaussianity.  Only the
-    Gaussian case is implemented; the ``gaussian`` flag is the declared
-    extension point for other finite-moment noise families.
+    ``0..len-1``; higher joint moments follow from Gaussianity.
     """
 
     autocovariance: np.ndarray
-    gaussian: bool = True
 
     def __post_init__(self):
         r = np.atleast_1d(np.asarray(self.autocovariance, dtype=float))
@@ -165,8 +162,6 @@ class NoiseMomentModel:
             raise ValueError("autocovariance must be finite")
         if r[0] < 0 or (r.size > 1 and np.abs(r[1:]).max() > r[0]):
             raise ValueError("need r(0) >= |r(tau)| >= 0 for all lags")
-        if not self.gaussian:
-            raise NotImplementedError("only Gaussian process noise is implemented")
         object.__setattr__(self, "autocovariance", r)
 
     @property

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blakit.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_OK, EXIT_TOLERANCE, main
+from blakit.estimator import MIN_ENSEMBLE_SIZE
 from blakit.experiment import (
     ExperimentConfig,
     compare_reports,
@@ -65,7 +70,65 @@ def hash_tree(root: pathlib.Path) -> dict:
     }
 
 
+def lti_arrays(system: SystemDescription) -> list:
+    blocks = (system.dynamics, system.actuator, system.feedback)
+    return [system.nonlinearity.coefficients.tolist()] + [
+        None if b is None else (b.numerator.tolist(), b.denominator.tolist()) for b in blocks]
+
+
+@st.composite
+def experiment_configs(draw):
+    """Any valid ExperimentConfig: open loop on the cubic demo system, or a linear loop."""
+    n = draw(st.integers(4, 4096))
+    top = (n - 1) // 2  # the largest k with 2k < N
+    if draw(st.booleans()):
+        lo = draw(st.integers(1, top))
+        bins = tuple(range(lo, draw(st.integers(lo, top)) + 1))
+    else:
+        bins = tuple(sorted(draw(st.sets(st.integers(1, top), min_size=1, max_size=12))))
+    loop = draw(st.sampled_from(["open", "closed"]))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    variance = st.floats(min_value=0.0, allow_infinity=False)
+    return ExperimentConfig(
+        loop=loop,
+        realizations=draw(st.integers(2, 1000)),
+        periods=draw(st.integers(2, 100)),
+        samples_per_period=n,
+        sampling_frequency=draw(positive),
+        excited_bins=bins,
+        input_rms=draw(positive),
+        system=LOOP_SYSTEM if loop == "closed" else hammerstein_demo_system(),
+        process_noise_variance=draw(variance),
+        output_noise_variance=draw(variance),
+        input_noise_variance=draw(variance),
+        master_seed=draw(st.integers(0, 2 ** 64 - 1)),
+        warmup_minimum=draw(st.integers(1, 100)),
+        decompose=loop == "open" and draw(st.booleans()),
+        decompose_draws=draw(st.integers(MIN_ENSEMBLE_SIZE, 10 ** 6)),
+        compare_analytic=draw(st.booleans()),
+        band_sigma=draw(positive),
+        min_fraction_in_band=draw(st.floats(0.0, 1.0)),
+    )
+
+
 class TestConfigFile:
+    @settings(max_examples=200, deadline=None)
+    @given(config=experiment_configs())
+    def test_round_trip_property(self, tmp_path_factory, config):
+        # Every field comes back equal and of the same type; floats bit for bit.
+        directory = tmp_path_factory.mktemp("config")
+        write_system_file(directory / "system.ini", config.system)
+        write_experiment_config(directory / "config.ini", config, system_file="system.ini")
+        back = read_experiment_config(directory / "config.ini")
+        for field in dataclasses.fields(ExperimentConfig):
+            wrote, read = getattr(config, field.name), getattr(back, field.name)
+            if field.name == "system":
+                assert lti_arrays(read) == lti_arrays(wrote)
+            elif isinstance(wrote, float):
+                assert struct.pack("<d", read) == struct.pack("<d", wrote), field.name
+            else:
+                assert (type(read), read) == (type(wrote), wrote), field.name
+
     def test_round_trip(self, tmp_path):
         path, config = write_config(tmp_path, process_noise_variance=0.04,
                                     decompose=True, decompose_draws=150)
@@ -164,6 +227,18 @@ class TestSubcommands:
         assert "warmup_periods_used" not in estimated["estimate"]
         assert simulated["estimate"].pop("warmup_periods_used") >= 4
         assert estimated == simulated
+
+    def test_estimate_reports_skipped_decomposition(self, tmp_path):
+        path, _ = write_config(tmp_path, process_noise_variance=0.01, decompose=True,
+                               decompose_draws=120)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert main(["estimate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["decompose"] is True
+        assert summary["decomposition"]["enabled"] is False
+        assert "does not re-simulate" in summary["decomposition"]["skipped"]
+        assert not (out / "decomposition_report.json").exists()
 
     def test_estimate_without_bundle_is_config_error(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -303,6 +378,60 @@ class TestInvalidInputExits2:
             capsys, ["estimate", "--config", str(other), "--out", str(out)])
         assert message.endswith(f"does not match the config in: {field}")
         assert sorted(p.name for p in out.iterdir()) == ["records"]
+
+    # case -> (file under --out, its damaged text or None for no file, the
+    # name the error message must hold); "compare" cases run compare, the
+    # others estimate.
+    DAMAGED = {
+        "missing-csv": ("records/y_m001_p00.csv", None, "y_m001_p00.csv"),
+        "header-only-csv": ("records/y_m001_p00.csv",
+                            lambda text: text.splitlines(True)[0], "y_m001_p00.csv"),
+        "short-csv": ("records/y_m001_p00.csv",
+                      lambda text: "".join(text.splitlines(True)[:-10]), "y_m001_p00.csv"),
+        "truncated-csv": ("records/y_m001_p00.csv",
+                          lambda text: text[:text.index(",", len(text) // 2)], "y_m001_p00.csv"),
+        "non-numeric-cell": ("records/y_m001_p00.csv",
+                             lambda text: text.replace("\n5,", "\n5,abc", 1), "y_m001_p00.csv"),
+        "manifest-without-periods": ("records/manifest.json",
+                                     lambda text: text.replace('"periods": 2,', ""),
+                                     "manifest.json"),
+        "manifest-text-periods": ("records/manifest.json",
+                                  lambda text: text.replace('"periods": 2', '"periods": "2"'),
+                                  "records"),
+        "compare-without-bla": ("bla.csv", None, "bla.csv"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DAMAGED))
+    def test_damaged_input(self, tmp_path, capsys, case):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        name, damage, named = self.DAMAGED[case]
+        target = out / name
+        if damage is None:
+            target.unlink(missing_ok=True)
+        else:
+            damaged = damage(target.read_text())
+            assert damaged != target.read_text()
+            target.write_text(damaged)
+        argv = (["compare", str(out), str(out)] if case.startswith("compare")
+                else ["estimate", "--config", str(path), "--out", str(out)])
+        assert named in self.assert_config_error(capsys, argv)
+        assert not (out / "bla.csv").exists() and not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--workers", "2"],
+        ["estimate", "--workers", "2"],
+        ["simulate", "--no-such-option"],
+        ["demo-hammerstein", "--workers", "two"],
+    ], ids=["generate-workers", "estimate-workers", "unknown-option", "non-integer-workers"])
+    def test_usage_error(self, tmp_path, capsys, argv):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        message = self.assert_config_error(
+            capsys, [*argv, "--config", str(path), "--out", str(out)])
+        assert argv[-2] in message or argv[-1] in message
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     @pytest.mark.parametrize("command", ["demo-hammerstein", "simulate"])

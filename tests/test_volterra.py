@@ -241,8 +241,6 @@ class TestGaussianMoment:
     def test_invalid_autocovariance_rejected(self):
         with pytest.raises(ValueError):
             NoiseMomentModel(autocovariance=np.array([1.0, 2.0]))
-        with pytest.raises(NotImplementedError):
-            NoiseMomentModel(autocovariance=np.array([1.0]), gaussian=False)
 
 
 class TestExpectedKernel:
