@@ -80,7 +80,7 @@ def bussgang_gain(nonlinearity: PolynomialNonlinearity, model: GaussianInputMode
 
 def analytic_hammerstein_bla(dynamics: RationalLTI, nonlinearity: PolynomialNonlinearity,
                              model: GaussianInputModel, samples_per_period: int) -> np.ndarray:
-    """Best linear model of the Hammerstein chain on the full DFT bin grid."""
+    """Best linear model of the Hammerstein chain on the half DFT bin grid, ``0..N//2``."""
     return bussgang_gain(nonlinearity, model) * dynamics.bin_response(samples_per_period)
 
 

@@ -20,7 +20,6 @@ from .experiment import (
     compare_reports,
     estimate_from_bundle,
     hammerstein_demo_config,
-    hammerstein_demo_system,
     read_experiment_config,
     run_experiment,
     run_records,
@@ -144,7 +143,7 @@ def _cmd_demo(args) -> int:
         )
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    write_system_file(out / "system.ini", hammerstein_demo_system())
+    write_system_file(out / "system.ini", config.system)
     write_experiment_config(out / "config.ini", config, system_file="system.ini")
     report = run_experiment(config, out, workers=args.workers)
     comparison = report.summary["analytic_comparison"]

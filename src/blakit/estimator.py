@@ -20,7 +20,6 @@ import numpy as np
 from .signals import (
     PeriodicSignal,
     Spectrum,
-    _full_from_half,
     _read_table,
     _write_table,
     cross_power_spectrum,
@@ -61,9 +60,10 @@ class ExperimentRecord:
 
     ``input_spectra[m]`` is the input DFT of realization ``m`` (the input is
     periodic and noise free in open loop, so one spectrum per realization),
-    ``output_spectra[m, p]`` the output DFT of period ``p``.  Closed-loop
-    records additionally carry the reference spectra and per-period input
-    spectra needed by the indirect estimator.
+    ``output_spectra[m, p]`` the output DFT of period ``p``, all on the half
+    grid, bins ``0..N//2``.  Closed-loop records additionally carry the
+    reference spectra and per-period input spectra needed by the indirect
+    estimator.
     """
 
     input_spectra: np.ndarray
@@ -78,12 +78,13 @@ class ExperimentRecord:
         u = np.asarray(self.input_spectra, dtype=complex)
         y = np.asarray(self.output_spectra, dtype=complex)
         n = int(self.samples_per_period)
+        half = n // 2 + 1
         bins = np.asarray(self.excited_bins, dtype=int)
         if u.ndim != 2 or y.ndim != 3:
-            raise ValueError("input_spectra must be (M, N), output_spectra (M, P, N)")
-        if u.shape[0] != y.shape[0] or u.shape[1] != n or y.shape[2] != n:
-            raise ValueError("spectra shapes disagree with M and N")
-        if bins.size == 0 or bins.min() < 0 or bins.max() >= n:
+            raise ValueError("input_spectra must be (M, N//2+1), output_spectra (M, P, N//2+1)")
+        if u.shape[0] != y.shape[0] or u.shape[1] != half or y.shape[2] != half:
+            raise ValueError("spectra shapes disagree with M and N//2+1")
+        if bins.size == 0 or bins.min() < 0 or bins.max() >= half:
             raise ValueError("excited bins must be inside the bin grid")
         object.__setattr__(self, "input_spectra", u)
         object.__setattr__(self, "output_spectra", y)
@@ -95,7 +96,7 @@ class ExperimentRecord:
             if value is None:
                 continue
             value = np.asarray(value, dtype=complex)
-            if value.ndim != want_ndim or value.shape[0] != u.shape[0] or value.shape[-1] != n:
+            if value.ndim != want_ndim or value.shape[0] != u.shape[0] or value.shape[-1] != half:
                 raise ValueError(f"{name} shape {value.shape} inconsistent with record")
             if want_ndim == 3 and value.shape[1] != y.shape[1]:
                 raise ValueError(f"{name} period count inconsistent with record")
@@ -231,7 +232,7 @@ def spectral_bla(u_records, y_records) -> np.ndarray:
     """Cross- over auto-power ratio from segmented stationary records.
 
     Meant for Gaussian-noise excitation where no period structure exists.
-    Returns a full-grid complex array with NaN at bins of zero input power.
+    Returns a half-grid complex array with NaN at bins of zero input power.
     """
     u_records = list(u_records)
     y_records = list(y_records)
@@ -251,9 +252,10 @@ class Decomposition:
 
     ``y_bla + y_nonlinear + y_process + y_output_noise`` rebuilds the
     measured output ``y_total`` to round-off by construction.  The variance
-    spectra are sample estimates on the full bin grid: the process and
-    output-noise spectra from their ensembles, the nonlinear one from the
-    single supplied excitation (one squared sample, unbiased but coarse).
+    spectra are sample estimates on the half bin grid ``0..N//2``: the
+    process and output-noise spectra from their ensembles, the nonlinear one
+    from the single supplied excitation (one squared sample, unbiased but
+    coarse).
     """
 
     y_bla: np.ndarray
@@ -268,7 +270,7 @@ class Decomposition:
 
 
 def _unitary_dft_block(x: np.ndarray, n: int) -> np.ndarray:
-    spectra = np.fft.fft(x.reshape(-1, n), axis=-1)
+    spectra = np.fft.rfft(x.reshape(-1, n), axis=-1)
     spectra /= np.sqrt(n)
     return spectra
 
@@ -292,12 +294,12 @@ def _process_ensemble(simulator, u: PeriodicSignal, ensemble_size: int, master: 
     n = u.samples_per_period
     p = u.period_count
     y_sum = np.zeros(p * n)
-    spectra = np.empty((ensemble_size * p, n), dtype=complex)
+    spectra = np.empty((ensemble_size * p, n // 2 + 1), dtype=complex)
     draws = simulator.process_noise_ensemble(
         u, (derive_rng(master, "decompose", "ensemble", i) for i in range(ensemble_size)))
     for i, y in enumerate(draws):
         y_sum += y
-        np.fft.fft(y.reshape(p, n), axis=-1, out=spectra[i * p:(i + 1) * p])
+        np.fft.rfft(y.reshape(p, n), axis=-1, out=spectra[i * p:(i + 1) * p])
     spectra /= np.sqrt(n)
     return y_sum / ensemble_size, _centered_power(spectra) / (ensemble_size * p - 1)
 
@@ -310,8 +312,8 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
     noise gives the noise-free output exactly (the output noise is
     additive).  Averaging ``ensemble_size`` re-runs with fresh process noise
     and the output noise disabled estimates the noise-averaged output; the
-    supplied reference response then separates the linear part from the
-    nonlinear distortion.
+    supplied reference response ``g_bla`` (on bins ``0..N//2``) then
+    separates the linear part from the nonlinear distortion.
     """
     if ensemble_size < MIN_ENSEMBLE_SIZE:
         raise ValueError(
@@ -325,8 +327,9 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
     p = u.period_count
     master = seed if seed is not None else 0
     g_bla = np.asarray(g_bla, dtype=complex)
-    if g_bla.shape != (n,):
-        raise ValueError(f"g_bla must have one value per bin, expected shape ({n},)")
+    if g_bla.shape != (n // 2 + 1,):
+        raise ValueError(f"g_bla must have one value per bin 0..N//2, "
+                         f"expected shape ({n // 2 + 1},)")
 
     measured = simulator.run(
         u,
@@ -340,7 +343,7 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
 
     u_spec = dft(u)
     bla_period = inverse_dft(Spectrum(
-        bins=_full_from_half((g_bla * u_spec.bins)[: n // 2 + 1], n),
+        bins=g_bla * u_spec.bins,
         samples_per_period=n,
         sampling_frequency=u.sampling_frequency,
     ))
@@ -416,7 +419,13 @@ def write_bla_csv(path, estimate: BlaEstimate) -> None:
 
 def read_bla_csv(path, realization_count: int = 0, period_count: int = 0,
                  samples_per_period: int = 0, sampling_frequency: float = 0.0) -> BlaEstimate:
+    """Read a ``write_bla_csv`` file; its ``bin_index`` column must hold distinct,
+    increasing, nonnegative integers, or ValueError names the file."""
     bins, _, g, g_imag, var_noise, var_total, _ = _read_table(path, _BLA_HEADER)
+    integral = np.isfinite(bins) & (bins == np.floor(bins))
+    if not (integral.all() and bins[0] >= 0 and np.all(np.diff(bins) > 0)):
+        raise ValueError(f"{path}: bin_index must hold distinct, increasing, "
+                         f"nonnegative integers")
     g = g.astype(complex)
     g.imag = g_imag  # bit-exact, unlike g + 1j*g_imag (-0.0 and inf)
     return BlaEstimate(
@@ -470,13 +479,9 @@ def read_record_bundle(directory) -> ExperimentRecord:
         if closed_only and not manifest["closed_loop"]:
             continue
         shape = (manifest["realizations"],) + ((manifest["periods"],) if per_period else ())
-        spectra[field] = np.empty(shape + (n,), dtype=complex)
+        spectra[field] = np.empty(shape + (n // 2 + 1,), dtype=complex)
         for index in np.ndindex(shape):
-            path = directory / pattern.format(*index)
-            bins = read_spectrum_csv(path).bins
-            if bins.size != n:
-                raise ValueError(f"{path}: expected {n} bins, got {bins.size}")
-            spectra[field][index] = bins
+            spectra[field][index] = read_spectrum_csv(directory / pattern.format(*index), n).bins
     return ExperimentRecord(
         excited_bins=np.asarray(manifest["excited_bins"], dtype=int),
         samples_per_period=n, sampling_frequency=manifest["sampling_frequency_hz"],

@@ -481,9 +481,10 @@ def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
         decomposition_report_json(report))
 
     n = config.samples_per_period
+    index = np.arange(n // 2 + 1)
     _write_table(out_dir / "decomposition_variances.csv",
                  "bin_index,frequency_hz,var_nonlinear,var_process,var_noise",
-                 (np.arange(n), np.arange(n) * (config.sampling_frequency / n),
+                 (index, index * (config.sampling_frequency / n),
                   decomposition.var_nonlinear, decomposition.var_process,
                   decomposition.var_noise),
                  newline="\n")

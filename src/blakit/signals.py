@@ -1,10 +1,13 @@
 """Excitation signals, unitary DFT and power-spectrum estimation.
 
-The frequency grid used throughout the package is the DFT bin grid
-``f_k = k * f_s / N`` for one period of ``N`` samples at sampling
-frequency ``f_s``.  The DFT pair is unitary (scaled by ``1/sqrt(N)`` in
-both directions), so Parseval holds as a plain equality and the spectrum
-of white noise with variance ``s2`` has ``E{|X_k|^2} = s2`` at every bin.
+The frequency grid used throughout the package is the half DFT bin grid
+``f_k = k * f_s / N``, ``k = 0..N//2``, for one period of ``N`` samples at
+sampling frequency ``f_s``: the signals are real, so the bins above
+``N/2`` are the conjugates of those below and are never stored.  The DFT
+pair is unitary (scaled by ``1/sqrt(N)`` in both directions), so the
+spectrum of white noise with variance ``s2`` has ``E{|X_k|^2} = s2`` at
+every bin, and Parseval reads ``sum x^2 = sum_k w_k |X_k|^2`` with weight
+``w_k = 2`` for ``0 < k < N/2`` and 1 at DC and Nyquist.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ class PeriodicSignal:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex DFT values on the full bin grid of one period."""
+    """Complex DFT values of one period on the half grid, bins ``0..N//2``."""
 
     bins: np.ndarray
     samples_per_period: int
@@ -173,8 +176,8 @@ class Spectrum:
     def __post_init__(self):
         bins = np.asarray(self.bins, dtype=complex)
         n = int(self.samples_per_period)
-        if bins.ndim != 1 or bins.size != n:
-            raise ValueError(f"expected {n} bins, got shape {bins.shape}")
+        if bins.ndim != 1 or bins.size != n // 2 + 1:
+            raise ValueError(f"expected {n // 2 + 1} bins for N = {n}, got shape {bins.shape}")
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "samples_per_period", n)
         object.__setattr__(self, "sampling_frequency", float(self.sampling_frequency))
@@ -183,27 +186,7 @@ class Spectrum:
     def frequencies(self) -> np.ndarray:
         """Bin frequencies in Hz, ``f_k = k * f_s / N``."""
         n = self.samples_per_period
-        return np.arange(n) * (self.sampling_frequency / n)
-
-    def is_conjugate_symmetric(self, rtol: float = 1e-9) -> bool:
-        n = self.samples_per_period
-        mirrored = np.conj(self.bins[1:][::-1])
-        scale = max(np.abs(self.bins).max(), 1e-300)
-        ok = np.abs(self.bins[1:] - mirrored).max() <= rtol * scale
-        return bool(ok and abs(self.bins[0].imag) <= rtol * scale
-                    and (n % 2 or abs(self.bins[n // 2].imag) <= rtol * scale))
-
-
-def _full_from_half(half: np.ndarray, n: int) -> np.ndarray:
-    # Mirror the nonnegative-frequency half so conjugate symmetry is exact,
-    # not merely up to FFT round-off.
-    full = np.empty(n, dtype=complex)
-    full[: n // 2 + 1] = half
-    full[n // 2 + 1:] = np.conj(half[1: (n + 1) // 2][::-1])
-    full[0] = full[0].real
-    if n % 2 == 0:
-        full[n // 2] = full[n // 2].real
-    return full
+        return np.arange(n // 2 + 1) * (self.sampling_frequency / n)
 
 
 def generate_multisine(spec: MultisineSpec, seed=None, phases=None) -> PeriodicSignal:
@@ -241,11 +224,9 @@ def generate_multisine(spec: MultisineSpec, seed=None, phases=None) -> PeriodicS
 
 def dft(sig: PeriodicSignal, period: int = 0) -> Spectrum:
     """Unitary forward DFT of one designated period of a real signal."""
-    x = sig.period(period)
     n = sig.samples_per_period
-    half = np.fft.rfft(x) / np.sqrt(n)
     return Spectrum(
-        bins=_full_from_half(half, n),
+        bins=np.fft.rfft(sig.period(period)) / np.sqrt(n),
         samples_per_period=n,
         sampling_frequency=sig.sampling_frequency,
     )
@@ -254,14 +235,11 @@ def dft(sig: PeriodicSignal, period: int = 0) -> Spectrum:
 def inverse_dft(spectrum: Spectrum) -> np.ndarray:
     """Unitary inverse DFT; returns the real time samples of one period.
 
-    The spectrum must be conjugate symmetric (spectra of real signals are,
-    exactly, by construction of :func:`dft`).
+    The imaginary parts of the DC and (for even N) Nyquist bins are ignored,
+    as a real signal has none.
     """
-    if not spectrum.is_conjugate_symmetric():
-        raise ValueError("spectrum is not conjugate symmetric; not a real signal's DFT")
     n = spectrum.samples_per_period
-    half = spectrum.bins[: n // 2 + 1] * np.sqrt(n)
-    return np.fft.irfft(half, n=n)
+    return np.fft.irfft(spectrum.bins * np.sqrt(n), n=n)
 
 
 def generate_noise(variance: float, length: int, seed=None, coloring=None) -> np.ndarray:
@@ -303,7 +281,7 @@ def cross_power_spectrum(x_records, y_records) -> np.ndarray:
     for rec in (*x_records, *y_records):
         if rec.samples_per_period != n or rec.sampling_frequency != fs:
             raise ValueError("records do not share one bin grid")
-    acc = np.zeros(n, dtype=complex)
+    acc = np.zeros(n // 2 + 1, dtype=complex)
     for x, y in zip(x_records, y_records):
         if y is x:
             acc += np.abs(x.bins) ** 2  # auto-power: exactly real, nonnegative
@@ -380,11 +358,20 @@ def write_spectrum_csv(path, spectrum: Spectrum) -> None:
                  (np.arange(bins.size), spectrum.frequencies, bins.real, bins.imag))
 
 
-def read_spectrum_csv(path) -> Spectrum:
-    _, frequency, real, imag = _read_table(path, _SPECTRUM_HEADER)
-    n = frequency.size
+def read_spectrum_csv(path, samples_per_period: int) -> Spectrum:
+    """Read the spectrum of one period of ``samples_per_period`` (N) samples.
+
+    N is passed, not inferred: N and N + 1 give the same row count when N
+    is even.  The ``bin_index`` column must be exactly ``0..N//2``; rows out
+    of order, missing or extra (a full-grid file, say) raise ValueError
+    naming the file.
+    """
+    index, frequency, real, imag = _read_table(path, _SPECTRUM_HEADER)
+    n = int(samples_per_period)
     if n < 2:
-        raise ValueError(f"{path}: a spectrum CSV must hold at least two bins")
+        raise ValueError(f"{path}: samples_per_period must be >= 2, got {n}")
+    if not np.array_equal(index, np.arange(n // 2 + 1)):
+        raise ValueError(f"{path}: bin_index must run 0..{n // 2} in order for N = {n}")
     bins = real.astype(complex)
     bins.imag = imag  # bit-exact, unlike real + 1j*imag (-0.0 and inf)
     return Spectrum(bins=bins, samples_per_period=n, sampling_frequency=frequency[1] * n)

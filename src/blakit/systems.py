@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import PeriodicSignal, _fmt, _full_from_half, derive_rng, generate_noise
+from .signals import PeriodicSignal, _fmt, derive_rng, generate_noise
 from .volterra import DualVolterraKernel
 
 __all__ = [
@@ -181,10 +181,9 @@ class RationalLTI:
         return num / den
 
     def bin_response(self, samples_per_period: int) -> np.ndarray:
-        """Response on the full DFT bin grid, exactly conjugate symmetric."""
+        """Response on the half DFT bin grid, bins ``0..N//2``."""
         n = samples_per_period
-        half = self.frequency_response(2.0 * np.pi * np.arange(n // 2 + 1) / n)
-        return _full_from_half(half, n)
+        return self.frequency_response(2.0 * np.pi * np.arange(n // 2 + 1) / n)
 
     def filter(self, x) -> np.ndarray:
         """Zero-state time-domain recursion along the last axis."""
@@ -270,10 +269,7 @@ def filter_periodic(lti: RationalLTI, sig: PeriodicSignal) -> PeriodicSignal:
     grid, which equals the time-domain recursion after transients decay.
     """
     n = sig.samples_per_period
-    half = np.fft.rfft(sig.period(0)) * lti.frequency_response(
-        2.0 * np.pi * np.arange(n // 2 + 1) / n
-    )
-    period = np.fft.irfft(half, n=n)
+    period = np.fft.irfft(np.fft.rfft(sig.period(0)) * lti.bin_response(n), n=n)
     return PeriodicSignal(
         samples=np.tile(period, sig.period_count),
         samples_per_period=n,

@@ -262,13 +262,13 @@ def test_05_distortions_average_out_like_sqrt_m():
 def _variance_oracles(n, reps, seed, s2_x=0.01):
     """Monte-Carlo per-bin variances of the distortion and process spectra."""
     spec = flat_spec(n)
-    acc_s = np.zeros(n)
-    acc_p = np.zeros(n)
+    acc_s = np.zeros(n // 2 + 1)
+    acc_p = np.zeros(n // 2 + 1)
     settle = 512
     for i in range(reps):
         u = generate_multisine(spec, derive_rng(seed, "s", i)).samples
         inner = 0.1 * u ** 3 - 0.3 * u
-        y_s = np.fft.fft(inner) / np.sqrt(n) * DYNAMICS.bin_response(n)
+        y_s = np.fft.rfft(inner) / np.sqrt(n) * DYNAMICS.bin_response(n)
         acc_s += np.abs(y_s) ** 2
 
         u2 = generate_multisine(spec, derive_rng(seed, "p_u", i)).samples
@@ -277,7 +277,7 @@ def _variance_oracles(n, reps, seed, s2_x=0.01):
         inner_p = (nx + 0.3 * u_full ** 2 * nx
                    + 0.3 * u_full * (nx ** 2 - s2_x) + 0.1 * nx ** 3)
         y_p = DYNAMICS.filter(inner_p)[settle:]
-        acc_p += np.abs(np.fft.fft(y_p) / np.sqrt(n)) ** 2
+        acc_p += np.abs(np.fft.rfft(y_p) / np.sqrt(n)) ** 2
     return acc_s / reps, acc_p / reps
 
 
@@ -396,7 +396,9 @@ def test_08_numerics_suite():
             spectrum = dft(sig)
             back = inverse_dft(spectrum)
             assert np.max(np.abs(back - x)) < 1e-12 * np.max(np.abs(x))
-            energy_err = abs(np.sum(x ** 2) - np.sum(np.abs(spectrum.bins) ** 2))
+            weights = np.full(n // 2 + 1, 2.0)  # 0 < k < N/2 also stands for its mirror
+            weights[[0, -1]] = 1.0  # DC and Nyquist (every n here is even)
+            energy_err = abs(np.sum(x ** 2) - np.sum(weights * np.abs(spectrum.bins) ** 2))
             assert energy_err < 1e-12 * np.sum(x ** 2)
 
         model = NoiseMomentModel.white(1.0)

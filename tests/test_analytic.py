@@ -92,7 +92,7 @@ class TestAnalyticBla:
         g = analytic_hammerstein_bla(RationalLTI.identity(),
                                      PolynomialNonlinearity.identity(),
                                      GaussianInputModel(1.0), 16)
-        np.testing.assert_allclose(g, np.ones(16), atol=1e-14)
+        np.testing.assert_allclose(g, np.ones(9), atol=1e-14)
 
     def test_gain_scales_dynamics_uniformly(self):
         lti = RationalLTI(b=[0.3, 0.1], a=[1.0, -0.5])

@@ -70,6 +70,25 @@ def hash_tree(root: pathlib.Path) -> dict:
     }
 
 
+def swap_rows(text: str, i: int, j: int) -> str:
+    """``text`` with its lines ``i`` and ``j`` (0 is the header) swapped."""
+    lines = text.splitlines(True)
+    lines[i], lines[j] = lines[j], lines[i]
+    return "".join(lines)
+
+
+def full_grid(text: str, n: int = 128) -> str:
+    """The full-grid spectrum CSV that older writers made of an ``n``-sample
+    period at 1 Hz: the file's rows 0..n//2, then their conjugate mirror."""
+    header, *rows = text.splitlines(True)
+    rows = rows[: n // 2 + 1]
+    for k in range(n // 2 + 1, n):
+        _, _, real, imag = rows[n - k].rstrip("\n").split(",")
+        imag = imag[1:] if imag.startswith("-") else "-" + imag
+        rows.append(f"{k},{k * (1.0 / n):.17g},{real},{imag}\n")
+    return header + "".join(rows)
+
+
 def lti_arrays(system: SystemDescription) -> list:
     blocks = (system.dynamics, system.actuator, system.feedback)
     return [system.nonlinearity.coefficients.tolist()] + [
@@ -379,9 +398,10 @@ class TestInvalidInputExits2:
         assert message.endswith(f"does not match the config in: {field}")
         assert sorted(p.name for p in out.iterdir()) == ["records"]
 
-    # case -> (file under --out, its damaged text or None for no file, the
-    # name the error message must hold); "compare" cases run compare, the
-    # others estimate.
+    # case -> (files under --out (a glob), their damaged text or None for no
+    # file, the name the error message must hold); "compare" cases damage a
+    # run's bla.csv and run compare, the others damage its record bundle and
+    # run estimate.
     DAMAGED = {
         "missing-csv": ("records/y_m001_p00.csv", None, "y_m001_p00.csv"),
         "header-only-csv": ("records/y_m001_p00.csv",
@@ -398,26 +418,40 @@ class TestInvalidInputExits2:
         "manifest-text-periods": ("records/manifest.json",
                                   lambda text: text.replace('"periods": 2', '"periods": "2"'),
                                   "records"),
+        "swapped-rows": ("records/y_m001_p00.csv", lambda text: swap_rows(text, 3, 4),
+                         "y_m001_p00.csv"),
+        "full-grid-bundle": ("records/*_m*.csv", full_grid, "u_m000.csv"),
         "compare-without-bla": ("bla.csv", None, "bla.csv"),
+        "compare-fractional-bin": ("bla.csv", lambda text: text.replace("\n3,", "\n3.5,", 1),
+                                   "bla.csv"),
+        "compare-repeated-bin": ("bla.csv", lambda text: text.replace("\n4,", "\n3,", 1),
+                                 "bla.csv"),
+        "compare-swapped-rows": ("bla.csv", lambda text: swap_rows(text, 3, 4), "bla.csv"),
     }
 
     @pytest.mark.parametrize("case", sorted(DAMAGED))
     def test_damaged_input(self, tmp_path, capsys, case):
         path, _ = write_config(tmp_path)
         out = tmp_path / "out"
+        estimate = ["estimate", "--config", str(path), "--out", str(out)]
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        compare = case.startswith("compare")
+        if compare:
+            assert main(estimate) == EXIT_OK
         name, damage, named = self.DAMAGED[case]
-        target = out / name
-        if damage is None:
-            target.unlink(missing_ok=True)
-        else:
-            damaged = damage(target.read_text())
-            assert damaged != target.read_text()
-            target.write_text(damaged)
-        argv = (["compare", str(out), str(out)] if case.startswith("compare")
-                else ["estimate", "--config", str(path), "--out", str(out)])
+        targets = sorted(out.glob(name))
+        assert targets
+        for target in targets:
+            if damage is None:
+                target.unlink()
+            else:
+                damaged = damage(target.read_text())
+                assert damaged != target.read_text()
+                target.write_text(damaged)
+        before = hash_tree(out)
+        argv = ["compare", str(out), str(out)] if compare else estimate
         assert named in self.assert_config_error(capsys, argv)
-        assert not (out / "bla.csv").exists() and not (out / "summary.json").exists()
+        assert hash_tree(out) == before  # nothing written
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--workers", "2"],
@@ -588,3 +622,15 @@ class TestDemo:
         skip = ("config.ini", "system.ini", "summary.json")
         assert {k: v for k, v in hash_tree(out).items() if k not in skip} == \
             {k: v for k, v in hash_tree(rerun).items() if k not in skip}
+
+    def test_run_directory_config_re_estimates(self, tmp_path):
+        # A demo run from a closed-loop config writes that config's system
+        # beside its own config.ini, so the run directory alone reproduces it.
+        path, _ = write_config(tmp_path, system=LOOP_SYSTEM, loop="closed",
+                               process_noise_variance=0.01)
+        out, again = tmp_path / "run", tmp_path / "again"
+        assert main(["demo-hammerstein", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        own = str(out / "config.ini")
+        assert main(["simulate", "--config", own, "--out", str(again)]) == EXIT_OK
+        assert main(["estimate", "--config", own, "--out", str(again)]) == EXIT_OK
+        assert (again / "bla.csv").read_bytes() == (out / "bla.csv").read_bytes()

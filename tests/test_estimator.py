@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blakit.analytic import analytic_hammerstein_bla, GaussianInputModel
 from blakit.estimator import (
@@ -64,8 +66,8 @@ def synthetic_record(g_bins, m_count, p_count, noise_power, rng, n=None):
     """Frequency-domain record: Y = G U + complex noise of given per-bin power."""
     n = g_bins.size if n is None else n
     bins = np.arange(1, n // 2)
-    u = np.zeros((m_count, n), dtype=complex)
-    y = np.zeros((m_count, p_count, n), dtype=complex)
+    u = np.zeros((m_count, n // 2 + 1), dtype=complex)
+    y = np.zeros((m_count, p_count, n // 2 + 1), dtype=complex)
     for m in range(m_count):
         u[m, bins] = np.exp(2j * np.pi * rng.random(bins.size))
         for p in range(p_count):
@@ -83,9 +85,11 @@ class TestRobustBla:
         rng = np.random.default_rng(0)
         m_count, p_count, n = 3, 4, 16
         bins = np.arange(1, 8)
-        u = rng.standard_normal((m_count, n)) + 1j * rng.standard_normal((m_count, n))
-        y = rng.standard_normal((m_count, p_count, n)) + 1j * rng.standard_normal(
-            (m_count, p_count, n))
+        half = n // 2 + 1
+        u = (rng.standard_normal((m_count, n))
+             + 1j * rng.standard_normal((m_count, n)))[:, :half]
+        y = (rng.standard_normal((m_count, p_count, n))
+             + 1j * rng.standard_normal((m_count, p_count, n)))[:, :, :half]
         record = ExperimentRecord(input_spectra=u, output_spectra=y, excited_bins=bins,
                                   samples_per_period=n, sampling_frequency=1.0)
         est = robust_bla(record)
@@ -173,6 +177,70 @@ class TestRobustBla:
                 assert cost(est.g_bla[k] + delta, k) > base
 
 
+@st.composite
+def noisy_spectra(draw):
+    """Half-grid record spectra: ``R`` of one amplitude per bin across
+    realizations, a per-bin input gain ``c`` (so ``U_m = c R_m`` in every
+    period) and outputs ``Y = G U`` plus period-to-period noise."""
+    m_count, p_count = draw(st.integers(2, 6)), draw(st.integers(2, 4))
+    n = draw(st.integers(6, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    half = n // 2 + 1
+    amplitude = rng.uniform(0.1, 10.0, half)
+    r = amplitude * np.exp(2j * np.pi * rng.random((m_count, half)))
+    c = rng.uniform(0.1, 10.0, half) * np.exp(2j * np.pi * rng.random(half))
+    g = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    noise = draw(st.floats(0.01, 1.0)) * (rng.standard_normal((m_count, p_count, half))
+                                           + 1j * rng.standard_normal((m_count, p_count, half)))
+    y = (g * c * r)[:, None, :] * (1.0 + noise)
+    return n, np.arange(1, (n + 1) // 2), r, c * r, y
+
+
+def assert_round_off(got, want, scale):
+    """``got`` equals ``want`` bin for bin to 1e-14 (about 45 ulps) of ``scale``:
+    the round-off of sums and differences of numbers as large as ``scale``."""
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(spectra=noisy_spectra(),
+           factor=st.floats(1e-3, 1e3), phase=st.floats(0.0, 2 * np.pi))
+    def test_robust_bla_scaling_law(self, spectra, factor, phase):
+        # Y -> cY gives g -> c g and both variances -> |c|^2 variances.
+        n, bins, _, u, y = spectra
+        c = factor * np.exp(1j * phase)
+        ratio = np.abs(y[:, :, bins] / u[:, None, bins]).max(axis=(0, 1))  # largest |g_mp|
+        record = ExperimentRecord(input_spectra=u, output_spectra=y, excited_bins=bins,
+                                  samples_per_period=n, sampling_frequency=1.0)
+        scaled = ExperimentRecord(input_spectra=u, output_spectra=c * y, excited_bins=bins,
+                                  samples_per_period=n, sampling_frequency=1.0)
+        a, b = robust_bla(record), robust_bla(scaled)
+        assert_round_off(b.g_bla, c * a.g_bla, factor * ratio)
+        assert_round_off(b.var_noise, factor ** 2 * a.var_noise, (factor * ratio) ** 2)
+        assert_round_off(b.var_total, factor ** 2 * a.var_total, (factor * ratio) ** 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spectra=noisy_spectra())
+    def test_closed_loop_reduces_to_open_loop(self, spectra):
+        # With U_m = c R_m in every period and |R_m| the same for every m,
+        # the indirect estimator equals the open-loop one bin for bin, up to
+        # the round-off of forming |R|^2 and the means.
+        n, bins, r, u, y = spectra
+        p_count = y.shape[1]
+        ratio = np.abs(y[:, :, bins] / u[:, None, bins]).max(axis=(0, 1))  # largest |g_mp|
+        open_record = ExperimentRecord(input_spectra=u, output_spectra=y, excited_bins=bins,
+                                       samples_per_period=n, sampling_frequency=1.0)
+        closed_record = ExperimentRecord(
+            input_spectra=u, output_spectra=y, excited_bins=bins, samples_per_period=n,
+            sampling_frequency=1.0, reference_spectra=r,
+            input_spectra_per_period=np.repeat(u[:, None, :], p_count, axis=1))
+        a, b = robust_bla(open_record), robust_bla_closed_loop(closed_record)
+        assert_round_off(b.g_bla, a.g_bla, ratio)
+        assert_round_off(b.var_noise, a.var_noise, ratio ** 2)
+        assert_round_off(b.var_total, a.var_total, ratio ** 2)
+
+
 class TestClosedLoopRobust:
     def test_requires_reference_and_per_period_input(self):
         rng = np.random.default_rng(6)
@@ -184,12 +252,13 @@ class TestClosedLoopRobust:
         rng = np.random.default_rng(7)
         n = 32
         bins = np.arange(1, n // 2)
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        act = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        half = n // 2 + 1
+        g = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[:half]
+        act = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[:half]
         m_count, p_count = 3, 2
-        r = np.zeros((m_count, n), complex)
-        u_pp = np.zeros((m_count, p_count, n), complex)
-        y = np.zeros((m_count, p_count, n), complex)
+        r = np.zeros((m_count, half), complex)
+        u_pp = np.zeros((m_count, p_count, half), complex)
+        y = np.zeros((m_count, p_count, half), complex)
         for m in range(m_count):
             r[m, bins] = np.exp(2j * np.pi * rng.random(bins.size))
             for p in range(p_count):
@@ -229,10 +298,10 @@ class TestClosedLoopRobust:
         rng = np.random.default_rng(9)
         n = 16
         bins = np.arange(1, 8)
-        r = np.ones((2, n), complex)
+        r = np.ones((2, n // 2 + 1), complex)
         r[:, 2] = 0.0
-        u_pp = np.ones((2, 2, n), complex)
-        y = np.ones((2, 2, n), complex)
+        u_pp = np.ones((2, 2, n // 2 + 1), complex)
+        y = np.ones((2, 2, n // 2 + 1), complex)
         record = ExperimentRecord(
             input_spectra=u_pp.mean(axis=1), output_spectra=y, excited_bins=bins,
             samples_per_period=n, sampling_frequency=1.0,
@@ -280,7 +349,7 @@ class TestClosedLoopRobust:
 
 class TestSpectralBla:
     def test_needs_two_records(self):
-        s = Spectrum(bins=np.ones(8, complex), samples_per_period=8,
+        s = Spectrum(bins=np.ones(5, complex), samples_per_period=8,
                      sampling_frequency=1.0)
         with pytest.raises(ValueError, match="two"):
             spectral_bla([s], [s])
@@ -288,7 +357,7 @@ class TestSpectralBla:
     def test_noiseless_linear_ratio_exact(self):
         rng = np.random.default_rng(10)
         n = 32
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        g = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[: n // 2 + 1]
         us, ys = [], []
         for seed in range(4):
             x = np.random.default_rng(seed).standard_normal(n)
@@ -328,9 +397,8 @@ class TestSpectralBla:
         rng = np.random.default_rng(16)
         us = []
         for _ in range(3):
-            bins = np.zeros(n, dtype=complex)
+            bins = np.zeros(n // 2 + 1, dtype=complex)
             bins[[2, 5]] = np.exp(2j * np.pi * rng.random(2))
-            bins[[n - 2, n - 5]] = np.conj(bins[[2, 5]])
             us.append(Spectrum(bins=bins, samples_per_period=n, sampling_frequency=1.0))
         g = spectral_bla(us, us)
         assert np.isnan(g[1].real)
@@ -448,8 +516,8 @@ class TestUnbiasedness:
         acc = np.zeros(bins.size, dtype=complex)
         acc2 = np.zeros(bins.size)
         for rep in range(reps):
-            u_specs = np.zeros((m_count, n), complex)
-            y_specs = np.zeros((m_count, p_count, n), complex)
+            u_specs = np.zeros((m_count, n // 2 + 1), complex)
+            y_specs = np.zeros((m_count, p_count, n // 2 + 1), complex)
             for m in range(m_count):
                 u = generate_multisine(spec, derive_rng(17, "u", rep, m))
                 rec = sim.run(u.tile(p_count),

@@ -36,12 +36,22 @@ def cosine_sum_oracle(spec: MultisineSpec, phases: np.ndarray) -> np.ndarray:
 
 
 def naive_dft_oracle(x: np.ndarray) -> np.ndarray:
-    """Direct summation of the unitary transform definition."""
+    """Direct summation of the unitary transform definition, bins 0..N//2."""
     n = x.size
     k = np.arange(n)
     return np.array([
-        np.sum(x * np.exp(-2j * np.pi * k_val * k / n)) for k_val in k
+        np.sum(x * np.exp(-2j * np.pi * k_val * k / n)) for k_val in k[: n // 2 + 1]
     ]) / np.sqrt(n)
+
+
+def half_grid_energy(bins: np.ndarray, n: int) -> float:
+    """Parseval's frequency side on bins 0..N//2: each bin 0 < k < N/2 stands
+    for itself and its conjugate mirror."""
+    weights = np.full(bins.size, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    return float(np.sum(weights * np.abs(bins) ** 2))
 
 
 def make_signal(x, fs=1.0):
@@ -151,15 +161,15 @@ class TestMultisine:
 class TestDft:
     def test_impulse_spectrum(self):
         spectrum = dft(make_signal([1.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(spectrum.bins, 0.5 * np.ones(4), atol=1e-15)
+        np.testing.assert_allclose(spectrum.bins, 0.5 * np.ones(3), atol=1e-15)
 
     def test_cosine_line(self):
         t = np.arange(4)
         spectrum = dft(make_signal(np.cos(2 * np.pi * t / 4)))
         expected = naive_dft_oracle(np.cos(2 * np.pi * t / 4))
         np.testing.assert_allclose(spectrum.bins, expected, atol=1e-12)
+        assert spectrum.bins.size == 3
         assert spectrum.bins[1] == pytest.approx(1.0)
-        assert spectrum.bins[3] == pytest.approx(1.0)
         assert abs(spectrum.bins[0]) < 1e-15
         assert abs(spectrum.bins[2]) < 1e-15
 
@@ -182,22 +192,20 @@ class TestDft:
         x = rng.standard_normal(n)
         spectrum = dft(make_signal(x))
         time_energy = np.sum(x ** 2)
-        freq_energy = np.sum(np.abs(spectrum.bins) ** 2)
+        freq_energy = half_grid_energy(spectrum.bins, n)
         assert abs(time_energy - freq_energy) < 1e-12 * time_energy
 
-    def test_conjugate_symmetry_exact(self):
-        rng = np.random.default_rng(2)
-        for n in (8, 9, 64):
-            bins = dft(make_signal(rng.standard_normal(n))).bins
-            mirrored = np.conj(bins[1:][::-1])
-            assert np.array_equal(bins[1:], mirrored)
-            assert bins[0].imag == 0.0
-
-    def test_inverse_rejects_asymmetric_spectrum(self):
-        bins = np.zeros(8, dtype=complex)
-        bins[1] = 1.0  # missing the conjugate mirror at bin 7
-        with pytest.raises(ValueError, match="symmetric"):
-            inverse_dft(Spectrum(bins=bins, samples_per_period=8, sampling_frequency=1.0))
+    @pytest.mark.parametrize("n", [4, 5, 64, 255])
+    def test_half_grid_layout(self, n):
+        # Bins 0..N//2 only; DC (and Nyquist for even N) of a real signal are real.
+        x = np.random.default_rng(n).standard_normal(n)
+        spectrum = dft(make_signal(x, fs=2.0))
+        assert spectrum.bins.size == n // 2 + 1
+        np.testing.assert_array_equal(spectrum.frequencies, np.arange(n // 2 + 1) * (2.0 / n))
+        assert spectrum.bins[0].imag == 0.0
+        assert n % 2 or spectrum.bins[-1].imag == 0.0
+        with pytest.raises(ValueError, match="bins"):
+            Spectrum(bins=np.zeros(n, complex), samples_per_period=n, sampling_frequency=1.0)
 
 
 class TestGenerateNoise:
@@ -249,7 +257,7 @@ class TestCrossPower:
 
     def test_noiseless_linear_ratio_exact(self):
         rng = np.random.default_rng(4)
-        g = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        g = (rng.standard_normal(32) + 1j * rng.standard_normal(32))[:17]
         records_x, records_y = [], []
         for seed in range(5):
             x = dft(make_signal(np.random.default_rng(seed).standard_normal(32)))
@@ -295,7 +303,7 @@ class TestCsv:
                                           seed=2))
         path = tmp_path / "spectrum.csv"
         write_spectrum_csv(path, spectrum)
-        back = read_spectrum_csv(path)
+        back = read_spectrum_csv(path, 64)
         np.testing.assert_array_equal(back.bins, spectrum.bins)
         assert back.sampling_frequency == pytest.approx(spectrum.sampling_frequency)
         assert back.samples_per_period == spectrum.samples_per_period
@@ -305,7 +313,7 @@ class TestCsv:
     def test_spectrum_bytes_match_csv_writer(self, tmp_path):
         edges = np.array(self.EDGE_VALUES)
         spectrum = Spectrum(bins=complex_bins(edges, edges[::-1]),
-                            samples_per_period=edges.size, sampling_frequency=0.3)
+                            samples_per_period=2 * (edges.size - 1), sampling_frequency=0.3)
         reference = tmp_path / "reference.csv"
         with open(reference, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -332,22 +340,36 @@ class TestCsv:
 
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(st.floats(allow_nan=False), min_size=4, max_size=40),
-           fs=st.floats(min_value=1e-3, max_value=1e6))
-    def test_spectrum_round_trip_property(self, tmp_path_factory, values, fs):
+           fs=st.floats(min_value=1e-3, max_value=1e6), odd=st.booleans())
+    def test_spectrum_round_trip_property(self, tmp_path_factory, values, fs, odd):
         # Every finite or infinite value, signed zeros and subnormals
-        # included, reads back bit for bit.
+        # included, reads back bit for bit, for even and odd N alike.
         half = len(values) // 2
+        n = 2 * (half - 1) + odd
         bins = complex_bins(values[:half], values[half:2 * half])
-        spectrum = Spectrum(bins=bins, samples_per_period=half, sampling_frequency=fs)
+        spectrum = Spectrum(bins=bins, samples_per_period=n, sampling_frequency=fs)
         path = tmp_path_factory.mktemp("csv") / "spectrum.csv"
         write_spectrum_csv(path, spectrum)
-        back = read_spectrum_csv(path)
-        assert back.samples_per_period == half
+        back = read_spectrum_csv(path, n)
+        assert back.samples_per_period == n
         assert np.array_equal(back.bins.view(np.uint64), spectrum.bins.view(np.uint64))
         assert back.sampling_frequency == pytest.approx(fs, rel=1e-12)
+
+    def test_bin_index_must_be_the_half_grid(self, tmp_path):
+        path = tmp_path / "spectrum.csv"
+        write_spectrum_csv(path, dft(make_signal(np.arange(8.0))))
+        assert read_spectrum_csv(path, 9).samples_per_period == 9  # N = 8 and 9: five rows
+        for n in (7, 10):
+            with pytest.raises(ValueError, match="spectrum.csv.*bin_index"):
+                read_spectrum_csv(path, n)
+        header, *rows = path.read_text().splitlines(True)
+        rows[1], rows[2] = rows[2], rows[1]
+        path.write_text(header + "".join(rows))
+        with pytest.raises(ValueError, match="spectrum.csv.*bin_index"):
+            read_spectrum_csv(path, 8)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
-            read_spectrum_csv(path)
+            read_spectrum_csv(path, 4)

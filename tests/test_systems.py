@@ -56,9 +56,11 @@ class TestRationalLTI:
         _, expected = sps.freqz(lti.numerator, lti.denominator, worN=w)
         np.testing.assert_allclose(lti.frequency_response(w), expected, rtol=1e-12)
 
-    def test_bin_response_conjugate_symmetric_exactly(self):
-        full = RationalLTI(b=[1.0, 0.3], a=[1.0, -0.5, 0.1]).bin_response(64)
-        assert np.array_equal(full[1:], np.conj(full[1:][::-1]))
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_bin_response_on_half_grid(self, n):
+        lti = RationalLTI(b=[1.0, 0.3], a=[1.0, -0.5, 0.1])
+        w = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+        np.testing.assert_array_equal(lti.bin_response(n), lti.frequency_response(w))
 
     def test_stepper_matches_lfilter(self):
         lti = RationalLTI(b=[0.5, 0.2, -0.1], a=[1.0, -0.6, 0.25])
