@@ -79,9 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
         "demo-hammerstein",
         help="run the canonical cubic Hammerstein experiment end to end")
     _add_common(demo, config_required=False, workers=True)
-    demo.add_argument("--realizations", type=int, default=10)
-    demo.add_argument("--periods", type=int, default=2)
-    demo.add_argument("--samples-per-period", type=int, default=4096)
+    # Sizes of the built-in demo; a --config run takes its sizes from the config.
+    demo.add_argument("--realizations", type=int, help="default 10; not with --config")
+    demo.add_argument("--periods", type=int, help="default 2; not with --config")
+    demo.add_argument("--samples-per-period", type=int,
+                      help="default 4096; not with --config")
 
     return parser
 
@@ -132,15 +134,16 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    names = ("realizations", "periods", "samples_per_period")
+    sizes = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if args.config is not None:
+        if sizes:
+            flags = ", ".join("--" + name.replace("_", "-") for name in sizes)
+            raise ConfigurationError(f"{flags} cannot be combined with --config")
         config = _load_config(args)
     else:
         config = hammerstein_demo_config(
-            realizations=args.realizations,
-            periods=args.periods,
-            samples_per_period=args.samples_per_period,
-            master_seed=args.seed if args.seed is not None else 0,
-        )
+            **sizes, master_seed=args.seed if args.seed is not None else 0)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     write_system_file(out / "system.ini", config.system)

@@ -49,6 +49,7 @@ from .signals import (
     write_spectrum_csv,
 )
 from .systems import (
+    _MAX_WARMUP,
     ClosedLoopConfig,
     ConfigurationError,
     HammersteinPlant,
@@ -118,6 +119,10 @@ class ExperimentConfig:
             )
         if self.master_seed < 0:
             raise ConfigurationError(f"master seed must be >= 0, got {self.master_seed}")
+        if not 1 <= self.warmup_minimum <= _MAX_WARMUP:
+            raise ConfigurationError(
+                f"warmup_periods must be between 1 and {_MAX_WARMUP}, got {self.warmup_minimum}"
+            )
         if self.decompose and self.decompose_draws < MIN_ENSEMBLE_SIZE:
             raise ConfigurationError(
                 f"decomposition ensemble_size must be >= {MIN_ENSEMBLE_SIZE}, "

@@ -5,16 +5,16 @@ polynomial nonlinearities, the Hammerstein structure
 ``y = S(q)[f(u + nx)] + ny`` and a closed loop built from a linear actuator,
 the nonlinear plant and a strictly delayed linear feedback path.
 
-Simulations run the time-domain recursion on warm-up periods until the
-response is periodic (last two warm-up periods differing by less than
-``STEADY_STATE_RTOL`` in relative RMS) before any samples are recorded, so
-recorded periods are steady state.  Noise-free simulations are deterministic
-and seed-independent; noisy ones are a pure function of their seeds.
+Each realization runs warm-up periods until its noise-free response is
+periodic (its last two periods differing by less than ``STEADY_STATE_RTOL``
+in relative RMS) before any samples are recorded, so recorded periods are
+steady state.  Noisy simulations are a pure function of their seeds.
 """
 
 from __future__ import annotations
 
 import configparser
+import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -278,32 +278,44 @@ def filter_periodic(lti: RationalLTI, sig: PeriodicSignal) -> PeriodicSignal:
     )
 
 
-def _rms(x: np.ndarray, axis=None) -> np.ndarray:
-    return np.sqrt(np.mean(np.square(x), axis=axis))
+class _SteadyState:
+    """The warm-up rule, applied to each column of a run on its own.
 
-
-def _steady_state_warmup(step_period, min_periods: int = _MIN_WARMUP,
-                         max_periods: int = _MAX_WARMUP) -> tuple[int, float]:
-    """Run `step_period` until two consecutive periods agree in relative RMS.
-
-    Returns (number of warm-up periods, final relative residual).
+    Column ``i`` settles at the first period count ``>= minimum`` at which
+    its noise-free period changed by less than ``STEADY_STATE_RTOL`` in
+    relative RMS: ``periods[i]`` is that count (0 before), ``residuals[i]``
+    that change.  Errors name it realization ``first_realization + i``.
     """
-    previous = None
-    resid = np.inf
-    for count in range(1, max_periods + 1):
-        current = step_period()
-        _check_divergence(current, current.size, "noise-free warm-up",
-                          first_period=count - 1)
-        if previous is not None:
-            scale = max(float(np.max(_rms(current, axis=0))), 1e-300)
-            resid = float(np.max(_rms(current - previous, axis=0))) / scale
-            if count >= min_periods and resid < STEADY_STATE_RTOL:
-                return count, resid
-        previous = current
-    raise InstabilityError(
-        f"steady state not reached within {max_periods} warm-up periods "
-        f"(relative residual {resid:.3g})"
-    )
+
+    def __init__(self, width: int, minimum: int, first_realization: int | None = None):
+        self.periods = np.zeros(width, dtype=int)
+        self.residuals = np.full(width, np.inf)
+        self._minimum = minimum
+        self._first_realization = first_realization
+        self._previous = None
+        self._count = 0
+
+    def update(self, columns: np.ndarray) -> bool:
+        """Take the next period, shape ``(N, width)``; True once all columns settled."""
+        # A contiguous row per column is reduced as that column alone would be.
+        rows = np.ascontiguousarray(columns.T)
+        self._count += 1
+        if self._previous is not None:
+            unsettled = self.periods == 0
+            rms = np.sqrt(np.mean(np.square([rows, rows - self._previous]), axis=-1))
+            self.residuals[unsettled] = (rms[1] / np.maximum(rms[0], 1e-300))[unsettled]
+            if self._count >= self._minimum:
+                self.periods[unsettled & (self.residuals < STEADY_STATE_RTOL)] = self._count
+        self._previous = rows
+        if not self.periods.all() and self._count == _MAX_WARMUP:
+            i = int(np.flatnonzero(self.periods == 0)[0])
+            who = ("" if self._first_realization is None
+                   else f" in realization {self._first_realization + i}")
+            raise InstabilityError(
+                f"steady state not reached within {_MAX_WARMUP} warm-up periods{who} "
+                f"(relative residual {self.residuals[i]:.3g})"
+            )
+        return bool(self.periods.all())
 
 
 @dataclass(frozen=True)
@@ -347,22 +359,15 @@ class HammersteinSimulator:
         """Warm-up periods until the noise-free response is periodic."""
         # The nonlinearity is memoryless, so the noise-free probe filters one
         # precomputed period per step with carried state.
-        return _steady_state_warmup(
-            self._fast_period_runner(self.nonlinearity(u.period(0))),
-            min_periods=self.warmup_minimum,
-        )
-
-    def _fast_period_runner(self, x_period: np.ndarray):
-        zi = np.zeros(max(self.dynamics.numerator.size, self.dynamics.denominator.size) - 1)
-        state = {"zi": zi}
-
-        def run():
-            y, state["zi"] = _lfilter(
-                self.dynamics.numerator, self.dynamics.denominator, x_period, zi=state["zi"]
-            )
-            return y
-
-        return run
+        b, a = self.dynamics.numerator, self.dynamics.denominator
+        x_period = self.nonlinearity(u.period(0))
+        zi = np.zeros(max(b.size, a.size) - 1)
+        steady = _SteadyState(1, self.warmup_minimum)
+        for period in itertools.count():  # update raises after _MAX_WARMUP periods
+            y, zi = _lfilter(b, a, x_period, zi=zi)
+            _check_divergence(y, y.size, "noise-free warm-up", first_period=period)
+            if steady.update(y[:, None]):
+                return int(steady.periods[0]), float(steady.residuals[0])
 
     def draw_process_noise(self, length: int, rng) -> np.ndarray:
         return generate_noise(self.process_noise_variance, length, rng,
@@ -599,19 +604,19 @@ class ClosedLoopRecord:
 
 
 class _LoopEngine:
-    """Sample-by-sample loop runner, vectorized over parallel realizations.
+    """Sample-by-sample loop runner, vectorized over parallel loops.
 
-    Column ``i`` is realization ``first_realization + i``.  Periods are
+    Column ``i`` is a loop of realization ``realizations[i]``.  Periods are
     counted from the engine's zero state, so a divergence is reported at the
     simulated period, warm-up included.
     """
 
-    def __init__(self, config: ClosedLoopConfig, width: int, first_realization: int):
+    def __init__(self, config: ClosedLoopConfig, realizations):
+        width = len(realizations)
         self._act = config.actuator.stepper(width)
         self._fb = config.feedback.stepper(width)
         self._plant = config.plant.stepper(width)
-        self._width = width
-        self._first_realization = first_realization
+        self._realizations = realizations
         self._period = 0
 
     def run_period(self, r_block: np.ndarray, nx_block: np.ndarray):
@@ -626,9 +631,9 @@ class _LoopEngine:
                 u0[t] = self._act.step(e)
                 y0[t] = self._plant(u0[t], nx_block[t])
                 self._fb.step(y0[t])
-        for i in range(self._width):
-            _check_divergence(y0[:, i], n, "closed loop, realization "
-                              f"{self._first_realization + i}", first_period=self._period)
+        for i, m in enumerate(self._realizations):
+            _check_divergence(y0[:, i], n, f"closed loop, realization {m}",
+                              first_period=self._period)
         self._period += 1
         return u0, y0
 
@@ -638,13 +643,18 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
                                warmup_minimum: int = _MIN_WARMUP) -> list[ClosedLoopRecord]:
     """Simulate one loop per reference signal, all advanced in lock step.
 
-    Realization ``i`` draws its noise from streams keyed by
-    ``first_realization + i``, so batched and one-at-a-time runs of the same
-    realization are bit-identical.
+    One engine pass runs column ``i`` as the noise-free loop of realization
+    ``m = first_realization + i`` and column ``M + i`` as its noisy loop,
+    which records periods ``W_m .. W_m + P - 1``.  The warm-up ``W_m`` is
+    found on the noise-free loop alone, where steady state is defined, by
+    the rule of ``required_warmup``.  Noise streams are keyed by ``m``, so a
+    record is a pure function of (config, seed, realization), batched or not.
     """
     references = list(references)
     if not references:
         return []
+    if warmup_minimum < 1:
+        raise ConfigurationError("warmup_minimum must be >= 1")
     n = references[0].samples_per_period
     p = references[0].period_count
     fs = references[0].sampling_frequency
@@ -652,54 +662,44 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
         if (r.samples_per_period, r.period_count, r.sampling_frequency) != (n, p, fs):
             raise ConfigurationError("all references must share one grid")
     width = len(references)
-    r_period = np.stack([r.period(0) for r in references], axis=1)
-
-    # Warm-up length from the noise-free loop; the steady-state criterion is
-    # meaningful only on the deterministic part of the response.
-    probe = _LoopEngine(config, width, first_realization)
-    zero_block = np.zeros_like(r_period)
-    warmup, resid = _steady_state_warmup(
-        lambda: probe.run_period(r_period, zero_block)[1],
-        min_periods=warmup_minimum,
-    )
-
     master = seed if seed is not None else 0
-    total = (warmup + p) * n
-    nx_cols = []
-    for i in range(width):
-        m = first_realization + i
-        nx_cols.append(generate_noise(config.process_noise_variance, total,
-                                      derive_rng(master, "loop_process_noise", m)))
-    nx_full = np.stack(nx_cols, axis=1)
+    realizations = [first_realization + i for i in range(width)]
+    nx_rngs = [derive_rng(master, "loop_process_noise", m) for m in realizations]
 
-    engine = _LoopEngine(config, width, first_realization)
-    for block in range(warmup):
-        engine.run_period(r_period, nx_full[block * n:(block + 1) * n])
-    u0_blocks = []
-    y0_blocks = []
-    for block in range(warmup, warmup + p):
-        r_block = np.stack([r.period(block - warmup) for r in references], axis=1)
-        u0_b, y0_b = engine.run_period(r_block, nx_full[block * n:(block + 1) * n])
-        u0_blocks.append(u0_b)
-        y0_blocks.append(y0_b)
-    u0 = np.concatenate(u0_blocks, axis=0)
-    y0 = np.concatenate(y0_blocks, axis=0)
+    engine = _LoopEngine(config, realizations * 2)
+    steady = _SteadyState(width, warmup_minimum, first_realization)
+    r_block = np.tile(np.stack([r.period(0) for r in references], axis=1), 2)
+    nx_block = np.zeros_like(r_block)
+    u0, y0 = np.empty((2, width, p, n))
+    period = 0
+    while not steady.periods.all() or period < steady.periods.max() + p:
+        j = period - steady.periods  # the period each settled noisy loop records
+        recording = (steady.periods > 0) & (j < p)
+        for i, r in enumerate(references):
+            r_block[:, width + i] = r.period(j[i] if recording[i] else 0)
+            nx_block[:, width + i] = generate_noise(config.process_noise_variance, n,
+                                                    nx_rngs[i])
+        u0_block, y0_block = engine.run_period(r_block, nx_block)
+        rec = np.flatnonzero(recording)
+        u0[rec, j[rec]] = u0_block[:, width + rec].T
+        y0[rec, j[rec]] = y0_block[:, width + rec].T
+        steady.update(y0_block[:, :width])
+        period += 1
 
     records = []
-    for i, r in enumerate(references):
-        m = first_realization + i
+    for i, (m, r) in enumerate(zip(realizations, references)):
         nu = generate_noise(config.input_noise_variance, p * n,
                             derive_rng(master, "loop_input_noise", m))
         ny = generate_noise(config.output_noise_variance, p * n,
                             derive_rng(master, "loop_output_noise", m))
         records.append(ClosedLoopRecord(
-            input_measured=PeriodicSignal(u0[:, i] + nu, n, p, fs),
-            output_measured=PeriodicSignal(y0[:, i] + ny, n, p, fs),
-            input_noise_free=u0[:, i].copy(),
-            output_noise_free=y0[:, i].copy(),
+            input_measured=PeriodicSignal(u0[i].reshape(-1) + nu, n, p, fs),
+            output_measured=PeriodicSignal(y0[i].reshape(-1) + ny, n, p, fs),
+            input_noise_free=u0[i].reshape(-1),
+            output_noise_free=y0[i].reshape(-1),
             reference=r,
-            warmup_periods=warmup,
-            steady_state_residual=resid,
+            warmup_periods=int(steady.periods[i]),
+            steady_state_residual=float(steady.residuals[i]),
         ))
     return records
 

@@ -62,6 +62,15 @@ LOOP_SYSTEM = SystemDescription(
     feedback=RationalLTI(b=[0.0, 0.4], a=[1.0, -0.1]),
 )
 
+# A linear loop whose realizations at N=64 and master seed 32 settle after
+# different warm-ups (5, 4, 5, 5 periods).
+STAGGERED_SYSTEM = SystemDescription(
+    dynamics=RationalLTI(b=[0.1], a=[1.0, -0.9]),
+    nonlinearity=PolynomialNonlinearity.identity(),
+    actuator=RationalLTI(b=[0.5]),
+    feedback=RationalLTI(b=[0.0, 0.5]),
+)
+
 
 def hash_tree(root: pathlib.Path) -> dict:
     return {
@@ -121,7 +130,7 @@ def experiment_configs(draw):
         output_noise_variance=draw(variance),
         input_noise_variance=draw(variance),
         master_seed=draw(st.integers(0, 2 ** 64 - 1)),
-        warmup_minimum=draw(st.integers(1, 100)),
+        warmup_minimum=draw(st.integers(1, 64)),
         decompose=loop == "open" and draw(st.booleans()),
         decompose_draws=draw(st.integers(MIN_ENSEMBLE_SIZE, 10 ** 6)),
         compare_analytic=draw(st.booleans()),
@@ -365,20 +374,24 @@ class TestInvalidInputExits2:
             capsys, ["decompose", "--config", str(path), "--out", str(tmp_path / "out")])
         assert "ensemble_size" in message
 
-    @pytest.mark.parametrize("old, new", [
-        ("compare_analytic = true", "compare_analytic = ture"),
-        ("ensemble_size = 150", "ensemble_size = 150.7"),
-        ("realizations = 3\n", ""),
-        ("periods = 2\n", ""),
-        ("samples_per_period = 128\n", ""),
+    @pytest.mark.parametrize("old, new, expected", [
+        ("compare_analytic = true", "compare_analytic = ture", "invalid config file"),
+        ("ensemble_size = 150", "ensemble_size = 150.7", "invalid config file"),
+        ("realizations = 3\n", "", "invalid config file"),
+        ("periods = 2\n", "", "invalid config file"),
+        ("samples_per_period = 128\n", "", "invalid config file"),
+        ("warmup_periods = 4", "warmup_periods = 65", "warmup_periods"),
+        ("warmup_periods = 4", "warmup_periods = 0", "warmup_periods"),
+        ("warmup_periods = 4", "warmup_periods = -3", "warmup_periods"),
     ], ids=["bad-boolean", "fractional-int", "no-realizations", "no-periods",
-            "no-samples-per-period"])
-    def test_malformed_config_value(self, tmp_path, capsys, old, new):
+            "no-samples-per-period", "warmup-above-64", "warmup-zero", "warmup-negative"])
+    def test_malformed_config_value(self, tmp_path, capsys, old, new, expected):
         path, _ = write_config(tmp_path, decompose=True, decompose_draws=150)
         self.edit_config(path, old, new)
         message = self.assert_config_error(
             capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert "invalid config file" in message
+        assert expected in message
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("estimate_with, field", [
         (dict(samples_per_period=128), "samples_per_period, excited_bins"),
@@ -548,14 +561,20 @@ class TestDeterminism:
         assert hash_tree(tmp_path / "w1") == hash_tree(tmp_path / "w5")
 
     def test_workers_bit_identical_closed_loop(self, tmp_path):
-        path, _ = write_config(tmp_path, system=LOOP_SYSTEM, loop="closed",
-                               realizations=4, process_noise_variance=0.01)
-        # Five workers exceed the four realizations.
-        for workers in ("1", "2", "5"):
-            assert main(["simulate", "--config", str(path), "--out",
-                         str(tmp_path / f"w{workers}"), "--workers", workers]) == EXIT_OK
-        assert hash_tree(tmp_path / "w1") == hash_tree(tmp_path / "w2")
-        assert hash_tree(tmp_path / "w1") == hash_tree(tmp_path / "w5")
+        for name, system, settings, workers in (
+                # Five workers exceed the four realizations.
+                ("loop", LOOP_SYSTEM, {}, ("1", "2", "5")),
+                ("staggered", STAGGERED_SYSTEM, dict(samples_per_period=64, master_seed=32),
+                 ("1", "2", "4"))):
+            (tmp_path / name).mkdir()
+            path, _ = write_config(tmp_path / name, system=system, loop="closed",
+                                   realizations=4, process_noise_variance=0.01, **settings)
+            for count in workers:
+                assert main(["simulate", "--config", str(path), "--out",
+                             str(tmp_path / name / f"w{count}"), "--workers", count]) == EXIT_OK
+            for count in workers[1:]:
+                assert hash_tree(tmp_path / name / "w1") == \
+                    hash_tree(tmp_path / name / f"w{count}"), (name, count)
 
 
 class TestCompare:
@@ -622,6 +641,18 @@ class TestDemo:
         skip = ("config.ini", "system.ini", "summary.json")
         assert {k: v for k, v in hash_tree(out).items() if k not in skip} == \
             {k: v for k, v in hash_tree(rerun).items() if k not in skip}
+
+    @pytest.mark.parametrize("flag", ["--realizations", "--periods", "--samples-per-period"])
+    def test_size_flag_with_config_exits_2(self, tmp_path, capsys, flag):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["demo-hammerstein", "--config", str(path), flag, "7",
+                     "--out", str(out)]) == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "configuration"
+        assert error["message"] == f"{flag} cannot be combined with --config"
+        assert not out.exists()
 
     def test_run_directory_config_re_estimates(self, tmp_path):
         # A demo run from a closed-loop config writes that config's system

@@ -390,6 +390,23 @@ class TestClosedLoop:
         assert (f"closed loop, realization 5, simulated period {period}: "
                 f"peak |y| = {err.peak:.6g}") in str(err)
 
+    def test_warmup_errors(self):
+        # Closed-loop pole near 0.999: each 64-sample period still differs by
+        # a few percent after 64 periods, while a zero reference settles.
+        config = ClosedLoopConfig(
+            plant=HammersteinPlant(RationalLTI(b=[0.001], a=[1.0, -0.999]),
+                                   PolynomialNonlinearity.identity()),
+            actuator=RationalLTI.identity(),
+            feedback=RationalLTI(b=[0.0, 0.001]),
+        )
+        zero = PeriodicSignal(np.zeros(128), 64, 2, 1.0)
+        with pytest.raises(InstabilityError, match=r"within 64 warm-up periods in "
+                                                   r"realization 8 \(relative residual 0\.0"):
+            simulate_closed_loop_batch(config, [zero, flat_multisine(n=64).tile(2)],
+                                       first_realization=7)
+        with pytest.raises(ConfigurationError, match="warmup_minimum must be >= 1"):
+            simulate_closed_loop_batch(config, [zero], warmup_minimum=0)
+
     def test_batch_matches_single_runs(self):
         plant_lti, actuator, feedback = linear_loop_blocks()
         # Twelve nonzero Volterra terms: a sum over eight or more terms is
@@ -406,18 +423,31 @@ class TestClosedLoop:
         ))
         assert sum(np.count_nonzero(k.coefficients) for k in volterra.kernels) >= 8
         refs = [flat_multisine(n=64, seed=s).tile(2) for s in (0, 1, 2)]
-        for plant in (HammersteinPlant(plant_lti, CUBIC), volterra):
-            config = ClosedLoopConfig(
-                plant=plant,
-                actuator=actuator,
-                feedback=feedback,
-                process_noise_variance=0.01,
-                output_noise_variance=0.001,
-                input_noise_variance=0.002,
-            )
-            batch = simulate_closed_loop_batch(config, refs, seed=42)
+        cases = [(ClosedLoopConfig(plant=plant, actuator=actuator, feedback=feedback,
+                                   process_noise_variance=0.01, output_noise_variance=0.001,
+                                   input_noise_variance=0.002), refs, 42, None)
+                 for plant in (HammersteinPlant(plant_lti, CUBIC), volterra)]
+        # On the references of master seed 32, the realizations of this loop
+        # settle after different warm-ups, so a warm-up shared by the batch
+        # would give realization 1 other bytes than its single run.
+        staggered = ClosedLoopConfig(
+            plant=HammersteinPlant(RationalLTI(b=[0.1], a=[1.0, -0.9]),
+                                   PolynomialNonlinearity.identity()),
+            actuator=RationalLTI(b=[0.5]),
+            feedback=RationalLTI(b=[0.0, 0.5]),
+            process_noise_variance=0.01,
+        )
+        cases.append((staggered, [flat_multisine(n=64, seed=derive_rng(32, "reference", m)).tile(2)
+                                  for m in range(4)], 32, [5, 4, 5, 5]))
+        for config, refs, seed, warmups in cases:
+            batch = simulate_closed_loop_batch(config, refs, seed=seed)
+            if warmups is not None:
+                assert [rec.warmup_periods for rec in batch] == warmups
             for i, r in enumerate(refs):
-                single = simulate_closed_loop(config, r, seed=42, realization=i)
+                single = simulate_closed_loop(config, r, seed=seed, realization=i)
+                assert single.warmup_periods == batch[i].warmup_periods
+                np.testing.assert_array_equal(single.output_noise_free,
+                                              batch[i].output_noise_free)
                 np.testing.assert_array_equal(single.output_measured.samples,
                                               batch[i].output_measured.samples)
                 np.testing.assert_array_equal(single.input_measured.samples,
