@@ -17,6 +17,7 @@ from .signals import (
     generate_multisine,
     generate_noise,
     inverse_dft,
+    period_spectra,
 )
 from .volterra import (
     DualVolterraKernel,

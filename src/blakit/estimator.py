@@ -26,6 +26,7 @@ from .signals import (
     derive_rng,
     dft,
     inverse_dft,
+    period_spectra,
     read_spectrum_csv,
     write_spectrum_csv,
 )
@@ -150,10 +151,6 @@ def robust_bla(record: ExperimentRecord) -> BlaEstimate:
         var_noise = sum_{m,p} |g_m - g_mp|^2 / (M^2 P (P-1))
         var_total = sum_m |g_bla - g_m|^2 / (M (M-1))
     """
-    m_count = record.realization_count
-    p_count = record.period_count
-    if m_count < 2 or p_count < 2:
-        raise ValueError("robust estimation needs M >= 2 realizations and P >= 2 periods")
     bins = record.excited_bins
     u = record.input_spectra[:, bins]
     y = record.output_spectra[:, :, bins]
@@ -162,11 +159,7 @@ def robust_bla(record: ExperimentRecord) -> BlaEstimate:
         g_mp = y / u[:, None, :]
     g_mp[:, :, ~defined] = 0.0  # masked as NaN after averaging
     g_m = g_mp.mean(axis=1)
-    g = g_m.mean(axis=0)
-    var_noise = np.abs(g_m[:, None, :] - g_mp) ** 2
-    var_noise = var_noise.sum(axis=(0, 1)) / (m_count ** 2 * p_count * (p_count - 1))
-    var_total = (np.abs(g[None, :] - g_m) ** 2).sum(axis=0) / (m_count * (m_count - 1))
-    return _masked_estimate(record, g, var_noise, var_total, defined)
+    return _masked_estimate(record, g_m.mean(axis=0), g_m, g_mp, defined)
 
 
 def robust_bla_closed_loop(record: ExperimentRecord) -> BlaEstimate:
@@ -188,10 +181,6 @@ def robust_bla_closed_loop(record: ExperimentRecord) -> BlaEstimate:
     """
     if record.reference_spectra is None or record.input_spectra_per_period is None:
         raise ValueError("closed-loop estimation needs reference and per-period input spectra")
-    m_count = record.realization_count
-    p_count = record.period_count
-    if m_count < 2 or p_count < 2:
-        raise ValueError("robust estimation needs M >= 2 realizations and P >= 2 periods")
     bins = record.excited_bins
     r = record.reference_spectra[:, bins]
     num_mp = record.output_spectra[:, :, bins] * np.conj(r)[:, None, :]
@@ -206,13 +195,18 @@ def robust_bla_closed_loop(record: ExperimentRecord) -> BlaEstimate:
         g_mp = (num_mp - g[None, None, :] * (den_mp - den_bar[None, None, :])) / den_bar
     g_m[:, ~defined] = 0.0
     g_mp[:, :, ~defined] = 0.0
+    return _masked_estimate(record, g, g_m, g_mp, defined)
+
+
+def _masked_estimate(record, g, g_m, g_mp, defined) -> BlaEstimate:
+    """Robust variances of ``g`` from ``g_m`` and ``g_mp``; NaN outside ``defined``."""
+    m_count = record.realization_count
+    p_count = record.period_count
+    if m_count < 2 or p_count < 2:
+        raise ValueError("robust estimation needs M >= 2 realizations and P >= 2 periods")
     var_noise = np.abs(g_m[:, None, :] - g_mp) ** 2
     var_noise = var_noise.sum(axis=(0, 1)) / (m_count ** 2 * p_count * (p_count - 1))
     var_total = (np.abs(g[None, :] - g_m) ** 2).sum(axis=0) / (m_count * (m_count - 1))
-    return _masked_estimate(record, g, var_noise, var_total, defined)
-
-
-def _masked_estimate(record, g, var_noise, var_total, defined) -> BlaEstimate:
     g = np.where(defined, g, complex(np.nan, np.nan))
     var_noise = np.where(defined, var_noise, np.nan)
     var_total = np.where(defined, var_total, np.nan)
@@ -269,39 +263,26 @@ class Decomposition:
     ensemble_size: int
 
 
-def _unitary_dft_block(x: np.ndarray, n: int) -> np.ndarray:
-    spectra = np.fft.rfft(x.reshape(-1, n), axis=-1)
-    spectra /= np.sqrt(n)
-    return spectra
+def _spectral_variance(blocks, rows: int, samples_per_period: int) -> np.ndarray:
+    """Per-bin sample variance of the unitary spectra of every period in ``blocks``.
 
-
-def _centered_power(spectra: np.ndarray) -> np.ndarray:
-    """Per-bin sum of ``|X - mean(X)|^2`` over the rows, centering in place."""
+    Each time-domain block (one or more whole periods) is transformed
+    straight into a preallocated ``(rows, N//2+1)`` stack, so the blocks are
+    never stacked in time; ``rows`` is their total period count.  The
+    variance is the two-pass centered one, ``sum |X - mean X|^2 / (rows - 1)``.
+    """
+    spectra = np.empty((rows, samples_per_period // 2 + 1), dtype=complex)
+    row = 0
+    for block in blocks:
+        block = period_spectra(block, samples_per_period)
+        spectra[row:row + len(block)] = block
+        row += len(block)
+    if row != rows:  # a short ensemble would leave rows uninitialized
+        raise ValueError(f"expected {rows} periods of spectra, got {row}")
     spectra -= spectra.mean(axis=0)
     power = np.abs(spectra)
     power **= 2
-    return power.sum(axis=0)
-
-
-def _process_ensemble(simulator, u: PeriodicSignal, ensemble_size: int, master: int):
-    """Noise-averaged output and process-noise variance spectrum of the re-runs.
-
-    The draws stream from ``simulator.process_noise_ensemble``: each one is
-    added onto a running sum (row by row from zero, exactly as
-    ``mean(axis=0)`` adds) and its periods are transformed straight into
-    preallocated spectra, so the time-domain ensemble is never stacked.
-    """
-    n = u.samples_per_period
-    p = u.period_count
-    y_sum = np.zeros(p * n)
-    spectra = np.empty((ensemble_size * p, n // 2 + 1), dtype=complex)
-    draws = simulator.process_noise_ensemble(
-        u, (derive_rng(master, "decompose", "ensemble", i) for i in range(ensemble_size)))
-    for i, y in enumerate(draws):
-        y_sum += y
-        np.fft.rfft(y.reshape(p, n), axis=-1, out=spectra[i * p:(i + 1) * p])
-    spectra /= np.sqrt(n)
-    return y_sum / ensemble_size, _centered_power(spectra) / (ensemble_size * p - 1)
+    return power.sum(axis=0) / max(rows - 1, 1)
 
 
 def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
@@ -339,7 +320,19 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
     y_total = measured.output.samples
     y_bar = y_total - measured.output_noise
 
-    y_bar_bar, var_process = _process_ensemble(simulator, u, ensemble_size, master)
+    # Each streamed re-run is added onto a running sum on its way into the
+    # variance: from zero, in draw order, exactly as mean(axis=0) adds.
+    y_sum = np.zeros(p * n)
+
+    def summed(draws):
+        for y in draws:
+            np.add(y_sum, y, out=y_sum)
+            yield y
+
+    var_process = _spectral_variance(summed(simulator.process_noise_ensemble(
+        u, (derive_rng(master, "decompose", "ensemble", i) for i in range(ensemble_size)))),
+        ensemble_size * p, n)
+    y_bar_bar = y_sum / ensemble_size
 
     u_spec = dft(u)
     bla_period = inverse_dft(Spectrum(
@@ -353,14 +346,11 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
     y_process = y_bar - y_bar_bar
     y_output_noise = measured.output_noise
 
-    noise_draws = np.stack([
-        simulator.draw_output_noise(n, derive_rng(master, "decompose", "noise_var", j))
-        for j in range(ensemble_size)
-    ])
-    var_noise = (_centered_power(_unitary_dft_block(noise_draws, n))
-                 / max(ensemble_size - 1, 1))
+    var_noise = _spectral_variance(
+        (simulator.draw_output_noise(n, derive_rng(master, "decompose", "noise_var", j))
+         for j in range(ensemble_size)), ensemble_size, n)
 
-    var_nonlinear = (np.abs(_unitary_dft_block(y_nonlinear, n)) ** 2).mean(axis=0)
+    var_nonlinear = (np.abs(period_spectra(y_nonlinear, n)) ** 2).mean(axis=0)
 
     return Decomposition(
         y_bla=y_bla,

@@ -45,11 +45,11 @@ from .signals import (
     derive_rng,
     dft,
     generate_multisine,
+    period_spectra,
     write_signal_csv,
     write_spectrum_csv,
 )
 from .systems import (
-    _MAX_WARMUP,
     ClosedLoopConfig,
     ConfigurationError,
     HammersteinPlant,
@@ -57,6 +57,8 @@ from .systems import (
     PolynomialNonlinearity,
     RationalLTI,
     SystemDescription,
+    _check_variance,
+    _check_warmup_minimum,
     read_system_file,
     simulate_closed_loop_batch,
 )
@@ -119,10 +121,20 @@ class ExperimentConfig:
             )
         if self.master_seed < 0:
             raise ConfigurationError(f"master seed must be >= 0, got {self.master_seed}")
-        if not 1 <= self.warmup_minimum <= _MAX_WARMUP:
-            raise ConfigurationError(
-                f"warmup_periods must be between 1 and {_MAX_WARMUP}, got {self.warmup_minimum}"
-            )
+        _check_warmup_minimum(_KEYS["warmup_minimum"], self.warmup_minimum)
+        for field in ("sampling_frequency", "input_rms", "band_sigma"):
+            value = getattr(self, field)
+            if not (np.isfinite(value) and value > 0):  # NaN fails both
+                raise ConfigurationError(f"{_KEYS[field]} must be finite and > 0, got {value}")
+        for field in ("process_noise_variance", "output_noise_variance",
+                      "input_noise_variance"):
+            _check_variance(_KEYS[field], getattr(self, field))
+        if not 0 <= self.min_fraction_in_band <= 1:
+            raise ConfigurationError(f"min_fraction_in_band must be between 0 and 1, "
+                                     f"got {self.min_fraction_in_band}")
+        if self.loop == "open" and self.input_noise_variance != 0:
+            raise ConfigurationError("input_variance must be 0 in open loop, where the "
+                                     "plant input is the noise-free excitation")
         if self.decompose and self.decompose_draws < MIN_ENSEMBLE_SIZE:
             raise ConfigurationError(
                 f"decomposition ensemble_size must be >= {MIN_ENSEMBLE_SIZE}, "
@@ -205,6 +217,7 @@ _CONFIG_KEYS = (
     ("oracle", "band_sigma", "band_sigma", float),
     ("oracle", "min_fraction_in_band", "min_fraction_in_band", float),
 )
+_KEYS = {field: key for _, key, field, _ in _CONFIG_KEYS}
 _FALLBACKS = {"loop": "open", "sampling_frequency": 1.0, "excited_bins": "all", "input_rms": 1.0,
               **{f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}}
 _GETTERS = {int: "getint", float: "getfloat", bool: "getboolean"}  # others: "get"
@@ -268,11 +281,6 @@ def _simulator(config: ExperimentConfig) -> HammersteinSimulator:
     )
 
 
-def _period_spectra(sig: PeriodicSignal) -> np.ndarray:
-    """``(P, N)`` stack of the DFTs of each period of ``sig``."""
-    return np.stack([dft(sig, period=p).bins for p in range(sig.period_count)])
-
-
 def _open_loop_task(config: ExperimentConfig, start: int, count: int):
     sim = _simulator(config)
     out = []
@@ -283,7 +291,8 @@ def _open_loop_task(config: ExperimentConfig, start: int, count: int):
             process_noise_rng=derive_rng(config.master_seed, "process_noise", m),
             output_noise_rng=derive_rng(config.master_seed, "output_noise", m),
         )
-        out.append((dft(u).bins, _period_spectra(rec.output), rec.warmup_periods))
+        out.append((dft(u).bins, period_spectra(rec.output.samples, u.samples_per_period),
+                    rec.warmup_periods))
     return out
 
 
@@ -300,8 +309,9 @@ def _closed_loop_task(config: ExperimentConfig, start: int, count: int):
     records = simulate_closed_loop_batch(loop, refs, config.master_seed,
                                          first_realization=start,
                                          warmup_minimum=config.warmup_minimum)
-    return [(dft(rec.reference).bins, _period_spectra(rec.input_measured),
-             _period_spectra(rec.output_measured), rec.warmup_periods)
+    n = config.samples_per_period
+    return [(dft(rec.reference).bins, period_spectra(rec.input_measured.samples, n),
+             period_spectra(rec.output_measured.samples, n), rec.warmup_periods)
             for rec in records]
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "derive_rng",
     "generate_multisine",
     "dft",
+    "period_spectra",
     "inverse_dft",
     "generate_noise",
     "cross_power_spectrum",
@@ -222,11 +223,23 @@ def generate_multisine(spec: MultisineSpec, seed=None, phases=None) -> PeriodicS
     )
 
 
+def period_spectra(samples, samples_per_period: int) -> np.ndarray:
+    """Unitary forward DFTs of consecutive periods, shape ``(P, N//2+1)``.
+
+    ``samples`` holds ``P`` whole periods of ``N = samples_per_period``
+    samples; row ``p`` is the half spectrum of period ``p``.
+    """
+    n = samples_per_period
+    spectra = np.fft.rfft(np.reshape(samples, (-1, n)), axis=-1)
+    spectra /= np.sqrt(n)
+    return spectra
+
+
 def dft(sig: PeriodicSignal, period: int = 0) -> Spectrum:
     """Unitary forward DFT of one designated period of a real signal."""
     n = sig.samples_per_period
     return Spectrum(
-        bins=np.fft.rfft(sig.period(period)) / np.sqrt(n),
+        bins=period_spectra(sig.period(period), n)[0],
         samples_per_period=n,
         sampling_frequency=sig.sampling_frequency,
     )

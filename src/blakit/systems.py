@@ -55,6 +55,16 @@ class ConfigurationError(ValueError):
     """A system or experiment description is invalid."""
 
 
+def _check_variance(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value >= 0):  # NaN fails both
+        raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_warmup_minimum(name: str, value: int) -> None:
+    if not 1 <= value <= _MAX_WARMUP:
+        raise ConfigurationError(f"{name} must be >= 1 and <= {_MAX_WARMUP}, got {value}")
+
+
 class InstabilityError(RuntimeError):
     """A simulation diverged or failed to reach a periodic steady state.
 
@@ -343,10 +353,9 @@ class HammersteinSimulator:
                  process_noise_coloring: RationalLTI | None = None,
                  output_noise_coloring: RationalLTI | None = None,
                  warmup_minimum: int = _MIN_WARMUP):
-        if process_noise_variance < 0 or output_noise_variance < 0:
-            raise ConfigurationError("noise variances must be >= 0")
-        if warmup_minimum < 1:
-            raise ConfigurationError("warmup_minimum must be >= 1")
+        _check_variance("process_noise_variance", process_noise_variance)
+        _check_variance("output_noise_variance", output_noise_variance)
+        _check_warmup_minimum("warmup_minimum", warmup_minimum)
         self.dynamics = dynamics
         self.nonlinearity = nonlinearity
         self.process_noise_variance = float(process_noise_variance)
@@ -381,47 +390,26 @@ class HammersteinSimulator:
             output_noise_rng=None) -> SimulationRecord:
         """Simulate ``u.period_count`` steady-state periods.
 
-        With noise on, the recursion runs over the warm-up and recorded
-        stretch in one go, so the recorded noise paths carry realistic filter
-        state.  A fully noise-free run instead returns the exact periodic
+        The process-noise-free part of the output is the exact periodic
         steady state (the fixed point the recursion converges to), computed
-        in the frequency domain; that branch is deterministic and
-        seed-independent.  Returns the measured output together with the
-        exact noise sequences that entered it.
+        in the frequency domain.  With process noise on, the recursion runs
+        over the warm-up and recorded stretch in one go, so the recorded
+        noise paths carry realistic filter state.  The output noise is drawn
+        over the same stretch and its recorded part added.  Returns the
+        measured output together with the exact noise sequences that
+        entered it.
         """
-        n = u.samples_per_period
-        p = u.period_count
-        draw_nx = self.process_noise_variance > 0
-        draw_ny = self.output_noise_variance > 0
-        if draw_nx and process_noise_rng is None:
+        if self.process_noise_variance > 0 and process_noise_rng is None:
             raise ValueError("process_noise_rng is required when process noise is on")
-        if draw_ny and output_noise_rng is None:
+        if self.output_noise_variance > 0 and output_noise_rng is None:
             raise ValueError("output_noise_rng is required when output noise is on")
-
-        if not draw_nx and not draw_ny:
-            warmup, resid = self.required_warmup(u)
-            return SimulationRecord(
-                output=PeriodicSignal(np.tile(self._periodic_output(u), p), n, p,
-                                      u.sampling_frequency),
-                process_noise=np.zeros(p * n),
-                output_noise=np.zeros(p * n),
-                warmup_periods=warmup,
-                steady_state_residual=resid,
-            )
-
-        warmup, resid, simulate = self._warmed_up(u)
-        total = (warmup + p) * n
-        nx = self.draw_process_noise(total, process_noise_rng) if draw_nx else np.zeros(total)
-        ny = self.draw_output_noise(total, output_noise_rng) if draw_ny else np.zeros(total)
-        y = simulate(nx) + ny
-        rec = slice(warmup * n, total)
+        warmup, resid, y0, nx = next(self._steady_runs(u, [(None, process_noise_rng)]))
+        n = u.samples_per_period
+        ny = self.draw_output_noise((warmup + u.period_count) * n, output_noise_rng)[warmup * n:]
         return SimulationRecord(
-            output=PeriodicSignal(
-                samples=y[rec], samples_per_period=n, period_count=p,
-                sampling_frequency=u.sampling_frequency,
-            ),
-            process_noise=nx[rec],
-            output_noise=ny[rec],
+            output=PeriodicSignal(y0 + ny, n, u.period_count, u.sampling_frequency),
+            process_noise=nx,
+            output_noise=ny,
             warmup_periods=warmup,
             steady_state_residual=resid,
         )
@@ -436,36 +424,35 @@ class HammersteinSimulator:
         draws.  Without process noise every draw is the exact
         periodic output, yielded as the same read-only array.
         """
-        n = u.samples_per_period
-        if self.process_noise_variance == 0:
-            self.required_warmup(u)  # fails as run does if no steady state is reached
-            output = np.tile(self._periodic_output(u), u.period_count)
-            output.flags.writeable = False
-            for _ in process_noise_rngs:
-                yield output
-            return
-        warmup, _, simulate = self._warmed_up(u)
-        total = (warmup + u.period_count) * n
-        for draw, rng in enumerate(process_noise_rngs):
-            yield simulate(self.draw_process_noise(total, rng), draw)[warmup * n:]
+        for _, _, y0, _ in self._steady_runs(u, enumerate(process_noise_rngs)):
+            yield y0
 
-    def _warmed_up(self, u: PeriodicSignal):
-        """Probe the warm-up of ``u`` once; return it with a noisy-run kernel.
+    def _steady_runs(self, u: PeriodicSignal, draws: Iterable):
+        """Yield ``(warmup, residual, y0, nx)`` over the recorded periods of ``u``.
 
-        ``simulate(nx, draw=None)`` runs ``S(q)[f(u + nx)]`` from zero state
-        over the warm-up and recorded periods and raises InstabilityError,
-        naming ``draw``, if the response diverges.
+        The warm-up is probed once.  ``draws`` holds ``(draw, rng)`` pairs;
+        each rng draws the process noise ``nx`` of one run, which simulates
+        ``y0 = S(q)[f(u + nx)]`` from zero state over the warm-up and
+        recorded periods and raises InstabilityError, naming ``draw``, if it
+        diverges.  Without process noise every ``y0`` is the exact periodic
+        steady state, the same read-only array each time.
         """
         warmup, resid = self.required_warmup(u)
         n = u.samples_per_period
+        p = u.period_count
+        if self.process_noise_variance == 0:
+            y0 = np.tile(self._periodic_output(u), p)
+            y0.flags.writeable = False
+            nx = np.zeros(p * n)
+            for _ in draws:
+                yield warmup, resid, y0, nx
+            return
         u_full = np.concatenate([np.tile(u.period(0), warmup), u.samples])
-
-        def simulate(nx: np.ndarray, draw: int | None = None) -> np.ndarray:
+        for draw, rng in draws:
+            nx = self.draw_process_noise(u_full.size, rng)
             y0 = self.dynamics.filter(self.nonlinearity(u_full + nx))
             _check_divergence(y0, n, draw=draw)
-            return y0
-
-        return warmup, resid, simulate
+            yield warmup, resid, y0[warmup * n:], nx[warmup * n:]
 
     def _periodic_output(self, u: PeriodicSignal) -> np.ndarray:
         """One period of the exact noise-free periodic steady state."""
@@ -586,8 +573,7 @@ class ClosedLoopConfig:
             )
         for name in ("input_noise_variance", "process_noise_variance",
                      "output_noise_variance"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
+            _check_variance(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -653,8 +639,7 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
     references = list(references)
     if not references:
         return []
-    if warmup_minimum < 1:
-        raise ConfigurationError("warmup_minimum must be >= 1")
+    _check_warmup_minimum("warmup_minimum", warmup_minimum)
     n = references[0].samples_per_period
     p = references[0].period_count
     fs = references[0].sampling_frequency

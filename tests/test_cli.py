@@ -106,7 +106,10 @@ def lti_arrays(system: SystemDescription) -> list:
 
 @st.composite
 def experiment_configs(draw):
-    """Any valid ExperimentConfig: open loop on the cubic demo system, or a linear loop."""
+    """Any valid ExperimentConfig: open loop on the cubic demo system, or a linear loop.
+
+    Open loop has no input noise, so its input_noise_variance is 0.
+    """
     n = draw(st.integers(4, 4096))
     top = (n - 1) // 2  # the largest k with 2k < N
     if draw(st.booleans()):
@@ -128,7 +131,7 @@ def experiment_configs(draw):
         system=LOOP_SYSTEM if loop == "closed" else hammerstein_demo_system(),
         process_noise_variance=draw(variance),
         output_noise_variance=draw(variance),
-        input_noise_variance=draw(variance),
+        input_noise_variance=draw(variance) if loop == "closed" else 0.0,
         master_seed=draw(st.integers(0, 2 ** 64 - 1)),
         warmup_minimum=draw(st.integers(1, 64)),
         decompose=loop == "open" and draw(st.booleans()),
@@ -383,8 +386,27 @@ class TestInvalidInputExits2:
         ("warmup_periods = 4", "warmup_periods = 65", "warmup_periods"),
         ("warmup_periods = 4", "warmup_periods = 0", "warmup_periods"),
         ("warmup_periods = 4", "warmup_periods = -3", "warmup_periods"),
+        ("sampling_frequency_hz = 1\n", "sampling_frequency_hz = 0\n", "sampling_frequency_hz"),
+        ("sampling_frequency_hz = 1\n", "sampling_frequency_hz = -1\n",
+         "sampling_frequency_hz"),
+        ("sampling_frequency_hz = 1\n", "sampling_frequency_hz = nan\n",
+         "sampling_frequency_hz"),
+        ("rms = 1\n", "rms = -1\n", "rms must be finite and > 0"),
+        ("rms = 1\n", "rms = nan\n", "rms must be finite and > 0"),
+        ("output_variance = 0.00089999999999999998", "output_variance = inf",
+         "output_variance must be finite"),
+        ("process_variance = 0.010000000000000002", "process_variance = nan",
+         "process_variance must be finite"),
+        ("input_variance = 0", "input_variance = 0.5", "input_variance must be 0 in open loop"),
+        ("band_sigma = 3", "band_sigma = -3", "band_sigma"),
+        ("band_sigma = 3", "band_sigma = nan", "band_sigma"),
+        ("min_fraction_in_band = 0.94999999999999996", "min_fraction_in_band = 2",
+         "min_fraction_in_band"),
     ], ids=["bad-boolean", "fractional-int", "no-realizations", "no-periods",
-            "no-samples-per-period", "warmup-above-64", "warmup-zero", "warmup-negative"])
+            "no-samples-per-period", "warmup-above-64", "warmup-zero", "warmup-negative",
+            "fs-zero", "fs-negative", "fs-nan", "rms-negative", "rms-nan",
+            "output-variance-inf", "process-variance-nan", "input-variance-open-loop",
+            "band-sigma-negative", "band-sigma-nan", "min-fraction-above-1"])
     def test_malformed_config_value(self, tmp_path, capsys, old, new, expected):
         path, _ = write_config(tmp_path, decompose=True, decompose_draws=150)
         self.edit_config(path, old, new)

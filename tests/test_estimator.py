@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -478,6 +480,14 @@ class TestDecomposition:
             decompose_output(object(), u, 150, self.analytic_g(0.01))
         with pytest.raises(ValueError, match="ensemble_size"):
             decompose_output(self.make_sim(), u, 50, self.analytic_g(0.01))
+
+        class ShortEnsemble(HammersteinSimulator):
+            def process_noise_ensemble(self, u, rngs):
+                return itertools.islice(super().process_noise_ensemble(u, rngs), 149)
+
+        short = ShortEnsemble(DYNAMICS, CUBIC, 0.01, 0.0009)
+        with pytest.raises(ValueError, match="expected 300 periods of spectra, got 298"):
+            decompose_output(short, u, 150, self.analytic_g(0.01))
 
 
 class TestPredictVariances:

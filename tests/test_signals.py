@@ -17,6 +17,7 @@ from blakit.signals import (
     generate_multisine,
     generate_noise,
     inverse_dft,
+    period_spectra,
     read_signal_csv,
     read_spectrum_csv,
     write_signal_csv,
@@ -206,6 +207,16 @@ class TestDft:
         assert n % 2 or spectrum.bins[-1].imag == 0.0
         with pytest.raises(ValueError, match="bins"):
             Spectrum(bins=np.zeros(n, complex), samples_per_period=n, sampling_frequency=1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 300), periods=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_period_spectra_rows_are_dft_bit_for_bit(self, n, periods, seed):
+        x = np.random.default_rng(seed).standard_normal(n * periods)
+        sig = PeriodicSignal(x, n, periods, 1.0)
+        spectra = period_spectra(sig.samples, n)
+        assert spectra.shape == (periods, n // 2 + 1)
+        for p in range(periods):
+            assert np.array_equal(spectra[p], dft(sig, p).bins)
 
 
 class TestGenerateNoise:

@@ -175,6 +175,18 @@ class TestHammersteinSimulator:
         with pytest.raises(ValueError, match="rng"):
             sim.run(u)
 
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_invalid_noise_variance_rejected(self, value):
+        plant_lti, actuator, feedback = linear_loop_blocks()
+        for name in ("process_noise_variance", "output_noise_variance"):
+            with pytest.raises(ConfigurationError, match=f"{name} must be finite and >= 0"):
+                HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC, **{name: value})
+        for name in ("input_noise_variance", "process_noise_variance",
+                     "output_noise_variance"):
+            with pytest.raises(ConfigurationError, match=f"{name} must be finite and >= 0"):
+                ClosedLoopConfig(HammersteinPlant(plant_lti, CUBIC), actuator, feedback,
+                                 **{name: value})
+
     def test_mean_over_noise_seeds_matches_noise_averaged_system(self):
         # For the cubic, averaging over the process noise leaves
         # S[u + c u^3 + 3 c s2 u]; check the Monte-Carlo mean against it.
@@ -238,6 +250,10 @@ class TestProcessNoiseEnsemble:
         for i, y in enumerate(draws):
             rec = twin.run(u, process_noise_rng=derive_rng(4, "ens", i))
             assert np.array_equal(y, rec.output.samples)
+            # With output noise on, the draw is the noise-free part of the run.
+            rec = sim.run(u, derive_rng(4, "ens", i), derive_rng(4, "ny", i))
+            assert rec.output_noise.any()
+            assert np.array_equal(rec.output.samples, y + rec.output_noise)
         assert np.array_equal(draws[0], draws[1]) == (process_var == 0.0)
 
     def test_warmup_probed_once(self, monkeypatch):
@@ -406,6 +422,11 @@ class TestClosedLoop:
                                        first_realization=7)
         with pytest.raises(ConfigurationError, match="warmup_minimum must be >= 1"):
             simulate_closed_loop_batch(config, [zero], warmup_minimum=0)
+        # A minimum beyond the 64-period limit is an invalid argument, not an instability.
+        with pytest.raises(ConfigurationError, match="warmup_minimum must be .* <= 64, got 65"):
+            simulate_closed_loop_batch(config, [zero], warmup_minimum=65)
+        with pytest.raises(ConfigurationError, match="warmup_minimum must be .* <= 64, got 65"):
+            HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC, warmup_minimum=65)
 
     def test_batch_matches_single_runs(self):
         plant_lti, actuator, feedback = linear_loop_blocks()
