@@ -22,7 +22,6 @@ from .signals import (
 from .volterra import (
     DualVolterraKernel,
     NoiseMomentModel,
-    VolterraKernel,
     evaluate_dual_kernel,
     evaluate_kernel,
     expected_kernel,

@@ -140,9 +140,8 @@ def analytic_hammerstein_decomposition(nonlinearity: PolynomialNonlinearity,
             out.append(t)
         return tuple(out)
 
-    gain = 1.0 + 3.0 * cubic * s2_u + 3.0 * cubic * s2_x
     constituents = {
-        "y_bla": keep([Term(gain, u_power=1, filtered=True)]),
+        "y_bla": keep([Term(bussgang_gain(nonlinearity, model), u_power=1, filtered=True)]),
         "y_s": keep([
             Term(cubic, u_power=3, filtered=True),
             Term(-3.0 * cubic * s2_u, u_power=1, filtered=True),
@@ -168,6 +167,13 @@ def analytic_hammerstein_decomposition(nonlinearity: PolynomialNonlinearity,
                                  cubic_coefficient=cubic)
 
 
+def _add(out: dict, key, coeff: float) -> None:
+    """Add ``coeff`` to ``out[key]``; a sum of exactly zero drops the key."""
+    out[key] = out.get(key, 0.0) + coeff
+    if out[key] == 0.0:
+        del out[key]
+
+
 def expand_terms(terms, model: GaussianInputModel) -> dict:
     """Expand centered factors into plain monomials.
 
@@ -176,59 +182,43 @@ def expand_terms(terms, model: GaussianInputModel) -> dict:
     subtract.
     """
     out: dict = {}
-
-    def add(key, coeff):
-        out[key] = out.get(key, 0.0) + coeff
-        if out[key] == 0.0:
-            del out[key]
-
     for t in terms:
-        key = (t.u_power, t.nx_power, t.filtered, t.output_noise)
-        add(key, t.coefficient)
+        _add(out, (t.u_power, t.nx_power, t.filtered, t.output_noise), t.coefficient)
         if t.centered:
             mean = gaussian_power_moment(t.nx_power, model.process_noise_variance)
             if mean:
-                add((t.u_power, 0, t.filtered, t.output_noise), -t.coefficient * mean)
+                _add(out, (t.u_power, 0, t.filtered, t.output_noise), -t.coefficient * mean)
+    return out
+
+
+def _mean_over(terms, model: GaussianInputModel, averaged: int, variance: float) -> dict:
+    """Average the expanded terms over one Gaussian factor, exactly.
+
+    ``averaged`` is 0 for ``u`` and 1 for ``nx``, the factor of variance
+    ``variance``; the other factor stays symbolic.  Returns
+    ``{(kept_power, filtered): coefficient}``; output-noise terms average
+    to zero.
+    """
+    out: dict = {}
+    for (u_power, nx_power, filtered, is_ny), coeff in expand_terms(terms, model).items():
+        powers = (u_power, nx_power)
+        weight = gaussian_power_moment(powers[averaged], variance)
+        if weight and not is_ny:
+            _add(out, (powers[1 - averaged], filtered), coeff * weight)
     return out
 
 
 def mean_over_process_noise(terms, model: GaussianInputModel) -> dict:
-    """Expected terms after averaging over the process noise (exact).
+    """Expected terms after averaging over the process noise: ``{(u_power, filtered): c}``.
 
-    Keeps ``u`` symbolic: returns ``{(u_power, filtered): coefficient}``.
     Centered factors average to zero by construction.
     """
-    out: dict = {}
-    for key, coeff in expand_terms(terms, model).items():
-        u_power, nx_power, filtered, is_ny = key
-        if is_ny:
-            continue
-        weight = gaussian_power_moment(nx_power, model.process_noise_variance)
-        if weight:
-            k = (u_power, filtered)
-            out[k] = out.get(k, 0.0) + coeff * weight
-            if out[k] == 0.0:
-                del out[k]
-    return out
+    return _mean_over(terms, model, 1, model.process_noise_variance)
 
 
 def mean_over_input(terms, model: GaussianInputModel) -> dict:
-    """Expected terms after averaging over the excitation (exact).
-
-    Keeps ``nx`` symbolic: returns ``{(nx_power, filtered): coefficient}``.
-    """
-    out: dict = {}
-    for key, coeff in expand_terms(terms, model).items():
-        u_power, nx_power, filtered, is_ny = key
-        if is_ny:
-            continue
-        weight = gaussian_power_moment(u_power, model.input_variance)
-        if weight:
-            k = (nx_power, filtered)
-            out[k] = out.get(k, 0.0) + coeff * weight
-            if out[k] == 0.0:
-                del out[k]
-    return out
+    """Expected terms after averaging over the excitation: ``{(nx_power, filtered): c}``."""
+    return _mean_over(terms, model, 0, model.input_variance)
 
 
 def evaluate_terms(terms, u, nx, ny, dynamics: RationalLTI,

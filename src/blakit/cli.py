@@ -175,6 +175,10 @@ def main(argv=None) -> int:
         # Checked before any command writes to --out.
         if getattr(args, "workers", 1) < 1:
             raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
+        out = getattr(args, "out", pathlib.Path("."))  # compare writes nothing
+        for path in (out, *out.parents):
+            if path.exists() and not path.is_dir():
+                raise ConfigurationError(f"--out {out}: {path} exists and is not a directory")
         return _COMMANDS[args.command](args)
     except ConfigurationError as exc:
         print(json.dumps({"error": "configuration", "message": str(exc)}),

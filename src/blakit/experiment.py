@@ -39,7 +39,6 @@ from .estimator import (
 )
 from .signals import (
     MultisineSpec,
-    PeriodicSignal,
     _fmt,
     _write_table,
     derive_rng,
@@ -263,14 +262,15 @@ def write_experiment_config(path, config: ExperimentConfig, system_file: str) ->
 # Record building
 
 
-def _excitation(config: ExperimentConfig, m: int) -> PeriodicSignal:
-    """One period of realization ``m``'s multisine.
+def _excitations(config: ExperimentConfig, realizations: range):
+    """One period of each listed realization's multisine, from one spec.
 
     It is the plant input in open loop and the reference in closed loop.
     """
+    spec = multisine_spec(config)
     label = "reference" if config.loop == "closed" else "input"
-    return generate_multisine(multisine_spec(config),
-                              derive_rng(config.master_seed, label, m))
+    for m in realizations:
+        yield generate_multisine(spec, derive_rng(config.master_seed, label, m))
 
 
 def _simulator(config: ExperimentConfig) -> HammersteinSimulator:
@@ -284,8 +284,7 @@ def _simulator(config: ExperimentConfig) -> HammersteinSimulator:
 def _open_loop_task(config: ExperimentConfig, start: int, count: int):
     sim = _simulator(config)
     out = []
-    for m in range(start, start + count):
-        u = _excitation(config, m)
+    for m, u in enumerate(_excitations(config, range(start, start + count)), start):
         rec = sim.run(
             u.tile(config.periods),
             process_noise_rng=derive_rng(config.master_seed, "process_noise", m),
@@ -297,7 +296,7 @@ def _open_loop_task(config: ExperimentConfig, start: int, count: int):
 
 
 def _closed_loop_task(config: ExperimentConfig, start: int, count: int):
-    refs = [_excitation(config, m).tile(config.periods) for m in range(start, start + count)]
+    refs = [u.tile(config.periods) for u in _excitations(config, range(start, start + count))]
     loop = ClosedLoopConfig(
         plant=HammersteinPlant(config.system.dynamics, config.system.nonlinearity),
         actuator=config.system.actuator,
@@ -383,8 +382,7 @@ def write_generated_signals(config: ExperimentConfig, out_dir) -> list[pathlib.P
     signals_dir = out_dir / "signals"
     signals_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for m in range(config.realizations):
-        sig = _excitation(config, m)
+    for m, sig in enumerate(_excitations(config, range(config.realizations))):
         sig_path = signals_dir / f"u_m{m:03d}.csv"
         spec_path = signals_dir / f"u_m{m:03d}_spectrum.csv"
         write_signal_csv(sig_path, sig)
@@ -406,10 +404,8 @@ class ExperimentReport:
 
 
 def _analytic_reference(config: ExperimentConfig) -> np.ndarray:
-    if config.loop == "closed":
-        # Validated at construction: closed-loop analytic reference is the
-        # linear plant response itself.
-        return config.system.dynamics.bin_response(config.samples_per_period)
+    # In closed loop f is the identity (checked at construction), whose gain
+    # is exactly 1.0, so this is the linear plant's response bit for bit.
     return analytic_hammerstein_bla(
         config.system.dynamics, config.system.nonlinearity,
         config.gaussian_model, config.samples_per_period,
@@ -485,7 +481,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
 
 
 def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
-    u = _excitation(config, 0)
+    u = next(_excitations(config, range(1)))
     decomposition = decompose_output(
         _simulator(config), u.tile(config.periods), config.decompose_draws,
         _analytic_reference(config), seed=config.master_seed,
@@ -590,7 +586,11 @@ def compare_reports(dir_a, dir_b, g_rel_tol: float | None = None,
 
     Returns the diff summary and whether the supplied tolerances hold
     (absent tolerances are not checked).  Grids must match bin for bin.
+    A tolerance must be finite and nonnegative, or no result could pass it.
     """
+    for name, tol in (("g_rel_tol", g_rel_tol), ("var_ratio_tol", var_ratio_tol)):
+        if tol is not None and not (np.isfinite(tol) and tol >= 0):  # NaN fails both
+            raise ConfigurationError(f"{name} must be finite and >= 0, got {tol}")
     try:
         a, b = (read_bla_csv(pathlib.Path(d) / "bla.csv") for d in (dir_a, dir_b))
     except (OSError, ValueError) as exc:

@@ -1,11 +1,13 @@
-"""Finite-support Volterra kernels, single and dual input.
+"""Finite-support dual-input Volterra kernels.
 
-A dual-input kernel takes the excitation and a process-noise sequence as
-separate inputs.  Averaging its output over Gaussian process noise is the
-same as evaluating an effective single-input kernel whose coefficients are
-the noise tap indices contracted against Gaussian joint moments; that
-contraction is :func:`expected_kernel` and the moments come from
-:func:`gaussian_moment` (Isserlis pairing enumeration).
+A kernel takes the excitation and a process-noise sequence as separate
+inputs; a single-input kernel is one without noise taps.  Averaging a
+kernel's output over Gaussian process noise is the same as evaluating the
+kernel without noise taps whose coefficients are the noise tap indices
+contracted against Gaussian joint moments; that contraction is
+:func:`expected_kernel` and the moments come from :func:`gaussian_moment`
+(Isserlis pairing enumeration).  The noise-averaged kernel is a kernel like
+any other.
 
 Kernels are stored dense over the full tap hypercube.  Enumerating it costs
 ``(taps+1)**degree``, so construction is bounded to total degree
@@ -25,7 +27,6 @@ import numpy as np
 __all__ = [
     "MAX_TOTAL_DEGREE",
     "MAX_TAP_LAG",
-    "VolterraKernel",
     "DualVolterraKernel",
     "NoiseMomentModel",
     "evaluate_kernel",
@@ -40,69 +41,19 @@ MAX_TOTAL_DEGREE = 6
 MAX_TAP_LAG = 8
 
 
-def _check_coefficients(coefficients: np.ndarray, degree: int, name: str) -> np.ndarray:
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.ndim != degree:
-        raise ValueError(
-            f"{name}: coefficient array has {coefficients.ndim} axes, degree is {degree}"
-        )
-    if degree and len(set(coefficients.shape)) != 1:
-        raise ValueError(f"{name}: tap hypercube must be square, got {coefficients.shape}")
-    if degree and coefficients.shape[0] - 1 > MAX_TAP_LAG:
-        raise ValueError(f"{name}: tap lag {coefficients.shape[0] - 1} exceeds {MAX_TAP_LAG}")
-    if not np.isfinite(coefficients).all():
-        raise ValueError(f"{name}: coefficients must be finite")
-    return coefficients
-
-
-def _set_term_table(kernel, coefficients: np.ndarray) -> None:
-    """Compile the nonzero coefficients into the kernel's term table.
-
-    ``term_coefficients[i]`` is the i-th nonzero coefficient in C
-    (``np.ndindex``) order and ``term_lags[i]`` its tap lags, one column per
-    axis of the coefficient array: excitation lags first, then noise lags.
-    """
-    nonzero = coefficients != 0.0
-    object.__setattr__(kernel, "term_coefficients", coefficients[nonzero])
-    object.__setattr__(kernel, "term_lags", np.argwhere(nonzero))
-
-
-@dataclass(frozen=True)
-class VolterraKernel:
-    """Dense kernel of a single-input homogeneous term.
-
-    ``coefficients`` has one axis per degree, each of length ``max_lag + 1``.
-    Degree 0 (a scalar constant) arises from contracting pure-noise kernels
-    and is allowed here even though it never appears in user-built systems.
-    """
-
-    coefficients: np.ndarray
-    term_coefficients: np.ndarray = field(init=False, repr=False, compare=False)
-    term_lags: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        coeff = _check_coefficients(self.coefficients, np.ndim(self.coefficients), "kernel")
-        if coeff.ndim > MAX_TOTAL_DEGREE:
-            raise ValueError(f"degree {coeff.ndim} exceeds {MAX_TOTAL_DEGREE}")
-        object.__setattr__(self, "coefficients", coeff)
-        _set_term_table(self, coeff)
-
-    @property
-    def degree(self) -> int:
-        return self.coefficients.ndim
-
-    @property
-    def max_lag(self) -> int:
-        return self.coefficients.shape[0] - 1 if self.degree else 0
-
-
 @dataclass(frozen=True)
 class DualVolterraKernel:
     """Dense kernel with ``input_degree`` excitation taps and ``noise_degree`` noise taps.
 
     The coefficient array carries the excitation axes first (each of length
     ``input_max_lag + 1``) and the noise axes last (length
-    ``noise_max_lag + 1``).
+    ``noise_max_lag + 1``).  ``noise_degree == 0`` is a single-input kernel;
+    total degree 0 (a scalar constant) arises from contracting pure-noise
+    kernels.
+
+    ``term_coefficients[i]`` is the i-th nonzero coefficient in C
+    (``np.ndindex``) order and ``term_lags[i]`` its tap lags, one column per
+    axis of the coefficient array: excitation lags first, then noise lags.
     """
 
     input_degree: int
@@ -135,7 +86,9 @@ class DualVolterraKernel:
         object.__setattr__(self, "input_degree", m)
         object.__setattr__(self, "noise_degree", n)
         object.__setattr__(self, "coefficients", coeff)
-        _set_term_table(self, coeff)
+        nonzero = coeff != 0.0
+        object.__setattr__(self, "term_coefficients", coeff[nonzero])
+        object.__setattr__(self, "term_lags", np.argwhere(nonzero))
 
     @property
     def input_max_lag(self) -> int:
@@ -204,37 +157,18 @@ def _lag_product(lagged: np.ndarray, lags) -> np.ndarray:
     return product
 
 
-def _sum_terms(kernel, m: int, u_lagged, nx_lagged, shape) -> np.ndarray:
-    """Sum of ``(c * prod u) * prod nx`` over the term table, one term after another.
-
-    ``m`` is the number of excitation lags per term.  Terms are added in
-    order into a zero array rather than reduced with ``sum``, whose pairwise
-    summation would change the rounding.
-    """
-    out = np.zeros(shape)
-    for c, lags in zip(kernel.term_coefficients.tolist(), kernel.term_lags.tolist()):
-        term = c
-        if m:
-            term = term * _lag_product(u_lagged, lags[:m])
-        if len(lags) > m:
-            term = term * _lag_product(nx_lagged, lags[m:])
-        out += term
-    return out
-
-
-def evaluate_kernel(kernel: VolterraKernel, u, periodic: bool = True) -> np.ndarray:
-    """Exact nested-sum output of a single-input kernel.
+def evaluate_kernel(kernel: DualVolterraKernel, u, periodic: bool = True) -> np.ndarray:
+    """Exact nested-sum output of a kernel without noise taps.
 
     Periodic inputs are extended circularly (steady-state analysis);
-    otherwise the input is zero-padded and the first ``max_lag`` output
-    samples are start-up transient.
+    otherwise the input is zero-padded and the first ``input_max_lag``
+    output samples are start-up transient.  A kernel with noise taps needs
+    :func:`evaluate_dual_kernel`.
     """
-    u = np.asarray(u, dtype=float)
-    if kernel.degree == 0:
-        return np.full(u.size, float(kernel.coefficients))
-    if u.size <= kernel.max_lag:
-        raise ValueError("input shorter than the kernel tap support")
-    return _sum_terms(kernel, kernel.degree, _lagged(u, kernel.max_lag, periodic), None, u.size)
+    if kernel.noise_degree:
+        raise ValueError(f"kernel has noise degree {kernel.noise_degree}; "
+                         "evaluate it with evaluate_dual_kernel")
+    return _sum_terms(kernel, u, u, periodic)
 
 
 def evaluate_dual_kernel(kernel: DualVolterraKernel, u, nx, periodic: bool = True) -> np.ndarray:
@@ -243,6 +177,16 @@ def evaluate_dual_kernel(kernel: DualVolterraKernel, u, nx, periodic: bool = Tru
     ``nx`` is one noise sequence of the length of ``u``, or a stack of
     ``K`` draws of shape ``(K, len(u))``; the output has the shape of ``nx``,
     and each row equals the call with that draw alone, bit for bit.
+    """
+    return _sum_terms(kernel, u, nx, periodic)
+
+
+def _sum_terms(kernel: DualVolterraKernel, u, nx, periodic: bool) -> np.ndarray:
+    """Sum of ``(c * prod u) * prod nx`` over the term table, one term after another.
+
+    The body of both evaluators; without noise taps ``nx`` only gives the
+    output shape.  Terms are added in order into a zero array rather than
+    reduced with ``sum``, whose pairwise summation would change the rounding.
     """
     u = np.asarray(u, dtype=float)
     nx = np.asarray(nx, dtype=float)
@@ -256,7 +200,15 @@ def evaluate_dual_kernel(kernel: DualVolterraKernel, u, nx, periodic: bool = Tru
         raise ValueError("sequences shorter than the kernel tap support")
     u_lagged = _lagged(u, kernel.input_max_lag, periodic) if m else None
     nx_lagged = _lagged(nx, kernel.noise_max_lag, periodic) if n else None
-    return _sum_terms(kernel, m, u_lagged, nx_lagged, nx.shape)
+    out = np.zeros(nx.shape)
+    for c, lags in zip(kernel.term_coefficients.tolist(), kernel.term_lags.tolist()):
+        term = c
+        if m:
+            term = term * _lag_product(u_lagged, lags[:m])
+        if n:
+            term = term * _lag_product(nx_lagged, lags[m:])
+        out += term
+    return out
 
 
 def gaussian_moment(model: NoiseMomentModel, lags) -> float:
@@ -295,36 +247,35 @@ def gaussian_moment(model: NoiseMomentModel, lags) -> float:
     return pairings(lags)
 
 
-def expected_kernel(kernel: DualVolterraKernel, model: NoiseMomentModel) -> VolterraKernel:
+def expected_kernel(kernel: DualVolterraKernel, model: NoiseMomentModel) -> DualVolterraKernel:
     """Contract the noise taps of a dual-input kernel against Gaussian moments.
 
-    Returns the single-input kernel of degree ``input_degree`` whose output
-    equals the process-noise average of the dual kernel's output.  Odd noise
-    degree gives the zero kernel.  The contraction is linear in the kernel
-    coefficients.
+    Returns the kernel of input degree ``input_degree`` and no noise taps
+    whose output equals the process-noise average of ``kernel``'s output.
+    Odd noise degree gives the zero kernel.  The contraction is linear in
+    the kernel coefficients.
     """
     m, n = kernel.input_degree, kernel.noise_degree
     if n == 0:
-        return VolterraKernel(coefficients=kernel.coefficients.copy())
+        return DualVolterraKernel(m, 0, kernel.coefficients.copy())
     shape_u = kernel.coefficients.shape[:m]
     if n % 2:
-        return VolterraKernel(coefficients=np.zeros(shape_u))
+        return DualVolterraKernel(m, 0, np.zeros(shape_u))
     if kernel.noise_max_lag > model.max_lag:
         raise ValueError(
             f"kernel noise lags reach {kernel.noise_max_lag}, autocovariance "
             f"support ends at {model.max_lag}"
         )
     out = np.zeros(shape_u)
-    taps = kernel.coefficients.shape[-1] if n else 1
-    for j_idx in np.ndindex((taps,) * n):
+    for j_idx in np.ndindex((kernel.noise_max_lag + 1,) * n):
         weight = gaussian_moment(model, j_idx)
         if weight != 0.0:
             out = out + weight * kernel.coefficients[(...,) + j_idx]
-    return VolterraKernel(coefficients=out)
+    return DualVolterraKernel(m, 0, out)
 
 
 def kernel_to_json(kernel: DualVolterraKernel, model: NoiseMomentModel | None = None) -> str:
-    """Serialize a dual kernel (and optionally its noise model) to JSON.
+    """Serialize a kernel (and optionally its noise model) to JSON.
 
     Layout: ``{m, n, N_k, N_j, coefficients, noise_autocovariance}`` with the
     coefficients flattened row-major (input axes first).

@@ -137,6 +137,13 @@ class TestDecompositionTerms:
         assert bla_term.coefficient == pytest.approx(1.303)
         assert bla_term.u_power == 1 and bla_term.filtered
 
+    def test_bla_gain_is_bussgang_gain(self):
+        # 1 + 3c(s2_u + s2_x) written out term by term rounds to
+        # 1.0779999999999998 here, one bit away from the gain of the BLA.
+        model = GaussianInputModel(0.25, 0.01)
+        (bla_term,) = analytic_hammerstein_decomposition(CUBIC, model).constituents["y_bla"]
+        assert bla_term.coefficient == bussgang_gain(CUBIC, model) == 1.078
+
     def test_alternate_split(self):
         dec = analytic_hammerstein_decomposition(CUBIC, self.model, alternate=True)
         self.assert_terms(dec.constituents["y_p_alt"], (

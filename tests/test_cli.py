@@ -502,6 +502,30 @@ class TestInvalidInputExits2:
         assert argv[-2] in message or argv[-1] in message
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--g-rel-tol", "--var-ratio-tol"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_compare_tolerance_that_can_never_pass(self, tmp_path, capsys, flag, value):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert main(["estimate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        before = hash_tree(out)
+        message = self.assert_config_error(capsys, ["compare", str(out), str(out), flag, value])
+        assert f"{flag[2:].replace('-', '_')} must be finite and >= 0" in message
+        assert hash_tree(out) == before
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "path-under-file"])
+    @pytest.mark.parametrize("command", ["generate", "simulate", "decompose", "demo-hammerstein"])
+    def test_out_is_not_a_directory(self, tmp_path, capsys, command, below):
+        path, _ = write_config(tmp_path)
+        blocker = tmp_path / "out"
+        blocker.write_text("a file, not a directory\n")
+        out = blocker / "run" if below else blocker
+        message = self.assert_config_error(
+            capsys, [command, "--config", str(path), "--out", str(out)])
+        assert f"{blocker} exists and is not a directory" in message
+        assert blocker.read_text() == "a file, not a directory\n"
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     @pytest.mark.parametrize("command", ["demo-hammerstein", "simulate"])
     def test_workers_below_one(self, tmp_path, capsys, command, workers):

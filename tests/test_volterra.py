@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blakit.systems import VolterraPlant
 from blakit.volterra import (
     DualVolterraKernel,
     NoiseMomentModel,
-    VolterraKernel,
     evaluate_dual_kernel,
     evaluate_kernel,
     expected_kernel,
@@ -67,12 +68,12 @@ def double_factorial(n: int) -> int:
 
 class TestEvaluateKernel:
     def test_first_order_identity(self):
-        kernel = VolterraKernel(coefficients=np.array([1.0]))
+        kernel = DualVolterraKernel(1, 0, np.array([1.0]))
         u = np.arange(10.0)
         np.testing.assert_array_equal(evaluate_kernel(kernel, u), u)
 
     def test_second_order_constant_input(self):
-        kernel = VolterraKernel(coefficients=np.array([[1.0]]))
+        kernel = DualVolterraKernel(2, 0, np.array([[1.0]]))
         out = evaluate_kernel(kernel, np.full(8, 2.0))
         np.testing.assert_array_equal(out, np.full(8, 4.0))
 
@@ -80,24 +81,24 @@ class TestEvaluateKernel:
     def test_third_order_matches_brute_force(self, periodic):
         rng = np.random.default_rng(13)
         coeff = rng.standard_normal((3, 3, 3))
-        kernel = VolterraKernel(coefficients=coeff)
+        kernel = DualVolterraKernel(3, 0, coeff)
         u = rng.standard_normal(16)
         got = evaluate_kernel(kernel, u, periodic=periodic)
         np.testing.assert_allclose(got, brute_force_single(coeff, u, periodic),
                                    rtol=1e-12, atol=1e-12)
 
     def test_short_input_rejected(self):
-        kernel = VolterraKernel(coefficients=np.zeros((4, 4)))
+        kernel = DualVolterraKernel(2, 0, np.zeros((4, 4)))
         with pytest.raises(ValueError, match="shorter"):
             evaluate_kernel(kernel, np.zeros(3))
 
     def test_nonfinite_coefficients_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            VolterraKernel(coefficients=np.array([np.inf]))
+            DualVolterraKernel(1, 0, np.array([np.inf]))
 
     def test_tap_bound_enforced(self):
         with pytest.raises(ValueError, match="lag"):
-            VolterraKernel(coefficients=np.zeros(12))
+            DualVolterraKernel(1, 0, np.zeros(12))
 
 
 class TestEvaluateDualKernel:
@@ -105,7 +106,7 @@ class TestEvaluateDualKernel:
         rng = np.random.default_rng(5)
         coeff = rng.standard_normal((3, 3))
         dual = DualVolterraKernel(input_degree=2, noise_degree=0, coefficients=coeff)
-        single = VolterraKernel(coefficients=coeff)
+        single = DualVolterraKernel(2, 0, coeff)
         u = rng.standard_normal(12)
         nx = rng.standard_normal(12)
         np.testing.assert_array_equal(evaluate_dual_kernel(dual, u, nx),
@@ -365,6 +366,58 @@ class TestExpectedKernel:
         assert errors[0] > errors[1] > errors[2]
         for bigger, smaller in zip(errors, errors[1:]):
             assert 1.3 < bigger / smaller < 8.0  # around sqrt(10) per decade
+
+
+@st.composite
+def kernels_with_models(draw):
+    """A kernel with ``m + n <= 4``, some zero coefficients, and a white or
+    colored noise model whose support covers its noise taps."""
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 4 - m))
+    taps_u, taps_x = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shape = (taps_u,) * m + (taps_x,) * n
+    values = st.floats(-2.0, 2.0) | st.just(0.0)
+    size = math.prod(shape)
+    coefficients = np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+    r0 = draw(st.floats(0.0, 2.0))
+    if draw(st.booleans()):
+        model = NoiseMomentModel.white(r0, max_lag=taps_x - 1)
+    else:
+        tail = draw(st.lists(st.floats(-1.0, 1.0), min_size=taps_x - 1, max_size=taps_x - 1))
+        model = NoiseMomentModel(autocovariance=np.array([r0] + [r0 * f for f in tail]))
+    return DualVolterraKernel(m, n, coefficients), model
+
+
+class TestNoiseAveragedKernel:
+    """The noise-averaged kernel is a kernel like any other."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=kernels_with_models(), data=st.data())
+    def test_expected_kernel_is_a_kernel(self, pair, data):
+        kernel, model = pair
+        averaged = expected_kernel(kernel, model)
+        assert averaged.noise_degree == 0
+        assert averaged.input_degree == kernel.input_degree
+        t_len = data.draw(st.integers(4, 12))
+        sequence = st.lists(st.floats(-3.0, 3.0), min_size=t_len, max_size=t_len)
+        u = np.array(data.draw(sequence))
+        nx = np.array(data.draw(sequence))
+        for periodic in (True, False):
+            np.testing.assert_array_equal(
+                evaluate_kernel(averaged, u, periodic=periodic),
+                evaluate_dual_kernel(averaged, u, nx, periodic=periodic))
+        back, back_model = kernel_from_json(kernel_to_json(averaged, model))
+        assert (back.input_degree, back.noise_degree) == (averaged.input_degree, 0)
+        np.testing.assert_array_equal(back.coefficients, averaged.coefficients)
+        np.testing.assert_array_equal(back_model.autocovariance, model.autocovariance)
+        step = VolterraPlant((averaged,)).stepper(1)
+        stepped = np.array([step(a, b)[0] for a, b in zip(u, nx)])
+        np.testing.assert_array_equal(stepped, brute_force_dual(averaged, u, nx, periodic=False))
+
+    def test_evaluate_kernel_rejects_noise_taps(self):
+        kernel = DualVolterraKernel(1, 1, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="noise degree 1"):
+            evaluate_kernel(kernel, np.zeros(8))
 
 
 class TestKernelJson:
