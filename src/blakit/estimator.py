@@ -266,23 +266,34 @@ class Decomposition:
 def _spectral_variance(blocks, rows: int, samples_per_period: int) -> np.ndarray:
     """Per-bin sample variance of the unitary spectra of every period in ``blocks``.
 
-    Each time-domain block (one or more whole periods) is transformed
-    straight into a preallocated ``(rows, N//2+1)`` stack, so the blocks are
-    never stacked in time; ``rows`` is their total period count.  The
-    variance is the two-pass centered one, ``sum |X - mean X|^2 / (rows - 1)``.
+    Each time-domain block (one or more whole periods) is transformed and
+    merged into a running per-bin count, mean and sum of squared deviations
+    ``M2`` by the pairwise update of Chan, Golub & LeVeque (1983), so no
+    spectra are kept; ``rows`` is their total period count.  The spectra are
+    first shifted by the first period's spectrum, which leaves the variance
+    as it is and keeps a large common part from costing precision.  Returns
+    ``M2 / (rows - 1)``.
     """
-    spectra = np.empty((rows, samples_per_period // 2 + 1), dtype=complex)
-    row = 0
+    count = 0
+    shift = None
+    mean = np.zeros(samples_per_period // 2 + 1, dtype=complex)
+    m2 = np.zeros(samples_per_period // 2 + 1)
     for block in blocks:
-        block = period_spectra(block, samples_per_period)
-        spectra[row:row + len(block)] = block
-        row += len(block)
-    if row != rows:  # a short ensemble would leave rows uninitialized
-        raise ValueError(f"expected {rows} periods of spectra, got {row}")
-    spectra -= spectra.mean(axis=0)
-    power = np.abs(spectra)
-    power **= 2
-    return power.sum(axis=0) / max(rows - 1, 1)
+        spectra = period_spectra(block, samples_per_period)
+        if shift is None:
+            shift = spectra[0].copy()
+        spectra -= shift
+        size = len(spectra)
+        block_mean = spectra.mean(axis=0)
+        spectra -= block_mean
+        delta = block_mean - mean
+        total = count + size
+        mean += delta * (size / total)
+        m2 += (np.abs(spectra) ** 2).sum(axis=0) + np.abs(delta) ** 2 * (count * size / total)
+        count = total
+    if count != rows:  # a short ensemble would average over the wrong count
+        raise ValueError(f"expected {rows} periods of spectra, got {count}")
+    return m2 / max(rows - 1, 1)
 
 
 def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,

@@ -259,10 +259,9 @@ def generate_noise(variance: float, length: int, seed=None, coloring=None) -> np
     """Zero-mean Gaussian noise, optionally shaped by a stable coloring filter.
 
     The white sequence has the requested variance before filtering.  When a
-    coloring filter is given, enough warm-up samples are run and discarded
-    (``max(10 * time constant, 1000)``) that the emitted stretch is
-    stationary.  Deterministic per seed; distinct seeds give independent
-    streams.
+    coloring filter is given, its ``settling_length()`` warm-up samples are
+    run and discarded, so the emitted stretch is stationary.  Deterministic
+    per seed; distinct seeds give independent streams.
     """
     variance = float(variance)
     if not np.isfinite(variance) or variance < 0:

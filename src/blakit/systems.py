@@ -5,10 +5,12 @@ polynomial nonlinearities, the Hammerstein structure
 ``y = S(q)[f(u + nx)] + ny`` and a closed loop built from a linear actuator,
 the nonlinear plant and a strictly delayed linear feedback path.
 
-Each realization runs warm-up periods until its noise-free response is
-periodic (its last two periods differing by less than ``STEADY_STATE_RTOL``
-in relative RMS) before any samples are recorded, so recorded periods are
-steady state.  Noisy simulations are a pure function of their seeds.
+Each realization's warm-up is the number of periods after which its
+noise-free response is periodic (its last two periods differing by less
+than ``STEADY_STATE_RTOL`` in relative RMS), so recorded periods are steady
+state.  The closed loop runs those periods; the open loop starts at the
+exact periodic steady state and runs only the response to the process noise
+over a lead-in.  Noisy simulations are a pure function of their seeds.
 """
 
 from __future__ import annotations
@@ -69,9 +71,10 @@ class InstabilityError(RuntimeError):
     """A simulation diverged or failed to reach a periodic steady state.
 
     ``draw`` is the ensemble draw that failed (None outside an ensemble),
-    ``period`` the first simulated period, warm-up included, holding an
-    ``|y|`` above ``DIVERGENCE_LIMIT`` or a non-finite sample, and ``peak``
-    that period's largest ``|y|`` (inf if any of its samples is not finite).
+    ``period`` the first simulated period, warm-up or lead-in included,
+    holding an ``|y|`` above ``DIVERGENCE_LIMIT`` or a non-finite sample, and
+    ``peak`` that period's largest ``|y|`` (inf if any of its samples is not
+    finite).
     """
 
     def __init__(self, message: str, draw: int | None = None, period: int | None = None,
@@ -179,8 +182,10 @@ class RationalLTI:
         return -1.0 / np.log(mags.max())
 
     def settling_length(self) -> int:
-        """Warm-up samples after which start-up transients are negligible."""
-        return int(max(10.0 * self.time_constant(), 1000.0))
+        """Warm-up samples after which a start-up transient has decayed below
+        ``STEADY_STATE_RTOL`` of its size: ``ln(1 / STEADY_STATE_RTOL)`` time
+        constants, and at least 1000 samples."""
+        return max(int(np.ceil(self.time_constant() * np.log(1.0 / STEADY_STATE_RTOL))), 1000)
 
     def frequency_response(self, normalized_frequencies) -> np.ndarray:
         """Response at digital frequencies ``w`` (radians/sample)."""
@@ -392,12 +397,13 @@ class HammersteinSimulator:
 
         The process-noise-free part of the output is the exact periodic
         steady state (the fixed point the recursion converges to), computed
-        in the frequency domain.  With process noise on, the recursion runs
-        over the warm-up and recorded stretch in one go, so the recorded
-        noise paths carry realistic filter state.  The output noise is drawn
-        over the same stretch and its recorded part added.  Returns the
-        measured output together with the exact noise sequences that
-        entered it.
+        in the frequency domain.  With process noise on, the response to the
+        noise runs from zero state over a lead-in of
+        ``dynamics.settling_length()`` samples before the recorded stretch
+        (see ``_steady_runs``), so the recorded noise paths carry settled
+        filter state.  The output noise is drawn over the recorded stretch
+        only and added.  Returns the measured output together with the exact
+        noise sequences that entered it.
         """
         if self.process_noise_variance > 0 and process_noise_rng is None:
             raise ValueError("process_noise_rng is required when process noise is on")
@@ -405,7 +411,7 @@ class HammersteinSimulator:
             raise ValueError("output_noise_rng is required when output noise is on")
         warmup, resid, y0, nx = next(self._steady_runs(u, [(None, process_noise_rng)]))
         n = u.samples_per_period
-        ny = self.draw_output_noise((warmup + u.period_count) * n, output_noise_rng)[warmup * n:]
+        ny = self.draw_output_noise(u.period_count * n, output_noise_rng)
         return SimulationRecord(
             output=PeriodicSignal(y0 + ny, n, u.period_count, u.sampling_frequency),
             process_noise=nx,
@@ -420,7 +426,7 @@ class HammersteinSimulator:
 
         Draw ``i`` has the values of ``run(u, rng_i).output.samples`` on a
         twin simulator without output noise, for the ``i``-th generator, but
-        the warm-up is probed and the warm-up excitation built once for all
+        the warm-up is probed and the lead-in excitation built once for all
         draws.  Without process noise every draw is the exact
         periodic output, yielded as the same read-only array.
         """
@@ -430,29 +436,45 @@ class HammersteinSimulator:
     def _steady_runs(self, u: PeriodicSignal, draws: Iterable):
         """Yield ``(warmup, residual, y0, nx)`` over the recorded periods of ``u``.
 
-        The warm-up is probed once.  ``draws`` holds ``(draw, rng)`` pairs;
-        each rng draws the process noise ``nx`` of one run, which simulates
-        ``y0 = S(q)[f(u + nx)]`` from zero state over the warm-up and
-        recorded periods and raises InstabilityError, naming ``draw``, if it
-        diverges.  Without process noise every ``y0`` is the exact periodic
-        steady state, the same read-only array each time.
+        The warm-up is probed once and reported; it is the noise-free
+        settling count, and no draw simulates it.  ``draws`` holds
+        ``(draw, rng)`` pairs; each rng draws the process noise ``nx`` of one
+        run over a lead-in of ``L = dynamics.settling_length()`` samples and
+        the recorded periods.  ``S`` is linear, so the output splits as
+
+            S[f(u + nx)] = S[f(u)] + S[f(u + nx) - f(u)],
+
+        where the first term is the exact periodic steady state and only the
+        second runs, from zero state, over the lead-in (with ``u`` extended
+        periodically before period 0) and the record.  Like the warm-up
+        probe and the periodic steady state, it takes ``u`` to repeat its
+        period 0.  Each run raises InstabilityError, naming ``draw``, if it
+        diverges; its simulated periods are the ``N``-sample blocks from the
+        start of the lead-in.  Without process noise every ``y0`` is the
+        exact periodic steady state, the same read-only array each time.
         """
         warmup, resid = self.required_warmup(u)
         n = u.samples_per_period
         p = u.period_count
+        periodic = self._periodic_output(u)
         if self.process_noise_variance == 0:
-            y0 = np.tile(self._periodic_output(u), p)
+            y0 = np.tile(periodic, p)
             y0.flags.writeable = False
             nx = np.zeros(p * n)
             for _ in draws:
                 yield warmup, resid, y0, nx
             return
-        u_full = np.concatenate([np.tile(u.period(0), warmup), u.samples])
+        lead = self.dynamics.settling_length()
+        phase = np.arange(-lead, p * n) % n  # the sample's index within its period
+        u_ext = u.period(0)[phase]
+        f_ext = self.nonlinearity(u_ext)
+        y_ext = periodic[phase]
         for draw, rng in draws:
-            nx = self.draw_process_noise(u_full.size, rng)
-            y0 = self.dynamics.filter(self.nonlinearity(u_full + nx))
+            nx = self.draw_process_noise(lead + p * n, rng)
+            y0 = self.dynamics.filter(self.nonlinearity(u_ext + nx) - f_ext)
+            y0 += y_ext
             _check_divergence(y0, n, draw=draw)
-            yield warmup, resid, y0[warmup * n:], nx[warmup * n:]
+            yield warmup, resid, y0[lead:], nx[lead:]
 
     def _periodic_output(self, u: PeriodicSignal) -> np.ndarray:
         """One period of the exact noise-free periodic steady state."""

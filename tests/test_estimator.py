@@ -21,6 +21,7 @@ from blakit.estimator import (
     spectral_bla,
     write_bla_csv,
     write_record_bundle,
+    _spectral_variance,
 )
 from blakit.signals import (
     MultisineSpec,
@@ -29,6 +30,7 @@ from blakit.signals import (
     derive_rng,
     dft,
     generate_multisine,
+    period_spectra,
 )
 from blakit.systems import (
     ClosedLoopConfig,
@@ -488,6 +490,25 @@ class TestDecomposition:
         short = ShortEnsemble(DYNAMICS, CUBIC, 0.01, 0.0009)
         with pytest.raises(ValueError, match="expected 300 periods of spectra, got 298"):
             decompose_output(short, u, 150, self.analytic_g(0.01))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(4, 300),
+           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=12).filter(
+               lambda sizes: sum(sizes) >= 2),
+           offset=st.sampled_from([0.0, 1.0, 1e6]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_pass_variance_matches_stacked(self, n, sizes, offset, seed):
+        # Periods share a common part `offset` times larger than their
+        # scatter, as re-runs share the periodic output; any split of them
+        # into blocks of 1-4 periods gives the stacked two-pass variance.
+        rng = np.random.default_rng(seed)
+        rows = sum(sizes)
+        samples = (np.tile(offset * rng.standard_normal(n), rows)
+                   + rng.standard_normal(rows * n))
+        blocks = np.split(samples, np.cumsum(sizes)[:-1] * n)
+        expected = np.var(period_spectra(samples, n), axis=0, ddof=1)
+        np.testing.assert_allclose(_spectral_variance(blocks, rows, n), expected,
+                                   rtol=1e-12)
 
 
 class TestPredictVariances:

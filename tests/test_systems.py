@@ -14,6 +14,7 @@ from blakit.systems import (
     InstabilityError,
     PolynomialNonlinearity,
     RationalLTI,
+    STEADY_STATE_RTOL,
     SystemDescription,
     VolterraPlant,
     filter_periodic,
@@ -80,6 +81,15 @@ class TestRationalLTI:
             np.testing.assert_allclose(batched[:, col], lti.filter(x[:, col]),
                                        rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("pole", [0.0, 0.5, 0.977, 0.99, 0.999])
+    def test_settling_length_decays_transient_below_rtol(self, pole):
+        lti = RationalLTI(b=[1.0], a=[1.0, -pole])
+        length = lti.settling_length()
+        assert length >= 1000
+        assert pole ** length <= STEADY_STATE_RTOL
+        if length > 1000:
+            assert pole ** (length - 1) > STEADY_STATE_RTOL
+
 
 class TestFilterPeriodic:
     def test_identity_filter(self):
@@ -128,14 +138,35 @@ class TestHammersteinSimulator:
         rec = sim.run(u, process_noise_rng=derive_rng(7, "nx"),
                       output_noise_rng=derive_rng(7, "ny"))
         # Rebuild the output from the returned noise sequences: the recorded
-        # stretch continues the same recursion, so rebuild over warm-up + record.
-        total = (rec.warmup_periods + 1) * n
+        # stretch continues the recursion of the process noise over its
+        # lead-in, so rebuild that over lead-in + record; the output noise
+        # covers the record only.
+        total = lti.settling_length() + n
         nx_full = sim.draw_process_noise(total, derive_rng(7, "nx"))
-        ny_full = sim.draw_output_noise(total, derive_rng(7, "ny"))
-        y_full = lti.filter(CUBIC(nx_full)) + ny_full
-        np.testing.assert_allclose(rec.output.samples, y_full[-n:], rtol=1e-12)
+        ny = sim.draw_output_noise(n, derive_rng(7, "ny"))
+        y_full = lti.filter(CUBIC(nx_full))
+        np.testing.assert_allclose(rec.output.samples, y_full[-n:] + ny, rtol=1e-12)
         np.testing.assert_array_equal(rec.process_noise, nx_full[-n:])
-        np.testing.assert_array_equal(rec.output_noise, ny_full[-n:])
+        np.testing.assert_array_equal(rec.output_noise, ny)
+
+    def test_lead_in_settles_slow_dynamics(self, monkeypatch):
+        # S has a 99.5-sample time constant.  The draw's nx is the tail of a
+        # much longer noise sequence, and the reference runs all of it from
+        # zero state, so its record carries the fully settled response to the
+        # noise; the draw's lead-in must bring it within 1e-9 of the peak.
+        # (The same nx behind a noise-free warm-up alone would match any
+        # lead-in, since S is linear.)
+        slow = RationalLTI(b=[0.01], a=[1.0, -0.99])
+        n, p = 64, 2
+        u = flat_multisine(n=n, seed=10).tile(p)
+        sim = HammersteinSimulator(slow, CUBIC, process_noise_variance=0.04)
+        history = sim.draw_process_noise(150 * n, derive_rng(5, "history"))
+        monkeypatch.setattr(sim, "draw_process_noise", lambda length, rng: history[-length:])
+        (draw,) = sim.process_noise_ensemble(u, [derive_rng(5, "unused")])
+        x = np.tile(u.period(0), history.size // n) + history
+        reference = slow.filter(CUBIC(x))[-p * n:]
+        np.testing.assert_allclose(draw, reference, rtol=0,
+                                   atol=1e-9 * np.abs(reference).max())
 
     def test_odd_nonlinearity_keeps_output_zero_mean(self):
         # iid Gaussian excitation; the mean of y is the filter DC gain times
