@@ -225,9 +225,9 @@ def evaluate_terms(terms, u, nx, ny, dynamics: RationalLTI,
                    model: GaussianInputModel) -> np.ndarray:
     """Realize a term list on concrete sequences.
 
-    Filtering is the zero-state time-domain recursion, so pass sequences with
-    their own warm-up stretch and discard it outside when steady state is
-    wanted.
+    Filtering is the zero-state response (``RationalLTI.filter``), so pass
+    sequences with their own warm-up stretch and discard it outside when
+    steady state is wanted.
     """
     u = np.asarray(u, dtype=float)
     nx = np.asarray(nx, dtype=float) if nx is not None else np.zeros_like(u)

@@ -8,15 +8,20 @@ the nonlinear plant and a strictly delayed linear feedback path.
 Each realization's warm-up is the number of periods after which its
 noise-free response is periodic (its last two periods differing by less
 than ``STEADY_STATE_RTOL`` in relative RMS), so recorded periods are steady
-state.  The closed loop runs those periods; the open loop starts at the
+state.  The closed loop runs those periods sample by sample, the one
+time-domain recursion, since feedback needs it.  The open loop starts at the
 exact periodic steady state and runs only the response to the process noise
-over a lead-in.  Noisy simulations are a pure function of their seeds.
+over a lead-in.  Open-loop filtering is a product of spectra: periodic
+responses on the period's bin grid, zero-state ones on a grid padded by
+``settling_length()`` samples so that the wrap-around has decayed below
+``STEADY_STATE_RTOL``.  Dynamics that need more than the warm-up budget of
+``_MAX_WARMUP`` periods to settle raise InstabilityError before any draw.
+Noisy simulations are a pure function of their seeds.
 """
 
 from __future__ import annotations
 
 import configparser
-import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -110,15 +115,17 @@ def _check_divergence(y: np.ndarray, period_size: int, stage: str = "",
     )
 
 
-def _lfilter(*args, **kwargs):
-    """``scipy.signal.lfilter``, imported on first use.
-
-    Importing ``scipy.signal`` takes about a second, so ``import blakit``
-    leaves it out and only runs that filter do the import.
-    """
-    from scipy.signal import lfilter
-
-    return lfilter(*args, **kwargs)
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth integer ``>= n`` (numpy has no ``next_fast_len``)."""
+    best = 1 << max(n - 1, 0).bit_length()  # a power of two is 5-smooth
+    odd = 1
+    while odd < best:  # odd runs over 3^i 5^j
+        factor = odd
+        while factor < best:
+            best = min(best, factor << (-(-n // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
 
 
 class RationalLTI:
@@ -147,6 +154,7 @@ class RationalLTI:
         self.numerator = b
         self.denominator = a
         self._poles = poles
+        self._grid = 0, None  # (T, response on the T-point grid) of the last filter call
 
     def __repr__(self):
         return f"RationalLTI(b={self.numerator.tolist()}, a={self.denominator.tolist()})"
@@ -201,8 +209,26 @@ class RationalLTI:
         return self.frequency_response(2.0 * np.pi * np.arange(n // 2 + 1) / n)
 
     def filter(self, x) -> np.ndarray:
-        """Zero-state time-domain recursion along the last axis."""
-        return _lfilter(self.numerator, self.denominator, np.asarray(x, dtype=float))
+        """Zero-state response along the last axis, as a product on an FFT grid.
+
+        ``x`` (``n`` samples per row) is zero-padded to ``T``, the smallest
+        5-smooth length ``>= n + settling_length()``; its spectrum times the
+        response on that grid, transformed back, holds the response in its
+        first ``n`` samples.  That circular convolution reaches an output
+        only through impulse-response lags beyond ``settling_length()``,
+        which have decayed below ``STEADY_STATE_RTOL``: it differs from the
+        zero-state recursion by at most ``max|x|`` times the impulse
+        response's tail sum past those lags.  The grid response is kept for
+        the last ``T``, so repeated calls at one length compute it once.
+        """
+        x = np.asarray(x, dtype=float)
+        n = x.shape[-1]
+        size = _fft_length(n + self.settling_length())
+        grid_size, response = self._grid
+        if grid_size != size:
+            response = self.bin_response(size)
+            self._grid = size, response
+        return np.fft.irfft(np.fft.rfft(x, size) * response, size)[..., :n]
 
     def stepper(self, width: int = 1) -> "_LtiStepper":
         return _LtiStepper(self, width)
@@ -370,18 +396,30 @@ class HammersteinSimulator:
         self.warmup_minimum = int(warmup_minimum)
 
     def required_warmup(self, u: PeriodicSignal) -> tuple[int, float]:
-        """Warm-up periods until the noise-free response is periodic."""
-        # The nonlinearity is memoryless, so the noise-free probe filters one
-        # precomputed period per step with carried state.
-        b, a = self.dynamics.numerator, self.dynamics.denominator
+        """Warm-up periods until the noise-free response is periodic.
+
+        Reads the periods of the zero-state response to the repeated
+        noise-free period ``f(u)``: as many as the rule needs once the
+        dynamics have settled, then all ``_MAX_WARMUP`` if it has not settled
+        by then.  Dynamics whose ``settling_length()`` exceeds that budget
+        raise InstabilityError before anything is filtered.
+        """
+        n = u.samples_per_period
+        lead = self.dynamics.settling_length()
+        if lead > _MAX_WARMUP * n:
+            raise InstabilityError(
+                f"steady state not reachable within {_MAX_WARMUP} warm-up periods: the "
+                f"dynamics settle in {lead} samples, more than {_MAX_WARMUP} periods of {n}"
+            )
         x_period = self.nonlinearity(u.period(0))
-        zi = np.zeros(max(b.size, a.size) - 1)
-        steady = _SteadyState(1, self.warmup_minimum)
-        for period in itertools.count():  # update raises after _MAX_WARMUP periods
-            y, zi = _lfilter(b, a, x_period, zi=zi)
-            _check_divergence(y, y.size, "noise-free warm-up", first_period=period)
-            if steady.update(y[:, None]):
-                return int(steady.periods[0]), float(steady.residuals[0])
+        needed = min(max(self.warmup_minimum, -(-lead // n)) + 1, _MAX_WARMUP)
+        for count in (needed, _MAX_WARMUP):  # update raises after _MAX_WARMUP periods
+            y = self.dynamics.filter(np.tile(x_period, count)).reshape(count, n)
+            steady = _SteadyState(1, self.warmup_minimum)
+            for period, row in enumerate(y):
+                _check_divergence(row, n, "noise-free warm-up", first_period=period)
+                if steady.update(row[:, None]):
+                    return int(steady.periods[0]), float(steady.residuals[0])
 
     def draw_process_noise(self, length: int, rng) -> np.ndarray:
         return generate_noise(self.process_noise_variance, length, rng,
@@ -446,16 +484,21 @@ class HammersteinSimulator:
 
         where the first term is the exact periodic steady state and only the
         second runs, from zero state, over the lead-in (with ``u`` extended
-        periodically before period 0) and the record.  Like the warm-up
-        probe and the periodic steady state, it takes ``u`` to repeat its
-        period 0.  Each run raises InstabilityError, naming ``draw``, if it
-        diverges; its simulated periods are the ``N``-sample blocks from the
-        start of the lead-in.  Without process noise every ``y0`` is the
-        exact periodic steady state, the same read-only array each time.
+        periodically before period 0) and the record.  All of this is built
+        from period 0, so ``u`` whose periods differ raises ValueError naming
+        the first that differs.  Each run raises InstabilityError, naming
+        ``draw``, if it diverges; its simulated periods are the ``N``-sample
+        blocks from the start of the lead-in.  Without process noise every
+        ``y0`` is the exact periodic steady state, the same read-only array
+        each time.
         """
-        warmup, resid = self.required_warmup(u)
         n = u.samples_per_period
         p = u.period_count
+        differs = np.flatnonzero((u.samples[n:].reshape(p - 1, n) != u.period(0)).any(axis=1))
+        if differs.size:
+            raise ValueError(f"input period {differs[0] + 1} differs from period 0; "
+                             f"the simulator needs a periodic input")
+        warmup, resid = self.required_warmup(u)
         periodic = self._periodic_output(u)
         if self.process_noise_variance == 0:
             y0 = np.tile(periodic, p)

@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+from scipy.signal import lfilter
 
 from blakit.analytic import (
     GaussianInputModel,
@@ -204,7 +205,7 @@ def _process_noise_realizations(count, n, seed, s2=0.01):
     for i in range(count):
         nx = np.sqrt(s2) * derive_rng(seed, "nx", i).standard_normal(2 * n)
         inner = DEMO.nonlinearity(u_full + nx)
-        out[i] = DYNAMICS.filter(inner)[n:] - y_mean
+        out[i] = lfilter(DYNAMICS.numerator, DYNAMICS.denominator, inner)[n:] - y_mean
     return u, out
 
 
@@ -276,7 +277,7 @@ def _variance_oracles(n, reps, seed, s2_x=0.01):
         nx = np.sqrt(s2_x) * derive_rng(seed, "p_nx", i).standard_normal(n + settle)
         inner_p = (nx + 0.3 * u_full ** 2 * nx
                    + 0.3 * u_full * (nx ** 2 - s2_x) + 0.1 * nx ** 3)
-        y_p = DYNAMICS.filter(inner_p)[settle:]
+        y_p = lfilter(DYNAMICS.numerator, DYNAMICS.denominator, inner_p)[settle:]
         acc_p += np.abs(np.fft.rfft(y_p) / np.sqrt(n)) ** 2
     return acc_s / reps, acc_p / reps
 

@@ -553,14 +553,35 @@ class TestInvalidInputExits2:
 
 
 class TestImports:
-    def test_import_leaves_scipy_signal_unloaded(self):
+    # Run in a fresh interpreter whose import system refuses every scipy
+    # module, so any import of scipy, at load or at run time, fails the run.
+    REFUSE_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from blakit.cli import main
+status = main(sys.argv[1:])
+assert not [name for name in sys.modules if name.partition(".")[0] == "scipy"]
+sys.exit(status)
+"""
+
+    def test_import_leaves_scipy_signal_unloaded(self, tmp_path):
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, (str(src),
                                                            os.environ.get("PYTHONPATH"))))}
-        code = "import blakit, blakit.cli, sys; assert 'scipy.signal' not in sys.modules"
-        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-        assert done.returncode == 0
+        done = subprocess.run(
+            [sys.executable, "-c", self.REFUSE_SCIPY, "demo-hammerstein",
+             "--samples-per-period", "256", "--realizations", "4", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["pass"] is True
 
 
 class TestDeterminism:

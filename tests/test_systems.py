@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
 from blakit.signals import MultisineSpec, PeriodicSignal, derive_rng, dft, generate_multisine
@@ -34,6 +36,32 @@ CUBIC = PolynomialNonlinearity(coefficients=[1.0, 0.0, 0.1])
 def flat_multisine(n=256, bins=None, seed=0, rms=1.0, fs=1.0):
     bins = np.arange(1, n // 2) if bins is None else bins
     return generate_multisine(MultisineSpec.flat(n, fs, bins, rms=rms), seed=seed)
+
+
+@st.composite
+def stable_filters(draw):
+    """A stable filter: FIR (``a = [1]``), or one slow mode times up to two
+    fast real poles (``|p| <= 0.9``, gone within the 1000-sample minimum of
+    ``settling_length()``).
+
+    The slow mode is a real pole or a complex pair of radius up to 0.999, so
+    its impulse-response tail past ``settling_length()`` is about 1e-10 of
+    the response's absolute sum.  The pair keeps 0.1 rad off the real axis:
+    near it the pair becomes a double pole, whose tail is about
+    ``ln(1e10)`` = 23 times larger.
+    """
+    b = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8))
+    mode = draw(st.sampled_from(["fir", "real", "pair"]))
+    if mode == "fir":
+        return RationalLTI(b=b)
+    radius = draw(st.floats(0.0, 0.999))
+    if mode == "real":
+        poles = [radius * draw(st.sampled_from([-1.0, 1.0]))]
+    else:
+        angle = draw(st.floats(0.1, np.pi - 0.1))
+        poles = [radius * np.exp(1j * angle), radius * np.exp(-1j * angle)]
+    poles += draw(st.lists(st.floats(-0.9, 0.9), max_size=2))
+    return RationalLTI(b=b, a=np.real(np.poly(poles)))
 
 
 class TestRationalLTI:
@@ -69,7 +97,8 @@ class TestRationalLTI:
         x = rng.standard_normal(200)
         stepper = lti.stepper(width=1)
         stepped = np.array([stepper.step(np.array([v]))[0] for v in x])
-        np.testing.assert_allclose(stepped, lti.filter(x), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(stepped, sps.lfilter(lti.numerator, lti.denominator, x),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_stepper_batch_matches_columns(self):
         lti = RationalLTI(b=[0.5, 0.2], a=[1.0, -0.3])
@@ -78,8 +107,30 @@ class TestRationalLTI:
         stepper = lti.stepper(width=3)
         batched = np.array([stepper.step(row) for row in x])
         for col in range(3):
-            np.testing.assert_allclose(batched[:, col], lti.filter(x[:, col]),
+            np.testing.assert_allclose(batched[:, col],
+                                       sps.lfilter(lti.numerator, lti.denominator, x[:, col]),
                                        rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lti=stable_filters(), n=st.integers(1, 3000), rows=st.integers(0, 3),
+           shape=st.sampled_from(["gaussian", "ones", "alternating"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_filter_matches_lfilter_within_tail_bound(self, lti, n, rows, shape, seed):
+        # The padded-grid filter differs from the zero-state recursion by the
+        # wrap-around, at most max|x| times the impulse response's tail past
+        # settling_length(), below 1e-9 of max|x| * sum|h| for these filters.
+        size = (rows, n) if rows else (n,)
+        if shape == "gaussian":
+            x = np.random.default_rng(seed).standard_normal(size)
+        else:
+            x = np.ones(size) * (-1.0 if shape == "alternating" else 1.0) ** np.arange(n)
+        impulse = np.zeros(lti.settling_length() + 1)
+        impulse[0] = 1.0
+        h = sps.lfilter(lti.numerator, lti.denominator, impulse)
+        want = sps.lfilter(lti.numerator, lti.denominator, x, axis=-1)
+        got = lti.filter(x)
+        assert got.shape == x.shape
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(x).max() * np.abs(h).sum())
 
     @pytest.mark.parametrize("pole", [0.0, 0.5, 0.977, 0.99, 0.999])
     def test_settling_length_decays_transient_below_rtol(self, pole):
@@ -106,7 +157,7 @@ class TestFilterPeriodic:
         lti = RationalLTI(**LOWPASS)
         sig = flat_multisine(n=128, seed=5)
         periodic = filter_periodic(lti, sig)
-        recursion = lti.filter(np.tile(sig.samples, 20))
+        recursion = sps.lfilter(lti.numerator, lti.denominator, np.tile(sig.samples, 20))
         np.testing.assert_allclose(periodic.samples, recursion[-128:], atol=1e-9)
 
 
@@ -144,7 +195,7 @@ class TestHammersteinSimulator:
         total = lti.settling_length() + n
         nx_full = sim.draw_process_noise(total, derive_rng(7, "nx"))
         ny = sim.draw_output_noise(n, derive_rng(7, "ny"))
-        y_full = lti.filter(CUBIC(nx_full))
+        y_full = sps.lfilter(lti.numerator, lti.denominator, CUBIC(nx_full))
         np.testing.assert_allclose(rec.output.samples, y_full[-n:] + ny, rtol=1e-12)
         np.testing.assert_array_equal(rec.process_noise, nx_full[-n:])
         np.testing.assert_array_equal(rec.output_noise, ny)
@@ -164,17 +215,39 @@ class TestHammersteinSimulator:
         monkeypatch.setattr(sim, "draw_process_noise", lambda length, rng: history[-length:])
         (draw,) = sim.process_noise_ensemble(u, [derive_rng(5, "unused")])
         x = np.tile(u.period(0), history.size // n) + history
-        reference = slow.filter(CUBIC(x))[-p * n:]
+        reference = sps.lfilter(slow.numerator, slow.denominator, CUBIC(x))[-p * n:]
         np.testing.assert_allclose(draw, reference, rtol=0,
                                    atol=1e-9 * np.abs(reference).max())
 
+    def test_settling_beyond_warmup_budget_raises_before_drawing(self, monkeypatch):
+        # tau = 1e6 samples settles in about 2.3e7 samples, more than 64
+        # periods of 64: the guard refuses before any noise is drawn or any
+        # sample is filtered.
+        glacial = RationalLTI(b=[1e-6], a=[1.0, -np.exp(-1e-6)])
+        sim = HammersteinSimulator(glacial, CUBIC, process_noise_variance=0.01)
+        monkeypatch.setattr(glacial, "filter", lambda x: pytest.fail("filtered"))
+        rng = derive_rng(3, "nx")
+        state = rng.bit_generator.state
+        with pytest.raises(InstabilityError,
+                           match=rf"64 warm-up periods: .* {glacial.settling_length()} samples"):
+            sim.run(flat_multisine(n=64, seed=3), process_noise_rng=rng)
+        assert rng.bit_generator.state == state
+
+    def test_aperiodic_input_rejected(self):
+        u = flat_multisine(n=64, seed=3).tile(3)
+        samples = u.samples.copy()
+        samples[2 * 64 + 5] += 1e-12
+        sim = HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC)
+        with pytest.raises(ValueError, match="input period 2 differs from period 0"):
+            sim.run(PeriodicSignal(samples, 64, 3, 1.0))
+
     def test_odd_nonlinearity_keeps_output_zero_mean(self):
-        # iid Gaussian excitation; the mean of y is the filter DC gain times
-        # the mean of the iid inner signal f(u + nx), whose standard error is
-        # the honest scale for the bound.
+        # iid Gaussian excitation over one long period; the mean of y is the
+        # filter DC gain times the mean of the iid inner signal f(u + nx),
+        # whose standard error is the honest scale for the bound.
         rng = np.random.default_rng(11)
-        n, p = 1024, 98
-        u = PeriodicSignal(rng.standard_normal(n * p), n, p, 1.0)
+        n = 1024 * 98
+        u = PeriodicSignal(rng.standard_normal(n), n, 1, 1.0)
         lti = RationalLTI(**LOWPASS)
         rec = simulate_hammerstein(lti, CUBIC, u, 0.01, 0.0009, seed=13)
         inner = CUBIC(u.samples + rec.process_noise)
