@@ -48,7 +48,8 @@ def stable_filters(draw):
     its impulse-response tail past ``settling_length()`` is about 1e-10 of
     the response's absolute sum.  The pair keeps 0.1 rad off the real axis:
     near it the pair becomes a double pole, whose tail is about
-    ``ln(1e10)`` = 23 times larger.
+    ``ln(1e10)`` = 23 times larger, outside the simple dominant poles that
+    ``settling_length()`` covers.
     """
     b = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8))
     mode = draw(st.sampled_from(["fir", "real", "pair"]))
@@ -232,6 +233,17 @@ class TestHammersteinSimulator:
                            match=rf"64 warm-up periods: .* {glacial.settling_length()} samples"):
             sim.run(flat_multisine(n=64, seed=3), process_noise_rng=rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("dynamics, warmup", [(dict(b=[1.0]), 4), (LOWPASS, 14)])
+    def test_short_periods_settle_below_the_lead_in_floor(self, dynamics, warmup):
+        # 64 periods of 8 are fewer than the 1000-sample floor of
+        # settling_length(), but these dynamics decay within a few dozen
+        # samples: the run settles after as many warm-up periods as the
+        # period-by-period recursion takes.
+        u = flat_multisine(n=8, seed=3).tile(2)
+        sim = HammersteinSimulator(RationalLTI(**dynamics), CUBIC, process_noise_variance=0.01)
+        rec = sim.run(u, process_noise_rng=derive_rng(3, "nx"))
+        assert rec.warmup_periods == warmup
 
     def test_aperiodic_input_rejected(self):
         u = flat_multisine(n=64, seed=3).tile(3)
