@@ -12,6 +12,7 @@ period.  Bins where the excitation power is zero are reported as undefined
 from __future__ import annotations
 
 import json
+import numbers
 import pathlib
 from dataclasses import dataclass
 
@@ -246,10 +247,11 @@ class Decomposition:
 
     ``y_bla + y_nonlinear + y_process + y_output_noise`` rebuilds the
     measured output ``y_total`` to round-off by construction.  The variance
-    spectra are sample estimates on the half bin grid ``0..N//2``: the
-    process and output-noise spectra from their ensembles, the nonlinear one
-    from the single supplied excitation (one squared sample, unbiased but
-    coarse).
+    spectra lie on the half bin grid ``0..N//2``.  ``var_noise`` is exact, as
+    white noise of variance s2 has variance s2 in every unitary DFT bin;
+    ``var_process`` is estimated from the process-noise ensemble and
+    ``var_nonlinear`` from the single supplied excitation (one squared
+    sample, unbiased but coarse).
     """
 
     y_bla: np.ndarray
@@ -305,16 +307,19 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
     additive).  Averaging ``ensemble_size`` re-runs with fresh process noise
     and the output noise disabled estimates the noise-averaged output; the
     supplied reference response ``g_bla`` (on bins ``0..N//2``) then
-    separates the linear part from the nonlinear distortion.
+    separates the linear part from the nonlinear distortion.  Without
+    ``run``, ``process_noise_ensemble`` and a real ``output_noise_variance``
+    (the white output noise's, so every bin of ``var_noise``), the simulator
+    raises UnsupportedOperationError.
     """
     if ensemble_size < MIN_ENSEMBLE_SIZE:
         raise ValueError(
             f"ensemble_size must be >= {MIN_ENSEMBLE_SIZE} for a usable noise average")
-    for attr in ("run", "process_noise_ensemble", "draw_output_noise"):
-        if not callable(getattr(simulator, attr, None)):
-            raise UnsupportedOperationError(
-                f"simulator lacks {attr}(); controlled re-simulation is impossible"
-            )
+    if not (callable(getattr(simulator, "run", None))
+            and callable(getattr(simulator, "process_noise_ensemble", None))
+            and isinstance(getattr(simulator, "output_noise_variance", None), numbers.Real)):
+        raise UnsupportedOperationError("simulator lacks run(), process_noise_ensemble() "
+                                        "or a real output_noise_variance")
     n = u.samples_per_period
     p = u.period_count
     master = seed if seed is not None else 0
@@ -355,11 +360,6 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
 
     y_nonlinear = y_bar_bar - y_bla
     y_process = y_bar - y_bar_bar
-    y_output_noise = measured.output_noise
-
-    var_noise = _spectral_variance(
-        (simulator.draw_output_noise(n, derive_rng(master, "decompose", "noise_var", j))
-         for j in range(ensemble_size)), ensemble_size, n)
 
     var_nonlinear = (np.abs(period_spectra(y_nonlinear, n)) ** 2).mean(axis=0)
 
@@ -367,11 +367,11 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
         y_bla=y_bla,
         y_nonlinear=y_nonlinear,
         y_process=y_process,
-        y_output_noise=y_output_noise,
+        y_output_noise=measured.output_noise,
         y_total=y_total,
         var_nonlinear=var_nonlinear,
         var_process=var_process,
-        var_noise=var_noise,
+        var_noise=np.full(n // 2 + 1, float(simulator.output_noise_variance)),
         ensemble_size=ensemble_size,
     )
 

@@ -266,11 +266,16 @@ def _excitations(config: ExperimentConfig, realizations: range):
     """One period of each listed realization's multisine, from one spec.
 
     It is the plant input in open loop and the reference in closed loop.
+    A period that overflows, from too large an ``rms``, is a ConfigurationError.
     """
     spec = multisine_spec(config)
     label = "reference" if config.loop == "closed" else "input"
     for m in realizations:
-        yield generate_multisine(spec, derive_rng(config.master_seed, label, m))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+            u = generate_multisine(spec, derive_rng(config.master_seed, label, m))
+        if not np.isfinite(u.samples).all():
+            raise ConfigurationError(f"rms = {config.input_rms:g} overflows the multisine")
+        yield u
 
 
 def _simulator(config: ExperimentConfig) -> HammersteinSimulator:
@@ -378,11 +383,11 @@ def run_records(config: ExperimentConfig, workers: int = 1) -> tuple[ExperimentR
 
 def write_generated_signals(config: ExperimentConfig, out_dir) -> list[pathlib.Path]:
     """Write the excitation signals and spectra the experiment would use."""
-    out_dir = pathlib.Path(out_dir)
-    signals_dir = out_dir / "signals"
+    signals = list(_excitations(config, range(config.realizations)))
+    signals_dir = pathlib.Path(out_dir) / "signals"
     signals_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for m, sig in enumerate(_excitations(config, range(config.realizations))):
+    for m, sig in enumerate(signals):
         sig_path = signals_dir / f"u_m{m:03d}.csv"
         spec_path = signals_dir / f"u_m{m:03d}_spectrum.csv"
         write_signal_csv(sig_path, sig)
@@ -471,9 +476,9 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     decomposition report (when enabled) and a self-describing summary JSON.
     Identical config and seed give byte-identical outputs.
     """
+    record, warmup = run_records(config, workers=workers)
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    record, warmup = run_records(config, workers=workers)
     write_record_bundle(out_dir / "records", record)
     decomposition = (_run_decomposition(config, out_dir) if config.decompose
                      else {"enabled": False})

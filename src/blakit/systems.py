@@ -140,8 +140,8 @@ class RationalLTI:
     def __init__(self, b, a=(1.0,)):
         b = np.atleast_1d(np.asarray(b, dtype=float))
         a = np.atleast_1d(np.asarray(a, dtype=float))
-        if not (np.isfinite(b).all() and np.isfinite(a).all()):
-            raise ConfigurationError("filter coefficients must be finite")
+        if not (b.size and a.size and np.isfinite(b).all() and np.isfinite(a).all()):
+            raise ConfigurationError("filter coefficients must be nonempty and finite")
         if a[0] == 0.0:
             raise ConfigurationError("leading denominator coefficient must be nonzero")
         if a[0] != 1.0:
@@ -381,16 +381,15 @@ class SimulationRecord:
 class HammersteinSimulator:
     """Re-runnable Hammerstein simulator ``y = S(q)[f(u + nx)] + ny``.
 
-    Noise sequences are white Gaussian by default; pass coloring filters for
-    colored noise.  Separate generators for the process and output noise make
-    controlled re-simulation possible: fixing the input and redrawing only
-    the process noise is exactly what output decomposition needs.
+    Noise sequences are white Gaussian; only the process noise can be
+    colored, by ``process_noise_coloring``.  Separate generators for the
+    process and output noise make controlled re-simulation possible: fixing
+    the input and redrawing only the process noise is what decomposition needs.
     """
 
     def __init__(self, dynamics: RationalLTI, nonlinearity: PolynomialNonlinearity,
                  process_noise_variance: float = 0.0, output_noise_variance: float = 0.0,
                  process_noise_coloring: RationalLTI | None = None,
-                 output_noise_coloring: RationalLTI | None = None,
                  warmup_minimum: int = _MIN_WARMUP):
         _check_variance("process_noise_variance", process_noise_variance)
         _check_variance("output_noise_variance", output_noise_variance)
@@ -400,7 +399,6 @@ class HammersteinSimulator:
         self.process_noise_variance = float(process_noise_variance)
         self.output_noise_variance = float(output_noise_variance)
         self.process_noise_coloring = process_noise_coloring
-        self.output_noise_coloring = output_noise_coloring
         self.warmup_minimum = int(warmup_minimum)
 
     def required_warmup(self, u: PeriodicSignal) -> tuple[int, float]:
@@ -436,10 +434,6 @@ class HammersteinSimulator:
         return generate_noise(self.process_noise_variance, length, rng,
                               coloring=self.process_noise_coloring)
 
-    def draw_output_noise(self, length: int, rng) -> np.ndarray:
-        return generate_noise(self.output_noise_variance, length, rng,
-                              coloring=self.output_noise_coloring)
-
     def run(self, u: PeriodicSignal, process_noise_rng=None,
             output_noise_rng=None) -> SimulationRecord:
         """Simulate ``u.period_count`` steady-state periods.
@@ -460,7 +454,7 @@ class HammersteinSimulator:
             raise ValueError("output_noise_rng is required when output noise is on")
         warmup, resid, y0, nx = next(self._steady_runs(u, [(None, process_noise_rng)]))
         n = u.samples_per_period
-        ny = self.draw_output_noise(u.period_count * n, output_noise_rng)
+        ny = generate_noise(self.output_noise_variance, u.period_count * n, output_noise_rng)
         return SimulationRecord(
             output=PeriodicSignal(y0 + ny, n, u.period_count, u.sampling_frequency),
             process_noise=nx,

@@ -393,6 +393,7 @@ class TestInvalidInputExits2:
          "sampling_frequency_hz"),
         ("rms = 1\n", "rms = -1\n", "rms must be finite and > 0"),
         ("rms = 1\n", "rms = nan\n", "rms must be finite and > 0"),
+        ("rms = 1\n", "rms = 1e308\n", "rms = 1e+308 overflows the multisine"),
         ("output_variance = 0.00089999999999999998", "output_variance = inf",
          "output_variance must be finite"),
         ("process_variance = 0.010000000000000002", "process_variance = nan",
@@ -404,7 +405,7 @@ class TestInvalidInputExits2:
          "min_fraction_in_band"),
     ], ids=["bad-boolean", "fractional-int", "no-realizations", "no-periods",
             "no-samples-per-period", "warmup-above-64", "warmup-zero", "warmup-negative",
-            "fs-zero", "fs-negative", "fs-nan", "rms-negative", "rms-nan",
+            "fs-zero", "fs-negative", "fs-nan", "rms-negative", "rms-nan", "rms-overflow",
             "output-variance-inf", "process-variance-nan", "input-variance-open-loop",
             "band-sigma-negative", "band-sigma-nan", "min-fraction-above-1"])
     def test_malformed_config_value(self, tmp_path, capsys, old, new, expected):
@@ -413,6 +414,23 @@ class TestInvalidInputExits2:
         message = self.assert_config_error(
             capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
         assert expected in message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "decompose"])
+    def test_overflowing_excitation_writes_nothing(self, tmp_path, capsys, command):
+        path, _ = write_config(tmp_path)
+        self.edit_config(path, "rms = 1\n", "rms = 1e308\n")
+        message = self.assert_config_error(
+            capsys, [command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert "rms = 1e+308 overflows" in message
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_coefficient_list(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        (tmp_path / "system.ini").write_text("[S]\nb = 0.25\na =\n\n[f]\ncoefficients = 1.0\n")
+        message = self.assert_config_error(
+            capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert "must be nonempty" in message
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("estimate_with, field", [

@@ -30,6 +30,7 @@ from blakit.signals import (
     derive_rng,
     dft,
     generate_multisine,
+    generate_noise,
     period_spectra,
 )
 from blakit.systems import (
@@ -468,18 +469,44 @@ class TestDecomposition:
                                self.analytic_g(process_var), seed=5)
         n = u.samples_per_period
         bins = np.arange(1, n // 2)
-        # White output noise: flat variance spectrum at the noise variance.
-        assert dec.var_noise[bins].mean() == pytest.approx(output_var, rel=0.1)
+        # White output noise: the exact flat spectrum at the noise variance.
+        assert np.array_equal(dec.var_noise, np.full(n // 2 + 1, output_var))
         # Process contribution rides through the dynamics: compare band shape.
         shape = np.abs(DYNAMICS.bin_response(n)[bins]) ** 2
         ratio = dec.var_process[bins] / shape
         smooth = np.convolve(ratio, np.ones(32) / 32, mode="valid")
         assert smooth.max() / smooth.min() < 2.0
 
+    @pytest.mark.parametrize("n", [4, 5, 64, 255])
+    def test_exact_noise_spectrum_matches_white_noise_ensemble(self, n):
+        # The ensemble the decomposition no longer draws: fresh white output
+        # noise, reduced per bin, agrees with the exact var_noise within 6
+        # standard errors over the interior bins, at DC and at Nyquist (even
+        # N).  (K-1) s^2 is (var/2) chi^2(2(K-1)) in an interior bin and
+        # var chi^2(K-1) in a real one.
+        output_var, draws = 0.0009, 4000
+        spec = MultisineSpec.flat(n, 1.0, np.arange(1, (n + 1) // 2), rms=1.0)
+        u = generate_multisine(spec, seed=n).tile(2)
+        dec = decompose_output(self.make_sim(0.0, output_var), u, 100,
+                               DYNAMICS.bin_response(n), seed=n)
+        estimate = _spectral_variance(
+            (generate_noise(output_var, n, derive_rng(n, "white", j)) for j in range(draws)),
+            draws, n)
+        interior = np.arange(1, (n + 1) // 2)
+        real_bins = [0] if n % 2 else [0, n // 2]
+        assert (abs(estimate[interior].mean() - dec.var_noise[interior].mean())
+                < 6 * output_var / np.sqrt((draws - 1) * interior.size))
+        assert np.all(np.abs(estimate[real_bins] - dec.var_noise[real_bins])
+                      < 6 * output_var * np.sqrt(2 / (draws - 1)))
+
     def test_protocol_and_ensemble_validation(self):
         u = self.make_input()
         with pytest.raises(UnsupportedOperationError):
             decompose_output(object(), u, 150, self.analytic_g(0.01))
+        no_variance = self.make_sim()
+        del no_variance.output_noise_variance
+        with pytest.raises(UnsupportedOperationError, match="output_noise_variance"):
+            decompose_output(no_variance, u, 150, self.analytic_g(0.01))
         with pytest.raises(ValueError, match="ensemble_size"):
             decompose_output(self.make_sim(), u, 50, self.analytic_g(0.01))
 

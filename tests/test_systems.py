@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from blakit.signals import MultisineSpec, PeriodicSignal, derive_rng, dft, generate_multisine
+from blakit.signals import (MultisineSpec, PeriodicSignal, derive_rng, dft, generate_multisine,
+                            generate_noise)
 from blakit.systems import (
     DIVERGENCE_LIMIT,
     ClosedLoopConfig,
@@ -195,7 +196,7 @@ class TestHammersteinSimulator:
         # covers the record only.
         total = lti.settling_length() + n
         nx_full = sim.draw_process_noise(total, derive_rng(7, "nx"))
-        ny = sim.draw_output_noise(n, derive_rng(7, "ny"))
+        ny = generate_noise(0.04, n, derive_rng(7, "ny"))
         y_full = sps.lfilter(lti.numerator, lti.denominator, CUBIC(nx_full))
         np.testing.assert_allclose(rec.output.samples, y_full[-n:] + ny, rtol=1e-12)
         np.testing.assert_array_equal(rec.process_noise, nx_full[-n:])
@@ -644,6 +645,7 @@ class TestSystemFile:
 
     def test_malformed_coefficients_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[S]\nb = fish\na = 1.0\n\n[f]\ncoefficients = 1.0\n")
-        with pytest.raises(ConfigurationError):
-            read_system_file(path)
+        for b, a in [("fish", "1.0"), ("0.2", ""), ("", "1.0, -0.8")]:  # empty a or b too
+            path.write_text(f"[S]\nb = {b}\na = {a}\n\n[f]\ncoefficients = 1.0\n")
+            with pytest.raises(ConfigurationError):
+                read_system_file(path)
