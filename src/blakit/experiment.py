@@ -125,6 +125,8 @@ class ExperimentConfig:
             value = getattr(self, field)
             if not (np.isfinite(value) and value > 0):  # NaN fails both
                 raise ConfigurationError(f"{_KEYS[field]} must be finite and > 0, got {value}")
+        if not np.isfinite(float(self.input_rms) * self.input_rms):  # the input variance
+            raise ConfigurationError(f"rms = {self.input_rms:g} has no finite square")
         for field in ("process_noise_variance", "output_noise_variance",
                       "input_noise_variance"):
             _check_variance(_KEYS[field], getattr(self, field))
@@ -265,24 +267,19 @@ def write_experiment_config(path, config: ExperimentConfig, system_file: str) ->
 def _excitations(config: ExperimentConfig, realizations: range):
     """One period of each listed realization's multisine, from one spec.
 
-    It is the plant input in open loop and the reference in closed loop.
-    A period that overflows, from too large an ``rms``, is a ConfigurationError.
+    It is the plant input in open loop and the reference in closed loop,
+    and finite: ``|u| <= rms * sqrt(2K)`` for ``K`` bins, and ``rms**2`` is.
     """
     spec = multisine_spec(config)
     label = "reference" if config.loop == "closed" else "input"
     for m in realizations:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-            u = generate_multisine(spec, derive_rng(config.master_seed, label, m))
-        if not np.isfinite(u.samples).all():
-            raise ConfigurationError(f"rms = {config.input_rms:g} overflows the multisine")
-        yield u
+        yield generate_multisine(spec, derive_rng(config.master_seed, label, m))
 
 
 def _simulator(config: ExperimentConfig) -> HammersteinSimulator:
     return HammersteinSimulator(
         config.system.dynamics, config.system.nonlinearity,
         config.process_noise_variance, config.output_noise_variance,
-        warmup_minimum=config.warmup_minimum,
     )
 
 
@@ -296,7 +293,7 @@ def _open_loop_task(config: ExperimentConfig, start: int, count: int):
             output_noise_rng=derive_rng(config.master_seed, "output_noise", m),
         )
         out.append((dft(u).bins, period_spectra(rec.output.samples, u.samples_per_period),
-                    rec.warmup_periods))
+                    rec.lead_in_samples))
     return out
 
 
@@ -357,24 +354,26 @@ def _record(config: ExperimentConfig, **spectra) -> ExperimentRecord:
 
 
 def run_open_loop_records(config: ExperimentConfig,
-                          workers: int = 1) -> tuple[ExperimentRecord, int]:
-    u, y, warmups = zip(*_per_realization(config, _open_loop_task, workers))
-    return _record(config, input_spectra=np.stack(u), output_spectra=np.stack(y)), max(warmups)
+                          workers: int = 1) -> tuple[ExperimentRecord, dict]:
+    u, y, leads = zip(*_per_realization(config, _open_loop_task, workers))
+    record = _record(config, input_spectra=np.stack(u), output_spectra=np.stack(y))
+    return record, {"lead_in_samples": max(leads)}
 
 
 def run_closed_loop_records(config: ExperimentConfig,
-                            workers: int = 1) -> tuple[ExperimentRecord, int]:
+                            workers: int = 1) -> tuple[ExperimentRecord, dict]:
     r, u_pp, y, warmups = zip(*_per_realization(config, _closed_loop_task, workers))
     u_pp = np.stack(u_pp)
     record = _record(config, input_spectra=u_pp.mean(axis=1), output_spectra=np.stack(y),
                      reference_spectra=np.stack(r), input_spectra_per_period=u_pp)
-    return record, max(warmups)
+    return record, {"warmup_periods_used": max(warmups)}
 
 
-def run_records(config: ExperimentConfig, workers: int = 1) -> tuple[ExperimentRecord, int]:
+def run_records(config: ExperimentConfig, workers: int = 1) -> tuple[ExperimentRecord, dict]:
     """Simulate the record of ``config`` with the builder of its loop.
 
-    Returns the record and the largest warm-up period count used.
+    Returns the record and, for the summary, what ran before it: the open
+    loop's ``lead_in_samples`` or the closed loop's ``warmup_periods_used``.
     """
     # Looked up at call time, so a wrapped builder (e.g. a tracer's) is used.
     build = run_closed_loop_records if config.loop == "closed" else run_open_loop_records
@@ -476,13 +475,13 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     decomposition report (when enabled) and a self-describing summary JSON.
     Identical config and seed give byte-identical outputs.
     """
-    record, warmup = run_records(config, workers=workers)
+    record, ran = run_records(config, workers=workers)
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_record_bundle(out_dir / "records", record)
     decomposition = (_run_decomposition(config, out_dir) if config.decompose
                      else {"enabled": False})
-    return _report(config, out_dir, record, decomposition, warmup=warmup)
+    return _report(config, out_dir, record, decomposition, ran=ran)
 
 
 def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
@@ -549,11 +548,11 @@ def estimate_from_bundle(config: ExperimentConfig, out_dir) -> ExperimentReport:
 
 
 def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentRecord,
-            decomposition: dict, warmup: int | None = None) -> ExperimentReport:
+            decomposition: dict, ran: dict | None = None) -> ExperimentReport:
     """Estimate from ``record``, then write ``bla.csv`` and ``summary.json``.
 
-    ``summary.json`` hashes every other file under ``out_dir``.  ``warmup``
-    is known only for a record simulated in this run and is reported then.
+    ``summary.json`` hashes every other file under ``out_dir``.  ``ran``
+    (from ``run_records``) is known only for a record simulated in this run.
     """
     estimate = (robust_bla_closed_loop(record) if record.reference_spectra is not None
                 else robust_bla(record))
@@ -568,13 +567,12 @@ def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentR
             "periods": estimate.period_count,
             "excited_bins": int(estimate.excited_bins.size),
             "defined_bins": int(estimate.defined.sum()),
+            **(ran or {}),
         },
         "analytic_comparison": comparison,
         "decomposition": decomposition,
         "pass": tolerance_ok,
     }
-    if warmup is not None:
-        summary["estimate"]["warmup_periods_used"] = warmup
     summary["files"] = _hash_tree(out_dir, skip={"summary.json"})
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     return ExperimentReport(summary=summary, estimate=estimate, record=record,

@@ -5,19 +5,19 @@ polynomial nonlinearities, the Hammerstein structure
 ``y = S(q)[f(u + nx)] + ny`` and a closed loop built from a linear actuator,
 the nonlinear plant and a strictly delayed linear feedback path.
 
-Each realization's warm-up is the number of periods after which its
-noise-free response is periodic (its last two periods differing by less
-than ``STEADY_STATE_RTOL`` in relative RMS), so recorded periods are steady
-state.  The closed loop runs those periods sample by sample, the one
-time-domain recursion, since feedback needs it.  The open loop starts at the
-exact periodic steady state and runs only the response to the process noise
-over a lead-in.  Open-loop filtering is a product of spectra: periodic
-responses on the period's bin grid, zero-state ones on a grid padded by
-``settling_length()`` samples so that, for simple dominant poles, the
-wrap-around has decayed below ``STEADY_STATE_RTOL``.  Dynamics whose
-dominant mode needs more than the warm-up budget of ``_MAX_WARMUP`` periods
-to decay that far raise InstabilityError before any draw.
-Noisy simulations are a pure function of their seeds.
+Recorded periods are steady state.  The closed loop runs sample by sample,
+the one time-domain recursion, since feedback needs it; each realization's
+warm-up is the number of periods after which its noise-free loop is
+periodic (its last two periods differing by less than
+``STEADY_STATE_RTOL`` in relative RMS).  The open loop has no warm-up: it
+starts at the exact periodic steady state and runs only the response to the
+process noise, over a lead-in of ``settling_length()`` samples.  Open-loop
+filtering is a product of spectra: periodic responses on the period's bin
+grid, zero-state ones on a grid padded by ``settling_length()`` samples so
+that, for simple dominant poles, the wrap-around has decayed below
+``STEADY_STATE_RTOL``.  Open-loop dynamics whose dominant mode needs more
+than ``_MAX_WARMUP`` periods to decay that far raise InstabilityError before
+any draw.  Noisy simulations are a pure function of their seeds.
 """
 
 from __future__ import annotations
@@ -328,7 +328,7 @@ def filter_periodic(lti: RationalLTI, sig: PeriodicSignal) -> PeriodicSignal:
 
 
 class _SteadyState:
-    """The warm-up rule, applied to each column of a run on its own.
+    """The closed loop's warm-up rule, applied to each column of a run on its own.
 
     Column ``i`` settles at the first period count ``>= minimum`` at which
     its noise-free period changed by less than ``STEADY_STATE_RTOL`` in
@@ -336,7 +336,7 @@ class _SteadyState:
     that change.  Errors name it realization ``first_realization + i``.
     """
 
-    def __init__(self, width: int, minimum: int, first_realization: int | None = None):
+    def __init__(self, width: int, minimum: int, first_realization: int):
         self.periods = np.zeros(width, dtype=int)
         self.residuals = np.full(width, np.inf)
         self._minimum = minimum
@@ -358,24 +358,33 @@ class _SteadyState:
         self._previous = rows
         if not self.periods.all() and self._count == _MAX_WARMUP:
             i = int(np.flatnonzero(self.periods == 0)[0])
-            who = ("" if self._first_realization is None
-                   else f" in realization {self._first_realization + i}")
             raise InstabilityError(
-                f"steady state not reached within {_MAX_WARMUP} warm-up periods{who} "
+                f"steady state not reached within {_MAX_WARMUP} warm-up periods in "
+                f"realization {self._first_realization + i} "
                 f"(relative residual {self.residuals[i]:.3g})"
             )
         return bool(self.periods.all())
 
 
+def _check_periodic(sig: PeriodicSignal, name: str, where: str = "") -> None:
+    """Raise ValueError naming the first period of ``sig`` that differs from period 0."""
+    n = sig.samples_per_period
+    rows = sig.samples[n:].reshape(sig.period_count - 1, n)
+    differs = np.flatnonzero((rows != sig.period(0)).any(axis=1))
+    if differs.size:
+        raise ValueError(f"{name} period {differs[0] + 1}{where} differs from period 0; "
+                         f"the simulator needs a periodic {name}")
+
+
 @dataclass(frozen=True)
 class SimulationRecord:
-    """Recorded steady-state periods of a noisy simulation."""
+    """Recorded steady-state periods of a noisy open-loop simulation, and the
+    ``lead_in_samples`` that ran before them (0 without process noise)."""
 
     output: PeriodicSignal
     process_noise: np.ndarray
     output_noise: np.ndarray
-    warmup_periods: int
-    steady_state_residual: float
+    lead_in_samples: int
 
 
 class HammersteinSimulator:
@@ -389,26 +398,24 @@ class HammersteinSimulator:
 
     def __init__(self, dynamics: RationalLTI, nonlinearity: PolynomialNonlinearity,
                  process_noise_variance: float = 0.0, output_noise_variance: float = 0.0,
-                 process_noise_coloring: RationalLTI | None = None,
-                 warmup_minimum: int = _MIN_WARMUP):
+                 process_noise_coloring: RationalLTI | None = None):
         _check_variance("process_noise_variance", process_noise_variance)
         _check_variance("output_noise_variance", output_noise_variance)
-        _check_warmup_minimum("warmup_minimum", warmup_minimum)
         self.dynamics = dynamics
         self.nonlinearity = nonlinearity
         self.process_noise_variance = float(process_noise_variance)
         self.output_noise_variance = float(output_noise_variance)
         self.process_noise_coloring = process_noise_coloring
-        self.warmup_minimum = int(warmup_minimum)
 
-    def required_warmup(self, u: PeriodicSignal) -> tuple[int, float]:
-        """Warm-up periods until the noise-free response is periodic.
+    def required_warmup(self, u: PeriodicSignal) -> tuple[int, int]:
+        """The open loop's warm-up: ``(0, dynamics.settling_length())``.
 
-        Reads the periods of the zero-state response to the repeated
-        noise-free period ``f(u)``: as many as the rule needs once the
-        dominant mode has decayed, then all ``_MAX_WARMUP`` if it has not
-        settled by then.  Dynamics whose ``_decay_length()`` exceeds that
-        budget raise InstabilityError before anything is filtered.
+        No warm-up period runs, since every draw starts at the exact
+        periodic steady state; the response to the process noise runs over a
+        lead-in of ``settling_length()`` samples.  (The benchmark's tracer
+        reads the first element as the periods simulated.)  Dynamics whose
+        ``_decay_length()`` exceeds ``_MAX_WARMUP`` periods of ``u`` raise
+        InstabilityError instead, before anything is drawn or filtered.
         """
         n = u.samples_per_period
         decay = self.dynamics._decay_length()
@@ -417,18 +424,7 @@ class HammersteinSimulator:
                 f"steady state not reachable within {_MAX_WARMUP} warm-up periods: the "
                 f"dynamics settle in {decay} samples, more than {_MAX_WARMUP} periods of {n}"
             )
-        x_period = self.nonlinearity(u.period(0))
-        # A short pass first: one pass over all 64 periods costs the demo
-        # (N = 4096, settled after 5) about 20% of its run time and 14 MB of
-        # peak memory on a 2-core Xeon.
-        needed = min(max(self.warmup_minimum, -(-decay // n)) + 1, _MAX_WARMUP)
-        for count in (needed, _MAX_WARMUP):  # update raises after _MAX_WARMUP periods
-            y = self.dynamics.filter(np.tile(x_period, count)).reshape(count, n)
-            steady = _SteadyState(1, self.warmup_minimum)
-            for period, row in enumerate(y):
-                _check_divergence(row, n, "noise-free warm-up", first_period=period)
-                if steady.update(row[:, None]):
-                    return int(steady.periods[0]), float(steady.residuals[0])
+        return 0, self.dynamics.settling_length()
 
     def draw_process_noise(self, length: int, rng) -> np.ndarray:
         return generate_noise(self.process_noise_variance, length, rng,
@@ -446,21 +442,20 @@ class HammersteinSimulator:
         (see ``_steady_runs``), so the recorded noise paths carry settled
         filter state.  The output noise is drawn over the recorded stretch
         only and added.  Returns the measured output together with the exact
-        noise sequences that entered it.
+        noise sequences that entered it and the lead-in that ran.
         """
         if self.process_noise_variance > 0 and process_noise_rng is None:
             raise ValueError("process_noise_rng is required when process noise is on")
         if self.output_noise_variance > 0 and output_noise_rng is None:
             raise ValueError("output_noise_rng is required when output noise is on")
-        warmup, resid, y0, nx = next(self._steady_runs(u, [(None, process_noise_rng)]))
+        lead, y0, nx = next(self._steady_runs(u, [(None, process_noise_rng)]))
         n = u.samples_per_period
         ny = generate_noise(self.output_noise_variance, u.period_count * n, output_noise_rng)
         return SimulationRecord(
             output=PeriodicSignal(y0 + ny, n, u.period_count, u.sampling_frequency),
             process_noise=nx,
             output_noise=ny,
-            warmup_periods=warmup,
-            steady_state_residual=resid,
+            lead_in_samples=lead,
         )
 
     def process_noise_ensemble(self, u: PeriodicSignal,
@@ -469,66 +464,65 @@ class HammersteinSimulator:
 
         Draw ``i`` has the values of ``run(u, rng_i).output.samples`` on a
         twin simulator without output noise, for the ``i``-th generator, but
-        the warm-up is probed and the lead-in excitation built once for all
-        draws.  Without process noise every draw is the exact
-        periodic output, yielded as the same read-only array.
+        the lead-in excitation is built once for all draws.  Without process
+        noise every draw is the exact periodic output, yielded as the same
+        read-only array.
         """
-        for _, _, y0, _ in self._steady_runs(u, enumerate(process_noise_rngs)):
+        for _, y0, _ in self._steady_runs(u, enumerate(process_noise_rngs)):
             yield y0
 
     def _steady_runs(self, u: PeriodicSignal, draws: Iterable):
-        """Yield ``(warmup, residual, y0, nx)`` over the recorded periods of ``u``.
+        """Yield ``(lead, y0, nx)`` over the recorded periods of ``u``.
 
-        The warm-up is probed once and reported; it is the noise-free
-        settling count, and no draw simulates it.  ``draws`` holds
-        ``(draw, rng)`` pairs; each rng draws the process noise ``nx`` of one
-        run over a lead-in of ``L = dynamics.settling_length()`` samples and
-        the recorded periods.  ``S`` is linear, so the output splits as
+        ``draws`` holds ``(draw, rng)`` pairs; each rng draws the process
+        noise ``nx`` of one run over a lead-in of ``lead`` samples, from
+        ``required_warmup``, and the recorded periods.  ``S`` is linear, so
+        the output splits as
 
             S[f(u + nx)] = S[f(u)] + S[f(u + nx) - f(u)],
 
         where the first term is the exact periodic steady state and only the
         second runs, from zero state, over the lead-in (with ``u`` extended
-        periodically before period 0) and the record.  All of this is built
-        from period 0, so ``u`` whose periods differ raises ValueError naming
-        the first that differs.  Each run raises InstabilityError, naming
-        ``draw``, if it diverges; its simulated periods are the ``N``-sample
-        blocks from the start of the lead-in.  Without process noise every
-        ``y0`` is the exact periodic steady state, the same read-only array
-        each time.
+        periodically before period 0) and the record: one
+        ``dynamics.filter`` call per draw.  All of this is built from period
+        0, so ``u`` whose periods differ raises ValueError naming the first
+        that differs.  Each run raises InstabilityError, naming ``draw``, if
+        it diverges; its simulated periods are the ``N``-sample blocks from
+        the start of the lead-in.  Without process noise nothing runs: ``lead`` is 0 and
+        every ``y0`` is the exact periodic steady state, the same read-only
+        array each time.
         """
         n = u.samples_per_period
         p = u.period_count
-        differs = np.flatnonzero((u.samples[n:].reshape(p - 1, n) != u.period(0)).any(axis=1))
-        if differs.size:
-            raise ValueError(f"input period {differs[0] + 1} differs from period 0; "
-                             f"the simulator needs a periodic input")
-        warmup, resid = self.required_warmup(u)
+        _check_periodic(u, "input")
+        _, lead = self.required_warmup(u)
         periodic = self._periodic_output(u)
         if self.process_noise_variance == 0:
             y0 = np.tile(periodic, p)
             y0.flags.writeable = False
             nx = np.zeros(p * n)
             for _ in draws:
-                yield warmup, resid, y0, nx
+                yield 0, y0, nx
             return
-        lead = self.dynamics.settling_length()
         phase = np.arange(-lead, p * n) % n  # the sample's index within its period
         u_ext = u.period(0)[phase]
         f_ext = self.nonlinearity(u_ext)
         y_ext = periodic[phase]
         for draw, rng in draws:
-            nx = self.draw_process_noise(lead + p * n, rng)
-            y0 = self.dynamics.filter(self.nonlinearity(u_ext + nx) - f_ext)
-            y0 += y_ext
-            _check_divergence(y0, n, draw=draw)
-            yield warmup, resid, y0[lead:], nx[lead:]
+            # _check_divergence reports overflow; the consumer's errstate holds at the yield.
+            with np.errstate(over="ignore", invalid="ignore"):
+                nx = self.draw_process_noise(lead + p * n, rng)
+                y0 = self.dynamics.filter(self.nonlinearity(u_ext + nx) - f_ext)
+                y0 += y_ext
+                _check_divergence(y0, n, draw=draw)
+            yield lead, y0[lead:], nx[lead:]
 
     def _periodic_output(self, u: PeriodicSignal) -> np.ndarray:
         """One period of the exact noise-free periodic steady state."""
         n = u.samples_per_period
-        x = PeriodicSignal(self.nonlinearity(u.period(0)), n, 1, u.sampling_frequency)
-        period = filter_periodic(self.dynamics, x).samples
+        with np.errstate(over="ignore", invalid="ignore"):  # reported right below
+            x = PeriodicSignal(self.nonlinearity(u.period(0)), n, 1, u.sampling_frequency)
+            period = filter_periodic(self.dynamics, x).samples
         _check_divergence(period, n, "periodic steady state")
         return period
 
@@ -702,9 +696,12 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
     One engine pass runs column ``i`` as the noise-free loop of realization
     ``m = first_realization + i`` and column ``M + i`` as its noisy loop,
     which records periods ``W_m .. W_m + P - 1``.  The warm-up ``W_m`` is
-    found on the noise-free loop alone, where steady state is defined, by
-    the rule of ``required_warmup``.  Noise streams are keyed by ``m``, so a
-    record is a pure function of (config, seed, realization), batched or not.
+    the first period count ``>= warmup_minimum`` at which the noise-free
+    loop alone, where steady state is defined, changed by less than
+    ``STEADY_STATE_RTOL`` in relative RMS over one period.  Every reference
+    must repeat its period 0, or ValueError names the first period that
+    differs.  Noise streams are keyed by ``m``, so a record is a pure
+    function of (config, seed, realization), batched or not.
     """
     references = list(references)
     if not references:
@@ -713,9 +710,10 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
     n = references[0].samples_per_period
     p = references[0].period_count
     fs = references[0].sampling_frequency
-    for r in references:
+    for m, r in enumerate(references, first_realization):
         if (r.samples_per_period, r.period_count, r.sampling_frequency) != (n, p, fs):
             raise ConfigurationError("all references must share one grid")
+        _check_periodic(r, "reference", f" of realization {m}")
     width = len(references)
     master = seed if seed is not None else 0
     realizations = [first_realization + i for i in range(width)]
@@ -730,10 +728,8 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
     while not steady.periods.all() or period < steady.periods.max() + p:
         j = period - steady.periods  # the period each settled noisy loop records
         recording = (steady.periods > 0) & (j < p)
-        for i, r in enumerate(references):
-            r_block[:, width + i] = r.period(j[i] if recording[i] else 0)
-            nx_block[:, width + i] = generate_noise(config.process_noise_variance, n,
-                                                    nx_rngs[i])
+        for i, rng in enumerate(nx_rngs):
+            nx_block[:, width + i] = generate_noise(config.process_noise_variance, n, rng)
         u0_block, y0_block = engine.run_period(r_block, nx_block)
         rec = np.flatnonzero(recording)
         u0[rec, j[rec]] = u0_block[:, width + rec].T

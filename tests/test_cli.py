@@ -127,7 +127,8 @@ def experiment_configs(draw):
         samples_per_period=n,
         sampling_frequency=draw(positive),
         excited_bins=bins,
-        input_rms=draw(positive),
+        # The input variance rms**2 must be finite as well.
+        input_rms=draw(st.floats(min_value=0.0, exclude_min=True, max_value=1e154)),
         system=LOOP_SYSTEM if loop == "closed" else hammerstein_demo_system(),
         process_noise_variance=draw(variance),
         output_noise_variance=draw(variance),
@@ -255,8 +256,12 @@ class TestSubcommands:
         assert (split / "bla.csv").read_bytes() == (whole / "bla.csv").read_bytes()
         estimated = json.loads((split / "summary.json").read_text())
         simulated = json.loads((whole / "summary.json").read_text())
-        assert "warmup_periods_used" not in estimated["estimate"]
-        assert simulated["estimate"].pop("warmup_periods_used") >= 4
+        # What ran before the record is known only to the run that simulated it.
+        assert not {"lead_in_samples", "warmup_periods_used"} & set(estimated["estimate"])
+        if loop == "open":  # the demo's S settles within the 1000-sample floor
+            assert simulated["estimate"].pop("lead_in_samples") == 1000
+        else:
+            assert simulated["estimate"].pop("warmup_periods_used") >= 4
         assert estimated == simulated
 
     def test_estimate_reports_skipped_decomposition(self, tmp_path):
@@ -281,6 +286,27 @@ class TestSubcommands:
         bad.write_text("[experiment]\nloop = sideways\n")
         assert main(["simulate", "--config", str(bad),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    def test_overflowing_plant_exits_3_with_one_stderr_line(self, tmp_path):
+        # rms = 1e120 has a finite square, but the demo's cubic overflows on
+        # it.  The instability is the one line on stderr: no numpy warning.
+        path, _ = write_config(tmp_path)
+        text = path.read_text()
+        assert "rms = 1\n" in text
+        path.write_text(text.replace("rms = 1\n", "rms = 1e120\n"))
+        out = tmp_path / "out"
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (str(src),
+                                                           os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-m", "blakit.cli", "simulate", "--config", str(path),
+             "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == EXIT_INSTABILITY
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert json.loads(lines[0])["error"] == "instability"
+        assert not out.exists()
 
     def test_unreachable_steady_state_exits_3(self, tmp_path):
         system = SystemDescription(
@@ -393,7 +419,7 @@ class TestInvalidInputExits2:
          "sampling_frequency_hz"),
         ("rms = 1\n", "rms = -1\n", "rms must be finite and > 0"),
         ("rms = 1\n", "rms = nan\n", "rms must be finite and > 0"),
-        ("rms = 1\n", "rms = 1e308\n", "rms = 1e+308 overflows the multisine"),
+        ("rms = 1\n", "rms = 1e308\n", "rms = 1e+308 has no finite square"),
         ("output_variance = 0.00089999999999999998", "output_variance = inf",
          "output_variance must be finite"),
         ("process_variance = 0.010000000000000002", "process_variance = nan",
@@ -422,8 +448,20 @@ class TestInvalidInputExits2:
         self.edit_config(path, "rms = 1\n", "rms = 1e308\n")
         message = self.assert_config_error(
             capsys, [command, "--config", str(path), "--out", str(tmp_path / "out")])
-        assert "rms = 1e+308 overflows" in message
+        assert "rms = 1e+308 has no finite square" in message
         assert not (tmp_path / "out").exists()
+
+    def test_estimate_with_rms_without_finite_square(self, tmp_path, capsys):
+        # The analytic model squares rms; on an existing bundle that must be
+        # a configuration error too, not an OverflowError.
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        self.edit_config(path, "rms = 1\n", "rms = 1e308\n")
+        message = self.assert_config_error(
+            capsys, ["estimate", "--config", str(path), "--out", str(out)])
+        assert "rms = 1e+308 has no finite square" in message
+        assert sorted(p.name for p in out.iterdir()) == ["records"]
 
     def test_empty_coefficient_list(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)

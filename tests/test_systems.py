@@ -172,15 +172,25 @@ class TestHammersteinSimulator:
         np.testing.assert_allclose(rec.output.samples, expected.samples, atol=1e-9)
 
     def test_steady_state_criterion_met(self):
-        u = flat_multisine(n=64, seed=3)
-        rec = simulate_hammerstein(RationalLTI(**LOWPASS), CUBIC, u, 0.0, 0.0)
-        assert rec.warmup_periods >= 4
-        assert rec.steady_state_residual < 1e-10
+        # The noise-free record is the exact periodic steady state from its
+        # first sample: its periods repeat bit for bit and nothing led in.
+        u = flat_multisine(n=64, seed=3).tile(3)
+        lti = RationalLTI(**LOWPASS)
+        rec = simulate_hammerstein(lti, CUBIC, u, 0.0, 0.0)
+        assert rec.lead_in_samples == 0
+        periods = rec.output.samples.reshape(3, 64)
+        assert (periods == periods[0]).all()
+        x = PeriodicSignal(CUBIC(u.samples), 64, 3, 1.0)
+        np.testing.assert_array_equal(periods[0], filter_periodic(lti, x).period(0))
 
-    def test_configurable_warmup_minimum(self):
-        u = flat_multisine(n=64, seed=3)
-        sim = HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC, warmup_minimum=9)
-        assert sim.run(u).warmup_periods >= 9
+    def test_open_loop_has_no_warmup_knob_or_fields(self):
+        with pytest.raises(TypeError, match="warmup_minimum"):
+            HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC, warmup_minimum=9)
+        rec = simulate_hammerstein(RationalLTI(**LOWPASS), CUBIC,
+                                   flat_multisine(n=64, seed=3), 0.01, 0.0)
+        assert not hasattr(rec, "warmup_periods")
+        assert not hasattr(rec, "steady_state_residual")
+        assert rec.lead_in_samples == RationalLTI(**LOWPASS).settling_length()
 
     def test_zero_input_exercises_pure_noise_path(self):
         n = 128
@@ -235,16 +245,32 @@ class TestHammersteinSimulator:
             sim.run(flat_multisine(n=64, seed=3), process_noise_rng=rng)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("dynamics, warmup", [(dict(b=[1.0]), 4), (LOWPASS, 14)])
-    def test_short_periods_settle_below_the_lead_in_floor(self, dynamics, warmup):
+    @pytest.mark.parametrize("dynamics", [dict(b=[1.0]), LOWPASS])
+    def test_short_periods_settle_below_the_lead_in_floor(self, dynamics):
         # 64 periods of 8 are fewer than the 1000-sample floor of
         # settling_length(), but these dynamics decay within a few dozen
-        # samples: the run settles after as many warm-up periods as the
-        # period-by-period recursion takes.
+        # samples: the guard lets the run through, and its lead-in is the
+        # floor.
         u = flat_multisine(n=8, seed=3).tile(2)
         sim = HammersteinSimulator(RationalLTI(**dynamics), CUBIC, process_noise_variance=0.01)
         rec = sim.run(u, process_noise_rng=derive_rng(3, "nx"))
-        assert rec.warmup_periods == warmup
+        assert rec.lead_in_samples == 1000
+        assert np.isfinite(rec.output.samples).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(pole=st.floats(0.0, 0.9999, exclude_min=True), n=st.integers(4, 512))
+    def test_guard_refuses_exactly_the_dynamics_slower_than_64_periods(self, pole, n):
+        lti = RationalLTI(b=[1.0 - pole], a=[1.0, -pole])
+        sim = HammersteinSimulator(lti, CUBIC, process_noise_variance=0.01)
+        rng = derive_rng(2, "nx")
+        state = rng.bit_generator.state
+        if lti._decay_length() > 64 * n:
+            with pytest.raises(InstabilityError, match="64 warm-up periods"):
+                sim.run(flat_multisine(n=n, seed=1).tile(2), process_noise_rng=rng)
+            assert rng.bit_generator.state == state  # refused before any draw
+        else:
+            rec = sim.run(flat_multisine(n=n, seed=1).tile(2), process_noise_rng=rng)
+            assert rec.lead_in_samples == lti.settling_length()
 
     def test_aperiodic_input_rejected(self):
         u = flat_multisine(n=64, seed=3).tile(3)
@@ -372,6 +398,35 @@ class TestProcessNoiseEnsemble:
             assert rec.output_noise.any()
             assert np.array_equal(rec.output.samples, y + rec.output_noise)
         assert np.array_equal(draws[0], draws[1]) == (process_var == 0.0)
+
+    @pytest.mark.parametrize("process_var", [0.04, 0.0])
+    def test_one_filter_call_per_noisy_draw(self, monkeypatch, process_var):
+        # The noise-free part is the exact periodic output, so the dynamics
+        # filter only the response to the process noise, once per draw, and
+        # nothing at all without process noise.
+        calls = []
+        original = RationalLTI.filter
+        monkeypatch.setattr(RationalLTI, "filter",
+                            lambda self, x: calls.append(1) or original(self, x))
+        sim = HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC,
+                                   process_noise_variance=process_var)
+        u = flat_multisine(n=64, seed=8).tile(2)
+        per_draw = 1 if process_var else 0
+        sim.run(u, process_noise_rng=derive_rng(4, "nx"))
+        assert len(calls) == per_draw
+        calls.clear()
+        for _ in sim.process_noise_ensemble(u, (derive_rng(4, i) for i in range(6))):
+            pass
+        assert len(calls) == 6 * per_draw
+
+    def test_consumer_keeps_its_floating_point_error_handling(self):
+        # Overflow is silenced per draw, never across a yield.
+        sim = HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC, process_noise_variance=0.04)
+        u = flat_multisine(n=64, seed=8).tile(2)
+        with np.errstate(over="raise", invalid="warn"):
+            before = np.geterr()
+            for _ in sim.process_noise_ensemble(u, (derive_rng(4, i) for i in range(3))):
+                assert np.geterr() == before
 
     def test_warmup_probed_once(self, monkeypatch):
         sim = HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC, process_noise_variance=0.04)
@@ -542,8 +597,19 @@ class TestClosedLoop:
         # A minimum beyond the 64-period limit is an invalid argument, not an instability.
         with pytest.raises(ConfigurationError, match="warmup_minimum must be .* <= 64, got 65"):
             simulate_closed_loop_batch(config, [zero], warmup_minimum=65)
-        with pytest.raises(ConfigurationError, match="warmup_minimum must be .* <= 64, got 65"):
-            HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC, warmup_minimum=65)
+
+    def test_aperiodic_reference_rejected(self):
+        plant_lti, actuator, feedback = linear_loop_blocks()
+        config = ClosedLoopConfig(plant=HammersteinPlant(plant_lti, CUBIC),
+                                  actuator=actuator, feedback=feedback,
+                                  process_noise_variance=0.01)
+        r = flat_multisine(n=64, seed=3).tile(3)
+        samples = r.samples.copy()
+        samples[2 * 64 + 5] += 1e-12
+        with pytest.raises(ValueError, match="reference period 2 of realization 4 differs "
+                                             "from period 0"):
+            simulate_closed_loop_batch(config, [r, PeriodicSignal(samples, 64, 3, 1.0)],
+                                       first_realization=3)
 
     def test_batch_matches_single_runs(self):
         plant_lti, actuator, feedback = linear_loop_blocks()
