@@ -56,8 +56,8 @@ from .systems import (
     PolynomialNonlinearity,
     RationalLTI,
     SystemDescription,
+    _check_keys,
     _check_variance,
-    _check_warmup_minimum,
     read_system_file,
     simulate_closed_loop_batch,
 )
@@ -93,7 +93,6 @@ class ExperimentConfig:
     output_noise_variance: float = 0.0
     input_noise_variance: float = 0.0
     master_seed: int = 0
-    warmup_minimum: int = 4
     decompose: bool = False
     decompose_draws: int = 1000
     compare_analytic: bool = True
@@ -120,7 +119,6 @@ class ExperimentConfig:
             )
         if self.master_seed < 0:
             raise ConfigurationError(f"master seed must be >= 0, got {self.master_seed}")
-        _check_warmup_minimum(_KEYS["warmup_minimum"], self.warmup_minimum)
         for field in ("sampling_frequency", "input_rms", "band_sigma"):
             value = getattr(self, field)
             if not (np.isfinite(value) and value > 0):  # NaN fails both
@@ -197,13 +195,12 @@ def _bin_range(bins) -> str | None:
 # The config file in write order: (section, key, ExperimentConfig field, type).
 # "bins" is written as "lo:hi" or a comma list and also read as "all"; "file" is
 # the system file's path.  A key without a _FALLBACKS entry (the field default,
-# or a file-only one) is required.
+# or a file-only one) is required.  The reader refuses every other section and key.
 _CONFIG_KEYS = (
     ("experiment", "loop", "loop", str),
     ("experiment", "realizations", "realizations", int),
     ("experiment", "periods", "periods", int),
     ("experiment", "master_seed", "master_seed", int),
-    ("experiment", "warmup_periods", "warmup_minimum", int),
     ("multisine", "samples_per_period", "samples_per_period", int),
     ("multisine", "sampling_frequency_hz", "sampling_frequency", float),
     ("multisine", "excited_bins", "excited_bins", "bins"),
@@ -219,6 +216,8 @@ _CONFIG_KEYS = (
     ("oracle", "min_fraction_in_band", "min_fraction_in_band", float),
 )
 _KEYS = {field: key for _, key, field, _ in _CONFIG_KEYS}
+_SCHEMA = {section: [key for s, key, _, _ in _CONFIG_KEYS if s == section]
+           for section, *_ in _CONFIG_KEYS}
 _FALLBACKS = {"loop": "open", "sampling_frequency": 1.0, "excited_bins": "all", "input_rms": 1.0,
               **{f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}}
 _GETTERS = {int: "getint", float: "getfloat", bool: "getboolean"}  # others: "get"
@@ -230,10 +229,11 @@ def read_experiment_config(path) -> ExperimentConfig:
     """Parse an experiment configuration file (INI sections, explicit units)."""
     path = pathlib.Path(path)
     parser = configparser.ConfigParser()
-    if not parser.read(str(path)):
-        raise ConfigurationError(f"cannot read config file {path}")
     values = {}
     try:
+        if not parser.read(str(path), encoding="utf-8"):
+            raise ConfigurationError(f"cannot read config file {path}")
+        _check_keys(parser, _SCHEMA, path)
         for section, key, field, kind in _CONFIG_KEYS:
             if field in _FALLBACKS and not parser.has_option(section, key):
                 value = _FALLBACKS[field]
@@ -256,7 +256,7 @@ def write_experiment_config(path, config: ExperimentConfig, system_file: str) ->
     for section, key, field, kind in _CONFIG_KEYS:
         value = system_file if kind == "file" else getattr(config, field)
         parser.read_dict({section: {key: _TEXT.get(kind, str)(value)}})
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
 
@@ -308,8 +308,7 @@ def _closed_loop_task(config: ExperimentConfig, start: int, count: int):
         output_noise_variance=config.output_noise_variance,
     )
     records = simulate_closed_loop_batch(loop, refs, config.master_seed,
-                                         first_realization=start,
-                                         warmup_minimum=config.warmup_minimum)
+                                         first_realization=start)
     n = config.samples_per_period
     return [(dft(rec.reference).bins, period_spectra(rec.input_measured.samples, n),
              period_spectra(rec.output_measured.samples, n), rec.warmup_periods)
@@ -417,10 +416,14 @@ def _analytic_reference(config: ExperimentConfig) -> np.ndarray:
 
 
 def _comparison_summary(config: ExperimentConfig, estimate: BlaEstimate) -> dict:
-    reference = _analytic_reference(config)[estimate.excited_bins]
+    full = _analytic_reference(config)
+    reference = full[estimate.excited_bins]
     defined = estimate.defined
     err = np.abs(estimate.g_bla - reference)
-    band = config.band_sigma * np.sqrt(np.maximum(estimate.var_total, 0.0))
+    # A noise-free linear run errs by round-off alone, a few eps of the largest
+    # gain, and its var_total is 0 or round-off too: the band's floor is 16 eps of it.
+    band = np.maximum(config.band_sigma * np.sqrt(np.maximum(estimate.var_total, 0.0)),
+                      16 * np.finfo(float).eps * np.abs(full).max())
     in_band = err[defined] <= band[defined]
     fraction = float(in_band.mean()) if in_band.size else 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -449,19 +452,12 @@ def _hash_tree(out_dir: pathlib.Path, skip: set[str]) -> dict:
 
 def _config_echo(config: ExperimentConfig) -> dict:
     echo = asdict(config)
-    echo["system"] = {
-        "S_numerator": config.system.dynamics.numerator.tolist(),
-        "S_denominator": config.system.dynamics.denominator.tolist(),
-        "f_coefficients": config.system.nonlinearity.coefficients.tolist(),
-        "G_act_numerator": (config.system.actuator.numerator.tolist()
-                            if config.system.actuator else None),
-        "G_act_denominator": (config.system.actuator.denominator.tolist()
-                              if config.system.actuator else None),
-        "M_numerator": (config.system.feedback.numerator.tolist()
-                        if config.system.feedback else None),
-        "M_denominator": (config.system.feedback.denominator.tolist()
-                          if config.system.feedback else None),
-    }
+    system = config.system
+    echo["system"] = {"f_coefficients": system.nonlinearity.coefficients.tolist()}
+    for name, lti in (("S", system.dynamics), ("G_act", system.actuator),
+                      ("M", system.feedback)):
+        echo["system"][f"{name}_numerator"] = lti.numerator.tolist() if lti else None
+        echo["system"][f"{name}_denominator"] = lti.denominator.tolist() if lti else None
     bins = config.excited_bins
     echo["excited_bins"] = _bin_range(bins) or list(bins)
     echo["excited_bin_count"] = len(bins)

@@ -55,7 +55,7 @@ __all__ = [
 
 STEADY_STATE_RTOL = 1e-10
 DIVERGENCE_LIMIT = 1e12
-_MIN_WARMUP = 4
+_MIN_WARMUP = 4  # the closed loop's least warm-up, in periods
 _MAX_WARMUP = 64
 
 
@@ -66,11 +66,6 @@ class ConfigurationError(ValueError):
 def _check_variance(name: str, value: float) -> None:
     if not (np.isfinite(value) and value >= 0):  # NaN fails both
         raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
-
-
-def _check_warmup_minimum(name: str, value: int) -> None:
-    if not 1 <= value <= _MAX_WARMUP:
-        raise ConfigurationError(f"{name} must be >= 1 and <= {_MAX_WARMUP}, got {value}")
 
 
 class InstabilityError(RuntimeError):
@@ -330,16 +325,15 @@ def filter_periodic(lti: RationalLTI, sig: PeriodicSignal) -> PeriodicSignal:
 class _SteadyState:
     """The closed loop's warm-up rule, applied to each column of a run on its own.
 
-    Column ``i`` settles at the first period count ``>= minimum`` at which
+    Column ``i`` settles at the first period count ``>= _MIN_WARMUP`` at which
     its noise-free period changed by less than ``STEADY_STATE_RTOL`` in
     relative RMS: ``periods[i]`` is that count (0 before), ``residuals[i]``
     that change.  Errors name it realization ``first_realization + i``.
     """
 
-    def __init__(self, width: int, minimum: int, first_realization: int):
+    def __init__(self, width: int, first_realization: int):
         self.periods = np.zeros(width, dtype=int)
         self.residuals = np.full(width, np.inf)
-        self._minimum = minimum
         self._first_realization = first_realization
         self._previous = None
         self._count = 0
@@ -353,7 +347,7 @@ class _SteadyState:
             unsettled = self.periods == 0
             rms = np.sqrt(np.mean(np.square([rows, rows - self._previous]), axis=-1))
             self.residuals[unsettled] = (rms[1] / np.maximum(rms[0], 1e-300))[unsettled]
-            if self._count >= self._minimum:
+            if self._count >= _MIN_WARMUP:
                 self.periods[unsettled & (self.residuals < STEADY_STATE_RTOL)] = self._count
         self._previous = rows
         if not self.periods.all() and self._count == _MAX_WARMUP:
@@ -689,14 +683,13 @@ class _LoopEngine:
 
 
 def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
-                               first_realization: int = 0,
-                               warmup_minimum: int = _MIN_WARMUP) -> list[ClosedLoopRecord]:
+                               first_realization: int = 0) -> list[ClosedLoopRecord]:
     """Simulate one loop per reference signal, all advanced in lock step.
 
     One engine pass runs column ``i`` as the noise-free loop of realization
     ``m = first_realization + i`` and column ``M + i`` as its noisy loop,
     which records periods ``W_m .. W_m + P - 1``.  The warm-up ``W_m`` is
-    the first period count ``>= warmup_minimum`` at which the noise-free
+    the first period count ``>= _MIN_WARMUP`` (4) at which the noise-free
     loop alone, where steady state is defined, changed by less than
     ``STEADY_STATE_RTOL`` in relative RMS over one period.  Every reference
     must repeat its period 0, or ValueError names the first period that
@@ -706,7 +699,6 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
     references = list(references)
     if not references:
         return []
-    _check_warmup_minimum("warmup_minimum", warmup_minimum)
     n = references[0].samples_per_period
     p = references[0].period_count
     fs = references[0].sampling_frequency
@@ -720,7 +712,7 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
     nx_rngs = [derive_rng(master, "loop_process_noise", m) for m in realizations]
 
     engine = _LoopEngine(config, realizations * 2)
-    steady = _SteadyState(width, warmup_minimum, first_realization)
+    steady = _SteadyState(width, first_realization)
     r_block = np.tile(np.stack([r.period(0) for r in references], axis=1), 2)
     nx_block = np.zeros_like(r_block)
     u0, y0 = np.empty((2, width, p, n))
@@ -783,29 +775,34 @@ def _parse_floats(text: str) -> np.ndarray:
         raise ConfigurationError(f"bad coefficient list {text!r}") from exc
 
 
+def _check_keys(parser: configparser.ConfigParser, schema: dict, path) -> None:
+    """Raise ConfigurationError naming the first section or key outside ``schema``,
+    which maps each section a reader reads to the keys it reads there."""
+    for section in parser:  # [DEFAULT] first, so its keys are named as its own
+        unread = [key for key in parser[section] if key not in schema.get(section, ())]
+        if unread or section not in (*schema, parser.default_section):
+            what = f"key {unread[0]!r} in section" if unread else "section"
+            raise ConfigurationError(f"{path}: {what} [{section}] is unknown")
+
+
+_SYSTEM_KEYS = {"S": ("b", "a"), "f": ("coefficients",), "G_act": ("b", "a"), "M": ("b", "a")}
+
+
 def read_system_file(path) -> SystemDescription:
     """Parse a system description file (sections S, f and optional G_act, M)."""
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
-    if not read:
-        raise ConfigurationError(f"cannot read system file {path}")
     try:
-        def lti(section):
-            return RationalLTI(
-                b=_parse_floats(parser.get(section, "b")),
-                a=_parse_floats(parser.get(section, "a", fallback="1.0")),
-            )
-
-        dynamics = lti("S")
-        nonlinearity = PolynomialNonlinearity(
-            coefficients=_parse_floats(parser.get("f", "coefficients"))
-        )
-        actuator = lti("G_act") if parser.has_section("G_act") else None
-        feedback = lti("M") if parser.has_section("M") else None
-    except (configparser.Error, KeyError) as exc:
+        if not parser.read(str(path), encoding="utf-8"):
+            raise ConfigurationError(f"cannot read system file {path}")
+        _check_keys(parser, _SYSTEM_KEYS, path)
+        lti = {name: RationalLTI(b=_parse_floats(parser.get(name, "b")),
+                                 a=_parse_floats(parser.get(name, "a", fallback="1.0")))
+               for name in ("S", "G_act", "M") if name == "S" or parser.has_section(name)}
+        nonlinearity = PolynomialNonlinearity(_parse_floats(parser.get("f", "coefficients")))
+    except (configparser.Error, KeyError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"invalid system file {path}: {exc}") from exc
-    return SystemDescription(dynamics=dynamics, nonlinearity=nonlinearity,
-                             actuator=actuator, feedback=feedback)
+    return SystemDescription(dynamics=lti["S"], nonlinearity=nonlinearity,
+                             actuator=lti.get("G_act"), feedback=lti.get("M"))
 
 
 def write_system_file(path, description: SystemDescription) -> None:
@@ -825,5 +822,5 @@ def write_system_file(path, description: SystemDescription) -> None:
         put("G_act", description.actuator)
     if description.feedback is not None:
         put("M", description.feedback)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)

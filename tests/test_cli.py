@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import configparser
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from blakit.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_OK, EXIT_TOLERANCE, main
 from blakit.estimator import MIN_ENSEMBLE_SIZE
 from blakit.experiment import (
+    _SCHEMA,
     ExperimentConfig,
     compare_reports,
     hammerstein_demo_config,
@@ -28,6 +32,7 @@ from blakit.experiment import (
     write_experiment_config,
 )
 from blakit.systems import (
+    _SYSTEM_KEYS,
     ConfigurationError,
     PolynomialNonlinearity,
     RationalLTI,
@@ -134,7 +139,6 @@ def experiment_configs(draw):
         output_noise_variance=draw(variance),
         input_noise_variance=draw(variance) if loop == "closed" else 0.0,
         master_seed=draw(st.integers(0, 2 ** 64 - 1)),
-        warmup_minimum=draw(st.integers(1, 64)),
         decompose=loop == "open" and draw(st.booleans()),
         decompose_draws=draw(st.integers(MIN_ENSEMBLE_SIZE, 10 ** 6)),
         compare_analytic=draw(st.booleans()),
@@ -349,6 +353,26 @@ class TestSubcommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["analytic_comparison"]["max_abs_error"] < 1e-12
 
+    @pytest.mark.parametrize("loop, dynamics, realizations, n", [
+        ("open", RationalLTI(b=[0.5], a=[1.0, -0.5]), 2, 64),
+        ("open", hammerstein_demo_system().dynamics, 2, 16384),
+        *[("closed", None, m, n) for m in (2, 10) for n in (64, 1024)],
+    ], ids=["first-order", "demo-dynamics", "loop-m2-n64", "loop-m2-n1024",
+            "loop-m10-n64", "loop-m10-n1024"])
+    def test_noise_free_linear_run_passes_its_oracle(self, tmp_path, loop, dynamics,
+                                                     realizations, n):
+        # Round-off alone, at most a few eps of the largest reference gain,
+        # where var_total is round-off too: the band's 16-eps floor holds it.
+        system = LOOP_SYSTEM if loop == "closed" else SystemDescription(
+            dynamics=dynamics, nonlinearity=PolynomialNonlinearity.identity())
+        config = ExperimentConfig(
+            loop=loop, realizations=realizations, periods=2, samples_per_period=n,
+            sampling_frequency=1.0, excited_bins=tuple(range(1, n // 2)), input_rms=1.0,
+            system=system, master_seed=3)
+        report = run_experiment(config, tmp_path / "out")
+        assert report.summary["analytic_comparison"]["fraction_in_band"] == 1.0
+        assert report.tolerance_ok
+
 
 class TestInvalidInputExits2:
     """Invalid configs and arguments exit 2 with the JSON error, never a traceback."""
@@ -357,7 +381,9 @@ class TestInvalidInputExits2:
     def assert_config_error(capsys, argv):
         capsys.readouterr()
         assert main(argv) == EXIT_CONFIG
-        error = json.loads(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        error = json.loads(err)
         assert error["error"] == "configuration"
         return error["message"]
 
@@ -409,9 +435,8 @@ class TestInvalidInputExits2:
         ("realizations = 3\n", "", "invalid config file"),
         ("periods = 2\n", "", "invalid config file"),
         ("samples_per_period = 128\n", "", "invalid config file"),
-        ("warmup_periods = 4", "warmup_periods = 65", "warmup_periods"),
-        ("warmup_periods = 4", "warmup_periods = 0", "warmup_periods"),
-        ("warmup_periods = 4", "warmup_periods = -3", "warmup_periods"),
+        ("master_seed = 5\n", "master_seed = 5\nwarmup_periods = 4\n",
+         "key 'warmup_periods' in section [experiment] is unknown"),
         ("sampling_frequency_hz = 1\n", "sampling_frequency_hz = 0\n", "sampling_frequency_hz"),
         ("sampling_frequency_hz = 1\n", "sampling_frequency_hz = -1\n",
          "sampling_frequency_hz"),
@@ -429,11 +454,14 @@ class TestInvalidInputExits2:
         ("band_sigma = 3", "band_sigma = nan", "band_sigma"),
         ("min_fraction_in_band = 0.94999999999999996", "min_fraction_in_band = 2",
          "min_fraction_in_band"),
+        ("process_variance = ", "proces_variance = ",
+         "key 'proces_variance' in section [noise] is unknown"),
     ], ids=["bad-boolean", "fractional-int", "no-realizations", "no-periods",
-            "no-samples-per-period", "warmup-above-64", "warmup-zero", "warmup-negative",
+            "no-samples-per-period", "warmup-periods-unknown",
             "fs-zero", "fs-negative", "fs-nan", "rms-negative", "rms-nan", "rms-overflow",
             "output-variance-inf", "process-variance-nan", "input-variance-open-loop",
-            "band-sigma-negative", "band-sigma-nan", "min-fraction-above-1"])
+            "band-sigma-negative", "band-sigma-nan", "min-fraction-above-1",
+            "misspelt-key"])
     def test_malformed_config_value(self, tmp_path, capsys, old, new, expected):
         path, _ = write_config(tmp_path, decompose=True, decompose_draws=150)
         self.edit_config(path, old, new)
@@ -441,6 +469,69 @@ class TestInvalidInputExits2:
             capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
         assert expected in message
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda text: text.replace(b"periods = 2\n", b"periods = 2\nperiods = 3\n"),
+         "option 'periods' in section 'experiment' already exists"),
+        (lambda text: b"loop = open\n" + text, "File contains no section headers"),
+        (lambda text: text + b"; \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["duplicate-key", "key-before-section", "non-utf8-byte"])
+    def test_config_syntax_error(self, tmp_path, capsys, edit, expected):
+        path, _ = write_config(tmp_path)
+        path.write_bytes(edit(path.read_bytes()))
+        message = self.assert_config_error(
+            capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert expected in message and str(path) in message
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_system_file_key(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        (tmp_path / "system.ini").write_text("[S]\nb = 0.1\nden = 1, -0.9\n\n"
+                                             "[f]\ncoefficients = 1.0\n")
+        message = self.assert_config_error(
+            capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert message == f"{tmp_path / 'system.ini'}: key 'den' in section [S] is unknown"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, schema", [("config.ini", _SCHEMA),
+                                              ("system.ini", _SYSTEM_KEYS)],
+                             ids=["config", "system"])
+    @settings(max_examples=60, deadline=None)
+    @given(config=experiment_configs(), data=st.data())
+    def test_unread_key_or_section_exits_2(self, tmp_path_factory, name, schema, config, data):
+        # A written file plus a key that its reader does not read, in a section
+        # it reads or in [DEFAULT], or a section it does not read (empty or not).
+        directory = tmp_path_factory.mktemp("unread")
+        write_system_file(directory / "system.ini", config.system)
+        write_experiment_config(directory / "config.ini", config, system_file="system.ini")
+        names = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,11}", fullmatch=True)
+        if data.draw(st.booleans()):
+            section = data.draw(st.sampled_from([*schema, "DEFAULT"]))
+            key = data.draw(names.map(str.lower).filter(
+                lambda key: key not in schema.get(section, ())))
+        else:
+            section = data.draw(names.filter(lambda name: name not in (*schema, "DEFAULT")))
+            key = data.draw(st.none() | names.map(str.lower))
+        parser = configparser.ConfigParser()
+        parser.read(directory / name)
+        if section != "DEFAULT" and not parser.has_section(section):
+            parser.add_section(section)
+        if key is not None:
+            parser.set(section, key, "1")
+        with open(directory / name, "w") as fh:
+            parser.write(fh)
+        out = directory / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main(["generate", "--config", str(directory / "config.ini"),
+                           "--out", str(out)])
+        assert status == EXIT_CONFIG
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["message"]
+        named = f"key {key!r} in section" if key is not None else "section"
+        assert message == f"{directory / name}: {named} [{section}] is unknown"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "decompose"])
     def test_overflowing_excitation_writes_nothing(self, tmp_path, capsys, command):

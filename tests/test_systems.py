@@ -592,11 +592,6 @@ class TestClosedLoop:
                                                    r"realization 8 \(relative residual 0\.0"):
             simulate_closed_loop_batch(config, [zero, flat_multisine(n=64).tile(2)],
                                        first_realization=7)
-        with pytest.raises(ConfigurationError, match="warmup_minimum must be >= 1"):
-            simulate_closed_loop_batch(config, [zero], warmup_minimum=0)
-        # A minimum beyond the 64-period limit is an invalid argument, not an instability.
-        with pytest.raises(ConfigurationError, match="warmup_minimum must be .* <= 64, got 65"):
-            simulate_closed_loop_batch(config, [zero], warmup_minimum=65)
 
     def test_aperiodic_reference_rejected(self):
         plant_lti, actuator, feedback = linear_loop_blocks()
