@@ -14,6 +14,7 @@ import configparser
 import functools
 import hashlib
 import json
+import math
 import pathlib
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -96,8 +97,6 @@ class ExperimentConfig:
     decompose: bool = False
     decompose_draws: int = 1000
     compare_analytic: bool = True
-    band_sigma: float = 3.0
-    min_fraction_in_band: float = 0.95
 
     def __post_init__(self):
         if self.loop not in ("open", "closed"):
@@ -119,7 +118,7 @@ class ExperimentConfig:
             )
         if self.master_seed < 0:
             raise ConfigurationError(f"master seed must be >= 0, got {self.master_seed}")
-        for field in ("sampling_frequency", "input_rms", "band_sigma"):
+        for field in ("sampling_frequency", "input_rms"):
             value = getattr(self, field)
             if not (np.isfinite(value) and value > 0):  # NaN fails both
                 raise ConfigurationError(f"{_KEYS[field]} must be finite and > 0, got {value}")
@@ -128,9 +127,6 @@ class ExperimentConfig:
         for field in ("process_noise_variance", "output_noise_variance",
                       "input_noise_variance"):
             _check_variance(_KEYS[field], getattr(self, field))
-        if not 0 <= self.min_fraction_in_band <= 1:
-            raise ConfigurationError(f"min_fraction_in_band must be between 0 and 1, "
-                                     f"got {self.min_fraction_in_band}")
         if self.loop == "open" and self.input_noise_variance != 0:
             raise ConfigurationError("input_variance must be 0 in open loop, where the "
                                      "plant input is the noise-free excitation")
@@ -187,9 +183,7 @@ def _parse_bins(text: str, samples_per_period: int) -> tuple[int, ...]:
 
 def _bin_range(bins) -> str | None:
     """``"lo:hi"`` when the sorted ``bins`` form one contiguous run, else None."""
-    if len(bins) == bins[-1] - bins[0] + 1:
-        return f"{bins[0]}:{bins[-1]}"
-    return None
+    return f"{bins[0]}:{bins[-1]}" if len(bins) == bins[-1] - bins[0] + 1 else None
 
 
 # The config file in write order: (section, key, ExperimentConfig field, type).
@@ -212,8 +206,6 @@ _CONFIG_KEYS = (
     ("decomposition", "enabled", "decompose", bool),
     ("decomposition", "ensemble_size", "decompose_draws", int),
     ("oracle", "compare_analytic", "compare_analytic", bool),
-    ("oracle", "band_sigma", "band_sigma", float),
-    ("oracle", "min_fraction_in_band", "min_fraction_in_band", float),
 )
 _KEYS = {field: key for _, key, field, _ in _CONFIG_KEYS}
 _SCHEMA = {section: [key for s, key, _, _ in _CONFIG_KEYS if s == section]
@@ -317,14 +309,8 @@ def _closed_loop_task(config: ExperimentConfig, start: int, count: int):
 
 def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
     parts = max(1, min(parts, total))
-    base, extra = divmod(total, parts)
-    spans = []
-    start = 0
-    for i in range(parts):
-        count = base + (1 if i < extra else 0)
-        spans.append((start, count))
-        start += count
-    return spans
+    base, extra = divmod(total, parts)  # the first `extra` spans take one more
+    return [(i * base + min(i, extra), base + (i < extra)) for i in range(parts)]
 
 
 def _per_realization(config: ExperimentConfig, task, workers: int) -> list[tuple]:
@@ -415,6 +401,24 @@ def _analytic_reference(config: ExperimentConfig) -> np.ndarray:
     )
 
 
+# The oracle's band is BAND_SIGMA standard deviations of the estimate; its gate
+# fails a correct estimate with probability at most FALSE_FAIL_LEVEL.
+BAND_SIGMA = 3.0
+FALSE_FAIL_LEVEL = 1e-3
+
+
+def _in_band_probability(realizations: int) -> float:
+    """``c(M, 3)``, a correct estimate's chance to lie in its band: F(2, 2(M-1)) at 3²."""
+    return 1 - (1 + BAND_SIGMA ** 2 / (realizations - 1)) ** -(realizations - 1)
+
+
+def _binomial_tail(misses: int, n: int, p: float) -> float:
+    """``P(Bin(n, p) >= misses)``, summed term by term from log-gamma."""
+    return min(1.0, math.fsum(math.exp(
+        math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+        + j * math.log(p) + (n - j) * math.log1p(-p)) for j in range(misses, n + 1)))
+
+
 def _comparison_summary(config: ExperimentConfig, estimate: BlaEstimate) -> dict:
     full = _analytic_reference(config)
     reference = full[estimate.excited_bins]
@@ -422,32 +426,32 @@ def _comparison_summary(config: ExperimentConfig, estimate: BlaEstimate) -> dict
     err = np.abs(estimate.g_bla - reference)
     # A noise-free linear run errs by round-off alone, a few eps of the largest
     # gain, and its var_total is 0 or round-off too: the band's floor is 16 eps of it.
-    band = np.maximum(config.band_sigma * np.sqrt(np.maximum(estimate.var_total, 0.0)),
+    band = np.maximum(BAND_SIGMA * np.sqrt(np.maximum(estimate.var_total, 0.0)),
                       16 * np.finfo(float).eps * np.abs(full).max())
     in_band = err[defined] <= band[defined]
-    fraction = float(in_band.mean()) if in_band.size else 0.0
+    n = in_band.size
+    expected = _in_band_probability(estimate.realization_count)
+    tail = _binomial_tail(n - int(in_band.sum()), n, 1 - expected)
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = err[defined] / np.abs(reference[defined])
     return {
         "enabled": True,
-        "band_sigma": config.band_sigma,
-        "min_fraction_in_band": config.min_fraction_in_band,
-        "fraction_in_band": fraction,
-        "defined_bins": int(defined.sum()),
-        "max_abs_error": float(err[defined].max()) if defined.any() else None,
-        "mean_abs_error": float(err[defined].mean()) if defined.any() else None,
-        "max_relative_error": float(rel.max()) if defined.any() else None,
-        "pass": fraction >= config.min_fraction_in_band,
+        "band_sigma": BAND_SIGMA,
+        "fraction_in_band": float(in_band.mean()) if n else 0.0,
+        "expected_fraction_in_band": expected,
+        "false_fail_level": FALSE_FAIL_LEVEL,
+        "tail_probability": tail,
+        "defined_bins": n,
+        "max_abs_error": float(err[defined].max()) if n else None,
+        "mean_abs_error": float(err[defined].mean()) if n else None,
+        "max_relative_error": float(rel.max()) if n else None,
+        "pass": n > 0 and tail >= FALSE_FAIL_LEVEL,
     }
 
 
 def _hash_tree(out_dir: pathlib.Path, skip: set[str]) -> dict:
-    hashes = {}
-    for path in sorted(out_dir.rglob("*")):
-        if path.is_file() and path.name not in skip:
-            hashes[path.relative_to(out_dir).as_posix()] = hashlib.sha256(
-                path.read_bytes()).hexdigest()
-    return hashes
+    return {path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out_dir.rglob("*")) if path.is_file() and path.name not in skip}
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -598,12 +602,10 @@ def compare_reports(dir_a, dir_b, g_rel_tol: float | None = None,
         raise ConfigurationError("bin grids differ; reports are not comparable")
     both = a.defined & b.defined
     diff = np.abs(b.g_bla - a.g_bla)
-    scale = np.abs(a.g_bla)
+    gain_a, gain_b = np.abs(a.g_bla[both]), np.abs(b.g_bla[both])
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = diff[both] / scale[both]
-        gain_ratio = np.abs(b.g_bla[both]) / np.abs(a.g_bla[both])
-        ratio_noise = b.var_noise[both] / a.var_noise[both]
-        ratio_total = b.var_total[both] / a.var_total[both]
+        rel = diff[both] / gain_a
+        gain_ratio = gain_b / gain_a
     identical = bool(both.all() and diff[both].size
                      and diff[both].max() == 0.0
                      and np.array_equal(a.var_noise, b.var_noise)
@@ -613,19 +615,27 @@ def compare_reports(dir_a, dir_b, g_rel_tol: float | None = None,
         "identical": identical,
         "max_abs_diff": float(diff[both].max()) if both.any() else None,
         "max_rel_diff": float(rel.max()) if both.any() else None,
-        "gain_ratio_mean": float(gain_ratio.mean()) if both.any() else None,
+        "gain_ratio": _geometric_mean_ratio(gain_b, gain_a),
         "gain_ratio_min": float(gain_ratio.min()) if both.any() else None,
         "gain_ratio_max": float(gain_ratio.max()) if both.any() else None,
-        "var_noise_ratio_mean": float(np.nanmean(ratio_noise)) if both.any() else None,
-        "var_total_ratio_mean": float(np.nanmean(ratio_total)) if both.any() else None,
+        "var_noise_ratio": _geometric_mean_ratio(b.var_noise[both], a.var_noise[both]),
+        "var_total_ratio": _geometric_mean_ratio(b.var_total[both], a.var_total[both]),
     }
     ok = True
     if g_rel_tol is not None and summary["max_rel_diff"] is not None:
         ok &= summary["max_rel_diff"] <= g_rel_tol
-    if var_ratio_tol is not None and summary["var_total_ratio_mean"] is not None:
-        ok &= abs(summary["var_total_ratio_mean"] - 1.0) <= var_ratio_tol
+    if var_ratio_tol is not None and both.any():  # a ratio that cannot be formed fails
+        ratio = summary["var_total_ratio"]
+        ok &= ratio is not None and abs(ratio - 1.0) <= var_ratio_tol
     summary["within_tolerance"] = bool(ok)
     return summary, bool(ok)
+
+
+def _geometric_mean_ratio(b: np.ndarray, a: np.ndarray) -> float | None:
+    """``exp(mean(log(b / a)))`` over the bins where both are positive and finite, or
+    None.  Unlike a mean of ratios, it is not inflated by the scatter of ``a``."""
+    use = (a > 0) & (b > 0) & np.isfinite(a) & np.isfinite(b)
+    return float(np.exp(np.mean(np.log(b[use]) - np.log(a[use])))) if use.any() else None
 
 
 # ---------------------------------------------------------------------------

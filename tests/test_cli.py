@@ -142,8 +142,6 @@ def experiment_configs(draw):
         decompose=loop == "open" and draw(st.booleans()),
         decompose_draws=draw(st.integers(MIN_ENSEMBLE_SIZE, 10 ** 6)),
         compare_analytic=draw(st.booleans()),
-        band_sigma=draw(positive),
-        min_fraction_in_band=draw(st.floats(0.0, 1.0)),
     )
 
 
@@ -267,6 +265,22 @@ class TestSubcommands:
         else:
             assert simulated["estimate"].pop("warmup_periods_used") >= 4
         assert estimated == simulated
+
+    def test_estimate_against_a_wrong_reference_exits_4(self, tmp_path, capsys):
+        # A bundle simulated at process variance 0.01, estimated under a config
+        # that claims 1.0: the reference gain is off by 1.6/1.303 at every bin.
+        path, _ = write_config(tmp_path, process_noise_variance=0.01,
+                               output_noise_variance=0.0009)
+        wrong, _ = write_config(tmp_path, name="wrong.ini", process_noise_variance=1.0,
+                                output_noise_variance=0.0009)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(wrong), "--out", str(out)]) == EXIT_TOLERANCE
+        assert json.loads(capsys.readouterr().out)["pass"] is False
+        comparison = json.loads((out / "summary.json").read_text())["analytic_comparison"]
+        assert comparison["tail_probability"] < comparison["false_fail_level"]
+        assert comparison["pass"] is False
 
     def test_estimate_reports_skipped_decomposition(self, tmp_path):
         path, _ = write_config(tmp_path, process_noise_variance=0.01, decompose=True,
@@ -450,18 +464,17 @@ class TestInvalidInputExits2:
         ("process_variance = 0.010000000000000002", "process_variance = nan",
          "process_variance must be finite"),
         ("input_variance = 0", "input_variance = 0.5", "input_variance must be 0 in open loop"),
-        ("band_sigma = 3", "band_sigma = -3", "band_sigma"),
-        ("band_sigma = 3", "band_sigma = nan", "band_sigma"),
-        ("min_fraction_in_band = 0.94999999999999996", "min_fraction_in_band = 2",
-         "min_fraction_in_band"),
+        ("compare_analytic = true\n", "compare_analytic = true\nband_sigma = 3\n",
+         "key 'band_sigma' in section [oracle] is unknown"),
+        ("compare_analytic = true\n", "compare_analytic = true\nmin_fraction_in_band = 0.95\n",
+         "key 'min_fraction_in_band' in section [oracle] is unknown"),
         ("process_variance = ", "proces_variance = ",
          "key 'proces_variance' in section [noise] is unknown"),
     ], ids=["bad-boolean", "fractional-int", "no-realizations", "no-periods",
             "no-samples-per-period", "warmup-periods-unknown",
             "fs-zero", "fs-negative", "fs-nan", "rms-negative", "rms-nan", "rms-overflow",
             "output-variance-inf", "process-variance-nan", "input-variance-open-loop",
-            "band-sigma-negative", "band-sigma-nan", "min-fraction-above-1",
-            "misspelt-key"])
+            "band-sigma-unknown", "min-fraction-unknown", "misspelt-key"])
     def test_malformed_config_value(self, tmp_path, capsys, old, new, expected):
         path, _ = write_config(tmp_path, decompose=True, decompose_draws=150)
         self.edit_config(path, old, new)
@@ -816,7 +829,7 @@ class TestCompare:
         assert diff["identical"] is False
         # Process-noise increase from 0.01 to 1.0 scales the response gain by
         # 1.6/1.303 at every bin; at 3 realizations expect a loose match.
-        assert diff["gain_ratio_mean"] == pytest.approx(1.6 / 1.303, rel=0.1)
+        assert diff["gain_ratio"] == pytest.approx(1.6 / 1.303, rel=0.1)
 
     def test_grid_mismatch_is_config_error(self, tmp_path):
         path_a, _ = write_config(tmp_path, name="a.ini")
@@ -846,6 +859,8 @@ class TestDemo:
         assert (out / "system.ini").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["analytic_comparison"]["fraction_in_band"] >= 0.95
+        # c(4, 3) = 1 - (1 + 9/3)^-3, the in-band chance the gate tests against
+        assert summary["analytic_comparison"]["expected_fraction_in_band"] == 1 - 4.0 ** -3
         assert summary["decomposition"]["enabled"] is True
         # The written config reproduces the run exactly; only the summary's
         # file inventory differs (the demo directory also holds the configs).
