@@ -45,7 +45,6 @@ from .estimator import (
     BlaEstimate,
     Decomposition,
     ExperimentRecord,
-    UnsupportedOperationError,
     decompose_output,
     predict_variances,
     robust_bla,

@@ -12,7 +12,6 @@ period.  Bins where the excitation power is zero are reported as undefined
 from __future__ import annotations
 
 import json
-import numbers
 import pathlib
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ from .signals import (
 )
 
 __all__ = [
-    "UnsupportedOperationError",
     "ExperimentRecord",
     "BlaEstimate",
     "Decomposition",
@@ -46,14 +44,7 @@ __all__ = [
     "read_bla_csv",
     "write_record_bundle",
     "read_record_bundle",
-    "MIN_ENSEMBLE_SIZE",
 ]
-
-MIN_ENSEMBLE_SIZE = 100
-
-
-class UnsupportedOperationError(TypeError):
-    """The supplied object cannot perform the requested controlled re-run."""
 
 
 @dataclass(frozen=True)
@@ -247,11 +238,11 @@ class Decomposition:
 
     ``y_bla + y_nonlinear + y_process + y_output_noise`` rebuilds the
     measured output ``y_total`` to round-off by construction.  The variance
-    spectra lie on the half bin grid ``0..N//2``.  ``var_noise`` is exact, as
-    white noise of variance s2 has variance s2 in every unitary DFT bin;
-    ``var_process`` is estimated from the process-noise ensemble and
-    ``var_nonlinear`` from the single supplied excitation (one squared
-    sample, unbiased but coarse).
+    spectra lie on the half bin grid ``0..N//2``.  ``var_noise`` and
+    ``var_process`` are exact: white noise of variance s2 has variance s2 in
+    every unitary DFT bin, and the process-noise spectrum is the simulator's
+    closed form.  ``var_nonlinear`` comes from the single supplied
+    excitation (one squared sample, unbiased but coarse).
     """
 
     y_bla: np.ndarray
@@ -262,64 +253,21 @@ class Decomposition:
     var_nonlinear: np.ndarray
     var_process: np.ndarray
     var_noise: np.ndarray
-    ensemble_size: int
 
 
-def _spectral_variance(blocks, rows: int, samples_per_period: int) -> np.ndarray:
-    """Per-bin sample variance of the unitary spectra of every period in ``blocks``.
-
-    Each time-domain block (one or more whole periods) is transformed and
-    merged into a running per-bin count, mean and sum of squared deviations
-    ``M2`` by the pairwise update of Chan, Golub & LeVeque (1983), so no
-    spectra are kept; ``rows`` is their total period count.  The spectra are
-    first shifted by the first period's spectrum, which leaves the variance
-    as it is and keeps a large common part from costing precision.  Returns
-    ``M2 / (rows - 1)``.
-    """
-    count = 0
-    shift = None
-    mean = np.zeros(samples_per_period // 2 + 1, dtype=complex)
-    m2 = np.zeros(samples_per_period // 2 + 1)
-    for block in blocks:
-        spectra = period_spectra(block, samples_per_period)
-        if shift is None:
-            shift = spectra[0].copy()
-        spectra -= shift
-        size = len(spectra)
-        block_mean = spectra.mean(axis=0)
-        spectra -= block_mean
-        delta = block_mean - mean
-        total = count + size
-        mean += delta * (size / total)
-        m2 += (np.abs(spectra) ** 2).sum(axis=0) + np.abs(delta) ** 2 * (count * size / total)
-        count = total
-    if count != rows:  # a short ensemble would average over the wrong count
-        raise ValueError(f"expected {rows} periods of spectra, got {count}")
-    return m2 / max(rows - 1, 1)
-
-
-def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
-                     g_bla: np.ndarray, seed=None) -> Decomposition:
-    """Split a measured output into its four constituents by re-simulation.
+def decompose_output(simulator, u: PeriodicSignal, g_bla: np.ndarray,
+                     seed=None) -> Decomposition:
+    """Split a measured output into its four constituents.
 
     One measured run fixes the realization; subtracting its recorded output
     noise gives the noise-free output exactly (the output noise is
-    additive).  Averaging ``ensemble_size`` re-runs with fresh process noise
-    and the output noise disabled estimates the noise-averaged output; the
-    supplied reference response ``g_bla`` (on bins ``0..N//2``) then
-    separates the linear part from the nonlinear distortion.  Without
-    ``run``, ``process_noise_ensemble`` and a real ``output_noise_variance``
-    (the white output noise's, so every bin of ``var_noise``), the simulator
-    raises UnsupportedOperationError.
+    additive).  The simulator's ``process_noise_statistics`` gives the
+    noise-averaged output and the process-noise spectrum in closed form;
+    the supplied reference response ``g_bla`` (on bins ``0..N//2``) then
+    separates the linear part from the nonlinear distortion.  The
+    simulator is a ``HammersteinSimulator``, whose white output noise gives
+    ``var_noise`` in every bin.
     """
-    if ensemble_size < MIN_ENSEMBLE_SIZE:
-        raise ValueError(
-            f"ensemble_size must be >= {MIN_ENSEMBLE_SIZE} for a usable noise average")
-    if not (callable(getattr(simulator, "run", None))
-            and callable(getattr(simulator, "process_noise_ensemble", None))
-            and isinstance(getattr(simulator, "output_noise_variance", None), numbers.Real)):
-        raise UnsupportedOperationError("simulator lacks run(), process_noise_ensemble() "
-                                        "or a real output_noise_variance")
     n = u.samples_per_period
     p = u.period_count
     master = seed if seed is not None else 0
@@ -335,20 +283,7 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
     )
     y_total = measured.output.samples
     y_bar = y_total - measured.output_noise
-
-    # Each streamed re-run is added onto a running sum on its way into the
-    # variance: from zero, in draw order, exactly as mean(axis=0) adds.
-    y_sum = np.zeros(p * n)
-
-    def summed(draws):
-        for y in draws:
-            np.add(y_sum, y, out=y_sum)
-            yield y
-
-    var_process = _spectral_variance(summed(simulator.process_noise_ensemble(
-        u, (derive_rng(master, "decompose", "ensemble", i) for i in range(ensemble_size)))),
-        ensemble_size * p, n)
-    y_bar_bar = y_sum / ensemble_size
+    y_bar_bar, var_process = simulator.process_noise_statistics(u)
 
     u_spec = dft(u)
     bla_period = inverse_dft(Spectrum(
@@ -372,7 +307,6 @@ def decompose_output(simulator, u: PeriodicSignal, ensemble_size: int,
         var_nonlinear=var_nonlinear,
         var_process=var_process,
         var_noise=np.full(n // 2 + 1, float(simulator.output_noise_variance)),
-        ensemble_size=ensemble_size,
     )
 
 

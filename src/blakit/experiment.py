@@ -27,7 +27,6 @@ from .analytic import (
     decomposition_report_json,
 )
 from .estimator import (
-    MIN_ENSEMBLE_SIZE,
     BlaEstimate,
     ExperimentRecord,
     decompose_output,
@@ -95,7 +94,6 @@ class ExperimentConfig:
     input_noise_variance: float = 0.0
     master_seed: int = 0
     decompose: bool = False
-    decompose_draws: int = 1000
     compare_analytic: bool = True
 
     def __post_init__(self):
@@ -130,11 +128,6 @@ class ExperimentConfig:
         if self.loop == "open" and self.input_noise_variance != 0:
             raise ConfigurationError("input_variance must be 0 in open loop, where the "
                                      "plant input is the noise-free excitation")
-        if self.decompose and self.decompose_draws < MIN_ENSEMBLE_SIZE:
-            raise ConfigurationError(
-                f"decomposition ensemble_size must be >= {MIN_ENSEMBLE_SIZE}, "
-                f"got {self.decompose_draws}"
-            )
         if self.loop == "closed" and (self.system.actuator is None
                                       or self.system.feedback is None):
             raise ConfigurationError("closed-loop experiments need G_act and M blocks")
@@ -204,7 +197,6 @@ _CONFIG_KEYS = (
     ("noise", "output_variance", "output_noise_variance", float),
     ("noise", "input_variance", "input_noise_variance", float),
     ("decomposition", "enabled", "decompose", bool),
-    ("decomposition", "ensemble_size", "decompose_draws", int),
     ("oracle", "compare_analytic", "compare_analytic", bool),
 )
 _KEYS = {field: key for _, key, field, _ in _CONFIG_KEYS}
@@ -413,10 +405,26 @@ def _in_band_probability(realizations: int) -> float:
 
 
 def _binomial_tail(misses: int, n: int, p: float) -> float:
-    """``P(Bin(n, p) >= misses)``, summed term by term from log-gamma."""
-    return min(1.0, math.fsum(math.exp(
-        math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-        + j * math.log(p) + (n - j) * math.log1p(-p)) for j in range(misses, n + 1)))
+    """``P(Bin(n, p) >= misses)``, from log-gamma terms on the short side of the mean.
+
+    The terms fall away from the mean ``n p`` on both sides, so one side is
+    summed outward from ``misses`` until a term no longer changes the sum.
+    Up to the mean, the tail is one minus the terms below ``misses`` (exactly
+    1.0 with no miss), which is near 1/2 or more, so nothing cancels.
+    """
+    def outward(terms: range) -> float:
+        total = 0.0
+        for j in terms:
+            step = math.exp(math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                            + j * math.log(p) + (n - j) * math.log1p(-p))
+            if total + step == total:
+                break
+            total += step
+        return total
+
+    if misses <= n * p:
+        return 1.0 - outward(range(misses - 1, -1, -1))
+    return outward(range(misses, n + 1))
 
 
 def _comparison_summary(config: ExperimentConfig, estimate: BlaEstimate) -> dict:
@@ -487,8 +495,8 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
 def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
     u = next(_excitations(config, range(1)))
     decomposition = decompose_output(
-        _simulator(config), u.tile(config.periods), config.decompose_draws,
-        _analytic_reference(config), seed=config.master_seed,
+        _simulator(config), u.tile(config.periods), _analytic_reference(config),
+        seed=config.master_seed,
     )
     report = analytic_hammerstein_decomposition(
         config.system.nonlinearity, config.gaussian_model, alternate=True)
@@ -507,7 +515,6 @@ def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
                + decomposition.y_process + decomposition.y_output_noise)
     return {
         "enabled": True,
-        "ensemble_size": decomposition.ensemble_size,
         "reconstruction_max_abs_error": float(
             np.abs(rebuild - decomposition.y_total).max()),
     }
@@ -674,5 +681,4 @@ def hammerstein_demo_config(realizations: int = 10, periods: int = 2,
         output_noise_variance=output_noise_std ** 2,
         master_seed=master_seed,
         decompose=decompose,
-        decompose_draws=1000,
     )

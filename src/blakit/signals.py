@@ -255,13 +255,10 @@ def inverse_dft(spectrum: Spectrum) -> np.ndarray:
     return np.fft.irfft(spectrum.bins * np.sqrt(n), n=n)
 
 
-def generate_noise(variance: float, length: int, seed=None, coloring=None) -> np.ndarray:
-    """Zero-mean Gaussian noise, optionally shaped by a stable coloring filter.
+def generate_noise(variance: float, length: int, seed=None) -> np.ndarray:
+    """Zero-mean white Gaussian noise of the requested variance.
 
-    The white sequence has the requested variance before filtering.  When a
-    coloring filter is given, its ``settling_length()`` warm-up samples are
-    run and discarded, so the emitted stretch is stationary.  Deterministic
-    per seed; distinct seeds give independent streams.
+    Deterministic per seed; distinct seeds give independent streams.
     """
     variance = float(variance)
     if not np.isfinite(variance) or variance < 0:
@@ -271,11 +268,9 @@ def generate_noise(variance: float, length: int, seed=None, coloring=None) -> np
         raise ValueError("length must be >= 0")
     if variance == 0.0:
         return np.zeros(length)
-    rng = _as_generator(seed)
-    warmup = 0 if coloring is None else coloring.settling_length()
-    white = rng.standard_normal(length + warmup)
+    white = _as_generator(seed).standard_normal(length)
     white *= np.sqrt(variance)  # in place: the same products, one array fewer
-    return white if coloring is None else coloring.filter(white)[warmup:]
+    return white
 
 
 def cross_power_spectrum(x_records, y_records) -> np.ndarray:

@@ -11,8 +11,10 @@ warm-up is the number of periods after which its noise-free loop is
 periodic (its last two periods differing by less than
 ``STEADY_STATE_RTOL`` in relative RMS).  The open loop has no warm-up: it
 starts at the exact periodic steady state and runs only the response to the
-process noise, over a lead-in of ``settling_length()`` samples.  Open-loop
-filtering is a product of spectra: periodic responses on the period's bin
+process noise, over a lead-in of ``settling_length()`` samples.  What the
+white process noise does on average, and its variance spectrum, are exact
+(``HammersteinSimulator.process_noise_statistics``).  Open-loop filtering is a
+product of spectra: periodic responses on the period's bin
 grid, zero-state ones on a grid padded by ``settling_length()`` samples so
 that, for simple dominant poles, the wrap-around has decayed below
 ``STEADY_STATE_RTOL``.  Open-loop dynamics whose dominant mode needs more
@@ -23,7 +25,6 @@ any draw.  Noisy simulations are a pure function of their seeds.
 from __future__ import annotations
 
 import configparser
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,23 +72,20 @@ def _check_variance(name: str, value: float) -> None:
 class InstabilityError(RuntimeError):
     """A simulation diverged or failed to reach a periodic steady state.
 
-    ``draw`` is the ensemble draw that failed (None outside an ensemble),
-    ``period`` the first simulated period, warm-up or lead-in included,
+    ``period`` is the first simulated period, warm-up or lead-in included,
     holding an ``|y|`` above ``DIVERGENCE_LIMIT`` or a non-finite sample, and
     ``peak`` that period's largest ``|y|`` (inf if any of its samples is not
     finite).
     """
 
-    def __init__(self, message: str, draw: int | None = None, period: int | None = None,
-                 peak: float | None = None):
+    def __init__(self, message: str, period: int | None = None, peak: float | None = None):
         super().__init__(message)
-        self.draw = draw
         self.period = period
         self.peak = peak
 
 
 def _check_divergence(y: np.ndarray, period_size: int, stage: str = "",
-                      draw: int | None = None, first_period: int = 0) -> None:
+                      first_period: int = 0) -> None:
     """Raise InstabilityError naming the first diverged period of ``y``.
 
     ``y`` holds consecutive periods of ``period_size`` values (in flattened
@@ -100,14 +98,11 @@ def _check_divergence(y: np.ndarray, period_size: int, stage: str = "",
     span = magnitude[offset * period_size:(offset + 1) * period_size]
     peak = float(np.inf if np.isnan(span).any() else span.max())
     period = first_period + offset
-    where = [stage] if stage else []
-    if draw is not None:
-        where.append(f"draw {draw}")
-    where.append(f"simulated period {period}")
+    where = f"{stage}, " if stage else ""
     raise InstabilityError(
-        f"simulation diverged at {', '.join(where)}: peak |y| = {peak:.6g} "
+        f"simulation diverged at {where}simulated period {period}: peak |y| = {peak:.6g} "
         f"exceeds DIVERGENCE_LIMIT = {DIVERGENCE_LIMIT:.6g}",
-        draw=draw, period=period, peak=peak,
+        period=period, peak=peak,
     )
 
 
@@ -322,6 +317,75 @@ def filter_periodic(lti: RationalLTI, sig: PeriodicSignal) -> PeriodicSignal:
     )
 
 
+def _noise_moments(nonlinearity: PolynomialNonlinearity, x: np.ndarray,
+                   variance: float) -> tuple[np.ndarray, np.ndarray]:
+    """``E f(x + n)`` and ``Var f(x + n)`` per sample of ``x``, for ``n ~ N(0, variance)``.
+
+    A 10-point Gauss-Hermite rule with its weights normalized to 1 is exact
+    for polynomials of degree up to 19, so for ``f`` and ``f**2`` of every
+    accepted ``f`` (degree <= 9).  The variance
+    is the weighted sum of squared deviations from that mean, so nothing
+    cancels when it is small.
+    """
+    nodes, weights = np.polynomial.hermite_e.hermegauss(10)
+    weights = (weights / weights.sum())[:, None]
+    values = nonlinearity(x + np.sqrt(variance) * nodes[:, None])
+    mean = np.sum(weights * values, axis=0)
+    return mean, np.sum(weights * np.square(values - mean), axis=0)
+
+
+def _modulated_noise_variance(lti: RationalLTI, v: np.ndarray) -> np.ndarray:
+    """Per-bin variance of one steady-state period's unitary DFT of ``S[z]``.
+
+    ``z`` is zero-mean and independent over time, with the ``N``-periodic
+    variance ``v`` (one period given).  In the observable state-space form of
+    ``S``, ``x(t+1) = Phi x(t) + Gamma z(t)`` and ``y = x_0 + b_0 z``, a
+    period's DFT is ``Y_k = S_k Z_k + c_k eta / sqrt(N)``, the transient term
+    of Pintelon & Schoukens (System Identification, 2nd ed., 2012), with
+    ``c_k = e_0 (I - w_k Phi)^-1``, whose entries are ``w_k^j / A(w_k)`` for
+    ``w_k = exp(-2 pi i k / N)``, and ``eta = (I - Phi^N) x(0) - xi``, where
+    ``xi = sum_s g(s) z(s)`` and ``g(s) = Phi^(N-1-s) Gamma``.  The period's
+    start state ``x(0)`` is independent of the period's own ``z``, so
+
+        var_k = |S_k|^2 mean(v) + c_k E[eta eta^T] c_k^H / N
+                - 2 Re(S_k rfft(v g)_k c_k^H) / N,
+
+    with ``E[eta eta^T] = (I - Phi^N) Pi (I - Phi^N)^T + Xi`` and
+    ``Xi = sum_s v(s) g(s) g(s)^T``.  ``Pi``, the state covariance at a
+    period's start, solves the Lyapunov equation ``Pi = Phi^N Pi Phi^N^T + Xi``;
+    it is summed by doubling until the powers of ``Phi^N`` underflow to 0.
+    Memory is O(N * order).
+    """
+    n = v.size
+    order = max(lti.numerator.size, lti.denominator.size) - 1  # 0: no state, no transient
+    b = np.pad(lti.numerator, (0, order + 1 - lti.numerator.size))
+    a = np.pad(lti.denominator, (0, order + 1 - lti.denominator.size))
+    phi = np.eye(order, k=1)
+    phi[:, :1] = -a[1:, None]
+    g = (b[1:] - a[1:] * b[0])[None, :]  # rows Phi^j Gamma, j = 0, 1, ...
+    power = phi
+    while len(g) < n:
+        g = np.concatenate([g, g @ power.T])
+        power = power @ power
+    g = g[n - 1::-1]  # row s is Phi^(N-1-s) Gamma
+    xi = np.einsum("ti,t,tj->ij", g, v, g)
+    with np.errstate(under="ignore"):  # the powers of Phi^N underflow to 0 by design
+        decay = np.linalg.matrix_power(phi, n)
+        pi, power = xi, decay
+        while power.any():  # pi = sum_j Phi^(jN) Xi Phi^(jN)^T, doubling the terms
+            pi = pi + power @ pi @ power.T
+            power = power @ power
+    leak = np.eye(order) - decay
+    eta = leak @ pi @ leak.T + xi
+    w = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
+    c = w[:, None] ** np.arange(order) / np.polynomial.polynomial.polyval(w, a)[:, None]
+    response = lti.bin_response(n)
+    transient = np.einsum("ki,ij,kj->k", c, eta, c.conj()).real
+    mixed = (response * np.einsum("ki,ki->k", np.fft.rfft(v[:, None] * g, axis=0),
+                                  c.conj())).real
+    return np.abs(response) ** 2 * v.mean() + (transient - 2.0 * mixed) / n
+
+
 class _SteadyState:
     """The closed loop's warm-up rule, applied to each column of a run on its own.
 
@@ -384,30 +448,29 @@ class SimulationRecord:
 class HammersteinSimulator:
     """Re-runnable Hammerstein simulator ``y = S(q)[f(u + nx)] + ny``.
 
-    Noise sequences are white Gaussian; only the process noise can be
-    colored, by ``process_noise_coloring``.  Separate generators for the
+    Both noise sequences are white Gaussian.  Separate generators for the
     process and output noise make controlled re-simulation possible: fixing
-    the input and redrawing only the process noise is what decomposition needs.
+    the input and redrawing only the process noise is what decomposition
+    needs, and ``process_noise_statistics`` gives what such redraws would
+    average to, exactly.
     """
 
     def __init__(self, dynamics: RationalLTI, nonlinearity: PolynomialNonlinearity,
-                 process_noise_variance: float = 0.0, output_noise_variance: float = 0.0,
-                 process_noise_coloring: RationalLTI | None = None):
+                 process_noise_variance: float = 0.0, output_noise_variance: float = 0.0):
         _check_variance("process_noise_variance", process_noise_variance)
         _check_variance("output_noise_variance", output_noise_variance)
         self.dynamics = dynamics
         self.nonlinearity = nonlinearity
         self.process_noise_variance = float(process_noise_variance)
         self.output_noise_variance = float(output_noise_variance)
-        self.process_noise_coloring = process_noise_coloring
 
     def required_warmup(self, u: PeriodicSignal) -> tuple[int, int]:
         """The open loop's warm-up: ``(0, dynamics.settling_length())``.
 
-        No warm-up period runs, since every draw starts at the exact
-        periodic steady state; the response to the process noise runs over a
-        lead-in of ``settling_length()`` samples.  (The benchmark's tracer
-        reads the first element as the periods simulated.)  Dynamics whose
+        No warm-up period runs, since a run starts at the exact periodic
+        steady state; the response to the process noise runs over a lead-in
+        of ``settling_length()`` samples.  (The benchmark's tracer reads the
+        first element as the periods simulated.)  Dynamics whose
         ``_decay_length()`` exceeds ``_MAX_WARMUP`` periods of ``u`` raise
         InstabilityError instead, before anything is drawn or filtered.
         """
@@ -420,96 +483,90 @@ class HammersteinSimulator:
             )
         return 0, self.dynamics.settling_length()
 
-    def draw_process_noise(self, length: int, rng) -> np.ndarray:
-        return generate_noise(self.process_noise_variance, length, rng,
-                              coloring=self.process_noise_coloring)
-
     def run(self, u: PeriodicSignal, process_noise_rng=None,
             output_noise_rng=None) -> SimulationRecord:
         """Simulate ``u.period_count`` steady-state periods.
 
-        The process-noise-free part of the output is the exact periodic
-        steady state (the fixed point the recursion converges to), computed
-        in the frequency domain.  With process noise on, the response to the
-        noise runs from zero state over a lead-in of
-        ``dynamics.settling_length()`` samples before the recorded stretch
-        (see ``_steady_runs``), so the recorded noise paths carry settled
-        filter state.  The output noise is drawn over the recorded stretch
-        only and added.  Returns the measured output together with the exact
-        noise sequences that entered it and the lead-in that ran.
+        ``S`` is linear, so the output splits as
+
+            S[f(u + nx)] = S[f(u)] + S[f(u + nx) - f(u)].
+
+        The first term is the exact periodic steady state (the fixed point
+        the recursion converges to), computed in the frequency domain.  With
+        process noise on, only the second runs: from zero state, in one
+        ``dynamics.filter`` call, over a lead-in of ``required_warmup``'s
+        ``dynamics.settling_length()`` samples (``u`` extended periodically
+        before period 0) and the recorded stretch, so the recorded noise
+        paths carry settled filter state.  The output noise is drawn over
+        the recorded stretch only and added.  All of this is built from
+        period 0, so ``u`` whose periods differ raises ValueError naming the
+        first that differs.  A run that diverges raises InstabilityError; its
+        simulated periods are the ``N``-sample blocks from the start of the
+        lead-in.  Returns the measured output together with the exact noise
+        sequences that entered it and the lead-in that ran (0 without
+        process noise).
         """
         if self.process_noise_variance > 0 and process_noise_rng is None:
             raise ValueError("process_noise_rng is required when process noise is on")
         if self.output_noise_variance > 0 and output_noise_rng is None:
             raise ValueError("output_noise_rng is required when output noise is on")
-        lead, y0, nx = next(self._steady_runs(u, [(None, process_noise_rng)]))
-        n = u.samples_per_period
-        ny = generate_noise(self.output_noise_variance, u.period_count * n, output_noise_rng)
-        return SimulationRecord(
-            output=PeriodicSignal(y0 + ny, n, u.period_count, u.sampling_frequency),
-            process_noise=nx,
-            output_noise=ny,
-            lead_in_samples=lead,
-        )
-
-    def process_noise_ensemble(self, u: PeriodicSignal,
-                               process_noise_rngs: Iterable) -> Iterator[np.ndarray]:
-        """Steady-state outputs of ``u`` without output noise, one per generator.
-
-        Draw ``i`` has the values of ``run(u, rng_i).output.samples`` on a
-        twin simulator without output noise, for the ``i``-th generator, but
-        the lead-in excitation is built once for all draws.  Without process
-        noise every draw is the exact periodic output, yielded as the same
-        read-only array.
-        """
-        for _, y0, _ in self._steady_runs(u, enumerate(process_noise_rngs)):
-            yield y0
-
-    def _steady_runs(self, u: PeriodicSignal, draws: Iterable):
-        """Yield ``(lead, y0, nx)`` over the recorded periods of ``u``.
-
-        ``draws`` holds ``(draw, rng)`` pairs; each rng draws the process
-        noise ``nx`` of one run over a lead-in of ``lead`` samples, from
-        ``required_warmup``, and the recorded periods.  ``S`` is linear, so
-        the output splits as
-
-            S[f(u + nx)] = S[f(u)] + S[f(u + nx) - f(u)],
-
-        where the first term is the exact periodic steady state and only the
-        second runs, from zero state, over the lead-in (with ``u`` extended
-        periodically before period 0) and the record: one
-        ``dynamics.filter`` call per draw.  All of this is built from period
-        0, so ``u`` whose periods differ raises ValueError naming the first
-        that differs.  Each run raises InstabilityError, naming ``draw``, if
-        it diverges; its simulated periods are the ``N``-sample blocks from
-        the start of the lead-in.  Without process noise nothing runs: ``lead`` is 0 and
-        every ``y0`` is the exact periodic steady state, the same read-only
-        array each time.
-        """
         n = u.samples_per_period
         p = u.period_count
         _check_periodic(u, "input")
         _, lead = self.required_warmup(u)
         periodic = self._periodic_output(u)
         if self.process_noise_variance == 0:
-            y0 = np.tile(periodic, p)
-            y0.flags.writeable = False
-            nx = np.zeros(p * n)
-            for _ in draws:
-                yield 0, y0, nx
-            return
-        phase = np.arange(-lead, p * n) % n  # the sample's index within its period
-        u_ext = u.period(0)[phase]
-        f_ext = self.nonlinearity(u_ext)
-        y_ext = periodic[phase]
-        for draw, rng in draws:
-            # _check_divergence reports overflow; the consumer's errstate holds at the yield.
-            with np.errstate(over="ignore", invalid="ignore"):
-                nx = self.draw_process_noise(lead + p * n, rng)
-                y0 = self.dynamics.filter(self.nonlinearity(u_ext + nx) - f_ext)
-                y0 += y_ext
-                _check_divergence(y0, n, draw=draw)
-            yield lead, y0[lead:], nx[lead:]
+            lead, y0, nx = 0, np.tile(periodic, p), np.zeros(p * n)
+        else:
+            phase = np.arange(-lead, p * n) % n  # the sample's index within its period
+            u_ext = u.period(0)[phase]
+            with np.errstate(over="ignore", invalid="ignore"):  # reported right below
+                nx = generate_noise(self.process_noise_variance, lead + p * n,
+                                    process_noise_rng)
+                y0 = self.dynamics.filter(self.nonlinearity(u_ext + nx)
+                                          - self.nonlinearity(u_ext))
+                y0 += periodic[phase]
+            _check_divergence(y0, n)
+            y0, nx = y0[lead:], nx[lead:]
+        ny = generate_noise(self.output_noise_variance, p * n, output_noise_rng)
+        return SimulationRecord(
+            output=PeriodicSignal(y0 + ny, n, p, u.sampling_frequency),
+            process_noise=nx,
+            output_noise=ny,
+            lead_in_samples=lead,
+        )
+
+    def process_noise_statistics(self, u: PeriodicSignal) -> tuple[np.ndarray, np.ndarray]:
+        """What ``run`` averages to over the process noise, and its spectrum, exactly.
+
+        Returns ``(y_mean, var_process)``: ``y_mean`` is ``S[E f(u + nx)]``
+        over the periods of ``u``, the expectation of ``run``'s output
+        without output noise, and ``var_process`` the variance of one
+        steady-state period's unitary DFT of that output, on bins
+        ``0..N//2``.  With white ``nx``, ``f(u + nx) - E f(u + nx)`` is
+        independent over time, with the periodic variance
+        ``v = Var f(u + nx)``.  ``E f`` and ``v`` come from
+        ``_noise_moments`` and ``var_process`` from
+        ``_modulated_noise_variance``.  Nothing is drawn.  ``u`` must be
+        periodic, as for ``run``, and a non-finite or diverging result
+        raises InstabilityError.
+        """
+        n = u.samples_per_period
+        p = u.period_count
+        _check_periodic(u, "input")
+        if self.process_noise_variance == 0:
+            return np.tile(self._periodic_output(u), p), np.zeros(n // 2 + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported right below
+            mean, variance = _noise_moments(self.nonlinearity, u.period(0),
+                                            self.process_noise_variance)
+            x = PeriodicSignal(mean, n, 1, u.sampling_frequency)
+            y_mean = filter_periodic(self.dynamics, x).samples
+            var_process = _modulated_noise_variance(self.dynamics, variance)
+        _check_divergence(y_mean, n, "noise-averaged steady state")
+        # A standard deviation per bin; abs, as round-off may leave a zero variance negative.
+        _check_divergence(np.sqrt(np.abs(var_process)), var_process.size,
+                          "process-noise spectrum")
+        return np.tile(y_mean, p), var_process
 
     def _periodic_output(self, u: PeriodicSignal) -> np.ndarray:
         """One period of the exact noise-free periodic steady state."""

@@ -412,7 +412,7 @@ def test_08_numerics_suite():
         u = generate_multisine(flat_spec(512), seed=9).tile(2)
         g_ref = analytic_hammerstein_bla(DYNAMICS, CUBIC,
                                          GaussianInputModel(1.0, 0.01), 512)
-        dec = decompose_output(sim, u, 150, g_ref, seed=6)
+        dec = decompose_output(sim, u, g_ref, seed=6)
         rebuilt = dec.y_bla + dec.y_nonlinear + dec.y_process + dec.y_output_noise
         assert np.max(np.abs(rebuilt - dec.y_total)) < 1e-12
         print("  round trip, Parseval, pairing counts, reconstruction all hold")

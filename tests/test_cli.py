@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blakit.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_OK, EXIT_TOLERANCE, main
-from blakit.estimator import MIN_ENSEMBLE_SIZE
 from blakit.experiment import (
     _SCHEMA,
     ExperimentConfig,
@@ -140,7 +139,6 @@ def experiment_configs(draw):
         input_noise_variance=draw(variance) if loop == "closed" else 0.0,
         master_seed=draw(st.integers(0, 2 ** 64 - 1)),
         decompose=loop == "open" and draw(st.booleans()),
-        decompose_draws=draw(st.integers(MIN_ENSEMBLE_SIZE, 10 ** 6)),
         compare_analytic=draw(st.booleans()),
     )
 
@@ -165,14 +163,14 @@ class TestConfigFile:
 
     def test_round_trip(self, tmp_path):
         path, config = write_config(tmp_path, process_noise_variance=0.04,
-                                    decompose=True, decompose_draws=150)
+                                    decompose=True)
         back = read_experiment_config(path)
         assert back.realizations == config.realizations
         assert back.periods == config.periods
         assert back.samples_per_period == config.samples_per_period
         assert back.excited_bins == config.excited_bins
         assert back.process_noise_variance == 0.04
-        assert back.decompose and back.decompose_draws == 150
+        assert back.decompose
         assert back.master_seed == config.master_seed
         np.testing.assert_array_equal(back.system.dynamics.numerator,
                                       config.system.dynamics.numerator)
@@ -283,8 +281,7 @@ class TestSubcommands:
         assert comparison["pass"] is False
 
     def test_estimate_reports_skipped_decomposition(self, tmp_path):
-        path, _ = write_config(tmp_path, process_noise_variance=0.01, decompose=True,
-                               decompose_draws=120)
+        path, _ = write_config(tmp_path, process_noise_variance=0.01, decompose=True)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
         assert main(["estimate", "--config", str(path), "--out", str(out)]) == EXIT_OK
@@ -338,8 +335,7 @@ class TestSubcommands:
 
     def test_decompose_writes_reports(self, tmp_path):
         path, _ = write_config(tmp_path, process_noise_variance=0.01,
-                               output_noise_variance=0.0009, decompose=True,
-                               decompose_draws=120)
+                               output_noise_variance=0.0009, decompose=True)
         out = tmp_path / "out"
         assert main(["decompose", "--config", str(path), "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "decomposition_report.json").read_text())
@@ -437,15 +433,18 @@ class TestInvalidInputExits2:
         assert "seed" in message
 
     def test_small_decomposition_ensemble(self, tmp_path, capsys):
-        path, _ = write_config(tmp_path, decompose=True, decompose_draws=150)
-        self.edit_config(path, "ensemble_size = 150", "ensemble_size = 50")
+        # The decomposition draws no ensemble, so any ensemble_size is a key
+        # that no reader reads.
+        path, _ = write_config(tmp_path, decompose=True)
+        self.edit_config(path, "enabled = true\n", "enabled = true\nensemble_size = 50\n")
         message = self.assert_config_error(
             capsys, ["decompose", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert "ensemble_size" in message
+        assert "key 'ensemble_size' in section [decomposition] is unknown" in message
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new, expected", [
         ("compare_analytic = true", "compare_analytic = ture", "invalid config file"),
-        ("ensemble_size = 150", "ensemble_size = 150.7", "invalid config file"),
+        ("periods = 2\n", "periods = 2.5\n", "invalid config file"),
         ("realizations = 3\n", "", "invalid config file"),
         ("periods = 2\n", "", "invalid config file"),
         ("samples_per_period = 128\n", "", "invalid config file"),
@@ -476,7 +475,7 @@ class TestInvalidInputExits2:
             "output-variance-inf", "process-variance-nan", "input-variance-open-loop",
             "band-sigma-unknown", "min-fraction-unknown", "misspelt-key"])
     def test_malformed_config_value(self, tmp_path, capsys, old, new, expected):
-        path, _ = write_config(tmp_path, decompose=True, decompose_draws=150)
+        path, _ = write_config(tmp_path, decompose=True)
         self.edit_config(path, old, new)
         message = self.assert_config_error(
             capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -747,8 +746,7 @@ sys.exit(status)
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
         path, _ = write_config(tmp_path, process_noise_variance=0.01,
-                               output_noise_variance=0.0009, decompose=True,
-                               decompose_draws=120)
+                               output_noise_variance=0.0009, decompose=True)
         config = read_experiment_config(path)
         run_experiment(config, tmp_path / "a")
         run_experiment(config, tmp_path / "b")

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,6 @@ from blakit.analytic import analytic_hammerstein_bla, GaussianInputModel
 from blakit.estimator import (
     BlaEstimate,
     ExperimentRecord,
-    UnsupportedOperationError,
     decompose_output,
     predict_variances,
     read_bla_csv,
@@ -21,7 +18,6 @@ from blakit.estimator import (
     spectral_bla,
     write_bla_csv,
     write_record_bundle,
-    _spectral_variance,
 )
 from blakit.signals import (
     MultisineSpec,
@@ -426,14 +422,14 @@ class TestDecomposition:
 
     def test_reconstruction_is_exact(self):
         u = self.make_input()
-        dec = decompose_output(self.make_sim(), u, 150, self.analytic_g(0.01), seed=1)
+        dec = decompose_output(self.make_sim(), u, self.analytic_g(0.01), seed=1)
         rebuilt = dec.y_bla + dec.y_nonlinear + dec.y_process + dec.y_output_noise
         np.testing.assert_allclose(rebuilt, dec.y_total, atol=1e-12)
 
     def test_without_process_noise_y_process_vanishes(self):
         u = self.make_input()
-        dec = decompose_output(self.make_sim(process_var=0.0), u, 150,
-                               self.analytic_g(0.0), seed=2)
+        dec = decompose_output(self.make_sim(process_var=0.0), u, self.analytic_g(0.0),
+                               seed=2)
         assert np.abs(dec.y_process).max() < 1e-12
 
     def test_identity_nonlinearity_gives_zero_distortion(self):
@@ -441,31 +437,31 @@ class TestDecomposition:
                                    0.0, 0.0009)
         u = self.make_input()
         g = DYNAMICS.bin_response(512)
-        dec = decompose_output(sim, u, 150, g, seed=3)
+        dec = decompose_output(sim, u, g, seed=3)
         assert np.abs(dec.y_nonlinear).max() < 1e-12
         assert np.abs(dec.y_process).max() < 1e-12
         np.testing.assert_allclose(dec.y_output_noise, dec.y_total - dec.y_bla,
                                    atol=1e-12)
 
     def test_distortion_matches_closed_form(self):
+        # The noise average is exact, so the distortion is S[0.1 u^3 - 0.3 u]
+        # (the unit-RMS multisine's u has variance exactly 1) to round-off.
         process_var = 0.01
         u = self.make_input()
-        draws = 400
-        dec = decompose_output(self.make_sim(process_var), u, draws,
+        dec = decompose_output(self.make_sim(process_var), u,
                                self.analytic_g(process_var), seed=4)
         inner = 0.1 * u.samples ** 3 - 0.3 * u.samples
         predicted = filter_periodic(
             DYNAMICS, PeriodicSignal(inner, u.samples_per_period, u.period_count, 1.0)
         ).samples
-        # The estimate inherits the Monte-Carlo error of the noise average.
-        bound = 6.0 * np.sqrt(np.mean(dec.y_process ** 2)) / np.sqrt(draws)
-        assert np.sqrt(np.mean((dec.y_nonlinear - predicted) ** 2)) < bound
+        rms = np.sqrt(np.mean(predicted ** 2))
+        assert np.sqrt(np.mean((dec.y_nonlinear - predicted) ** 2)) < 1e-12 * rms
 
     def test_variance_spectra_scales(self):
         process_var = 0.01
         output_var = 0.0009
         u = self.make_input()
-        dec = decompose_output(self.make_sim(process_var, output_var), u, 300,
+        dec = decompose_output(self.make_sim(process_var, output_var), u,
                                self.analytic_g(process_var), seed=5)
         n = u.samples_per_period
         bins = np.arange(1, n // 2)
@@ -479,63 +475,25 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("n", [4, 5, 64, 255])
     def test_exact_noise_spectrum_matches_white_noise_ensemble(self, n):
-        # The ensemble the decomposition no longer draws: fresh white output
-        # noise, reduced per bin, agrees with the exact var_noise within 6
-        # standard errors over the interior bins, at DC and at Nyquist (even
-        # N).  (K-1) s^2 is (var/2) chi^2(2(K-1)) in an interior bin and
-        # var chi^2(K-1) in a real one.
+        # The ensemble the decomposition does not draw: fresh white output
+        # noise, its per-bin sample variance over the draws, agrees with the
+        # exact var_noise within 6 standard errors over the interior bins, at
+        # DC and at Nyquist (even N).  (K-1) s^2 is (var/2) chi^2(2(K-1)) in
+        # an interior bin and var chi^2(K-1) in a real one.
         output_var, draws = 0.0009, 4000
         spec = MultisineSpec.flat(n, 1.0, np.arange(1, (n + 1) // 2), rms=1.0)
         u = generate_multisine(spec, seed=n).tile(2)
-        dec = decompose_output(self.make_sim(0.0, output_var), u, 100,
+        dec = decompose_output(self.make_sim(0.0, output_var), u,
                                DYNAMICS.bin_response(n), seed=n)
-        estimate = _spectral_variance(
-            (generate_noise(output_var, n, derive_rng(n, "white", j)) for j in range(draws)),
-            draws, n)
+        noise = np.concatenate([generate_noise(output_var, n, derive_rng(n, "white", j))
+                                for j in range(draws)])
+        estimate = np.var(period_spectra(noise, n), axis=0, ddof=1)
         interior = np.arange(1, (n + 1) // 2)
         real_bins = [0] if n % 2 else [0, n // 2]
         assert (abs(estimate[interior].mean() - dec.var_noise[interior].mean())
                 < 6 * output_var / np.sqrt((draws - 1) * interior.size))
         assert np.all(np.abs(estimate[real_bins] - dec.var_noise[real_bins])
                       < 6 * output_var * np.sqrt(2 / (draws - 1)))
-
-    def test_protocol_and_ensemble_validation(self):
-        u = self.make_input()
-        with pytest.raises(UnsupportedOperationError):
-            decompose_output(object(), u, 150, self.analytic_g(0.01))
-        no_variance = self.make_sim()
-        del no_variance.output_noise_variance
-        with pytest.raises(UnsupportedOperationError, match="output_noise_variance"):
-            decompose_output(no_variance, u, 150, self.analytic_g(0.01))
-        with pytest.raises(ValueError, match="ensemble_size"):
-            decompose_output(self.make_sim(), u, 50, self.analytic_g(0.01))
-
-        class ShortEnsemble(HammersteinSimulator):
-            def process_noise_ensemble(self, u, rngs):
-                return itertools.islice(super().process_noise_ensemble(u, rngs), 149)
-
-        short = ShortEnsemble(DYNAMICS, CUBIC, 0.01, 0.0009)
-        with pytest.raises(ValueError, match="expected 300 periods of spectra, got 298"):
-            decompose_output(short, u, 150, self.analytic_g(0.01))
-
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(4, 300),
-           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=12).filter(
-               lambda sizes: sum(sizes) >= 2),
-           offset=st.sampled_from([0.0, 1.0, 1e6]),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_one_pass_variance_matches_stacked(self, n, sizes, offset, seed):
-        # Periods share a common part `offset` times larger than their
-        # scatter, as re-runs share the periodic output; any split of them
-        # into blocks of 1-4 periods gives the stacked two-pass variance.
-        rng = np.random.default_rng(seed)
-        rows = sum(sizes)
-        samples = (np.tile(offset * rng.standard_normal(n), rows)
-                   + rng.standard_normal(rows * n))
-        blocks = np.split(samples, np.cumsum(sizes)[:-1] * n)
-        expected = np.var(period_spectra(samples, n), axis=0, ddof=1)
-        np.testing.assert_allclose(_spectral_variance(blocks, rows, n), expected,
-                                   rtol=1e-12)
 
 
 class TestPredictVariances:

@@ -58,6 +58,19 @@ class TestOracleGate:
             assert _binomial_tail(misses, n, p) == pytest.approx(float(tail), rel=1e-9,
                                                                  abs=1e-300)
 
+    @pytest.mark.parametrize("p", [2.0 ** -9, 0.5])
+    def test_binomial_tail_matches_exact_sum_at_2047_bins(self, p):
+        # N = 4096 has 2047 excited bins, and 2**-9 is 1 - c(10, 3).  With
+        # p = a / d exactly, the tail is an integer sum over d**n.
+        n = 2047
+        a, d = p.as_integer_ratio()
+        numerator = 0
+        for misses in range(n, -1, -1):
+            numerator += math.comb(n, misses) * a ** misses * (d - a) ** (n - misses)
+            assert _binomial_tail(misses, n, p) == pytest.approx(numerator / d ** n,
+                                                                 rel=1e-9, abs=1e-300)
+        assert _binomial_tail(0, n, p) == 1.0  # no miss, exactly
+
     def test_in_band_probability_values(self):
         assert _in_band_probability(10) == 1 - 2 ** -9  # (1 + 9/9)^-9, exactly
         assert _in_band_probability(3) == pytest.approx(0.9669, abs=5e-5)

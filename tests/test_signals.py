@@ -23,7 +23,6 @@ from blakit.signals import (
     write_signal_csv,
     write_spectrum_csv,
 )
-from blakit.systems import ConfigurationError, RationalLTI
 
 
 def cosine_sum_oracle(spec: MultisineSpec, phases: np.ndarray) -> np.ndarray:
@@ -229,23 +228,6 @@ class TestGenerateNoise:
         # 3 sigma of the variance estimator: sqrt(2/n) * 3 ~ 0.0042 < 0.01
         assert abs(x.var() - 1.0) < 0.01
         assert abs(x.mean()) < 0.004
-
-    def test_delay_coloring_preserves_white_statistics(self):
-        delay = RationalLTI.delay(1)
-        x = generate_noise(2.0, 200_000, seed=9, coloring=delay)
-        assert abs(x.var() - 2.0) < 0.05
-        lag1 = np.mean(x[1:] * x[:-1])
-        assert abs(lag1) < 0.02
-
-    def test_coloring_warmup_makes_output_stationary(self):
-        lowpass = RationalLTI(b=[0.05], a=[1.0, -0.95])
-        x = generate_noise(1.0, 40_000, seed=3, coloring=lowpass)
-        head, tail = x[:20_000], x[20_000:]
-        assert head.var() == pytest.approx(tail.var(), rel=0.1)
-
-    def test_unstable_coloring_rejected(self):
-        with pytest.raises(ConfigurationError, match="unstable"):
-            RationalLTI(b=[1.0], a=[1.0, -1.01])
 
     def test_distinct_seeds_independent(self):
         a = generate_noise(1.0, 50_000, seed=derive_rng(0, "stream", 0))
