@@ -11,7 +11,6 @@ from .signals import (
     MultisineSpec,
     PeriodicSignal,
     Spectrum,
-    cross_power_spectrum,
     derive_rng,
     dft,
     generate_multisine,
@@ -37,9 +36,7 @@ from .systems import (
     RationalLTI,
     VolterraPlant,
     filter_periodic,
-    simulate_closed_loop,
     simulate_closed_loop_batch,
-    simulate_hammerstein,
 )
 from .estimator import (
     BlaEstimate,
@@ -49,7 +46,6 @@ from .estimator import (
     predict_variances,
     robust_bla,
     robust_bla_closed_loop,
-    spectral_bla,
 )
 from .analytic import (
     GaussianInputModel,

@@ -25,10 +25,6 @@ __all__ = [
     "bussgang_gain",
     "analytic_hammerstein_bla",
     "analytic_hammerstein_decomposition",
-    "expand_terms",
-    "mean_over_process_noise",
-    "mean_over_input",
-    "evaluate_terms",
     "decomposition_report_json",
 ]
 
@@ -109,19 +105,17 @@ class SymbolicDecomposition:
 
     constituents: dict[str, tuple[Term, ...]]
     model: GaussianInputModel
-    cubic_coefficient: float
 
 
 def analytic_hammerstein_decomposition(nonlinearity: PolynomialNonlinearity,
-                                       model: GaussianInputModel,
-                                       alternate: bool = False) -> SymbolicDecomposition:
+                                       model: GaussianInputModel) -> SymbolicDecomposition:
     """Closed-form output constituents for ``f(x) = x + c x^3``.
 
-    Returns term lists for ``y_bla``, ``y_s``, ``y_p`` and ``y_n``.  With
-    ``alternate=True`` the split that assigns every input-dependent noise
-    term to the process-noise constituent is added under ``y_p_alt`` and
-    ``y_n_alt``.  Terms whose factors vanish (zero coefficient, or any
-    ``nx`` power when the process-noise variance is zero) are dropped.
+    Returns term lists for ``y_bla``, ``y_s``, ``y_p`` and ``y_n``, and
+    under ``y_p_alt`` and ``y_n_alt`` the split that assigns every
+    input-dependent noise term to the process-noise constituent.  Terms
+    whose factors vanish (zero coefficient, or any ``nx`` power when the
+    process-noise variance is zero) are dropped.
     """
     c = nonlinearity.coefficients
     if c.size > 3 or c[0] != 1.0 or (c.size >= 2 and c[1] != 0.0):
@@ -153,106 +147,16 @@ def analytic_hammerstein_decomposition(nonlinearity: PolynomialNonlinearity,
             Term(cubic, nx_power=3, filtered=True),
         ]),
         "y_n": (Term(1.0, output_noise=True),),
-    }
-    if alternate:
-        constituents["y_p_alt"] = keep([
+        "y_p_alt": keep([
             Term(3.0 * cubic, u_power=2, nx_power=1, filtered=True),
             Term(3.0 * cubic, u_power=1, nx_power=2, centered=True, filtered=True),
-        ])
-        constituents["y_n_alt"] = (Term(1.0, output_noise=True),) + keep([
+        ]),
+        "y_n_alt": (Term(1.0, output_noise=True),) + keep([
             Term(1.0, nx_power=1, filtered=True),
             Term(cubic, nx_power=3, filtered=True),
-        ])
-    return SymbolicDecomposition(constituents=constituents, model=model,
-                                 cubic_coefficient=cubic)
-
-
-def _add(out: dict, key, coeff: float) -> None:
-    """Add ``coeff`` to ``out[key]``; a sum of exactly zero drops the key."""
-    out[key] = out.get(key, 0.0) + coeff
-    if out[key] == 0.0:
-        del out[key]
-
-
-def expand_terms(terms, model: GaussianInputModel) -> dict:
-    """Expand centered factors into plain monomials.
-
-    Returns ``{(u_power, nx_power, filtered, output_noise): coefficient}``
-    with centered terms split into their raw monomial and the mean they
-    subtract.
-    """
-    out: dict = {}
-    for t in terms:
-        _add(out, (t.u_power, t.nx_power, t.filtered, t.output_noise), t.coefficient)
-        if t.centered:
-            mean = gaussian_power_moment(t.nx_power, model.process_noise_variance)
-            if mean:
-                _add(out, (t.u_power, 0, t.filtered, t.output_noise), -t.coefficient * mean)
-    return out
-
-
-def _mean_over(terms, model: GaussianInputModel, averaged: int, variance: float) -> dict:
-    """Average the expanded terms over one Gaussian factor, exactly.
-
-    ``averaged`` is 0 for ``u`` and 1 for ``nx``, the factor of variance
-    ``variance``; the other factor stays symbolic.  Returns
-    ``{(kept_power, filtered): coefficient}``; output-noise terms average
-    to zero.
-    """
-    out: dict = {}
-    for (u_power, nx_power, filtered, is_ny), coeff in expand_terms(terms, model).items():
-        powers = (u_power, nx_power)
-        weight = gaussian_power_moment(powers[averaged], variance)
-        if weight and not is_ny:
-            _add(out, (powers[1 - averaged], filtered), coeff * weight)
-    return out
-
-
-def mean_over_process_noise(terms, model: GaussianInputModel) -> dict:
-    """Expected terms after averaging over the process noise: ``{(u_power, filtered): c}``.
-
-    Centered factors average to zero by construction.
-    """
-    return _mean_over(terms, model, 1, model.process_noise_variance)
-
-
-def mean_over_input(terms, model: GaussianInputModel) -> dict:
-    """Expected terms after averaging over the excitation: ``{(nx_power, filtered): c}``."""
-    return _mean_over(terms, model, 0, model.input_variance)
-
-
-def evaluate_terms(terms, u, nx, ny, dynamics: RationalLTI,
-                   model: GaussianInputModel) -> np.ndarray:
-    """Realize a term list on concrete sequences.
-
-    Filtering is the zero-state response (``RationalLTI.filter``), so pass
-    sequences with their own warm-up stretch and discard it outside when
-    steady state is wanted.
-    """
-    u = np.asarray(u, dtype=float)
-    nx = np.asarray(nx, dtype=float) if nx is not None else np.zeros_like(u)
-    ny = np.asarray(ny, dtype=float) if ny is not None else np.zeros_like(u)
-    plain = np.zeros_like(u)
-    filtered = np.zeros_like(u)
-    for t in terms:
-        if t.output_noise:
-            plain = plain + t.coefficient * ny
-            continue
-        factor = np.ones_like(u)
-        if t.u_power:
-            factor = factor * u ** t.u_power
-        if t.nx_power:
-            nx_part = nx ** t.nx_power
-            if t.centered:
-                nx_part = nx_part - gaussian_power_moment(
-                    t.nx_power, model.process_noise_variance
-                )
-            factor = factor * nx_part
-        if t.filtered:
-            filtered = filtered + t.coefficient * factor
-        else:
-            plain = plain + t.coefficient * factor
-    return plain + dynamics.filter(filtered)
+        ]),
+    }
+    return SymbolicDecomposition(constituents=constituents, model=model)
 
 
 def decomposition_report_json(decomposition: SymbolicDecomposition) -> str:

@@ -22,7 +22,6 @@ from .signals import (
     Spectrum,
     _read_table,
     _write_table,
-    cross_power_spectrum,
     derive_rng,
     dft,
     inverse_dft,
@@ -37,12 +36,12 @@ __all__ = [
     "Decomposition",
     "robust_bla",
     "robust_bla_closed_loop",
-    "spectral_bla",
     "decompose_output",
     "predict_variances",
     "write_bla_csv",
     "read_bla_csv",
     "write_record_bundle",
+    "read_bundle_manifest",
     "read_record_bundle",
 ]
 
@@ -214,24 +213,6 @@ def _masked_estimate(record, g, g_m, g_mp, defined) -> BlaEstimate:
     )
 
 
-def spectral_bla(u_records, y_records) -> np.ndarray:
-    """Cross- over auto-power ratio from segmented stationary records.
-
-    Meant for Gaussian-noise excitation where no period structure exists.
-    Returns a half-grid complex array with NaN at bins of zero input power.
-    """
-    u_records = list(u_records)
-    y_records = list(y_records)
-    if len(u_records) < 2:
-        raise ValueError("need at least two records")
-    s_yu = cross_power_spectrum(u_records, y_records)
-    s_uu = cross_power_spectrum(u_records, u_records).real
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = s_yu / s_uu
-    g[s_uu == 0] = complex(np.nan, np.nan)
-    return g
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Per-sample output constituents and their per-bin variance spectra.
@@ -352,10 +333,12 @@ def write_bla_csv(path, estimate: BlaEstimate) -> None:
                   estimate.var_noise, estimate.var_total, np.isfinite(g)))
 
 
-def read_bla_csv(path, realization_count: int = 0, period_count: int = 0,
-                 samples_per_period: int = 0, sampling_frequency: float = 0.0) -> BlaEstimate:
+def read_bla_csv(path) -> BlaEstimate:
     """Read a ``write_bla_csv`` file; its ``bin_index`` column must hold distinct,
-    increasing, nonnegative integers, or ValueError names the file."""
+    increasing, nonnegative integers, or ValueError names the file.
+
+    The file holds no M, P, N or sampling frequency, so those fields read 0.
+    """
     bins, _, g, g_imag, var_noise, var_total, _ = _read_table(path, _BLA_HEADER)
     integral = np.isfinite(bins) & (bins == np.floor(bins))
     if not (integral.all() and bins[0] >= 0 and np.all(np.diff(bins) > 0)):
@@ -365,8 +348,7 @@ def read_bla_csv(path, realization_count: int = 0, period_count: int = 0,
     g.imag = g_imag  # bit-exact, unlike g + 1j*g_imag (-0.0 and inf)
     return BlaEstimate(
         excited_bins=bins.astype(int), g_bla=g, var_noise=var_noise, var_total=var_total,
-        realization_count=realization_count, period_count=period_count,
-        samples_per_period=samples_per_period, sampling_frequency=sampling_frequency,
+        realization_count=0, period_count=0, samples_per_period=0, sampling_frequency=0.0,
     )
 
 
@@ -404,10 +386,18 @@ def write_record_bundle(directory, record: ExperimentRecord) -> None:
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def read_record_bundle(directory) -> ExperimentRecord:
-    """Read a bundle back; a damaged one raises OSError, ValueError or KeyError."""
+def read_bundle_manifest(directory) -> dict:
+    """The manifest of a bundle: its grid, read before any spectrum is."""
+    return json.loads((pathlib.Path(directory) / "manifest.json").read_text())
+
+
+def read_record_bundle(directory, manifest: dict) -> ExperimentRecord:
+    """Read the spectra of a bundle whose ``read_bundle_manifest`` is ``manifest``.
+
+    The manifest sizes the arrays, so check it first.  A damaged bundle
+    raises OSError, ValueError, TypeError or KeyError.
+    """
     directory = pathlib.Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
     n = manifest["samples_per_period"]
     spectra = {}
     for pattern, field, per_period, closed_only in _BUNDLE_FILES:

@@ -31,6 +31,7 @@ from .estimator import (
     ExperimentRecord,
     decompose_output,
     read_bla_csv,
+    read_bundle_manifest,
     read_record_bundle,
     robust_bla,
     robust_bla_closed_loop,
@@ -498,8 +499,8 @@ def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
         _simulator(config), u.tile(config.periods), _analytic_reference(config),
         seed=config.master_seed,
     )
-    report = analytic_hammerstein_decomposition(
-        config.system.nonlinearity, config.gaussian_model, alternate=True)
+    report = analytic_hammerstein_decomposition(config.system.nonlinearity,
+                                                config.gaussian_model)
     (out_dir / "decomposition_report.json").write_text(
         decomposition_report_json(report))
 
@@ -526,26 +527,29 @@ def estimate_from_bundle(config: ExperimentConfig, out_dir) -> ExperimentReport:
     The bundle must be readable and recorded on the grid of ``config``: the
     same samples per period, sampling frequency, excited bins, realization
     and period counts, and loop.  Otherwise ConfigurationError is raised
-    before anything is written.  The output decomposition needs
+    before anything is written; the grid is checked on the manifest, before
+    any spectrum is read.  The output decomposition needs
     re-simulation, so it is never run here.
     """
     out_dir = pathlib.Path(out_dir)
     bundle = out_dir / "records"
+    grid = {  # manifest key: config value
+        "samples_per_period": config.samples_per_period,
+        "sampling_frequency_hz": config.sampling_frequency,
+        "excited_bins": list(config.excited_bins),
+        "realizations": config.realizations,
+        "periods": config.periods,
+        "closed_loop": config.loop == "closed",
+    }
     try:
-        record = read_record_bundle(bundle)
+        manifest = read_bundle_manifest(bundle)
+        mismatched = [name for name, wanted in grid.items() if manifest[name] != wanted]
+        # The manifest sizes the spectrum arrays: read them only on the config's grid.
+        record = None if mismatched else read_record_bundle(bundle, manifest)
     except KeyError as exc:
         raise ConfigurationError(f"{bundle / 'manifest.json'} lacks key {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigurationError(f"cannot read the record bundle under {bundle}: {exc}") from exc
-    grid = {  # bundle value, config value
-        "samples_per_period": (record.samples_per_period, config.samples_per_period),
-        "sampling_frequency_hz": (record.sampling_frequency, config.sampling_frequency),
-        "excited_bins": (record.excited_bins.tolist(), list(config.excited_bins)),
-        "realizations": (record.realization_count, config.realizations),
-        "periods": (record.period_count, config.periods),
-        "closed_loop": (record.reference_spectra is not None, config.loop == "closed"),
-    }
-    mismatched = [name for name, (recorded, wanted) in grid.items() if recorded != wanted]
     if mismatched:
         raise ConfigurationError(f"record bundle under {bundle} does not match the "
                                  f"config in: {', '.join(mismatched)}")
@@ -663,11 +667,10 @@ def hammerstein_demo_system() -> SystemDescription:
 
 def hammerstein_demo_config(realizations: int = 10, periods: int = 2,
                             samples_per_period: int = 4096,
-                            process_noise_std: float = 0.1,
-                            output_noise_std: float = 0.03,
                             master_seed: int = 0,
                             decompose: bool = True) -> ExperimentConfig:
-    """The flagship open-loop setup: unit-RMS flat multisine, cubic system."""
+    """The flagship open-loop setup: unit-RMS flat multisine, cubic system,
+    process and output noise of standard deviation 0.1 and 0.03."""
     return ExperimentConfig(
         loop="open",
         realizations=realizations,
@@ -677,8 +680,8 @@ def hammerstein_demo_config(realizations: int = 10, periods: int = 2,
         excited_bins=tuple(range(1, samples_per_period // 2)),
         input_rms=1.0,
         system=hammerstein_demo_system(),
-        process_noise_variance=process_noise_std ** 2,
-        output_noise_variance=output_noise_std ** 2,
+        process_noise_variance=0.1 ** 2,
+        output_noise_variance=0.03 ** 2,
         master_seed=master_seed,
         decompose=decompose,
     )

@@ -28,8 +28,6 @@ __all__ = [
     "period_spectra",
     "inverse_dft",
     "generate_noise",
-    "cross_power_spectrum",
-    "read_signal_csv",
     "write_signal_csv",
     "read_spectrum_csv",
     "write_spectrum_csv",
@@ -273,30 +271,6 @@ def generate_noise(variance: float, length: int, seed=None) -> np.ndarray:
     return white
 
 
-def cross_power_spectrum(x_records, y_records) -> np.ndarray:
-    """Record-averaged cross-power ``mean_r Y_r(k) * conj(X_r(k))`` per bin.
-
-    With ``y_records is x_records`` this is the auto-power estimate, which is
-    real and nonnegative at every bin.
-    """
-    x_records = list(x_records)
-    y_records = list(y_records)
-    if not x_records or len(x_records) != len(y_records):
-        raise ValueError("need equal, nonzero numbers of x and y records")
-    n = x_records[0].samples_per_period
-    fs = x_records[0].sampling_frequency
-    for rec in (*x_records, *y_records):
-        if rec.samples_per_period != n or rec.sampling_frequency != fs:
-            raise ValueError("records do not share one bin grid")
-    acc = np.zeros(n // 2 + 1, dtype=complex)
-    for x, y in zip(x_records, y_records):
-        if y is x:
-            acc += np.abs(x.bins) ** 2  # auto-power: exactly real, nonnegative
-        else:
-            acc += y.bins * np.conj(x.bins)
-    return acc / len(x_records)
-
-
 # ---------------------------------------------------------------------------
 # CSV serialization (round-trip precision, 17 significant digits)
 
@@ -353,10 +327,6 @@ def write_signal_csv(path, sig: PeriodicSignal) -> None:
     index = np.arange(sig.samples.size)
     _write_table(path, _SIGNAL_HEADER,
                  (index, index * (1.0 / sig.sampling_frequency), sig.samples))
-
-
-def read_signal_csv(path) -> np.ndarray:
-    return _read_table(path, _SIGNAL_HEADER)[2]
 
 
 def write_spectrum_csv(path, spectrum: Spectrum) -> None:

@@ -46,8 +46,6 @@ __all__ = [
     "ClosedLoopRecord",
     "HammersteinSimulator",
     "filter_periodic",
-    "simulate_hammerstein",
-    "simulate_closed_loop",
     "simulate_closed_loop_batch",
     "SystemDescription",
     "read_system_file",
@@ -153,20 +151,6 @@ class RationalLTI:
     @classmethod
     def identity(cls) -> "RationalLTI":
         return cls(b=[1.0])
-
-    @classmethod
-    def delay(cls, samples: int = 1) -> "RationalLTI":
-        b = np.zeros(samples + 1)
-        b[samples] = 1.0
-        return cls(b=b)
-
-    @classmethod
-    def zero(cls) -> "RationalLTI":
-        return cls(b=[0.0])
-
-    @property
-    def poles(self) -> np.ndarray:
-        return self._poles
 
     @property
     def is_strictly_delayed(self) -> bool:
@@ -287,18 +271,9 @@ class PolynomialNonlinearity:
     def identity(cls) -> "PolynomialNonlinearity":
         return cls(coefficients=[1.0])
 
-    @property
-    def degree(self) -> int:
-        return self.coefficients.size
-
     def __call__(self, x):
         ascending = np.concatenate(([0.0], self.coefficients))
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), ascending)
-
-    def derivative_coefficients(self) -> np.ndarray:
-        """Ascending coefficients of f', constant term first."""
-        powers = np.arange(1, self.degree + 1)
-        return self.coefficients * powers
 
 
 def filter_periodic(lti: RationalLTI, sig: PeriodicSignal) -> PeriodicSignal:
@@ -578,19 +553,6 @@ class HammersteinSimulator:
         return period
 
 
-def simulate_hammerstein(dynamics: RationalLTI, nonlinearity: PolynomialNonlinearity,
-                         u: PeriodicSignal, process_noise_variance: float,
-                         output_noise_variance: float, seed=None) -> SimulationRecord:
-    """One Hammerstein run; noise streams are derived from the master seed."""
-    sim = HammersteinSimulator(dynamics, nonlinearity,
-                               process_noise_variance, output_noise_variance)
-    return sim.run(
-        u,
-        process_noise_rng=derive_rng(seed if seed is not None else 0, "process_noise"),
-        output_noise_rng=derive_rng(seed if seed is not None else 0, "output_noise"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Closed loop
 
@@ -802,13 +764,6 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
             steady_state_residual=float(steady.residuals[i]),
         ))
     return records
-
-
-def simulate_closed_loop(config: ClosedLoopConfig, r: PeriodicSignal, seed=None,
-                         realization: int = 0) -> ClosedLoopRecord:
-    """Single-realization closed-loop simulation (see the batch variant)."""
-    return simulate_closed_loop_batch(config, [r], seed,
-                                      first_realization=realization)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ one gather-multiply per term.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +32,6 @@ __all__ = [
     "evaluate_dual_kernel",
     "gaussian_moment",
     "expected_kernel",
-    "kernel_to_json",
-    "kernel_from_json",
 ]
 
 MAX_TOTAL_DEGREE = 6
@@ -273,33 +270,3 @@ def expected_kernel(kernel: DualVolterraKernel, model: NoiseMomentModel) -> Dual
             out = out + weight * kernel.coefficients[(...,) + j_idx]
     return DualVolterraKernel(m, 0, out)
 
-
-def kernel_to_json(kernel: DualVolterraKernel, model: NoiseMomentModel | None = None) -> str:
-    """Serialize a kernel (and optionally its noise model) to JSON.
-
-    Layout: ``{m, n, N_k, N_j, coefficients, noise_autocovariance}`` with the
-    coefficients flattened row-major (input axes first).
-    """
-    payload = {
-        "m": kernel.input_degree,
-        "n": kernel.noise_degree,
-        "N_k": kernel.input_max_lag,
-        "N_j": kernel.noise_max_lag,
-        "coefficients": kernel.coefficients.ravel(order="C").tolist(),
-        "noise_autocovariance": (
-            model.autocovariance.tolist() if model is not None else None
-        ),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def kernel_from_json(text: str) -> tuple[DualVolterraKernel, NoiseMomentModel | None]:
-    payload = json.loads(text)
-    m = int(payload["m"])
-    n = int(payload["n"])
-    shape = (int(payload["N_k"]) + 1,) * m + (int(payload["N_j"]) + 1,) * n
-    coeff = np.asarray(payload["coefficients"], dtype=float).reshape(shape, order="C")
-    kernel = DualVolterraKernel(input_degree=m, noise_degree=n, coefficients=coeff)
-    r = payload.get("noise_autocovariance")
-    model = NoiseMomentModel(autocovariance=np.asarray(r, dtype=float)) if r is not None else None
-    return kernel, model

@@ -13,22 +13,109 @@ from blakit.analytic import (
     analytic_hammerstein_decomposition,
     bussgang_gain,
     decomposition_report_json,
-    evaluate_terms,
-    expand_terms,
     gaussian_power_moment,
-    mean_over_input,
-    mean_over_process_noise,
 )
 from blakit.systems import PolynomialNonlinearity, RationalLTI
 
 CUBIC = PolynomialNonlinearity(coefficients=[1.0, 0.0, 0.1])
+
+# The constituents whose sum is the output; y_p_alt and y_n_alt re-split y_p + y_n.
+SPLIT = ("y_bla", "y_s", "y_p", "y_n")
+
+
+# Term-list algebra: the exact oracle the decomposition report's term lists
+# are checked against.
+def _add(out: dict, key, coeff: float) -> None:
+    """Add ``coeff`` to ``out[key]``; a sum of exactly zero drops the key."""
+    out[key] = out.get(key, 0.0) + coeff
+    if out[key] == 0.0:
+        del out[key]
+
+
+def expand_terms(terms, model: GaussianInputModel) -> dict:
+    """Expand centered factors into plain monomials.
+
+    Returns ``{(u_power, nx_power, filtered, output_noise): coefficient}``
+    with centered terms split into their raw monomial and the mean they
+    subtract.
+    """
+    out: dict = {}
+    for t in terms:
+        _add(out, (t.u_power, t.nx_power, t.filtered, t.output_noise), t.coefficient)
+        if t.centered:
+            mean = gaussian_power_moment(t.nx_power, model.process_noise_variance)
+            if mean:
+                _add(out, (t.u_power, 0, t.filtered, t.output_noise), -t.coefficient * mean)
+    return out
+
+
+def _mean_over(terms, model: GaussianInputModel, averaged: int, variance: float) -> dict:
+    """Average the expanded terms over one Gaussian factor, exactly.
+
+    ``averaged`` is 0 for ``u`` and 1 for ``nx``, the factor of variance
+    ``variance``; the other factor stays symbolic.  Returns
+    ``{(kept_power, filtered): coefficient}``; output-noise terms average
+    to zero.
+    """
+    out: dict = {}
+    for (u_power, nx_power, filtered, is_ny), coeff in expand_terms(terms, model).items():
+        powers = (u_power, nx_power)
+        weight = gaussian_power_moment(powers[averaged], variance)
+        if weight and not is_ny:
+            _add(out, (powers[1 - averaged], filtered), coeff * weight)
+    return out
+
+
+def mean_over_process_noise(terms, model: GaussianInputModel) -> dict:
+    """Expected terms after averaging over the process noise: ``{(u_power, filtered): c}``.
+
+    Centered factors average to zero by construction.
+    """
+    return _mean_over(terms, model, 1, model.process_noise_variance)
+
+
+def mean_over_input(terms, model: GaussianInputModel) -> dict:
+    """Expected terms after averaging over the excitation: ``{(nx_power, filtered): c}``."""
+    return _mean_over(terms, model, 0, model.input_variance)
+
+
+def evaluate_terms(terms, u, nx, ny, dynamics: RationalLTI,
+                   model: GaussianInputModel) -> np.ndarray:
+    """Realize a term list on concrete sequences.
+
+    Filtering is the zero-state response (``RationalLTI.filter``), so pass
+    sequences with their own warm-up stretch and discard it outside when
+    steady state is wanted.
+    """
+    plain = np.zeros_like(u)
+    filtered = np.zeros_like(u)
+    for t in terms:
+        if t.output_noise:
+            plain = plain + t.coefficient * ny
+            continue
+        factor = np.ones_like(u)
+        if t.u_power:
+            factor = factor * u ** t.u_power
+        if t.nx_power:
+            nx_part = nx ** t.nx_power
+            if t.centered:
+                nx_part = nx_part - gaussian_power_moment(
+                    t.nx_power, model.process_noise_variance
+                )
+            factor = factor * nx_part
+        if t.filtered:
+            filtered = filtered + t.coefficient * factor
+        else:
+            plain = plain + t.coefficient * factor
+    return plain + dynamics.filter(filtered)
 
 
 def hermite_gain_oracle(f: PolynomialNonlinearity, variance: float) -> float:
     """E{f'(x)} by Gauss-Hermite quadrature, exact for polynomials."""
     nodes, weights = np.polynomial.hermite_e.hermegauss(16)
     x = np.sqrt(variance) * nodes
-    deriv = np.polynomial.polynomial.polyval(x, f.derivative_coefficients())
+    powers = np.arange(1, f.coefficients.size + 1)
+    deriv = np.polynomial.polynomial.polyval(x, f.coefficients * powers)
     return float(np.sum(weights * deriv) / np.sqrt(2.0 * np.pi))
 
 
@@ -146,7 +233,7 @@ class TestDecompositionTerms:
         assert bla_term.coefficient == bussgang_gain(CUBIC, model) == 1.078
 
     def test_alternate_split(self):
-        dec = analytic_hammerstein_decomposition(CUBIC, self.model, alternate=True)
+        dec = analytic_hammerstein_decomposition(CUBIC, self.model)
         self.assert_terms(dec.constituents["y_p_alt"], (
             Term(0.3, u_power=2, nx_power=1, filtered=True),
             Term(0.3, u_power=1, nx_power=2, centered=True, filtered=True),
@@ -163,7 +250,7 @@ class TestDecompositionTerms:
         assert dec.constituents["y_p"] == ()
 
     def test_constituent_expectations_vanish_exactly(self):
-        dec = analytic_hammerstein_decomposition(CUBIC, self.model, alternate=True)
+        dec = analytic_hammerstein_decomposition(CUBIC, self.model)
         assert mean_over_process_noise(dec.constituents["y_p"], self.model) == {}
         assert mean_over_input(dec.constituents["y_s"], self.model) == {}
         assert mean_over_process_noise(dec.constituents["y_p_alt"], self.model) == {}
@@ -171,8 +258,8 @@ class TestDecompositionTerms:
     def test_sum_identity_reproduces_system_equation(self):
         dec = analytic_hammerstein_decomposition(CUBIC, self.model)
         total = {}
-        for terms in dec.constituents.values():
-            for key, coeff in expand_terms(terms, self.model).items():
+        for name in SPLIT:
+            for key, coeff in expand_terms(dec.constituents[name], self.model).items():
                 total[key] = total.get(key, 0.0) + coeff
         total = {k: v for k, v in total.items() if abs(v) > 1e-15}
         # Expansion of f(u + nx) filtered by the dynamics, plus output noise.
@@ -190,7 +277,7 @@ class TestDecompositionTerms:
             assert total[key] == pytest.approx(expected[key], abs=1e-14)
 
     def test_alternate_moves_only_input_free_noise_terms(self):
-        dec = analytic_hammerstein_decomposition(CUBIC, self.model, alternate=True)
+        dec = analytic_hammerstein_decomposition(CUBIC, self.model)
         moved = expand_terms(dec.constituents["y_p"], self.model)
         for key, coeff in expand_terms(dec.constituents["y_p_alt"], self.model).items():
             moved[key] = moved.get(key, 0.0) - coeff
@@ -220,14 +307,14 @@ class TestDecompositionTerms:
         lti = RationalLTI(b=[0.2, 0.1], a=[1.0, -0.7])
         dec = analytic_hammerstein_decomposition(CUBIC, self.model)
         rebuilt = sum(
-            evaluate_terms(terms, u, nx, ny, lti, self.model)
-            for terms in dec.constituents.values()
+            evaluate_terms(dec.constituents[name], u, nx, ny, lti, self.model)
+            for name in SPLIT
         )
         direct = lfilter(lti.numerator, lti.denominator, CUBIC(u + nx)) + ny
         np.testing.assert_allclose(rebuilt, direct, rtol=1e-10, atol=1e-12)
 
     def test_report_json_schema(self):
-        dec = analytic_hammerstein_decomposition(CUBIC, self.model, alternate=True)
+        dec = analytic_hammerstein_decomposition(CUBIC, self.model)
         payload = json.loads(decomposition_report_json(dec))
         assert set(payload) == {
             "y_bla", "y_s", "y_p", "y_n", "y_p_alt", "y_n_alt",

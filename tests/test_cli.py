@@ -83,6 +83,10 @@ def hash_tree(root: pathlib.Path) -> dict:
     }
 
 
+def read_signal_csv(path) -> np.ndarray:
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 2]
+
+
 def swap_rows(text: str, i: int, j: int) -> str:
     """``text`` with its lines ``i`` and ``j`` (0 is the header) swapped."""
     lines = text.splitlines(True)
@@ -222,7 +226,7 @@ class TestSubcommands:
         assert len(files) == 2 * config.realizations
         # The written excitation is exactly the one the experiment will use.
         from blakit.experiment import multisine_spec
-        from blakit.signals import derive_rng, generate_multisine, read_signal_csv
+        from blakit.signals import derive_rng, generate_multisine
 
         expected = generate_multisine(multisine_spec(config),
                                       derive_rng(config.master_seed, "input", 1))
@@ -612,6 +616,16 @@ class TestInvalidInputExits2:
         "manifest-text-periods": ("records/manifest.json",
                                   lambda text: text.replace('"periods": 2', '"periods": "2"'),
                                   "records"),
+        # Sizes whose spectrum arrays no machine could hold: refused before allocation.
+        "manifest-huge-realizations": ("records/manifest.json",
+                                       lambda text: text.replace('"realizations": 3',
+                                                                 '"realizations": 1000000000000'),
+                                       "does not match the config in: realizations"),
+        "manifest-huge-samples-per-period": (
+            "records/manifest.json",
+            lambda text: text.replace('"samples_per_period": 128',
+                                      '"samples_per_period": 1000000000000'),
+            "does not match the config in: samples_per_period"),
         "swapped-rows": ("records/y_m001_p00.csv", lambda text: swap_rows(text, 3, 4),
                          "y_m001_p00.csv"),
         "full-grid-bundle": ("records/*_m*.csv", full_grid, "u_m000.csv"),

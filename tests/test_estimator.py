@@ -12,17 +12,16 @@ from blakit.estimator import (
     decompose_output,
     predict_variances,
     read_bla_csv,
+    read_bundle_manifest,
     read_record_bundle,
     robust_bla,
     robust_bla_closed_loop,
-    spectral_bla,
     write_bla_csv,
     write_record_bundle,
 )
 from blakit.signals import (
     MultisineSpec,
     PeriodicSignal,
-    Spectrum,
     derive_rng,
     dft,
     generate_multisine,
@@ -348,64 +347,6 @@ class TestClosedLoopRobust:
         assert err_naive > 3.0 * err_indirect
 
 
-class TestSpectralBla:
-    def test_needs_two_records(self):
-        s = Spectrum(bins=np.ones(5, complex), samples_per_period=8,
-                     sampling_frequency=1.0)
-        with pytest.raises(ValueError, match="two"):
-            spectral_bla([s], [s])
-
-    def test_noiseless_linear_ratio_exact(self):
-        rng = np.random.default_rng(10)
-        n = 32
-        g = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[: n // 2 + 1]
-        us, ys = [], []
-        for seed in range(4):
-            x = np.random.default_rng(seed).standard_normal(n)
-            u = dft(PeriodicSignal(x, n, 1, 1.0))
-            us.append(u)
-            ys.append(Spectrum(bins=g * u.bins, samples_per_period=n,
-                               sampling_frequency=1.0))
-        got = spectral_bla(us, ys)
-        np.testing.assert_allclose(got, g, rtol=1e-10)
-
-    def test_static_cubic_converges_to_equivalent_gain(self):
-        rng = np.random.default_rng(12)
-        n, records = 128, 4000
-        us, ys = [], []
-        for _ in range(records):
-            x = rng.standard_normal(n)
-            y = x + 0.1 * x ** 3
-            us.append(dft(PeriodicSignal(x, n, 1, 1.0)))
-            ys.append(dft(PeriodicSignal(y, n, 1, 1.0)))
-        g = spectral_bla(us, ys)
-        inner = g[1: n // 2]
-        assert np.abs(np.mean(inner) - 1.3) < 0.005
-        assert np.max(np.abs(inner - 1.3)) < 0.026  # within 2% per bin
-
-    def test_independent_output_shrinks(self):
-        rng = np.random.default_rng(13)
-        n, records = 32, 400
-        us = [dft(PeriodicSignal(rng.standard_normal(n), n, 1, 1.0))
-              for _ in range(records)]
-        ys = [dft(PeriodicSignal(rng.standard_normal(n), n, 1, 1.0))
-              for _ in range(records)]
-        g = spectral_bla(us, ys)
-        assert np.mean(np.abs(g[1: n // 2])) < 4.0 / np.sqrt(records)
-
-    def test_zero_power_bin_is_nan(self):
-        n = 16
-        rng = np.random.default_rng(16)
-        us = []
-        for _ in range(3):
-            bins = np.zeros(n // 2 + 1, dtype=complex)
-            bins[[2, 5]] = np.exp(2j * np.pi * rng.random(2))
-            us.append(Spectrum(bins=bins, samples_per_period=n, sampling_frequency=1.0))
-        g = spectral_bla(us, us)
-        assert np.isnan(g[1].real)
-        assert g[2] == pytest.approx(1.0)
-
-
 class TestDecomposition:
     @staticmethod
     def make_sim(process_var=0.01, output_var=0.0009):
@@ -568,8 +509,7 @@ class TestSerialization:
             samples_per_period=16, sampling_frequency=2.0)
         path = tmp_path / "bla.csv"
         write_bla_csv(path, est)
-        back = read_bla_csv(path, realization_count=4, period_count=2,
-                            samples_per_period=16, sampling_frequency=2.0)
+        back = read_bla_csv(path)
         np.testing.assert_array_equal(back.excited_bins, est.excited_bins)
         np.testing.assert_array_equal(back.defined, [True, False, True])
         assert back.g_bla[0] == est.g_bla[0]
@@ -579,7 +519,8 @@ class TestSerialization:
         rng = np.random.default_rng(14)
         record = synthetic_record(np.ones(16, complex), 3, 2, 0.1, rng)
         write_record_bundle(tmp_path / "bundle", record)
-        back = read_record_bundle(tmp_path / "bundle")
+        bundle = tmp_path / "bundle"
+        back = read_record_bundle(bundle, read_bundle_manifest(bundle))
         np.testing.assert_array_equal(back.input_spectra, record.input_spectra)
         np.testing.assert_array_equal(back.output_spectra, record.output_spectra)
         np.testing.assert_array_equal(back.excited_bins, record.excited_bins)
@@ -595,6 +536,7 @@ class TestSerialization:
             sampling_frequency=1.0, reference_spectra=base.input_spectra,
             input_spectra_per_period=u_pp)
         write_record_bundle(tmp_path / "bundle", record)
-        back = read_record_bundle(tmp_path / "bundle")
+        bundle = tmp_path / "bundle"
+        back = read_record_bundle(bundle, read_bundle_manifest(bundle))
         np.testing.assert_array_equal(back.reference_spectra, record.reference_spectra)
         np.testing.assert_array_equal(back.input_spectra_per_period, u_pp)

@@ -11,14 +11,12 @@ from blakit.signals import (
     MultisineSpec,
     PeriodicSignal,
     Spectrum,
-    cross_power_spectrum,
     derive_rng,
     dft,
     generate_multisine,
     generate_noise,
     inverse_dft,
     period_spectra,
-    read_signal_csv,
     read_spectrum_csv,
     write_signal_csv,
     write_spectrum_csv,
@@ -52,6 +50,10 @@ def half_grid_energy(bins: np.ndarray, n: int) -> float:
     if n % 2 == 0:
         weights[-1] = 1.0
     return float(np.sum(weights * np.abs(bins) ** 2))
+
+
+def read_signal_csv(path) -> np.ndarray:
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 2]
 
 
 def make_signal(x, fs=1.0):
@@ -238,50 +240,6 @@ class TestGenerateNoise:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             generate_noise(-1.0, 10, seed=0)
-
-
-class TestCrossPower:
-    def test_auto_power_real_nonnegative(self):
-        x = dft(make_signal(np.random.default_rng(0).standard_normal(32)))
-        auto = cross_power_spectrum([x], [x])
-        assert np.all(np.abs(auto.imag) < 1e-18)
-        assert np.all(auto.real >= 0)
-        np.testing.assert_allclose(auto.real, np.abs(x.bins) ** 2, rtol=1e-12)
-
-    def test_noiseless_linear_ratio_exact(self):
-        rng = np.random.default_rng(4)
-        g = (rng.standard_normal(32) + 1j * rng.standard_normal(32))[:17]
-        records_x, records_y = [], []
-        for seed in range(5):
-            x = dft(make_signal(np.random.default_rng(seed).standard_normal(32)))
-            y = Spectrum(bins=g * x.bins, samples_per_period=32, sampling_frequency=1.0)
-            records_x.append(x)
-            records_y.append(y)
-        ratio = (cross_power_spectrum(records_x, records_y)
-                 / cross_power_spectrum(records_x, records_x))
-        np.testing.assert_allclose(ratio, g, rtol=1e-10)
-
-    def test_independent_records_shrink_as_sqrt_count(self):
-        rng = np.random.default_rng(8)
-        n = 16
-
-        def mean_cross(count):
-            xs = [dft(make_signal(rng.standard_normal(n))) for _ in range(count)]
-            ys = [dft(make_signal(rng.standard_normal(n))) for _ in range(count)]
-            return np.mean(np.abs(cross_power_spectrum(xs, ys)))
-
-        small, large = mean_cross(100), mean_cross(1000)
-        # 1/sqrt(R) scaling: ratio should be near sqrt(10), allow wide slack.
-        assert 1.5 < small / large < 7.0
-        assert large < 4.0 / np.sqrt(1000)
-
-    def test_mismatched_grids_rejected(self):
-        a = dft(make_signal(np.zeros(16) + 1))
-        b = dft(make_signal(np.zeros(32) + 1))
-        with pytest.raises(ValueError, match="grid"):
-            cross_power_spectrum([a], [b])
-        with pytest.raises(ValueError, match="record"):
-            cross_power_spectrum([a, a], [a])
 
 
 class TestCsv:

@@ -28,9 +28,7 @@ from blakit.systems import (
     VolterraPlant,
     filter_periodic,
     read_system_file,
-    simulate_closed_loop,
     simulate_closed_loop_batch,
-    simulate_hammerstein,
     write_system_file,
     _noise_moments,
 )
@@ -159,7 +157,7 @@ class TestFilterPeriodic:
 
     def test_pure_delay_is_circular_shift(self):
         sig = flat_multisine(n=64)
-        out = filter_periodic(RationalLTI.delay(1), sig)
+        out = filter_periodic(RationalLTI([0.0, 1.0]), sig)
         np.testing.assert_allclose(out.samples, np.roll(sig.samples, 1), atol=1e-12)
 
     def test_matches_time_domain_recursion_after_transients(self):
@@ -174,7 +172,7 @@ class TestHammersteinSimulator:
     def test_linear_noiseless_equals_periodic_filtering(self):
         u = flat_multisine(n=128, seed=2)
         lti = RationalLTI(**LOWPASS)
-        rec = simulate_hammerstein(lti, PolynomialNonlinearity.identity(), u, 0.0, 0.0)
+        rec = HammersteinSimulator(lti, PolynomialNonlinearity.identity()).run(u)
         expected = filter_periodic(lti, u)
         np.testing.assert_allclose(rec.output.samples, expected.samples, atol=1e-9)
 
@@ -183,7 +181,7 @@ class TestHammersteinSimulator:
         # first sample: its periods repeat bit for bit and nothing led in.
         u = flat_multisine(n=64, seed=3).tile(3)
         lti = RationalLTI(**LOWPASS)
-        rec = simulate_hammerstein(lti, CUBIC, u, 0.0, 0.0)
+        rec = HammersteinSimulator(lti, CUBIC).run(u)
         assert rec.lead_in_samples == 0
         periods = rec.output.samples.reshape(3, 64)
         assert (periods == periods[0]).all()
@@ -193,8 +191,8 @@ class TestHammersteinSimulator:
     def test_open_loop_has_no_warmup_knob_or_fields(self):
         with pytest.raises(TypeError, match="warmup_minimum"):
             HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC, warmup_minimum=9)
-        rec = simulate_hammerstein(RationalLTI(**LOWPASS), CUBIC,
-                                   flat_multisine(n=64, seed=3), 0.01, 0.0)
+        rec = HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC, 0.01).run(
+            flat_multisine(n=64, seed=3), derive_rng(0, "process_noise"))
         assert not hasattr(rec, "warmup_periods")
         assert not hasattr(rec, "steady_state_residual")
         assert rec.lead_in_samples == RationalLTI(**LOWPASS).settling_length()
@@ -296,7 +294,8 @@ class TestHammersteinSimulator:
         n = 1024 * 98
         u = PeriodicSignal(rng.standard_normal(n), n, 1, 1.0)
         lti = RationalLTI(**LOWPASS)
-        rec = simulate_hammerstein(lti, CUBIC, u, 0.01, 0.0009, seed=13)
+        rec = HammersteinSimulator(lti, CUBIC, 0.01, 0.0009).run(
+            u, derive_rng(13, "process_noise"), derive_rng(13, "output_noise"))
         inner = CUBIC(u.samples + rec.process_noise)
         dc_gain = abs(lti.numerator.sum() / lti.denominator.sum())
         y = rec.output.samples
@@ -308,15 +307,17 @@ class TestHammersteinSimulator:
         u1 = flat_multisine(n=64, seed=1)
         u2 = flat_multisine(n=64, seed=2)
         u12 = PeriodicSignal(u1.samples + u2.samples, 64, 1, 1.0)
-        y1 = simulate_hammerstein(lti, f, u1, 0.0, 0.0).output.samples
-        y2 = simulate_hammerstein(lti, f, u2, 0.0, 0.0).output.samples
-        y12 = simulate_hammerstein(lti, f, u12, 0.0, 0.0).output.samples
+        sim = HammersteinSimulator(lti, f)
+        y1 = sim.run(u1).output.samples
+        y2 = sim.run(u2).output.samples
+        y12 = sim.run(u12).output.samples
         np.testing.assert_allclose(y12, y1 + y2, atol=1e-10)
 
     def test_noiseless_run_is_seed_independent(self):
         u = flat_multisine(n=64, seed=4)
-        a = simulate_hammerstein(RationalLTI(**LOWPASS), CUBIC, u, 0.0, 0.0, seed=1)
-        b = simulate_hammerstein(RationalLTI(**LOWPASS), CUBIC, u, 0.0, 0.0, seed=999)
+        sim = HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC)
+        a = sim.run(u, derive_rng(1, "process_noise"), derive_rng(1, "output_noise"))
+        b = sim.run(u, derive_rng(999, "process_noise"), derive_rng(999, "output_noise"))
         np.testing.assert_array_equal(a.output.samples, b.output.samples)
 
     def test_noise_requires_rng(self):
@@ -642,12 +643,12 @@ class TestClosedLoop:
         config = ClosedLoopConfig(
             plant=HammersteinPlant(plant_lti, CUBIC),
             actuator=actuator,
-            feedback=RationalLTI.zero(),
+            feedback=RationalLTI([0.0]),
         )
         r = flat_multisine(n=64, seed=8).tile(2)
-        rec = simulate_closed_loop(config, r, seed=5)
+        rec = simulate_closed_loop_batch(config, [r], seed=5)[0]
         u0 = filter_periodic(actuator, r)
-        y0 = simulate_hammerstein(plant_lti, CUBIC, u0, 0.0, 0.0)
+        y0 = HammersteinSimulator(plant_lti, CUBIC).run(u0)
         np.testing.assert_allclose(rec.output_noise_free, y0.output.samples, atol=1e-9)
         np.testing.assert_allclose(rec.input_noise_free, u0.samples, atol=1e-9)
 
@@ -659,7 +660,7 @@ class TestClosedLoop:
             feedback=feedback,
         )
         r = flat_multisine(n=128, seed=9).tile(2)
-        rec = simulate_closed_loop(config, r, seed=0)
+        rec = simulate_closed_loop_batch(config, [r], seed=0)[0]
         u_spec = dft(rec.input_measured).bins
         y_spec = dft(rec.output_measured).bins
         bins = np.arange(1, 64)
@@ -675,7 +676,7 @@ class TestClosedLoop:
             feedback=feedback,
         )
         r = flat_multisine(n=128, seed=10).tile(2)
-        rec = simulate_closed_loop(config, r, seed=0)
+        rec = simulate_closed_loop_batch(config, [r], seed=0)[0]
         bins = np.arange(1, 64)
         g = plant_lti.bin_response(128)
         g_act = actuator.bin_response(128)
@@ -694,7 +695,7 @@ class TestClosedLoop:
         r = flat_multisine(n=64, seed=11, rms=10.0).tile(2)
         with pytest.raises(InstabilityError,
                            match="closed loop, realization 0, simulated period 0") as info:
-            simulate_closed_loop(config, r, seed=1)
+            simulate_closed_loop_batch(config, [r], seed=1)
         assert info.value.period == 0 and info.value.peak == np.inf
 
         # A linear loop with its closed-loop pole at -1.05 grows slowly, so the
@@ -784,7 +785,7 @@ class TestClosedLoop:
             if warmups is not None:
                 assert [rec.warmup_periods for rec in batch] == warmups
             for i, r in enumerate(refs):
-                single = simulate_closed_loop(config, r, seed=seed, realization=i)
+                single = simulate_closed_loop_batch(config, [r], seed, first_realization=i)[0]
                 assert single.warmup_periods == batch[i].warmup_periods
                 np.testing.assert_array_equal(single.output_noise_free,
                                               batch[i].output_noise_free)
@@ -811,8 +812,8 @@ class TestClosedLoop:
         cfg_hammer = ClosedLoopConfig(
             plant=HammersteinPlant(RationalLTI.identity(), CUBIC), **common)
         r = flat_multisine(n=64, seed=13).tile(2)
-        a = simulate_closed_loop(cfg_volterra, r, seed=3)
-        b = simulate_closed_loop(cfg_hammer, r, seed=3)
+        a = simulate_closed_loop_batch(cfg_volterra, [r], seed=3)[0]
+        b = simulate_closed_loop_batch(cfg_hammer, [r], seed=3)[0]
         np.testing.assert_allclose(a.output_measured.samples,
                                    b.output_measured.samples, rtol=1e-10, atol=1e-12)
 

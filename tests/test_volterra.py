@@ -16,8 +16,6 @@ from blakit.volterra import (
     evaluate_kernel,
     expected_kernel,
     gaussian_moment,
-    kernel_from_json,
-    kernel_to_json,
 )
 
 
@@ -406,10 +404,6 @@ class TestNoiseAveragedKernel:
             np.testing.assert_array_equal(
                 evaluate_kernel(averaged, u, periodic=periodic),
                 evaluate_dual_kernel(averaged, u, nx, periodic=periodic))
-        back, back_model = kernel_from_json(kernel_to_json(averaged, model))
-        assert (back.input_degree, back.noise_degree) == (averaged.input_degree, 0)
-        np.testing.assert_array_equal(back.coefficients, averaged.coefficients)
-        np.testing.assert_array_equal(back_model.autocovariance, model.autocovariance)
         step = VolterraPlant((averaged,)).stepper(1)
         stepped = np.array([step(a, b)[0] for a, b in zip(u, nx)])
         np.testing.assert_array_equal(stepped, brute_force_dual(averaged, u, nx, periodic=False))
@@ -419,22 +413,3 @@ class TestNoiseAveragedKernel:
         with pytest.raises(ValueError, match="noise degree 1"):
             evaluate_kernel(kernel, np.zeros(8))
 
-
-class TestKernelJson:
-    def test_round_trip(self):
-        rng = np.random.default_rng(2)
-        kernel = DualVolterraKernel(input_degree=2, noise_degree=1,
-                                    coefficients=rng.standard_normal((3, 3, 3)))
-        model = NoiseMomentModel(autocovariance=np.array([1.0, 0.2]))
-        text = kernel_to_json(kernel, model)
-        back, back_model = kernel_from_json(text)
-        np.testing.assert_array_equal(back.coefficients, kernel.coefficients)
-        assert back.input_degree == 2 and back.noise_degree == 1
-        np.testing.assert_array_equal(back_model.autocovariance, model.autocovariance)
-
-    def test_round_trip_without_model(self):
-        kernel = DualVolterraKernel(input_degree=1, noise_degree=0,
-                                    coefficients=np.array([1.0, -0.5]))
-        back, model = kernel_from_json(kernel_to_json(kernel))
-        assert model is None
-        np.testing.assert_array_equal(back.coefficients, kernel.coefficients)
