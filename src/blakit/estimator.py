@@ -80,7 +80,8 @@ class ExperimentRecord:
             raise ValueError("excited bins must be inside the bin grid")
         object.__setattr__(self, "input_spectra", u)
         object.__setattr__(self, "output_spectra", y)
-        object.__setattr__(self, "excited_bins", np.unique(bins))
+        bins = np.sort(bins, axis=None)
+        object.__setattr__(self, "excited_bins", bins[np.append(True, bins[1:] != bins[:-1])])
         object.__setattr__(self, "samples_per_period", n)
         object.__setattr__(self, "sampling_frequency", float(self.sampling_frequency))
         for name, want_ndim in (("reference_spectra", 2), ("input_spectra_per_period", 3)):

@@ -83,7 +83,8 @@ class MultisineSpec:
         bins = np.asarray(self.excited_bins, dtype=int)
         if bins.size == 0:
             raise ValueError("excited-bin set is empty")
-        if bins.size != np.unique(bins).size:
+        ordered = np.sort(bins, axis=None)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("excited bins must be distinct")
         if np.any(bins <= 0) or np.any(bins >= n / 2):
             raise ValueError("excited bins must satisfy 0 < k < N/2")

@@ -220,36 +220,37 @@ class _LtiStepper:
     """Direct-form II transposed state for sample-by-sample runs.
 
     Vectorized over ``width`` parallel channels, so a whole batch of
-    realizations advances in one call per sample.
+    realizations advances in one call per sample.  The state has a row per
+    tap and a last row that stays ``0.0``, so the one whole-state update
+    ``z[i] = z[i + 1] + (b[i + 1] x - a[i + 1] y)`` makes the last tap, too,
+    add onto ``0.0``, which fixes the sign of a zero result.  The update is
+    written into a second state array and the two swap: four numpy calls
+    into preallocated arrays at any order, which favours order 2 and up and
+    saves least at order 1.  ``peek`` returns the live first row, to be used
+    before the next ``step``.
     """
 
     def __init__(self, lti: RationalLTI, width: int):
         order = max(lti.numerator.size, lti.denominator.size) - 1
-        b = np.zeros(order + 1)
-        a = np.zeros(order + 1)
-        b[: lti.numerator.size] = lti.numerator
-        a[: lti.denominator.size] = lti.denominator
-        self._b0 = b[0]
-        self._b_tail = b[1:, None]
-        self._a_tail = a[1:, None]
-        self._order = order
-        self._z = np.zeros((order, width))
-        self._width = width
+        b, a = (np.pad(c, (0, order + 1 - c.size)) for c in (lti.numerator, lti.denominator))
+        self._b0, self._b_tail, self._a_tail = b[0], b[1:, None], a[1:, None]
+        self._bx, self._ay = np.empty((2, order, width))
+        self._z, self._spare = np.zeros((2, order + 1, width))
 
     def peek(self) -> np.ndarray:
         """Next output, valid only for strictly delayed filters (b0 == 0)."""
-        if self._order == 0:
-            return np.zeros(self._width)
-        return self._z[0].copy()
+        return self._z[0]
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._order == 0:
+        z, spare, bx, ay = self._z, self._spare, self._bx, self._ay
+        if not bx.size:  # order 0: no state, and nothing added to b0 x
             return self._b0 * x
-        y = self._b0 * x + self._z[0]
-        self._z[:-1] = self._z[1:]
-        self._z[-1] = 0.0
-        self._z += self._b_tail * x - self._a_tail * y
+        y = self._b0 * x + z[0]
+        np.multiply(self._b_tail, x, out=bx)
+        np.multiply(self._a_tail, y, out=ay)
+        np.subtract(bx, ay, out=bx)
+        np.add(z[1:], bx, out=spare[:-1])
+        self._z, self._spare = spare, z
         return y
 
 
@@ -565,9 +566,8 @@ class HammersteinPlant:
     nonlinearity: PolynomialNonlinearity
 
     def stepper(self, width: int):
-        state = self.dynamics.stepper(width)
-        f = self.nonlinearity
-        return lambda u0, nx: state.step(f(u0 + nx))
+        step, f = self.dynamics.stepper(width).step, self.nonlinearity
+        return lambda u0, nx: step(f(u0 + nx))
 
 
 @dataclass(frozen=True)
@@ -684,16 +684,16 @@ class _LoopEngine:
 
     def run_period(self, r_block: np.ndarray, nx_block: np.ndarray):
         n = r_block.shape[0]
-        u0 = np.empty_like(r_block)
-        y0 = np.empty_like(r_block)
+        u0, y0 = np.empty((2,) + r_block.shape)
+        act, plant = self._act.step, self._plant
+        peek, feed = self._fb.peek, self._fb.step
         # Overflow on the way to divergence is expected; it is detected and
         # reported as an InstabilityError right below.
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(n):
-                e = r_block[t] - self._fb.peek()
-                u0[t] = self._act.step(e)
-                y0[t] = self._plant(u0[t], nx_block[t])
-                self._fb.step(y0[t])
+                u0[t] = act(r_block[t] - peek())
+                y0[t] = plant(u0[t], nx_block[t])
+                feed(y0[t])
         for i, m in enumerate(self._realizations):
             _check_divergence(y0[:, i], n, f"closed loop, realization {m}",
                               first_period=self._period)

@@ -13,8 +13,9 @@ Kernels are stored dense over the full tap hypercube.  Enumerating it costs
 ``(taps+1)**degree``, so construction is bounded to total degree
 ``m + n <= 6`` and tap lag ``<= 8``.  That cost is paid once per kernel:
 construction compiles the nonzero coefficients, in C order, into a term
-table of coefficients and their u- and nx-lags, and evaluation then costs
-one gather-multiply per term.
+table of coefficients and their u- and nx-lags.  Evaluation pads each input
+once with the samples before its start, takes every lag as a slice of that
+array, and then costs one multiply per factor of each term.
 """
 
 from __future__ import annotations
@@ -129,24 +130,21 @@ class NoiseMomentModel:
         return cls(autocovariance=r)
 
 
-def _lagged(x: np.ndarray, max_lag: int, periodic: bool) -> np.ndarray:
-    """``x(t - l)`` along the last axis for lags 0..max_lag, lag axis first.
+def _lagged(x: np.ndarray, max_lag: int, periodic: bool) -> list[np.ndarray]:
+    """``x(t - l)`` along the last axis for lags 0..max_lag, as views in lag order.
 
-    Periodic lagging is circular, one modular-index gather; otherwise the
-    sequence is zero-padded before its start.
+    The ``max_lag`` samples before the start are put in front of ``x`` once:
+    its last ones when lagging is periodic (circular), zeros otherwise.  Lag
+    ``l`` is then a slice of that one array.  Periodic lagging needs
+    ``max_lag <= x.shape[-1]``.
     """
     t_len = x.shape[-1]
-    if periodic:
-        # Negative indices wrap once, which is ``(t - l) % t_len`` for l < t_len.
-        index = np.arange(t_len) - np.arange(max_lag + 1)[:, None]
-        return x[..., index].swapaxes(0, -2)
-    rows = np.zeros((max_lag + 1,) + x.shape)
-    for lag in range(max_lag + 1):
-        rows[lag, ..., lag:] = x[..., : t_len - lag]
-    return rows
+    before = x[..., t_len - max_lag:] if periodic else np.zeros(x.shape[:-1] + (max_lag,))
+    padded = np.concatenate((before, x), axis=-1)
+    return [padded[..., max_lag - lag:max_lag - lag + t_len] for lag in range(max_lag + 1)]
 
 
-def _lag_product(lagged: np.ndarray, lags) -> np.ndarray:
+def _lag_product(lagged: list[np.ndarray], lags) -> np.ndarray:
     """Left-to-right product of the lagged rows named by ``lags`` (non-empty)."""
     product = lagged[lags[0]]
     for lag in lags[1:]:

@@ -756,6 +756,46 @@ sys.exit(status)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["pass"] is True
 
+    # np.unique imports numpy.ma on first use under numpy 2.x, which costs
+    # import time and memory.  The check runs in a fresh interpreter, so that
+    # other tests' imports do not count.  A numpy that imports numpy.ma
+    # eagerly with numpy itself (allowed by the numpy>=1.24 dependency)
+    # leaves nothing to check, and the test is skipped there.
+    NUMPY_MA = """
+import json
+import sys
+
+import numpy as np
+
+eager = "numpy.ma" in sys.modules
+from blakit.cli import main
+from blakit.estimator import ExperimentRecord
+
+status = main(sys.argv[1:])
+record = ExperimentRecord(input_spectra=np.zeros((1, 33)), output_spectra=np.zeros((1, 2, 33)),
+                          excited_bins=[3, 1, 3], samples_per_period=64,
+                          sampling_frequency=1.0)
+print(json.dumps({"status": status, "eager": eager, "loaded": "numpy.ma" in sys.modules,
+                  "bins": record.excited_bins.tolist()}))
+"""
+
+    def test_demo_does_not_import_numpy_ma(self, tmp_path):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (str(src),
+                                                           os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-c", self.NUMPY_MA, "demo-hammerstein",
+             "--samples-per-period", "64", "--realizations", "3", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["status"] == EXIT_OK
+        assert result["bins"] == [1, 3]
+        if result["eager"]:
+            pytest.skip("this numpy imports numpy.ma together with numpy")
+        assert not result["loaded"]
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):

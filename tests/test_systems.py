@@ -71,6 +71,23 @@ def stable_filters(draw):
     return RationalLTI(b=b, a=np.real(np.poly(poles)))
 
 
+def dfii_transposed(b, a, xs):
+    """Outputs and final state of the direct-form II transposed recursion in
+    Python floats, one channel: ``y = b0*x + z0``, ``z_i = z_{i+1} +
+    (b_{i+1}*x - a_{i+1}*y)``, where the last tap adds onto ``0.0``; order 0
+    is ``y = b0*x``."""
+    order = max(len(b), len(a)) - 1
+    b = list(b) + [0.0] * (order + 1 - len(b))
+    a = list(a) + [0.0] * (order + 1 - len(a))
+    z, ys = [0.0] * order, []
+    for x in xs:
+        y = b[0] * x + z[0] if order else b[0] * x
+        z = [(z[i + 1] if i + 1 < order else 0.0) + (b[i + 1] * x - a[i + 1] * y)
+             for i in range(order)]
+        ys.append(y)
+    return ys, z
+
+
 class TestRationalLTI:
     def test_unstable_rejected(self):
         with pytest.raises(ConfigurationError, match="unstable"):
@@ -106,6 +123,34 @@ class TestRationalLTI:
         stepped = np.array([stepper.step(np.array([v]))[0] for v in x])
         np.testing.assert_allclose(stepped, sps.lfilter(lti.numerator, lti.denominator, x),
                                    rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 5), steps=st.integers(1, 12),
+           delayed=st.booleans())
+    def test_stepper_matches_scalar_recursion_bitwise(self, data, width, steps, delayed):
+        # assert_array_equal takes -0.0 for 0.0, so the bits are compared.
+        signed = st.sampled_from([0.0, -0.0])
+        b = data.draw(st.lists(signed | st.floats(-2.0, 2.0), min_size=1, max_size=9))
+        if delayed:
+            b[0] = 0.0
+        # sum |a_i| < 1 keeps every pole inside the unit circle.
+        a = [1.0] + data.draw(st.lists(signed | st.floats(-0.12, 0.12), max_size=8))
+        lti = RationalLTI(b=b, a=a)
+        xs = data.draw(st.lists(st.lists(signed | st.floats(-10.0, 10.0), min_size=width,
+                                         max_size=width), min_size=steps, max_size=steps))
+        xs = np.array(xs)
+        stepper = lti.stepper(width)
+        got = np.array([stepper.step(row) for row in xs])
+        order = len(stepper._z) - 1
+        assert order == max(len(b), len(a)) - 1
+        first = []
+        for col in range(width):
+            ys, z = dfii_transposed(b, a, xs[:, col].tolist())
+            assert got[:, col].tobytes() == np.array(ys).tobytes()
+            assert stepper._z[:order, col].tobytes() == np.array(z, dtype=float).tobytes()
+            first.append(z[0] if order else 0.0)
+        assert stepper._z[order].tobytes() == np.zeros(width).tobytes()
+        assert stepper.peek().tobytes() == np.array(first).tobytes()
 
     def test_stepper_batch_matches_columns(self):
         lti = RationalLTI(b=[0.5, 0.2], a=[1.0, -0.3])

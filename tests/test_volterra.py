@@ -12,6 +12,7 @@ from blakit.systems import VolterraPlant
 from blakit.volterra import (
     DualVolterraKernel,
     NoiseMomentModel,
+    _lagged,
     evaluate_dual_kernel,
     evaluate_kernel,
     expected_kernel,
@@ -413,3 +414,34 @@ class TestNoiseAveragedKernel:
         with pytest.raises(ValueError, match="noise degree 1"):
             evaluate_kernel(kernel, np.zeros(8))
 
+
+
+def gathered_lags(x: np.ndarray, max_lag: int, periodic: bool) -> np.ndarray:
+    """Lag rows ``x(t - l)``, lag axis first, by a modular-index gather
+    (periodic) or by copying into zero rows (zero-padded before the start)."""
+    t_len = x.shape[-1]
+    if periodic:
+        index = np.arange(t_len) - np.arange(max_lag + 1)[:, None]
+        return x[..., index].swapaxes(0, -2)
+    rows = np.zeros((max_lag + 1,) + x.shape)
+    for lag in range(max_lag + 1):
+        rows[lag, ..., lag:] = x[..., : t_len - lag]
+    return rows
+
+
+class TestLagged:
+    """Lag windows taken as slices hold the bits of the gathered rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(max_lag=st.integers(0, 8), stacked=st.booleans(), periodic=st.booleans(),
+           data=st.data())
+    def test_matches_gathered_rows_bitwise(self, max_lag, stacked, periodic, data):
+        t_len = data.draw(st.integers(max_lag + 1, 12))
+        shape = (data.draw(st.integers(1, 3)), t_len) if stacked else (t_len,)
+        values = st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)
+        size = math.prod(shape)
+        x = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+        got = np.stack(_lagged(x, max_lag, periodic))
+        want = gathered_lags(x, max_lag, periodic)
+        assert got.shape == want.shape == (max_lag + 1,) + shape
+        assert got.tobytes() == want.tobytes()
