@@ -6,12 +6,13 @@ polynomial nonlinearities, the Hammerstein structure
 the nonlinear plant and a strictly delayed linear feedback path.
 
 Recorded periods are steady state.  The closed loop runs sample by sample,
-the one time-domain recursion, since feedback needs it; each realization's
-warm-up is the number of periods after which its noise-free loop is
-periodic (its last two periods differing by less than
-``STEADY_STATE_RTOL`` in relative RMS).  The open loop has no warm-up: it
-starts at the exact periodic steady state and runs only the response to the
-process noise, over a lead-in of ``settling_length()`` samples.  What the
+the one time-domain recursion, since feedback needs it, with all its linear
+blocks in one stacked state (``_StackedState``); each realization's warm-up
+is the number of periods after which its noise-free loop is periodic (its
+last two periods differing by less than ``STEADY_STATE_RTOL`` in relative
+RMS).  The open loop has no warm-up: it starts at the exact periodic steady
+state and runs only the response to the process noise, over a lead-in of
+``settling_length()`` samples.  What the
 white process noise does on average, and its variance spectrum, are exact
 (``HammersteinSimulator.process_noise_statistics``).  Open-loop filtering is a
 product of spectra: periodic responses on the period's bin
@@ -25,6 +26,7 @@ any draw.  Noisy simulations are a pure function of their seeds.
 from __future__ import annotations
 
 import configparser
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,46 +214,43 @@ class RationalLTI:
             self._grid = size, response
         return np.fft.irfft(np.fft.rfft(x, size) * response, size)[..., :n]
 
-    def stepper(self, width: int = 1) -> "_LtiStepper":
-        return _LtiStepper(self, width)
+    @property
+    def order(self) -> int:
+        return max(self.numerator.size, self.denominator.size) - 1
 
 
-class _LtiStepper:
-    """Direct-form II transposed state for sample-by-sample runs.
+class _StackedState:
+    """Direct-form II transposed states of LTI blocks over ``width`` channels,
+    zero-padded to the largest order and stacked.  The caller makes block
+    ``k``'s output ``y = b0 x + heads[k]``; ``advance(x, y)``, both ``(blocks,
+    1, width)``, sets ``z_i = z_{i+1} + (b_{i+1} x - a_{i+1} y)`` in every
+    block in four numpy calls.  Padded taps and a last row stay ``+0.0`` for
+    finite signals, so a last tap adds onto ``+0.0`` and zeros keep their sign."""
 
-    Vectorized over ``width`` parallel channels, so a whole batch of
-    realizations advances in one call per sample.  The state has a row per
-    tap and a last row that stays ``0.0``, so the one whole-state update
-    ``z[i] = z[i + 1] + (b[i + 1] x - a[i + 1] y)`` makes the last tap, too,
-    add onto ``0.0``, which fixes the sign of a zero result.  The update is
-    written into a second state array and the two swap: four numpy calls
-    into preallocated arrays at any order, which favours order 2 and up and
-    saves least at order 1.  ``peek`` returns the live first row, to be used
-    before the next ``step``.
-    """
+    def __init__(self, blocks, width: int):
+        b, a = np.zeros((2, len(blocks), max(lti.order for lti in blocks) + 1, 1))
+        for k, lti in enumerate(blocks):
+            b[k, :lti.numerator.size, 0] = lti.numerator
+            a[k, :lti.denominator.size, 0] = lti.denominator
+        self.b0 = [b[k, 0, 0, ...] for k in range(len(blocks))]  # 0-d: cheaper operands
+        self._b, self._a = b[:, 1:], a[:, 1:]
+        self._bx, self._ay = np.empty((2,) + self._b.shape[:2] + (width,))
+        self._z = z = np.zeros((2,) + b.shape[:2] + (width,))  # live: _z[advances % 2]
+        zero = np.zeros(width)
+        heads = [tuple(z[i, k, 0] if lti.order else zero for k, lti in enumerate(blocks))
+                 for i in (0, 1)]
+        self.heads = heads[0]
+        self._phases = itertools.cycle([(z[0, :, 1:], z[1, :, :-1], heads[1]),
+                                        (z[1, :, 1:], z[0, :, :-1], heads[0])])
 
-    def __init__(self, lti: RationalLTI, width: int):
-        order = max(lti.numerator.size, lti.denominator.size) - 1
-        b, a = (np.pad(c, (0, order + 1 - c.size)) for c in (lti.numerator, lti.denominator))
-        self._b0, self._b_tail, self._a_tail = b[0], b[1:, None], a[1:, None]
-        self._bx, self._ay = np.empty((2, order, width))
-        self._z, self._spare = np.zeros((2, order + 1, width))
-
-    def peek(self) -> np.ndarray:
-        """Next output, valid only for strictly delayed filters (b0 == 0)."""
-        return self._z[0]
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        z, spare, bx, ay = self._z, self._spare, self._bx, self._ay
-        if not bx.size:  # order 0: no state, and nothing added to b0 x
-            return self._b0 * x
-        y = self._b0 * x + z[0]
-        np.multiply(self._b_tail, x, out=bx)
-        np.multiply(self._a_tail, y, out=ay)
-        np.subtract(bx, ay, out=bx)
-        np.add(z[1:], bx, out=spare[:-1])
-        self._z, self._spare = spare, z
-        return y
+    def advance(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        tail, head, heads = next(self._phases)
+        np.multiply(self._b, x, out=self._bx)
+        np.multiply(self._a, y, out=self._ay)
+        np.subtract(self._bx, self._ay, out=self._bx)
+        np.add(tail, self._bx, out=head)
+        self.heads = heads
+        return heads
 
 
 @dataclass(frozen=True)
@@ -267,14 +266,26 @@ class PolynomialNonlinearity:
         if not np.isfinite(c).all():
             raise ConfigurationError("polynomial coefficients must be finite")
         object.__setattr__(self, "coefficients", c)
+        # Horner's operands down to the zero offset, as 0-d arrays (cheaper than floats).
+        object.__setattr__(self, "_descending", tuple(map(np.array, [*c[::-1], 0.0])))
 
     @classmethod
     def identity(cls) -> "PolynomialNonlinearity":
         return cls(coefficients=[1.0])
 
-    def __call__(self, x):
-        ascending = np.concatenate(([0.0], self.coefficients))
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), ascending)
+    def __call__(self, x, out=None) -> np.ndarray:
+        """``f(x)`` by Horner's rule, into ``out`` (not ``x``) if given, with the
+        operations of ``numpy.polynomial.polynomial.polyval`` on ``[0, c_1, ...,
+        c_d]`` in its order: ``c_d + x*0``, then ``c_i + acc*x`` down to ``c_0``."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape) if out is None else out
+        highest, *lower = self._descending
+        np.multiply(x, lower[-1], out=out)  # x * 0.0
+        np.add(out, highest, out=out)
+        for c in lower:
+            np.multiply(out, x, out=out)
+            np.add(out, c, out=out)
+        return out
 
 
 def filter_periodic(lti: RationalLTI, sig: PeriodicSignal) -> PeriodicSignal:
@@ -333,7 +344,7 @@ def _modulated_noise_variance(lti: RationalLTI, v: np.ndarray) -> np.ndarray:
     Memory is O(N * order).
     """
     n = v.size
-    order = max(lti.numerator.size, lti.denominator.size) - 1  # 0: no state, no transient
+    order = lti.order  # 0: no state, no transient
     b = np.pad(lti.numerator, (0, order + 1 - lti.numerator.size))
     a = np.pad(lti.denominator, (0, order + 1 - lti.denominator.size))
     phi = np.eye(order, k=1)
@@ -566,8 +577,10 @@ class HammersteinPlant:
     nonlinearity: PolynomialNonlinearity
 
     def stepper(self, width: int):
-        step, f = self.dynamics.stepper(width).step, self.nonlinearity
-        return lambda u0, nx: step(f(u0 + nx))
+        """Per-sample ``f(u0 + nx)`` over ``width`` channels, into a reused row;
+        the loop runs ``S`` in its stacked state."""
+        f, (x, out) = self.nonlinearity, np.empty((2, width))
+        return lambda u0, nx: f(np.add(u0, nx, out=x), out)
 
 
 @dataclass(frozen=True)
@@ -583,46 +596,42 @@ class VolterraPlant:
         object.__setattr__(self, "kernels", kernels)
 
     def stepper(self, width: int):
-        """Per-sample plant update over ``width`` parallel channels.
-
-        The kernels' term tables are concatenated in tuple order.  Each term
-        gathers its factors from one history array whose row 0 is constant
-        ones, rows ``1..lag_u+1`` the lagged excitation and the rest the
-        lagged noise; terms of lower degree are padded with the ones row, so
-        every term becomes ``((c * u_a) * u_b) * nx_c ...`` in
-        ``max_degree`` vectorized multiplies (multiplying by 1.0 is exact).
-        The terms are then added one after another onto zero.
-        """
-        lag_u = max(k.input_max_lag for k in self.kernels)
-        lag_x = max(k.noise_max_lag for k in self.kernels)
-        x_row = lag_u + 2
-        max_degree = max(1, max(k.input_degree + k.noise_degree for k in self.kernels))
-        rows = []
+        """Per-sample plant output over ``width`` channels, into a reused row.
+        One array holds a ones row, the terms' coefficients (kernels in tuple
+        order) and ``span`` zeroed ring slots each for ``u0`` and ``nx``.  Per
+        sample: one gather by the ring phase's table, one multiply reduction
+        (``((c * u_a) * u_b) * nx_c``, padded with exact ones), and one
+        ``add.accumulate`` adding the terms in turn onto zero (a sum would pair them)."""
+        span = 1 + max(max(k.input_max_lag, k.noise_max_lag) for k in self.kernels)
+        coefficients = np.concatenate([k.term_coefficients for k in self.kernels])
+        u_slots = 1 + coefficients.size
+        # Per term, row j: factor j's first slot (row 0: the coefficient) and lag.
+        degree = max(k.coefficients.ndim for k in self.kernels)
+        first, lag = np.zeros((2, 1 + degree, coefficients.size), dtype=np.intp)
+        first[0], column = np.arange(1, u_slots), 0
         for kern in self.kernels:
-            m = kern.input_degree
-            lags = kern.term_lags
-            index = np.zeros((lags.shape[0], max_degree), dtype=np.intp)
-            index[:, :m] = lags[:, :m] + 1
-            index[:, m:lags.shape[1]] = lags[:, m:] + x_row
-            rows.append(index)
-        index = np.concatenate(rows)
-        first, *rest = [index[:, d].copy() for d in range(max_degree)]
-        coefficients = np.concatenate([k.term_coefficients for k in self.kernels])[:, None]
-        history = np.zeros((x_row + lag_x + 1, width))
-        history[0] = 1.0
-        terms = np.zeros((coefficients.shape[0] + 1, width))
-        products = terms[1:]
+            m, d = kern.input_degree, kern.input_degree + kern.noise_degree
+            cols = slice(column, column + kern.term_coefficients.size)
+            first[1:1 + m, cols], first[1 + m:1 + d, cols] = u_slots, u_slots + span
+            lag[1:1 + d, cols], column = kern.term_lags.T, cols.stop
+        ring = np.arange(span)[:, None, None]
+        tables = np.where(first >= u_slots, first + (ring - lag) % span, first)
+        store = np.zeros((u_slots + 2 * span, width))
+        store[0], store[1:u_slots] = 1.0, coefficients[:, None]
+        phases = itertools.cycle([(tables[p], store[u_slots + p], store[u_slots + span + p])
+                                  for p in range(span)])
+        gathered, sums = np.empty(tables.shape[1:] + (width,)), np.empty((u_slots, width))
+        summands = np.zeros((u_slots, width))  # row 0 stays 0.0, where the sum starts
+        products, total = summands[1:], sums[-1]
 
         def step(u0, nx):
-            # One shift ages both blocks; row x_row then receives nx in
-            # place of the oldest excitation sample shifted into it.
-            history[2:] = history[1:-1]
-            history[1] = u0
-            history[x_row] = nx
-            np.multiply(coefficients, history[first], out=products)
-            for factor in rest:
-                np.multiply(products, history[factor], out=products)
-            return np.add.accumulate(terms, axis=0)[-1]
+            table, u_slot, nx_slot = next(phases)
+            u_slot[...] = u0
+            nx_slot[...] = nx
+            np.take(store, table, axis=0, out=gathered, mode="clip")
+            np.multiply.reduce(gathered, axis=0, out=products)
+            np.add.accumulate(summands, axis=0, out=sums)
+            return total
 
         return step
 
@@ -671,29 +680,46 @@ class _LoopEngine:
 
     Column ``i`` is a loop of realization ``realizations[i]``.  Periods are
     counted from the engine's zero state, so a divergence is reported at the
-    simulated period, warm-up included.
-    """
+    simulated period, warm-up included.  ``S`` (identity for a Volterra
+    plant), ``G_act`` and ``M`` share one ``_StackedState``; its inputs and
+    outputs are rows 0-2 and 2-4 of a per-period buffer of ``plant(u0, nx)``,
+    ``r - M``'s head, ``y0``, ``u0`` and ``M[y0]``.  Order-0 blocks add no head
+    (``-0.0 + 0.0`` is ``+0.0``)."""
 
     def __init__(self, config: ClosedLoopConfig, realizations):
-        width = len(realizations)
-        self._act = config.actuator.stepper(width)
-        self._fb = config.feedback.stepper(width)
-        self._plant = config.plant.stepper(width)
+        blocks = (getattr(config.plant, "dynamics", None) or RationalLTI.identity(),
+                  config.actuator, config.feedback)  # S, or the identity for a Volterra plant
+        self._stateful = [lti.order > 0 for lti in blocks]
+        self._state = _StackedState(blocks, len(realizations))
+        self._plant = config.plant.stepper(len(realizations))
         self._realizations = realizations
         self._period = 0
 
     def run_period(self, r_block: np.ndarray, nx_block: np.ndarray):
         n = r_block.shape[0]
-        u0, y0 = np.empty((2,) + r_block.shape)
-        act, plant = self._act.step, self._plant
-        peek, feed = self._fb.peek, self._fb.step
+        signals = np.zeros((n, 5, 1) + r_block.shape[1:])
+        p, e, y0, u0, y_fb = signals[:, :, 0].transpose(1, 0, 2)
+        (b_s, b_act, b_fb), (s_state, act_state, fb_state) = self._state.b0, self._stateful
+        plant, advance, heads = self._plant, self._state.advance, self._state.heads
         # Overflow on the way to divergence is expected; it is detected and
         # reported as an InstabilityError right below.
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(n):
-                u0[t] = act(r_block[t] - peek())
-                y0[t] = plant(u0[t], nx_block[t])
-                feed(y0[t])
+            for r_t, nx_t, p_t, e_t, y0_t, u0_t, fb_t, x_t, y_t in zip(
+                    r_block, nx_block, p, e, y0, u0, y_fb, signals[:, :3], signals[:, 2:]):
+                z_s, z_act, z_fb = heads
+                np.subtract(r_t, z_fb, out=e_t)
+                np.multiply(b_act, e_t, out=u0_t)
+                if act_state:
+                    np.add(u0_t, z_act, out=u0_t)
+                static = plant(u0_t, nx_t)
+                np.multiply(b_s, static, out=y0_t)
+                if s_state:
+                    np.add(y0_t, z_s, out=y0_t)
+                    p_t[...] = static
+                np.multiply(b_fb, y0_t, out=fb_t)
+                if fb_state:
+                    np.add(fb_t, z_fb, out=fb_t)
+                heads = advance(x_t, y_t)
         for i, m in enumerate(self._realizations):
             _check_divergence(y0[:, i], n, f"closed loop, realization {m}",
                               first_period=self._period)

@@ -13,9 +13,9 @@ Kernels are stored dense over the full tap hypercube.  Enumerating it costs
 ``(taps+1)**degree``, so construction is bounded to total degree
 ``m + n <= 6`` and tap lag ``<= 8``.  That cost is paid once per kernel:
 construction compiles the nonzero coefficients, in C order, into a term
-table of coefficients and their u- and nx-lags.  Evaluation pads each input
-once with the samples before its start, takes every lag as a slice of that
-array, and then costs one multiply per factor of each term.
+table of coefficients and their u- and nx-lags.  Evaluation is periodic:
+it puts each input's last samples once in front of it, takes every lag as a
+slice of that array, and then costs one multiply per factor of each term.
 """
 
 from __future__ import annotations
@@ -130,17 +130,14 @@ class NoiseMomentModel:
         return cls(autocovariance=r)
 
 
-def _lagged(x: np.ndarray, max_lag: int, periodic: bool) -> list[np.ndarray]:
-    """``x(t - l)`` along the last axis for lags 0..max_lag, as views in lag order.
+def _lagged(x: np.ndarray, max_lag: int) -> list[np.ndarray]:
+    """Circular ``x(t - l)`` along the last axis for lags 0..max_lag, as views in lag order.
 
-    The ``max_lag`` samples before the start are put in front of ``x`` once:
-    its last ones when lagging is periodic (circular), zeros otherwise.  Lag
-    ``l`` is then a slice of that one array.  Periodic lagging needs
-    ``max_lag <= x.shape[-1]``.
+    The last ``max_lag`` samples are put in front of ``x`` once; lag ``l`` is
+    then a slice of that one array.  Needs ``max_lag <= x.shape[-1]``.
     """
     t_len = x.shape[-1]
-    before = x[..., t_len - max_lag:] if periodic else np.zeros(x.shape[:-1] + (max_lag,))
-    padded = np.concatenate((before, x), axis=-1)
+    padded = np.concatenate((x[..., t_len - max_lag:], x), axis=-1)
     return [padded[..., max_lag - lag:max_lag - lag + t_len] for lag in range(max_lag + 1)]
 
 
@@ -152,31 +149,30 @@ def _lag_product(lagged: list[np.ndarray], lags) -> np.ndarray:
     return product
 
 
-def evaluate_kernel(kernel: DualVolterraKernel, u, periodic: bool = True) -> np.ndarray:
+def evaluate_kernel(kernel: DualVolterraKernel, u) -> np.ndarray:
     """Exact nested-sum output of a kernel without noise taps.
 
-    Periodic inputs are extended circularly (steady-state analysis);
-    otherwise the input is zero-padded and the first ``input_max_lag``
-    output samples are start-up transient.  A kernel with noise taps needs
-    :func:`evaluate_dual_kernel`.
+    The input is one period, extended circularly (steady-state analysis).
+    A kernel with noise taps needs :func:`evaluate_dual_kernel`.
     """
     if kernel.noise_degree:
         raise ValueError(f"kernel has noise degree {kernel.noise_degree}; "
                          "evaluate it with evaluate_dual_kernel")
-    return _sum_terms(kernel, u, u, periodic)
+    return _sum_terms(kernel, u, u)
 
 
-def evaluate_dual_kernel(kernel: DualVolterraKernel, u, nx, periodic: bool = True) -> np.ndarray:
+def evaluate_dual_kernel(kernel: DualVolterraKernel, u, nx) -> np.ndarray:
     """Exact nested-sum output of a dual-input kernel over both tap sets.
 
+    Both inputs are extended circularly, as in :func:`evaluate_kernel`.
     ``nx`` is one noise sequence of the length of ``u``, or a stack of
     ``K`` draws of shape ``(K, len(u))``; the output has the shape of ``nx``,
     and each row equals the call with that draw alone, bit for bit.
     """
-    return _sum_terms(kernel, u, nx, periodic)
+    return _sum_terms(kernel, u, nx)
 
 
-def _sum_terms(kernel: DualVolterraKernel, u, nx, periodic: bool) -> np.ndarray:
+def _sum_terms(kernel: DualVolterraKernel, u, nx) -> np.ndarray:
     """Sum of ``(c * prod u) * prod nx`` over the term table, one term after another.
 
     The body of both evaluators; without noise taps ``nx`` only gives the
@@ -193,8 +189,8 @@ def _sum_terms(kernel: DualVolterraKernel, u, nx, periodic: bool) -> np.ndarray:
         return np.full(nx.shape, float(kernel.coefficients))
     if u.size <= max(kernel.input_max_lag, kernel.noise_max_lag):
         raise ValueError("sequences shorter than the kernel tap support")
-    u_lagged = _lagged(u, kernel.input_max_lag, periodic) if m else None
-    nx_lagged = _lagged(nx, kernel.noise_max_lag, periodic) if n else None
+    u_lagged = _lagged(u, kernel.input_max_lag) if m else None
+    nx_lagged = _lagged(nx, kernel.noise_max_lag) if n else None
     out = np.zeros(nx.shape)
     for c, lags in zip(kernel.term_coefficients.tolist(), kernel.term_lags.tolist()):
         term = c

@@ -31,6 +31,7 @@ from blakit.systems import (
     simulate_closed_loop_batch,
     write_system_file,
     _noise_moments,
+    _StackedState,
 )
 from blakit.volterra import (DualVolterraKernel, NoiseMomentModel,
                              evaluate_kernel, expected_kernel)
@@ -71,21 +72,28 @@ def stable_filters(draw):
     return RationalLTI(b=b, a=np.real(np.poly(poles)))
 
 
-def dfii_transposed(b, a, xs):
-    """Outputs and final state of the direct-form II transposed recursion in
-    Python floats, one channel: ``y = b0*x + z0``, ``z_i = z_{i+1} +
+class ScalarDFII:
+    """One channel of the direct-form II transposed recursion in Python
+    floats, a sample at a time: ``y = b0*x + z0``, ``z_i = z_{i+1} +
     (b_{i+1}*x - a_{i+1}*y)``, where the last tap adds onto ``0.0``; order 0
-    is ``y = b0*x``."""
-    order = max(len(b), len(a)) - 1
-    b = list(b) + [0.0] * (order + 1 - len(b))
-    a = list(a) + [0.0] * (order + 1 - len(a))
-    z, ys = [0.0] * order, []
-    for x in xs:
+    is ``y = b0*x``.  ``head`` is tap 0, or ``0.0`` at order 0."""
+
+    def __init__(self, b, a):
+        self.order = max(len(b), len(a)) - 1
+        self.b = list(b) + [0.0] * (self.order + 1 - len(b))
+        self.a = list(a) + [0.0] * (self.order + 1 - len(a))
+        self.z = [0.0] * self.order
+
+    @property
+    def head(self):
+        return self.z[0] if self.order else 0.0
+
+    def step(self, x):
+        b, a, z, order = self.b, self.a, self.z, self.order
         y = b[0] * x + z[0] if order else b[0] * x
-        z = [(z[i + 1] if i + 1 < order else 0.0) + (b[i + 1] * x - a[i + 1] * y)
-             for i in range(order)]
-        ys.append(y)
-    return ys, z
+        self.z = [(z[i + 1] if i + 1 < order else 0.0) + (b[i + 1] * x - a[i + 1] * y)
+                  for i in range(order)]
+        return y
 
 
 class TestRationalLTI:
@@ -114,54 +122,6 @@ class TestRationalLTI:
         lti = RationalLTI(b=[1.0, 0.3], a=[1.0, -0.5, 0.1])
         w = 2.0 * np.pi * np.arange(n // 2 + 1) / n
         np.testing.assert_array_equal(lti.bin_response(n), lti.frequency_response(w))
-
-    def test_stepper_matches_lfilter(self):
-        lti = RationalLTI(b=[0.5, 0.2, -0.1], a=[1.0, -0.6, 0.25])
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(200)
-        stepper = lti.stepper(width=1)
-        stepped = np.array([stepper.step(np.array([v]))[0] for v in x])
-        np.testing.assert_allclose(stepped, sps.lfilter(lti.numerator, lti.denominator, x),
-                                   rtol=1e-12, atol=1e-12)
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), width=st.integers(1, 5), steps=st.integers(1, 12),
-           delayed=st.booleans())
-    def test_stepper_matches_scalar_recursion_bitwise(self, data, width, steps, delayed):
-        # assert_array_equal takes -0.0 for 0.0, so the bits are compared.
-        signed = st.sampled_from([0.0, -0.0])
-        b = data.draw(st.lists(signed | st.floats(-2.0, 2.0), min_size=1, max_size=9))
-        if delayed:
-            b[0] = 0.0
-        # sum |a_i| < 1 keeps every pole inside the unit circle.
-        a = [1.0] + data.draw(st.lists(signed | st.floats(-0.12, 0.12), max_size=8))
-        lti = RationalLTI(b=b, a=a)
-        xs = data.draw(st.lists(st.lists(signed | st.floats(-10.0, 10.0), min_size=width,
-                                         max_size=width), min_size=steps, max_size=steps))
-        xs = np.array(xs)
-        stepper = lti.stepper(width)
-        got = np.array([stepper.step(row) for row in xs])
-        order = len(stepper._z) - 1
-        assert order == max(len(b), len(a)) - 1
-        first = []
-        for col in range(width):
-            ys, z = dfii_transposed(b, a, xs[:, col].tolist())
-            assert got[:, col].tobytes() == np.array(ys).tobytes()
-            assert stepper._z[:order, col].tobytes() == np.array(z, dtype=float).tobytes()
-            first.append(z[0] if order else 0.0)
-        assert stepper._z[order].tobytes() == np.zeros(width).tobytes()
-        assert stepper.peek().tobytes() == np.array(first).tobytes()
-
-    def test_stepper_batch_matches_columns(self):
-        lti = RationalLTI(b=[0.5, 0.2], a=[1.0, -0.3])
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((100, 3))
-        stepper = lti.stepper(width=3)
-        batched = np.array([stepper.step(row) for row in x])
-        for col in range(3):
-            np.testing.assert_allclose(batched[:, col],
-                                       sps.lfilter(lti.numerator, lti.denominator, x[:, col]),
-                                       rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(lti=stable_filters(), n=st.integers(1, 3000), rows=st.integers(0, 3),
@@ -192,6 +152,63 @@ class TestRationalLTI:
         assert pole ** length <= STEADY_STATE_RTOL
         if length > 1000:
             assert pole ** (length - 1) > STEADY_STATE_RTOL
+
+
+class TestStackedState:
+    """The closed loop's linear blocks share one stacked state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 5), steps=st.integers(1, 12))
+    def test_each_block_matches_its_scalar_recursion_bitwise(self, data, width, steps):
+        # assert_array_equal takes -0.0 for 0.0, so the bits are compared.
+        signed = st.sampled_from([0.0, -0.0])
+        blocks = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            b = data.draw(st.lists(signed | st.floats(-2.0, 2.0), min_size=1, max_size=9))
+            if data.draw(st.booleans()):
+                b[0] = 0.0
+            # sum |a_i| < 1 keeps every pole inside the unit circle.
+            a = [1.0] + data.draw(st.lists(signed | st.floats(-0.12, 0.12), max_size=8))
+            blocks.append(RationalLTI(b=b, a=a))
+        size = steps * len(blocks) * width
+        xs = np.array(data.draw(st.lists(signed | st.floats(-10.0, 10.0), min_size=size,
+                                         max_size=size))).reshape(steps, len(blocks), 1, width)
+        state = _StackedState(blocks, width)
+        ys = np.empty_like(xs)
+        for x, y in zip(xs, ys):  # each block's output, as the loop computes it
+            for k, lti in enumerate(blocks):
+                np.multiply(state.b0[k], x[k, 0], out=y[k, 0])
+                if lti.order:
+                    np.add(y[k, 0], state.heads[k], out=y[k, 0])
+            state.advance(x, y)
+        z = state._z[steps % 2]
+        for k, lti in enumerate(blocks):
+            for col in range(width):
+                block = ScalarDFII(lti.numerator.tolist(), lti.denominator.tolist())
+                want = [block.step(x) for x in xs[:, k, 0, col].tolist()]
+                assert ys[:, k, 0, col].tobytes() == np.array(want).tobytes()
+                assert z[k, :lti.order, col].tobytes() == np.array(block.z, dtype=float).tobytes()
+                assert state.heads[k][col].tobytes() == np.float64(block.head).tobytes()
+            # The padded taps and the zero row stay +0.0.
+            assert z[k, lti.order:].tobytes() == bytes(z[k, lti.order:].nbytes)
+
+
+class TestPolynomialNonlinearity:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_horner_matches_polyval_bitwise(self, data):
+        signed = st.sampled_from([0.0, -0.0])
+        coefficients = data.draw(st.lists(signed | st.floats(-3.0, 3.0), min_size=1,
+                                          max_size=9))
+        values = signed | st.sampled_from([np.inf, -np.inf]) | st.floats(-4.0, 4.0)
+        x = np.array(data.draw(st.lists(values, min_size=1, max_size=20)))
+        f = PolynomialNonlinearity(coefficients)
+        out = np.empty_like(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.polynomial.polynomial.polyval(x, [0.0, *coefficients])
+            assert f(x, out) is out
+            got = f(x)
+        assert got.tobytes() == out.tobytes() == want.tobytes()
 
 
 class TestFilterPeriodic:
@@ -666,6 +683,65 @@ class TestInstabilityDiagnostics:
         assert info.value.period == 0 and info.value.peak == np.inf
 
 
+def study_kernels():
+    """The four kernels of the benchmark's Volterra study, twelve nonzero terms."""
+    cubic = np.zeros((2, 2, 2))
+    cubic[0, 0, 0], cubic[0, 0, 1], cubic[0, 1, 1], cubic[1, 1, 1] = 0.04, 0.02, 0.01, 0.005
+    cross = np.zeros((2, 2, 2))
+    cross[0, 0, 0], cross[0, 0, 1], cross[1, 1, 1] = 0.5, 0.2, 0.25
+    return (
+        DualVolterraKernel(1, 0, np.array([0.5, 0.25, 0.1])),
+        DualVolterraKernel(0, 1, np.array([1.0, 0.5])),
+        DualVolterraKernel(3, 0, cubic),
+        DualVolterraKernel(1, 2, cross),
+    )
+
+
+def scalar_loop(config, reference, seed, m, periods):
+    """Noise-free input and output of realization ``m``'s noisy loop over its
+    first ``periods`` periods, in Python floats: a ``ScalarDFII`` per linear
+    block, ``f`` by Horner's rule in polyval's order, and the Volterra terms
+    as ``((c * u_a) * u_b) * nx_c``, added one after another onto ``0.0``."""
+    plant = config.plant
+    act, fb = (ScalarDFII(lti.numerator.tolist(), lti.denominator.tolist())
+               for lti in (config.actuator, config.feedback))
+    if isinstance(plant, HammersteinPlant):
+        dynamics = ScalarDFII(plant.dynamics.numerator.tolist(),
+                              plant.dynamics.denominator.tolist())
+        highest, *lower = plant.nonlinearity.coefficients[::-1].tolist()
+
+        def output(u0, nx):
+            x = u0 + nx
+            acc = highest + x * 0.0
+            for c in (*lower, 0.0):
+                acc = c + acc * x
+            return dynamics.step(acc)
+    else:
+        past = {False: [], True: []}  # excitation and noise, latest first
+
+        def output(u0, nx):
+            past[False].insert(0, u0)
+            past[True].insert(0, nx)
+            total = 0.0
+            for kernel in plant.kernels:
+                for c, lags in zip(kernel.term_coefficients.tolist(), kernel.term_lags.tolist()):
+                    for j, lag in enumerate(lags):
+                        history = past[j >= kernel.input_degree]
+                        c *= history[lag] if lag < len(history) else 0.0
+                    total += c
+            return total
+
+    rng = derive_rng(seed, "loop_process_noise", m)
+    r = reference.period(0).tolist()
+    u0s, y0s = [], []
+    for _ in range(periods):
+        for r_t, nx in zip(r, generate_noise(config.process_noise_variance, len(r), rng).tolist()):
+            u0s.append(act.step(r_t - fb.head))
+            y0s.append(output(u0s[-1], nx))
+            fb.step(y0s[-1])
+    return np.array(u0s), np.array(y0s)
+
+
 def linear_loop_blocks():
     plant_lti = RationalLTI(b=[0.3, 0.1], a=[1.0, -0.6])
     actuator = RationalLTI(b=[0.9], a=[1.0, -0.2])
@@ -797,16 +873,7 @@ class TestClosedLoop:
         plant_lti, actuator, feedback = linear_loop_blocks()
         # Twelve nonzero Volterra terms: a sum over eight or more terms is
         # where a pairwise reduction would part width-1 from width-3 runs.
-        cubic = np.zeros((2, 2, 2))
-        cubic[0, 0, 0], cubic[0, 0, 1], cubic[0, 1, 1], cubic[1, 1, 1] = 0.04, 0.02, 0.01, 0.005
-        cross = np.zeros((2, 2, 2))
-        cross[0, 0, 0], cross[0, 0, 1], cross[1, 1, 1] = 0.5, 0.2, 0.25
-        volterra = VolterraPlant((
-            DualVolterraKernel(1, 0, np.array([0.5, 0.25, 0.1])),
-            DualVolterraKernel(0, 1, np.array([1.0, 0.5])),
-            DualVolterraKernel(3, 0, cubic),
-            DualVolterraKernel(1, 2, cross),
-        ))
+        volterra = VolterraPlant(study_kernels())
         assert sum(np.count_nonzero(k.coefficients) for k in volterra.kernels) >= 8
         refs = [flat_multisine(n=64, seed=s).tile(2) for s in (0, 1, 2)]
         cases = [(ClosedLoopConfig(plant=plant, actuator=actuator, feedback=feedback,
@@ -838,6 +905,49 @@ class TestClosedLoop:
                                               batch[i].output_measured.samples)
                 np.testing.assert_array_equal(single.input_measured.samples,
                                               batch[i].input_measured.samples)
+
+    @pytest.mark.parametrize("case", ["volterra", "hammerstein, G_act order 0",
+                                      "hammerstein, G_act order 1", "signed zeros"])
+    def test_matches_scalar_loop_bitwise(self, case):
+        # The stacked state, the ring-buffer plant and Horner's f make the
+        # scalar recursion's operations in its order: every recorded bit
+        # agrees, signed zeros included (hence tobytes).  A -0.0 reference
+        # without noise makes -0.0 samples, where an order-0 G_act or S
+        # must add no head (f(0) is +0.0, so S is negative).
+        act = (RationalLTI(b=[0.9], a=[1.0, -0.3]) if "order 1" in case
+               else RationalLTI(b=[0.5]))
+        f = PolynomialNonlinearity([1.0, 0.2, 0.1, -0.01])
+        plant = HammersteinPlant(RationalLTI(b=[-0.5]) if case == "signed zeros" else DEMO_S, f)
+        if case == "volterra":
+            plant = VolterraPlant(study_kernels())
+        config = ClosedLoopConfig(plant=plant, actuator=act, feedback=RationalLTI(b=[0.0, 0.5]),
+                                  process_noise_variance=0.0 if case == "signed zeros" else 0.01)
+        refs = [flat_multisine(n=16, seed=derive_rng(3, "reference", m), rms=0.5).tile(2)
+                for m in range(2)]
+        if case == "signed zeros":
+            refs = [PeriodicSignal(np.full(32, -0.0), 16, 2, 1.0)] * 2
+        for m, rec in enumerate(simulate_closed_loop_batch(config, refs, seed=3)):
+            u0, y0 = scalar_loop(config, refs[m], 3, m, rec.warmup_periods + 2)
+            recorded = slice(rec.warmup_periods * 16, None)
+            assert rec.input_noise_free.tobytes() == u0[recorded].tobytes()
+            assert rec.output_noise_free.tobytes() == y0[recorded].tobytes()
+
+    def test_divergence_report_survives_padded_state(self):
+        # G_act (order 1) and M (order 2) are padded to the stacked state's
+        # order, where 0 * inf makes NaN.  The reports are those of the
+        # per-block steppers the stacked state replaced: a finite peak at
+        # rms 0.7, and an overflow to inf inside period 0 at rms 0.8.
+        config = ClosedLoopConfig(plant=HammersteinPlant(DEMO_S, CUBIC),
+                                  actuator=RationalLTI(b=[0.9], a=[1.0, -0.3]),
+                                  feedback=RationalLTI(b=[0.0, 0.0, 0.5]),
+                                  process_noise_variance=0.01)
+        for rms, realization, peak in ((0.7, 5, 8.95109910777364e+50), (0.8, 1, np.inf)):
+            refs = [flat_multisine(n=256, seed=derive_rng(5, "reference", m), rms=rms).tile(2)
+                    for m in range(6)]
+            with pytest.raises(InstabilityError, match=f"closed loop, realization {realization}, "
+                                                       f"simulated period 0: ") as info:
+                simulate_closed_loop_batch(config, refs, seed=5)
+            assert info.value.period == 0 and info.value.peak == peak
 
     def test_volterra_plant_matches_hammerstein_equivalent(self):
         # Static cubic plant y0 = v + 0.1 v^3 with v = u0 + nx expands into

@@ -20,8 +20,8 @@ from blakit.volterra import (
 )
 
 
-def brute_force_single(coeff: np.ndarray, u: np.ndarray, periodic: bool) -> np.ndarray:
-    """Triple-nested-loop transliteration of the kernel sum definition."""
+def brute_force_single(coeff: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Triple-nested-loop transliteration of the kernel sum definition, circular."""
     degree = coeff.ndim
     taps = coeff.shape[0]
     out = np.zeros(u.size)
@@ -30,33 +30,36 @@ def brute_force_single(coeff: np.ndarray, u: np.ndarray, periodic: bool) -> np.n
         for idx in itertools.product(range(taps), repeat=degree):
             prod = coeff[idx]
             for lag in idx:
-                if periodic:
-                    prod *= u[(t - lag) % u.size]
-                else:
-                    prod *= u[t - lag] if t - lag >= 0 else 0.0
+                prod *= u[(t - lag) % u.size]
             total += prod
         out[t] = total
     return out
 
 
-def brute_force_dual(kernel: DualVolterraKernel, u, nx, periodic=True) -> np.ndarray:
-    m, n = kernel.input_degree, kernel.noise_degree
-    coeff = kernel.coefficients
+def brute_force_dual(kernel, u, nx, periodic=True) -> np.ndarray:
+    """The dual kernel sum in Python floats, term after term in C order from
+    ``0.0``; ``kernel`` may be a tuple of kernels, whose terms are then
+    summed in tuple order into one total, as a ``VolterraPlant`` sums them.
+    Samples before the start are zeros when not ``periodic``."""
+    kernels = kernel if isinstance(kernel, tuple) else (kernel,)
     out = np.zeros(u.size)
-    taps_u = coeff.shape[0] if m else 1
-    taps_x = coeff.shape[-1] if n else 1
     for t in range(u.size):
         total = 0.0
-        for ku in itertools.product(range(taps_u), repeat=m):
-            for kx in itertools.product(range(taps_x), repeat=n):
-                prod = coeff[ku + kx]
-                for lag in ku:
-                    prod *= u[(t - lag) % u.size] if periodic else (
-                        u[t - lag] if t - lag >= 0 else 0.0)
-                for lag in kx:
-                    prod *= nx[(t - lag) % nx.size] if periodic else (
-                        nx[t - lag] if t - lag >= 0 else 0.0)
-                total += prod
+        for kernel in kernels:
+            m, n = kernel.input_degree, kernel.noise_degree
+            coeff = kernel.coefficients
+            taps_u = coeff.shape[0] if m else 1
+            taps_x = coeff.shape[-1] if n else 1
+            for ku in itertools.product(range(taps_u), repeat=m):
+                for kx in itertools.product(range(taps_x), repeat=n):
+                    prod = coeff[ku + kx]
+                    for lag in ku:
+                        prod *= u[(t - lag) % u.size] if periodic else (
+                            u[t - lag] if t - lag >= 0 else 0.0)
+                    for lag in kx:
+                        prod *= nx[(t - lag) % nx.size] if periodic else (
+                            nx[t - lag] if t - lag >= 0 else 0.0)
+                    total += prod
         out[t] = total
     return out
 
@@ -76,14 +79,13 @@ class TestEvaluateKernel:
         out = evaluate_kernel(kernel, np.full(8, 2.0))
         np.testing.assert_array_equal(out, np.full(8, 4.0))
 
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_third_order_matches_brute_force(self, periodic):
+    def test_third_order_matches_brute_force(self):
         rng = np.random.default_rng(13)
         coeff = rng.standard_normal((3, 3, 3))
         kernel = DualVolterraKernel(3, 0, coeff)
         u = rng.standard_normal(16)
-        got = evaluate_kernel(kernel, u, periodic=periodic)
-        np.testing.assert_allclose(got, brute_force_single(coeff, u, periodic),
+        got = evaluate_kernel(kernel, u)
+        np.testing.assert_allclose(got, brute_force_single(coeff, u),
                                    rtol=1e-12, atol=1e-12)
 
     def test_short_input_rejected(self):
@@ -118,15 +120,14 @@ class TestEvaluateDualKernel:
         nx = np.arange(6.0)
         np.testing.assert_array_equal(evaluate_dual_kernel(dual, u, nx), nx)
 
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_cross_kernel_matches_brute_force(self, periodic):
+    def test_cross_kernel_matches_brute_force(self):
         rng = np.random.default_rng(21)
         kernel = DualVolterraKernel(input_degree=2, noise_degree=1,
                                     coefficients=rng.standard_normal((3, 3, 3)))
         u = rng.standard_normal(14)
         nx = rng.standard_normal(14)
-        got = evaluate_dual_kernel(kernel, u, nx, periodic=periodic)
-        np.testing.assert_allclose(got, brute_force_dual(kernel, u, nx, periodic),
+        got = evaluate_dual_kernel(kernel, u, nx)
+        np.testing.assert_allclose(got, brute_force_dual(kernel, u, nx),
                                    rtol=1e-12, atol=1e-12)
 
     def test_plant_stepper_matches_brute_force_exactly(self):
@@ -143,8 +144,33 @@ class TestEvaluateDualKernel:
             got = np.array([step(a, b)[0] for a, b in zip(u, nx)])
             np.testing.assert_array_equal(got, brute_force_dual(kernel, u, nx, periodic=False))
 
-    @pytest.mark.parametrize("periodic", [True, False])
-    def test_stacked_draws_match_single_draws_exactly(self, periodic):
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 5), steps=st.integers(1, 12))
+    def test_ring_buffer_plant_matches_brute_force_bitwise(self, data, width, steps):
+        # Several kernels of mixed degrees and lags, whose terms the plant
+        # sums into one total; assert_array_equal takes -0.0 for 0.0, so
+        # the bits are compared.
+        signed = st.sampled_from([0.0, -0.0])
+        kernels = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            m = data.draw(st.integers(0, 3))
+            n = data.draw(st.integers(0, 3 - m))
+            shape = (data.draw(st.integers(1, 3)),) * m + (data.draw(st.integers(1, 3)),) * n
+            size = math.prod(shape)
+            values = data.draw(st.lists(signed | st.floats(-2.0, 2.0), min_size=size,
+                                        max_size=size))
+            kernels.append(DualVolterraKernel(m, n, np.array(values).reshape(shape)))
+        kernels = tuple(kernels)
+        inputs = st.lists(signed | st.floats(-3.0, 3.0), min_size=steps * width,
+                          max_size=steps * width)
+        u, nx = (np.array(data.draw(inputs)).reshape(steps, width) for _ in range(2))
+        step = VolterraPlant(kernels).stepper(width)
+        got = np.array([step(a, b).copy() for a, b in zip(u, nx)])
+        for col in range(width):
+            want = brute_force_dual(kernels, u[:, col], nx[:, col], periodic=False)
+            assert got[:, col].tobytes() == want.tobytes()
+
+    def test_stacked_draws_match_single_draws_exactly(self):
         rng = np.random.default_rng(31)
         u = rng.standard_normal(12)
         nx = rng.standard_normal((5, 12))
@@ -152,11 +178,11 @@ class TestEvaluateDualKernel:
             coefficients = rng.standard_normal((3,) * m + (2,) * n)
             coefficients[rng.random(coefficients.shape) < 0.3] = 0.0
             kernel = DualVolterraKernel(m, n, coefficients)
-            batch = evaluate_dual_kernel(kernel, u, nx, periodic=periodic)
+            batch = evaluate_dual_kernel(kernel, u, nx)
             assert batch.shape == nx.shape
             for draw, row in zip(nx, batch):
                 np.testing.assert_array_equal(
-                    row, evaluate_dual_kernel(kernel, u, draw, periodic=periodic))
+                    row, evaluate_dual_kernel(kernel, u, draw))
 
     def test_stacked_draws_length_mismatch_rejected(self):
         kernel = DualVolterraKernel(1, 1, np.ones((2, 2)))
@@ -325,19 +351,19 @@ class TestExpectedKernel:
         u = rng.standard_normal(10)
         draws = 200_000
         white = rng.standard_normal((draws, 10 + 1))
-        # MA(1) coloring gives exactly the covariance r; evaluate aperiodically
-        # so the wrap never mixes unmatched covariances, and skip the transient.
+        # MA(1) coloring gives exactly the covariance r between neighbours in
+        # the record, but not across its wrap, so sample 0, whose lag-1 taps
+        # wrap around, is skipped.
         nx = white[:, 1:] + theta * white[:, :-1]
-        outputs = evaluate_dual_kernel(dual, u, nx, periodic=False)
+        outputs = evaluate_dual_kernel(dual, u, nx)
         for i in range(3):
-            np.testing.assert_array_equal(
-                outputs[i], evaluate_dual_kernel(dual, u, nx[i], periodic=False))
+            np.testing.assert_array_equal(outputs[i], evaluate_dual_kernel(dual, u, nx[i]))
         mean = outputs.mean(axis=0)
         std = outputs.std(axis=0)
         steady = slice(1, None)
         band = 4.0 * std / np.sqrt(draws) + 1e-12
-        pred_aperiodic = evaluate_kernel(reduced, u, periodic=False)
-        assert np.all(np.abs(mean[steady] - pred_aperiodic[steady]) < band[steady])
+        predicted = evaluate_kernel(reduced, u)
+        assert np.all(np.abs(mean[steady] - predicted[steady]) < band[steady])
 
     def test_support_mismatch_rejected(self):
         dual = DualVolterraKernel(input_degree=0, noise_degree=2,
@@ -401,10 +427,8 @@ class TestNoiseAveragedKernel:
         sequence = st.lists(st.floats(-3.0, 3.0), min_size=t_len, max_size=t_len)
         u = np.array(data.draw(sequence))
         nx = np.array(data.draw(sequence))
-        for periodic in (True, False):
-            np.testing.assert_array_equal(
-                evaluate_kernel(averaged, u, periodic=periodic),
-                evaluate_dual_kernel(averaged, u, nx, periodic=periodic))
+        np.testing.assert_array_equal(evaluate_kernel(averaged, u),
+                                      evaluate_dual_kernel(averaged, u, nx))
         step = VolterraPlant((averaged,)).stepper(1)
         stepped = np.array([step(a, b)[0] for a, b in zip(u, nx)])
         np.testing.assert_array_equal(stepped, brute_force_dual(averaged, u, nx, periodic=False))
@@ -416,32 +440,25 @@ class TestNoiseAveragedKernel:
 
 
 
-def gathered_lags(x: np.ndarray, max_lag: int, periodic: bool) -> np.ndarray:
-    """Lag rows ``x(t - l)``, lag axis first, by a modular-index gather
-    (periodic) or by copying into zero rows (zero-padded before the start)."""
+def gathered_lags(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Lag rows ``x(t - l)``, lag axis first, by a modular-index gather."""
     t_len = x.shape[-1]
-    if periodic:
-        index = np.arange(t_len) - np.arange(max_lag + 1)[:, None]
-        return x[..., index].swapaxes(0, -2)
-    rows = np.zeros((max_lag + 1,) + x.shape)
-    for lag in range(max_lag + 1):
-        rows[lag, ..., lag:] = x[..., : t_len - lag]
-    return rows
+    index = np.arange(t_len) - np.arange(max_lag + 1)[:, None]
+    return x[..., index].swapaxes(0, -2)
 
 
 class TestLagged:
     """Lag windows taken as slices hold the bits of the gathered rows."""
 
     @settings(max_examples=200, deadline=None)
-    @given(max_lag=st.integers(0, 8), stacked=st.booleans(), periodic=st.booleans(),
-           data=st.data())
-    def test_matches_gathered_rows_bitwise(self, max_lag, stacked, periodic, data):
+    @given(max_lag=st.integers(0, 8), stacked=st.booleans(), data=st.data())
+    def test_matches_gathered_rows_bitwise(self, max_lag, stacked, data):
         t_len = data.draw(st.integers(max_lag + 1, 12))
         shape = (data.draw(st.integers(1, 3)), t_len) if stacked else (t_len,)
         values = st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)
         size = math.prod(shape)
         x = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
-        got = np.stack(_lagged(x, max_lag, periodic))
-        want = gathered_lags(x, max_lag, periodic)
+        got = np.stack(_lagged(x, max_lag))
+        want = gathered_lags(x, max_lag)
         assert got.shape == want.shape == (max_lag + 1,) + shape
         assert got.tobytes() == want.tobytes()
