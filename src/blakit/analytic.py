@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .systems import PolynomialNonlinearity, RationalLTI
+from .volterra import gaussian_power_moment
 
 __all__ = [
     "GaussianInputModel",
@@ -42,22 +43,6 @@ class GaussianInputModel:
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0")
             object.__setattr__(self, name, v)
-
-
-def _double_factorial(n: int) -> int:
-    # (-1)!! == 1 by convention.
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def gaussian_power_moment(power: int, variance: float) -> float:
-    """``E{x^power}`` for zero-mean Gaussian x: 0 for odd, (p-1)!! sigma^p for even."""
-    if power % 2:
-        return 0.0
-    return _double_factorial(power - 1) * variance ** (power // 2)
 
 
 def bussgang_gain(nonlinearity: PolynomialNonlinearity, model: GaussianInputModel) -> float:

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentRecord:
     """Spectra of one multi-realization, multi-period experiment.
 
@@ -104,7 +104,7 @@ class ExperimentRecord:
         return self.output_spectra.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlaEstimate:
     """Frequency response estimate with noise and total variance spectra.
 
@@ -214,7 +214,7 @@ def _masked_estimate(record, g, g_m, g_mp, defined) -> BlaEstimate:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Per-sample output constituents and their per-bin variance spectra.
 

@@ -78,7 +78,7 @@ __all__ = [
     "hammerstein_demo_config",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Everything a reproducible experiment depends on (except worker count)."""
 
@@ -354,8 +354,9 @@ def run_records(config: ExperimentConfig, workers: int = 1) -> tuple[ExperimentR
     loop's ``lead_in_samples`` or the closed loop's ``warmup_periods_used``.
     """
     # Looked up at call time, so a wrapped builder (e.g. a tracer's) is used.
-    build = run_closed_loop_records if config.loop == "closed" else run_open_loop_records
-    return build(config, workers=workers)
+    if config.loop == "closed":
+        return run_closed_loop_records(config, workers=workers)
+    return run_open_loop_records(config, workers=workers)
 
 
 def write_generated_signals(config: ExperimentConfig, out_dir) -> list[pathlib.Path]:
@@ -377,7 +378,7 @@ def write_generated_signals(config: ExperimentConfig, out_dir) -> list[pathlib.P
 # Full experiment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
     summary: dict
     estimate: BlaEstimate
@@ -667,10 +668,10 @@ def hammerstein_demo_system() -> SystemDescription:
 
 def hammerstein_demo_config(realizations: int = 10, periods: int = 2,
                             samples_per_period: int = 4096,
-                            master_seed: int = 0,
-                            decompose: bool = True) -> ExperimentConfig:
+                            master_seed: int = 0) -> ExperimentConfig:
     """The flagship open-loop setup: unit-RMS flat multisine, cubic system,
-    process and output noise of standard deviation 0.1 and 0.03."""
+    process and output noise of standard deviation 0.1 and 0.03, with the
+    output decomposition on."""
     return ExperimentConfig(
         loop="open",
         realizations=realizations,
@@ -683,5 +684,5 @@ def hammerstein_demo_config(realizations: int = 10, periods: int = 2,
         process_noise_variance=0.1 ** 2,
         output_noise_variance=0.03 ** 2,
         master_seed=master_seed,
-        decompose=decompose,
+        decompose=True,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,21 +58,20 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultisineSpec:
     """Description of a random-phase multisine excitation.
 
     ``excited_bins`` are DFT bin indices ``k`` with ``0 < k < N/2``; DC and
     Nyquist are never excited so generated signals stay zero-mean and real.
     ``amplitudes[i]`` is the deterministic (real) amplitude of bin
-    ``excited_bins[i]``; all amplitudes are bounded by ``amplitude_bound``.
+    ``excited_bins[i]``, finite and ``>= 0``.
     """
 
     samples_per_period: int
     sampling_frequency: float
     excited_bins: np.ndarray
     amplitudes: np.ndarray
-    amplitude_bound: float = field(default=np.inf)
 
     def __post_init__(self):
         n = int(self.samples_per_period)
@@ -91,17 +90,13 @@ class MultisineSpec:
         amps = np.asarray(self.amplitudes, dtype=float)
         if amps.shape != bins.shape:
             raise ValueError("amplitudes must align with excited_bins")
-        bound = float(self.amplitude_bound)
-        if not np.isfinite(bound) and np.isfinite(amps).all():
-            bound = float(amps.max()) if amps.size else 0.0
-        if np.any(amps < 0) or np.any(amps > bound) or not np.isfinite(amps).all():
-            raise ValueError("amplitudes must satisfy 0 <= U_k <= amplitude_bound < inf")
+        if np.any(amps < 0) or not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite and >= 0")
         order = np.argsort(bins)
         object.__setattr__(self, "samples_per_period", n)
         object.__setattr__(self, "sampling_frequency", float(self.sampling_frequency))
         object.__setattr__(self, "excited_bins", bins[order])
         object.__setattr__(self, "amplitudes", amps[order])
-        object.__setattr__(self, "amplitude_bound", bound)
 
     @classmethod
     def flat(cls, samples_per_period: int, sampling_frequency: float,
@@ -120,11 +115,10 @@ class MultisineSpec:
             sampling_frequency=sampling_frequency,
             excited_bins=bins,
             amplitudes=np.full(bins.size, amp),
-            amplitude_bound=amp,
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicSignal:
     """A real sampled signal holding an integer number of identical-length periods."""
 
@@ -165,7 +159,7 @@ class PeriodicSignal:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Complex DFT values of one period on the half grid, bins ``0..N//2``."""
 
@@ -189,7 +183,7 @@ class Spectrum:
         return np.arange(n // 2 + 1) * (self.sampling_frequency / n)
 
 
-def generate_multisine(spec: MultisineSpec, seed=None, phases=None) -> PeriodicSignal:
+def generate_multisine(spec: MultisineSpec, seed=None) -> PeriodicSignal:
     """Generate one period of a random-phase multisine.
 
     The sample values are
@@ -197,19 +191,13 @@ def generate_multisine(spec: MultisineSpec, seed=None, phases=None) -> PeriodicS
         u(t) = (1/sqrt(N)) * sum_k 2 * U_k * cos(2*pi*k*t/N + phi_k)
 
     with the phases drawn independently and uniformly on ``[0, 2*pi)`` from
-    the given seed (pass ``phases`` explicitly to pin them).  Under the
-    unitary DFT the excited bins then read ``U_k * exp(1j*phi_k)`` exactly.
+    the given seed, in the order of the excited bins.  Under the unitary DFT
+    the excited bins then read ``U_k * exp(1j*phi_k)`` exactly.
     Regenerating with the same seed is bit-identical.
     """
     n = spec.samples_per_period
     k = spec.excited_bins
-    if phases is None:
-        rng = _as_generator(seed)
-        phases = rng.uniform(0.0, _TWO_PI, size=k.size)
-    else:
-        phases = np.asarray(phases, dtype=float)
-        if phases.shape != k.shape:
-            raise ValueError("phases must align with excited_bins")
+    phases = _as_generator(seed).uniform(0.0, _TWO_PI, size=k.size)
     half = np.zeros(n // 2 + 1, dtype=complex)
     half[k] = spec.amplitudes * np.exp(1j * phases)
     # irfft realizes the cosine sum exactly (same linear combination, O(N log N)).

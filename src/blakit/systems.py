@@ -253,7 +253,7 @@ class _StackedState:
         return heads
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolynomialNonlinearity:
     """Static nonlinearity ``f(x) = c_1 x + c_2 x^2 + ... + c_d x^d`` (no offset)."""
 
@@ -421,7 +421,7 @@ def _check_periodic(sig: PeriodicSignal, name: str, where: str = "") -> None:
                          f"the simulator needs a periodic {name}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationRecord:
     """Recorded steady-state periods of a noisy open-loop simulation, and the
     ``lead_in_samples`` that ran before them (0 without process noise)."""
@@ -569,7 +569,7 @@ class HammersteinSimulator:
 # Closed loop
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HammersteinPlant:
     """Plant block ``y0 = S(q)[f(u0 + nx)]`` for use inside the loop."""
 
@@ -583,7 +583,7 @@ class HammersteinPlant:
         return lambda u0, nx: f(np.add(u0, nx, out=x), out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VolterraPlant:
     """Plant block given by a sum of dual-input kernels on (u0, nx)."""
 
@@ -636,7 +636,7 @@ class VolterraPlant:
         return step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedLoopConfig:
     """Loop layout: ``u0 = G_act(q)[r - M(q) y0]`` around a noisy plant.
 
@@ -662,7 +662,7 @@ class ClosedLoopConfig:
             _check_variance(name, getattr(self, name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedLoopRecord:
     """Measured loop signals plus the noise-free internal ones."""
 
@@ -796,7 +796,7 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
 # System description files
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemDescription:
     """Named blocks of a simulation setup, as stored in a system file."""
 

@@ -1,13 +1,14 @@
 """Finite-support dual-input Volterra kernels.
 
 A kernel takes the excitation and a process-noise sequence as separate
-inputs; a single-input kernel is one without noise taps.  Averaging a
-kernel's output over Gaussian process noise is the same as evaluating the
-kernel without noise taps whose coefficients are the noise tap indices
-contracted against Gaussian joint moments; that contraction is
-:func:`expected_kernel` and the moments come from :func:`gaussian_moment`
-(Isserlis pairing enumeration).  The noise-averaged kernel is a kernel like
-any other.
+inputs; a single-input kernel is one without noise taps.  The process noise
+is white and Gaussian; colored noise of finite memory is a kernel on white
+noise, with the coloring folded into its noise taps.  Averaging a kernel's
+output over the noise is the same as evaluating the kernel without noise
+taps whose coefficients are the noise tap indices contracted against
+Gaussian joint moments; that contraction is :func:`expected_kernel`, and
+:func:`gaussian_moment` gives each moment as a product of per-lag Gaussian
+power moments.  The noise-averaged kernel is a kernel like any other.
 
 Kernels are stored dense over the full tap hypercube.  Enumerating it costs
 ``(taps+1)**degree``, so construction is bounded to total degree
@@ -39,7 +40,7 @@ MAX_TOTAL_DEGREE = 6
 MAX_TAP_LAG = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualVolterraKernel:
     """Dense kernel with ``input_degree`` excitation taps and ``noise_degree`` noise taps.
 
@@ -57,8 +58,8 @@ class DualVolterraKernel:
     input_degree: int
     noise_degree: int
     coefficients: np.ndarray
-    term_coefficients: np.ndarray = field(init=False, repr=False, compare=False)
-    term_lags: np.ndarray = field(init=False, repr=False, compare=False)
+    term_coefficients: np.ndarray = field(init=False, repr=False)
+    term_lags: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = int(self.input_degree)
@@ -99,35 +100,30 @@ class DualVolterraKernel:
 
 @dataclass(frozen=True)
 class NoiseMomentModel:
-    """Second-order description of stationary Gaussian process noise.
+    """Stationary white Gaussian process noise of one variance.
 
-    ``autocovariance[tau]`` is ``E{nx(t) nx(t - tau)}`` for lags
-    ``0..len-1``; higher joint moments follow from Gaussianity.
+    ``max_lag`` is the noise-tap support the model covers: a kernel whose
+    noise taps reach further cannot be contracted against it.  Colored noise
+    of finite memory is a kernel on white noise, with the coloring folded
+    into the kernel's noise taps.
     """
 
-    autocovariance: np.ndarray
+    variance: float
+    max_lag: int
 
     def __post_init__(self):
-        r = np.atleast_1d(np.asarray(self.autocovariance, dtype=float))
-        if not np.isfinite(r).all():
-            raise ValueError("autocovariance must be finite")
-        if r[0] < 0 or (r.size > 1 and np.abs(r[1:]).max() > r[0]):
-            raise ValueError("need r(0) >= |r(tau)| >= 0 for all lags")
-        object.__setattr__(self, "autocovariance", r)
-
-    @property
-    def variance(self) -> float:
-        return float(self.autocovariance[0])
-
-    @property
-    def max_lag(self) -> int:
-        return self.autocovariance.size - 1
+        variance = float(self.variance)
+        if not np.isfinite(variance) or variance < 0:
+            raise ValueError("variance must be finite and >= 0")
+        if int(self.max_lag) < 0:
+            raise ValueError("max_lag must be >= 0")
+        object.__setattr__(self, "variance", variance)
+        object.__setattr__(self, "max_lag", int(self.max_lag))
 
     @classmethod
     def white(cls, variance: float, max_lag: int = 0) -> "NoiseMomentModel":
-        r = np.zeros(max_lag + 1)
-        r[0] = variance
-        return cls(autocovariance=r)
+        """White noise of ``variance`` for kernels with noise taps up to ``max_lag``."""
+        return cls(variance, max_lag)
 
 
 def _lagged(x: np.ndarray, max_lag: int) -> list[np.ndarray]:
@@ -202,40 +198,41 @@ def _sum_terms(kernel: DualVolterraKernel, u, nx) -> np.ndarray:
     return out
 
 
-def gaussian_moment(model: NoiseMomentModel, lags) -> float:
-    """Joint moment ``E{nx(t-j_1) ... nx(t-j_n)}`` of a Gaussian stationary process.
+def _double_factorial(n: int) -> int:
+    # (-1)!! == 1 by convention.
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
 
-    Zero for odd ``n``; for even ``n`` the sum over all perfect matchings of
-    pairwise autocovariances, enumerated by recursively pairing the first
-    remaining lag with each other.  Invariant under any permutation of the
-    lags.  Requires every pairwise lag difference to lie inside the
-    autocovariance support.
+
+def gaussian_power_moment(power: int, variance: float) -> float:
+    """``E{x^power}`` for zero-mean Gaussian x: 0 for odd, (p-1)!! sigma^p for even."""
+    if power % 2:
+        return 0.0
+    return _double_factorial(power - 1) * variance ** (power // 2)
+
+
+def gaussian_moment(model: NoiseMomentModel, lags) -> float:
+    """Joint moment ``E{nx(t-j_1) ... nx(t-j_n)}`` of white Gaussian noise.
+
+    Samples at different lags are independent, so the moment is the product,
+    over the distinct lags in increasing order, of the Gaussian power moment
+    of each lag's multiplicity: 1 for no lags, 0 when any lag appears an odd
+    number of times.  Invariant under any permutation of the lags.  Requires
+    every pairwise lag difference to lie inside the model's support.
     """
     lags = tuple(int(j) for j in lags)
     if any(j < 0 for j in lags):
         raise ValueError("lags must be >= 0")
-    n = len(lags)
-    if n == 0:
-        return 1.0
-    if n % 2:
-        return 0.0
-    r = model.autocovariance
-    span = max(lags) - min(lags)
+    span = max(lags, default=0) - min(lags, default=0)
     if span > model.max_lag:
-        raise ValueError(
-            f"lag difference {span} outside autocovariance support (max {model.max_lag})"
-        )
-
-    def pairings(rest: tuple) -> float:
-        if not rest:
-            return 1.0
-        first, tail = rest[0], rest[1:]
-        total = 0.0
-        for i, other in enumerate(tail):
-            total += r[abs(first - other)] * pairings(tail[:i] + tail[i + 1:])
-        return total
-
-    return pairings(lags)
+        raise ValueError(f"lag difference {span} outside the noise support (max {model.max_lag})")
+    moment = 1.0
+    for lag in sorted(set(lags)):
+        moment *= gaussian_power_moment(lags.count(lag), model.variance)
+    return moment
 
 
 def expected_kernel(kernel: DualVolterraKernel, model: NoiseMomentModel) -> DualVolterraKernel:
@@ -254,7 +251,7 @@ def expected_kernel(kernel: DualVolterraKernel, model: NoiseMomentModel) -> Dual
         return DualVolterraKernel(m, 0, np.zeros(shape_u))
     if kernel.noise_max_lag > model.max_lag:
         raise ValueError(
-            f"kernel noise lags reach {kernel.noise_max_lag}, autocovariance "
+            f"kernel noise lags reach {kernel.noise_max_lag}, noise "
             f"support ends at {model.max_lag}"
         )
     out = np.zeros(shape_u)

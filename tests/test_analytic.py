@@ -13,9 +13,9 @@ from blakit.analytic import (
     analytic_hammerstein_decomposition,
     bussgang_gain,
     decomposition_report_json,
-    gaussian_power_moment,
 )
 from blakit.systems import PolynomialNonlinearity, RationalLTI
+from blakit.volterra import gaussian_power_moment
 
 CUBIC = PolynomialNonlinearity(coefficients=[1.0, 0.0, 0.1])
 

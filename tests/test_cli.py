@@ -42,13 +42,12 @@ from blakit.systems import (
 
 def write_config(tmp_path, name="config.ini", system=None, **overrides):
     system = system if system is not None else hammerstein_demo_system()
-    config = hammerstein_demo_config(
+    config = dataclasses.replace(hammerstein_demo_config(
         realizations=overrides.pop("realizations", 3),
         periods=overrides.pop("periods", 2),
         samples_per_period=overrides.pop("samples_per_period", 128),
         master_seed=overrides.pop("master_seed", 5),
-        decompose=overrides.pop("decompose", False),
-    )
+    ), decompose=overrides.pop("decompose", False))
     fields = {**config.__dict__, "system": system,
               "excited_bins": tuple(range(1, config.samples_per_period // 2)),
               **overrides}
@@ -711,8 +710,8 @@ class TestInvalidInputExits2:
 
     @pytest.mark.parametrize("loop", ["open", "closed"])
     def test_record_builders_reject_workers_below_one(self, loop):
-        config = hammerstein_demo_config(realizations=2, samples_per_period=64,
-                                         decompose=False)
+        config = dataclasses.replace(
+            hammerstein_demo_config(realizations=2, samples_per_period=64), decompose=False)
         run = run_open_loop_records if loop == "open" else run_closed_loop_records
         if loop == "closed":
             config = ExperimentConfig(**{

@@ -1,4 +1,5 @@
-"""The analytic oracle's pass rule and the statistics of ``compare``."""
+"""The analytic oracle's pass rule, the statistics of ``compare``, and ``==``
+on the value types that hold arrays."""
 
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ from blakit.experiment import (
     _comparison_summary,
     _in_band_probability,
     compare_reports,
+    hammerstein_demo_config,
+    hammerstein_demo_system,
 )
 from blakit.systems import PolynomialNonlinearity, RationalLTI, SystemDescription
 
@@ -173,3 +176,14 @@ class TestCompareStatistics:
         assert summary["gain_ratio"] == 1.0 and ok
         summary, ok = compare_reports(a, b, var_ratio_tol=1e6)
         assert not ok and summary["within_tolerance"] is False
+
+
+@pytest.mark.parametrize("make", [lambda: PolynomialNonlinearity([1.0, 0.0, 0.1]),
+                                  hammerstein_demo_system, hammerstein_demo_config],
+                         ids=["nonlinearity", "system", "demo_config"])
+def test_array_holding_values_compare_by_identity(make):
+    # Field-wise == would compare arrays, whose truth value raises ValueError.
+    value = make()
+    assert value == value
+    assert (value == make()) is False
+    assert hash(value) == hash(value)

@@ -1,9 +1,11 @@
-"""The public surface: every exported name has a caller, and the quickstart runs.
+"""The public surface: every exported name and knob has a caller, and the quickstart runs.
 
 A name in a ``src/blakit`` module's ``__all__`` stays in the package only if
 the command-line pipeline (``src/blakit`` outside ``__init__.py``), the
 benchmark scripts (``perfbench/*.py``) or the README's library quickstart
-refers to it.  A name that only the tests use belongs in the tests.
+refers to it.  A name that only the tests use belongs in the tests.  So does
+a defaulted parameter of an exported name that none of those callers passes
+with a value other than its default.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import contextlib
 import io
 import pathlib
 import re
+import textwrap
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "blakit"
@@ -43,16 +46,173 @@ def exported(tree: ast.Module) -> list[str]:
     return []
 
 
+def package_modules(package: pathlib.Path = PACKAGE) -> list[ast.Module]:
+    return [ast.parse(path.read_text(encoding="utf8"))
+            for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+
+
+def callers(package: pathlib.Path = PACKAGE) -> list[ast.Module]:
+    """The pipeline's modules, the benchmark scripts and the quickstart."""
+    return [*package_modules(package), ast.parse(quickstart()),
+            *(ast.parse(path.read_text(encoding="utf8"))
+              for path in sorted((ROOT / "perfbench").glob("*.py")))]
+
+
 def test_every_exported_name_has_a_caller():
-    modules = {path: ast.parse(path.read_text(encoding="utf8"))
-               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
-    callers = [*modules.values(), ast.parse(quickstart())]
-    callers += [ast.parse(path.read_text(encoding="utf8"))
-                for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    called = set().union(*map(references, callers))
-    names = {name for tree in modules.values() for name in exported(tree)}
+    modules = package_modules()
+    called = set().union(*map(references, callers()))
+    names = {name for tree in modules for name in exported(tree)}
     assert sorted(names - called - AWAITING_CALLER) == []
     assert AWAITING_CALLER <= names
+
+
+def decorator_names(node: ast.ClassDef | ast.FunctionDef) -> set[str]:
+    """Names of ``node``'s decorators; ``@dataclass(...)`` gives ``dataclass``."""
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return {d.id for d in decorators if isinstance(d, ast.Name)}
+
+
+def signature(node: ast.FunctionDef, bound: bool) -> list[tuple]:
+    """``(parameter, position, default)`` for each defaulted parameter of ``node``.
+
+    ``position`` indexes the call's positional arguments (after ``self`` or
+    ``cls`` when ``bound``); it is None for a keyword-only parameter.
+    """
+    positional = [*node.args.posonlyargs, *node.args.args][bound:]
+    first = len(positional) - len(node.args.defaults)
+    out = [(arg.arg, first + i, default)
+           for i, (arg, default) in enumerate(zip(positional[first:], node.args.defaults))]
+    return out + [(arg.arg, None, default) for arg, default
+                  in zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None]
+
+
+def dataclass_fields(node: ast.ClassDef) -> list[tuple]:
+    """``(field, position, default)`` for each defaulted field that ``__init__`` takes."""
+    out = []
+    position = 0
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        default = stmt.value
+        if isinstance(default, ast.Call) and getattr(default.func, "id", None) == "field":
+            options = {kw.arg: kw.value for kw in default.keywords}
+            if "init" in options and not ast.literal_eval(options["init"]):
+                continue
+            default = options.get("default", options.get("default_factory"))
+        if default is not None:
+            out.append((stmt.target.id, position, default))
+        position += 1
+    return out
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple]:
+    """``(call name, label, parameter, position, default)`` for every defaulted
+    parameter of the module's exported functions and classes: dataclass
+    fields, ``__init__`` and the public methods.  Other dunder methods are
+    left out; a call through an instance cannot name them."""
+    out = []
+    names = set(exported(tree))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            out += [(node.name, node.name, *p) for p in signature(node, bound=False)]
+        elif isinstance(node, ast.ClassDef) and node.name in names:
+            constructor = dataclass_fields(node) if "dataclass" in decorator_names(node) else []
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                parameters = signature(method, "staticmethod" not in decorator_names(method))
+                if method.name == "__init__":
+                    constructor += parameters
+                elif not method.name.startswith("_"):
+                    out += [(method.name, f"{node.name}.{method.name}", *p) for p in parameters]
+            out += [(node.name, node.name, *p) for p in constructor]
+    return out
+
+
+def calls(tree: ast.Module):
+    """``(name, call)`` for every call of a name or attribute; ``cls(...)`` in a
+    class body is a call to that class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from ((node.name, call) for call in ast.walk(node)
+                        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "cls")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            yield node.func.id, node
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield node.func.attr, node
+
+
+def same_literal(value: ast.expr, default: ast.expr) -> bool:
+    try:
+        return ast.literal_eval(value) == ast.literal_eval(default)
+    except ValueError:
+        return False
+
+
+def passes(call: ast.Call, parameter: str, position: int | None, default: ast.expr) -> bool:
+    """Whether ``call`` may give ``parameter`` a value other than its default.
+
+    By keyword or by position, unless the value is a literal equal to the
+    default; a call with ``*args`` or ``**mapping`` may give every parameter.
+    """
+    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg is None for kw in call.keywords)):
+        return True
+    values = [kw.value for kw in call.keywords if kw.arg == parameter]
+    if position is not None and position < len(call.args):
+        values.append(call.args[position])
+    return any(not same_literal(value, default) for value in values)
+
+
+def unpassed_parameters(package: pathlib.Path = PACKAGE) -> list[str]:
+    """``label(parameter=)`` for each defaulted parameter of an exported name
+    that no caller passes; calls resolve by name alone."""
+    targets = {}
+    for tree in package_modules(package):
+        for name, *parameter in defaulted_parameters(tree):
+            targets.setdefault(name, []).append(parameter)
+    unpassed = {(label, parameter)
+                for parameters in targets.values() for label, parameter, *_ in parameters}
+    for tree in callers(package):
+        for name, call in calls(tree):
+            for label, parameter, position, default in targets.get(name, ()):
+                if passes(call, parameter, position, default):
+                    unpassed.discard((label, parameter))
+    return sorted(f"{label}({parameter}=)" for label, parameter in unpassed)
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    assert unpassed_parameters() == []
+
+
+def test_unpassed_parameters_are_named(tmp_path):
+    (tmp_path / "knobs.py").write_text(textwrap.dedent('''
+        __all__ = ["tune", "spread", "Spec"]
+
+        def tune(x, by_keyword=1, by_position=2, at_default=3, *, unused=4):
+            return Spec.make(x)
+
+        def spread(a=1, b=2):
+            return a + b
+
+        @dataclass
+        class Spec:
+            width: int
+            depth: int = 1
+            height: int = 1
+
+            @classmethod
+            def make(cls, width, scale=1.0):
+                return cls(width, 1, 2)
+
+        tune(0, by_keyword=2)
+        tune(0, 1, 9, at_default=3)
+        spread(*[0])
+        Spec(0, **{})
+    '''))
+    assert unpassed_parameters(tmp_path) == [
+        "Spec.make(scale=)", "tune(at_default=)", "tune(unused=)"]
 
 
 def test_readme_quickstart_runs():

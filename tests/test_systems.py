@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 from scipy import stats
 
-from blakit.analytic import gaussian_power_moment
 from blakit.signals import (MultisineSpec, PeriodicSignal, derive_rng, dft, generate_multisine,
                             generate_noise, period_spectra)
 from blakit.systems import (
@@ -34,7 +33,7 @@ from blakit.systems import (
     _StackedState,
 )
 from blakit.volterra import (DualVolterraKernel, NoiseMomentModel,
-                             evaluate_kernel, expected_kernel)
+                             evaluate_kernel, expected_kernel, gaussian_power_moment)
 
 LOWPASS = dict(b=[0.2], a=[1.0, -0.8])
 CUBIC = PolynomialNonlinearity(coefficients=[1.0, 0.0, 0.1])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -66,6 +67,17 @@ def brute_force_dual(kernel, u, nx, periodic=True) -> np.ndarray:
 
 def double_factorial(n: int) -> int:
     return math.prod(range(n, 0, -2)) if n > 0 else 1
+
+
+@functools.cache
+def perfect_matchings(n: int) -> frozenset:
+    """Perfect matchings of ``range(n)``, found by deduplicating the consecutive
+    pairings of all permutations; an odd ``n`` has none."""
+    if n % 2:
+        return frozenset()
+    return frozenset(
+        tuple(sorted(tuple(sorted((perm[2 * i], perm[2 * i + 1]))) for i in range(n // 2)))
+        for perm in itertools.permutations(range(n)))
 
 
 class TestEvaluateKernel:
@@ -221,39 +233,25 @@ class TestGaussianMoment:
         assert gaussian_moment(model, (0,) * n) == double_factorial(n - 1)
 
     def test_permutation_symmetry(self):
-        model = NoiseMomentModel(autocovariance=np.array([1.0, 0.6, 0.2]))
-        base = gaussian_moment(model, (0, 1, 2, 1))
-        for perm in itertools.permutations((0, 1, 2, 1)):
-            assert gaussian_moment(model, perm) == pytest.approx(base, rel=1e-14)
+        model = NoiseMomentModel.white(1.3, max_lag=2)
+        base = gaussian_moment(model, (0, 1, 2, 1, 0, 2))
+        assert base == pytest.approx(1.3 ** 3, rel=1e-14)
+        for perm in itertools.permutations((0, 1, 2, 1, 0, 2)):
+            assert gaussian_moment(model, perm) == base
 
-    def test_colored_fourth_moment_closed_form(self):
-        # MA(1)-like covariance: E{x_0^2 x_1^2} = r0^2 + 2 r1^2 by pairing.
-        r0, r1 = 1.5, 0.4
-        model = NoiseMomentModel(autocovariance=np.array([r0, r1]))
-        assert gaussian_moment(model, (0, 0, 1, 1)) == pytest.approx(
-            r0 ** 2 + 2 * r1 ** 2, rel=1e-14)
-
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_matches_exhaustive_matching_enumeration(self, n):
-        # Independent oracle: enumerate perfect matchings by deduplicating
-        # consecutive pairings of all permutations (a different algorithm
-        # than the recursive first-element pairing inside the library).
-        rng = np.random.default_rng(n)
-        r = np.array([2.0, 0.9, 0.5, 0.3, 0.1])
-        model = NoiseMomentModel(autocovariance=r)
-        lags = tuple(int(v) for v in rng.integers(0, 4, size=n))
-
-        matchings = set()
-        for perm in itertools.permutations(range(n)):
-            pairs = tuple(sorted(
-                tuple(sorted((perm[2 * i], perm[2 * i + 1])))
-                for i in range(n // 2)
-            ))
-            matchings.add(pairs)
-        oracle = sum(
-            math.prod(r[abs(lags[a] - lags[b])] for a, b in pairs)
-            for pairs in matchings
-        )
+    @pytest.mark.parametrize("n", range(9))
+    @settings(max_examples=50, deadline=None)
+    @given(variance=st.floats(0.1, 4.0), data=st.data())
+    def test_matches_exhaustive_matching_enumeration(self, n, variance, data):
+        # Independent oracle: Isserlis' sum over perfect matchings of the
+        # pairwise covariances r = [variance, 0, 0, 0] of white noise (not
+        # the library's product over distinct lags).  From degree 4 on the
+        # two sums may round differently.
+        lags = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        r = [variance, 0.0, 0.0, 0.0]
+        oracle = sum(math.prod(r[abs(lags[a] - lags[b])] for a, b in pairs)
+                     for pairs in perfect_matchings(len(lags)))
+        model = NoiseMomentModel.white(variance, max_lag=3)
         assert gaussian_moment(model, lags) == pytest.approx(oracle, rel=1e-12)
 
     def test_lag_outside_support_rejected(self):
@@ -264,9 +262,10 @@ class TestGaussianMoment:
     def test_empty_lags_is_one(self):
         assert gaussian_moment(NoiseMomentModel.white(1.0), ()) == 1.0
 
-    def test_invalid_autocovariance_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseMomentModel(autocovariance=np.array([1.0, 2.0]))
+    def test_invalid_model_rejected(self):
+        for variance, max_lag in ((-1.0, 0), (np.nan, 0), (np.inf, 0), (1.0, -1)):
+            with pytest.raises(ValueError):
+                NoiseMomentModel.white(variance, max_lag=max_lag)
 
 
 class TestExpectedKernel:
@@ -328,7 +327,7 @@ class TestExpectedKernel:
         rng = np.random.default_rng(10)
         a = rng.standard_normal((2, 2, 2, 2))
         b = rng.standard_normal((2, 2, 2, 2))
-        model = NoiseMomentModel(autocovariance=np.array([1.0, 0.3]))
+        model = NoiseMomentModel.white(0.7, max_lag=1)
 
         def reduce(c):
             return expected_kernel(
@@ -338,32 +337,6 @@ class TestExpectedKernel:
 
         np.testing.assert_allclose(reduce(2.0 * a + 0.5 * b),
                                    2.0 * reduce(a) + 0.5 * reduce(b), rtol=1e-12)
-
-    def test_colored_contraction_monte_carlo(self):
-        # Colored noise via a one-tap moving average with known covariance.
-        rng = np.random.default_rng(12)
-        coeff = rng.standard_normal((2, 2, 2))
-        dual = DualVolterraKernel(input_degree=1, noise_degree=2, coefficients=coeff)
-        theta = 0.6
-        r = np.array([1.0 + theta ** 2, theta])
-        model = NoiseMomentModel(autocovariance=r)
-        reduced = expected_kernel(dual, model)
-        u = rng.standard_normal(10)
-        draws = 200_000
-        white = rng.standard_normal((draws, 10 + 1))
-        # MA(1) coloring gives exactly the covariance r between neighbours in
-        # the record, but not across its wrap, so sample 0, whose lag-1 taps
-        # wrap around, is skipped.
-        nx = white[:, 1:] + theta * white[:, :-1]
-        outputs = evaluate_dual_kernel(dual, u, nx)
-        for i in range(3):
-            np.testing.assert_array_equal(outputs[i], evaluate_dual_kernel(dual, u, nx[i]))
-        mean = outputs.mean(axis=0)
-        std = outputs.std(axis=0)
-        steady = slice(1, None)
-        band = 4.0 * std / np.sqrt(draws) + 1e-12
-        predicted = evaluate_kernel(reduced, u)
-        assert np.all(np.abs(mean[steady] - predicted[steady]) < band[steady])
 
     def test_support_mismatch_rejected(self):
         dual = DualVolterraKernel(input_degree=0, noise_degree=2,
@@ -395,8 +368,8 @@ class TestExpectedKernel:
 
 @st.composite
 def kernels_with_models(draw):
-    """A kernel with ``m + n <= 4``, some zero coefficients, and a white or
-    colored noise model whose support covers its noise taps."""
+    """A kernel with ``m + n <= 4``, some zero coefficients, and a noise model
+    whose support covers its noise taps."""
     m = draw(st.integers(0, 4))
     n = draw(st.integers(0, 4 - m))
     taps_u, taps_x = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -404,12 +377,7 @@ def kernels_with_models(draw):
     values = st.floats(-2.0, 2.0) | st.just(0.0)
     size = math.prod(shape)
     coefficients = np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
-    r0 = draw(st.floats(0.0, 2.0))
-    if draw(st.booleans()):
-        model = NoiseMomentModel.white(r0, max_lag=taps_x - 1)
-    else:
-        tail = draw(st.lists(st.floats(-1.0, 1.0), min_size=taps_x - 1, max_size=taps_x - 1))
-        model = NoiseMomentModel(autocovariance=np.array([r0] + [r0 * f for f in tail]))
+    model = NoiseMomentModel.white(draw(st.floats(0.0, 2.0)), max_lag=taps_x - 1)
     return DualVolterraKernel(m, n, coefficients), model
 
 
