@@ -84,9 +84,12 @@ class Term:
     output_noise: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolicDecomposition:
-    """Term lists per constituent, exact for the cubic-plus-linear case."""
+    """Term lists per constituent, exact for the cubic-plus-linear case.
+
+    Compared and hashed by identity: the generated hash would hash the dict.
+    """
 
     constituents: dict[str, tuple[Term, ...]]
     model: GaussianInputModel

@@ -9,14 +9,13 @@ realization-level worker parallelism enabled).
 
 from __future__ import annotations
 
-import concurrent.futures
 import configparser
 import functools
 import hashlib
 import json
 import math
 import pathlib
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .estimator import (
 )
 from .signals import (
     MultisineSpec,
+    _bin_labels,
     _fmt,
     _write_table,
     derive_rng,
@@ -316,6 +316,8 @@ def _per_realization(config: ExperimentConfig, task, workers: int) -> list[tuple
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     spans = _chunks(config.realizations, workers)
     if len(spans) > 1:
+        import concurrent.futures  # here, so that one worker never pays for its import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(spans)) as pool:
             chunks = list(pool.map(functools.partial(task, config), *zip(*spans)))
     else:
@@ -465,7 +467,8 @@ def _hash_tree(out_dir: pathlib.Path, skip: set[str]) -> dict:
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    echo = asdict(config)
+    # Shallow: asdict would deep-copy the system and the bins, both replaced below.
+    echo = {field.name: getattr(config, field.name) for field in fields(config)}
     system = config.system
     echo["system"] = {"f_coefficients": system.nonlinearity.coefficients.tolist()}
     for name, lti in (("S", system.dynamics), ("G_act", system.actuator),
@@ -505,14 +508,12 @@ def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
     (out_dir / "decomposition_report.json").write_text(
         decomposition_report_json(report))
 
-    n = config.samples_per_period
-    index = np.arange(n // 2 + 1)
     _write_table(out_dir / "decomposition_variances.csv",
                  "bin_index,frequency_hz,var_nonlinear,var_process,var_noise",
-                 (index, index * (config.sampling_frequency / n),
-                  decomposition.var_nonlinear, decomposition.var_process,
+                 (decomposition.var_nonlinear, decomposition.var_process,
                   decomposition.var_noise),
-                 newline="\n")
+                 newline="\n",
+                 labels=_bin_labels(config.samples_per_period, config.sampling_frequency))
     rebuild = (decomposition.y_bla + decomposition.y_nonlinear
                + decomposition.y_process + decomposition.y_output_noise)
     return {

@@ -12,6 +12,7 @@ every bin, and Parseval reads ``sum x^2 = sum_k w_k |X_k|^2`` with weight
 
 from __future__ import annotations
 
+import functools
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -273,24 +274,43 @@ def _fmt(x: float) -> str:
     return _FLOAT % float(x)
 
 
-def _write_table(path, header: str, columns, newline: str = "\r\n") -> None:
+def _write_table(path, header: str, columns, newline: str = "\r\n", labels=None) -> None:
     """Write a header line and equal-length columns as CSV in one formatting pass.
 
-    Integer and boolean columns print with ``%d``, all others with
-    ``_FLOAT``; the rows come from one ``%`` of a repeated row template over
-    one flat tuple.  With the default CRLF line ending this is byte for byte
-    what ``csv.writer`` writes for the same strings.
+    ``labels``, when given, is a leading column of preformatted strings, one
+    per row, written as they are through one ``%s``: the
+    ``bin_index,frequency_hz`` text of ``_bin_labels``, which every table on
+    one grid shares.  Integer and boolean columns print with ``%d``, all
+    others with ``_FLOAT``; the rows come from one ``%`` of a repeated row
+    template over one flat tuple.  With the default CRLF line ending this is
+    byte for byte what ``csv.writer`` writes for the same strings.
     """
     columns = [np.asarray(c) for c in columns]
-    width = len(columns)
-    rows = len(columns[0])
-    template = ",".join("%d" if c.dtype.kind in "biu" else _FLOAT for c in columns)
+    fields = ["%d" if c.dtype.kind in "biu" else _FLOAT for c in columns]
+    cells = [c.tolist() for c in columns]
+    if labels is not None:
+        fields.insert(0, "%s")
+        cells.insert(0, labels)
+    width = len(cells)
+    rows = len(cells[0])
+    template = ",".join(fields)
     flat = [None] * (rows * width)
-    for j, column in enumerate(columns):
-        flat[j::width] = column.tolist()
+    for j, column in enumerate(cells):
+        flat[j::width] = column
     with open(path, "w", newline="") as fh:
         fh.write(header + newline)
         fh.write(((template + newline) * rows) % tuple(flat))
+
+
+@functools.lru_cache(maxsize=4)
+def _bin_labels(n: int, fs: float) -> tuple[str, ...]:
+    """The ``bin_index,frequency_hz`` text of the half grid of ``n`` samples at ``fs``.
+
+    Formatted once per grid: ``Spectrum.frequencies``' own product, so the
+    text is what formatting those frequencies gives.
+    """
+    index = np.arange(n // 2 + 1)
+    return tuple(map(("%d," + _FLOAT).__mod__, zip(index.tolist(), (index * (fs / n)).tolist())))
 
 
 def _read_table(path, header: str) -> np.ndarray:
@@ -320,8 +340,8 @@ def write_signal_csv(path, sig: PeriodicSignal) -> None:
 
 def write_spectrum_csv(path, spectrum: Spectrum) -> None:
     bins = spectrum.bins
-    _write_table(path, _SPECTRUM_HEADER,
-                 (np.arange(bins.size), spectrum.frequencies, bins.real, bins.imag))
+    _write_table(path, _SPECTRUM_HEADER, (bins.real, bins.imag),
+                 labels=_bin_labels(spectrum.samples_per_period, spectrum.sampling_frequency))
 
 
 def read_spectrum_csv(path, samples_per_period: int) -> Spectrum:

@@ -795,6 +795,31 @@ print(json.dumps({"status": status, "eager": eager, "loaded": "numpy.ma" in sys.
             pytest.skip("this numpy imports numpy.ma together with numpy")
         assert not result["loaded"]
 
+    # One worker runs in this process, so the process pool's module (and the
+    # logging it imports) must stay unloaded; the --workers tests run the pool.
+    NO_POOL = """
+import json
+import sys
+
+from blakit.cli import main
+
+status = main(sys.argv[1:])
+print(json.dumps({"status": status, "loaded": "concurrent.futures" in sys.modules}))
+"""
+
+    def test_one_worker_does_not_import_the_process_pool(self, tmp_path):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (str(src),
+                                                           os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-c", self.NO_POOL, "demo-hammerstein", "--samples-per-period", "64",
+             "--realizations", "3", "--workers", "1", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result == {"status": EXIT_OK, "loaded": False}
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):

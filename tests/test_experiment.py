@@ -1,21 +1,26 @@
-"""The analytic oracle's pass rule, the statistics of ``compare``, and ``==``
-on the value types that hold arrays."""
+"""The analytic oracle's pass rule, the statistics of ``compare``, ``==``
+on the value types that hold arrays or dicts, and the summary's config echo."""
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from blakit.analytic import GaussianInputModel, analytic_hammerstein_decomposition
 from blakit.estimator import BlaEstimate, ExperimentRecord, robust_bla, write_bla_csv
 from blakit.experiment import (
     BAND_SIGMA,
     FALSE_FAIL_LEVEL,
     ExperimentConfig,
+    _bin_range,
     _binomial_tail,
     _comparison_summary,
+    _config_echo,
     _in_band_probability,
     compare_reports,
     hammerstein_demo_config,
@@ -178,12 +183,55 @@ class TestCompareStatistics:
         assert not ok and summary["within_tolerance"] is False
 
 
+def symbolic_decomposition():
+    return analytic_hammerstein_decomposition(PolynomialNonlinearity([1.0, 0.0, 0.1]),
+                                              GaussianInputModel(1.0, 0.01))
+
+
 @pytest.mark.parametrize("make", [lambda: PolynomialNonlinearity([1.0, 0.0, 0.1]),
-                                  hammerstein_demo_system, hammerstein_demo_config],
-                         ids=["nonlinearity", "system", "demo_config"])
+                                  hammerstein_demo_system, hammerstein_demo_config,
+                                  symbolic_decomposition],
+                         ids=["nonlinearity", "system", "demo_config", "symbolic_decomposition"])
 def test_array_holding_values_compare_by_identity(make):
-    # Field-wise == would compare arrays, whose truth value raises ValueError.
+    # Field-wise == would compare arrays, whose truth value raises ValueError,
+    # and a field-wise hash would hash a dict, which raises TypeError.
     value = make()
     assert value == value
     assert (value == make()) is False
     assert hash(value) == hash(value)
+
+
+def asdict_echo(config: ExperimentConfig) -> dict:
+    """The summary's config block as ``asdict`` built it: the oracle of ``_config_echo``."""
+    echo = asdict(config)
+    system = config.system
+    echo["system"] = {"f_coefficients": system.nonlinearity.coefficients.tolist()}
+    for name, lti in (("S", system.dynamics), ("G_act", system.actuator),
+                      ("M", system.feedback)):
+        echo["system"][f"{name}_numerator"] = lti.numerator.tolist() if lti else None
+        echo["system"][f"{name}_denominator"] = lti.denominator.tolist() if lti else None
+    bins = config.excited_bins
+    echo["excited_bins"] = _bin_range(bins) or list(bins)
+    echo["excited_bin_count"] = len(bins)
+    return echo
+
+
+def closed_loop_config() -> ExperimentConfig:
+    return ExperimentConfig(
+        loop="closed", realizations=4, periods=3, samples_per_period=64,
+        sampling_frequency=250.0, excited_bins=(1, 4, 9, 16), input_rms=0.5,
+        system=SystemDescription(dynamics=RationalLTI(b=[0.1], a=[1.0, -0.9]),
+                                 nonlinearity=PolynomialNonlinearity.identity(),
+                                 actuator=RationalLTI(b=[0.5]),
+                                 feedback=RationalLTI(b=[0.0, 0.5])),
+        process_noise_variance=0.01, output_noise_variance=0.001,
+        input_noise_variance=0.002, master_seed=32)
+
+
+@pytest.mark.parametrize("make", [hammerstein_demo_config, closed_loop_config],
+                         ids=["demo", "closed_loop"])
+def test_config_echo_matches_asdict(make):
+    # The shallow echo must write the summary's config block that asdict did:
+    # the same keys in the same order, each value of the same type and text.
+    config = make()
+    assert json.dumps(_config_echo(config)) == json.dumps(asdict_echo(config))

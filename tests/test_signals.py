@@ -70,6 +70,29 @@ def complex_bins(real, imag) -> np.ndarray:
     return bins
 
 
+def csv_writer_spectrum_bytes(path, spectrum: Spectrum) -> bytes:
+    """The bytes ``csv.writer`` writes for ``spectrum``, each float as ``%.17g`` text."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["bin_index", "frequency_hz", "real", "imag"])
+        for k, (f, v) in enumerate(zip(spectrum.frequencies, spectrum.bins)):
+            writer.writerow([k, format(float(f), ".17g"), format(float(v.real), ".17g"),
+                             format(float(v.imag), ".17g")])
+    return path.read_bytes()
+
+
+@st.composite
+def revisited_grids(draw) -> list[tuple[int, float]]:
+    """2-4 ``(N, fs)`` grids, N in 4..64 and fs in [1e-3, 1e6], whose last
+    is the first again; a middle grid may share the first one's N."""
+    rates = st.one_of(st.sampled_from([0.3, 1 / 3, 44100.7, 1e6 / 7]),
+                      st.floats(min_value=1e-3, max_value=1e6))
+    first = (draw(st.integers(4, 64)), draw(rates))
+    sizes = st.one_of(st.just(first[0]), st.integers(4, 64))
+    middle = draw(st.lists(st.tuples(sizes, rates), max_size=2))
+    return [first, *middle, first]
+
+
 class TestMultisine:
     def test_single_bin_is_plain_cosine(self):
         spec = MultisineSpec(samples_per_period=8, sampling_frequency=1.0,
@@ -262,17 +285,27 @@ class TestCsv:
         edges = np.array(self.EDGE_VALUES)
         spectrum = Spectrum(bins=complex_bins(edges, edges[::-1]),
                             samples_per_period=2 * (edges.size - 1), sampling_frequency=0.3)
-        reference = tmp_path / "reference.csv"
-        with open(reference, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_index", "frequency_hz", "real", "imag"])
-            for k, (f, v) in enumerate(zip(spectrum.frequencies, spectrum.bins)):
-                writer.writerow([k, format(float(f), ".17g"), format(float(v.real), ".17g"),
-                                 format(float(v.imag), ".17g")])
         path = tmp_path / "spectrum.csv"
         write_spectrum_csv(path, spectrum)
-        assert path.read_bytes() == reference.read_bytes()
+        assert path.read_bytes() == csv_writer_spectrum_bytes(tmp_path / "reference.csv", spectrum)
         assert b"\r\n" in path.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids=revisited_grids(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_spectrum_bytes_match_csv_writer_across_grids(self, tmp_path_factory, grids, seed):
+        # The bin_index,frequency_hz text is formatted once per (N, fs) grid
+        # and reused: every write, the cached revisit of the first grid and
+        # grids that share N but not fs included, must match csv.writer.
+        rng = np.random.default_rng(seed)
+        directory = tmp_path_factory.mktemp("grids")
+        for i, (n, fs) in enumerate(grids):
+            values = rng.standard_normal((2, n // 2 + 1))
+            spectrum = Spectrum(bins=complex_bins(*values), samples_per_period=n,
+                                sampling_frequency=fs)
+            path = directory / f"spectrum_{i}.csv"
+            write_spectrum_csv(path, spectrum)
+            assert path.read_bytes() == csv_writer_spectrum_bytes(
+                directory / f"reference_{i}.csv", spectrum), (n, fs)
 
     def test_signal_bytes_match_csv_writer(self, tmp_path):
         sig = PeriodicSignal(np.array(self.EDGE_VALUES), 4, 2, 3.7)
