@@ -49,11 +49,9 @@ from .estimator import (
 )
 from .analytic import (
     GaussianInputModel,
-    SymbolicDecomposition,
-    Term,
     analytic_hammerstein_bla,
-    analytic_hammerstein_decomposition,
     bussgang_gain,
+    hermite_table,
 )
 
 __version__ = "0.1.0"

@@ -22,8 +22,7 @@ import numpy as np
 from .analytic import (
     GaussianInputModel,
     analytic_hammerstein_bla,
-    analytic_hammerstein_decomposition,
-    decomposition_report_json,
+    hermite_table,
 )
 from .estimator import (
     BlaEstimate,
@@ -134,19 +133,13 @@ class ExperimentConfig:
             raise ConfigurationError("closed-loop experiments need G_act and M blocks")
         if self.decompose and self.loop != "open":
             raise ConfigurationError("output decomposition is defined for open loop only")
-        if (self.decompose or self.compare_analytic) and not self._analytic_supported():
-            raise ConfigurationError(
-                "analytic reference needs f(x) = x + c*x^3 (or identity)"
-            )
+        if self.compare_analytic and not self._analytic_supported():
+            raise ConfigurationError("the closed loop's analytic reference needs f(x) = x")
         object.__setattr__(self, "excited_bins", tuple(bins))
 
     def _analytic_supported(self) -> bool:
         c = self.system.nonlinearity.coefficients
-        if self.loop == "closed":
-            return c.size == 1 and c[0] == 1.0
-        return (c.size == 1 and c[0] == 1.0) or (
-            c.size == 3 and c[0] == 1.0 and c[1] == 0.0
-        )
+        return self.loop == "open" or (c.size == 1 and c[0] == 1.0)
 
     @property
     def gaussian_model(self) -> GaussianInputModel:
@@ -503,10 +496,13 @@ def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
         _simulator(config), u.tile(config.periods), _analytic_reference(config),
         seed=config.master_seed,
     )
-    report = analytic_hammerstein_decomposition(config.system.nonlinearity,
-                                                config.gaussian_model)
-    (out_dir / "decomposition_report.json").write_text(
-        decomposition_report_json(report))
+    model = config.gaussian_model
+    table = hermite_table(config.system.nonlinearity, model)
+    (out_dir / "decomposition_report.json").write_text(json.dumps({
+        "input_variance": model.input_variance,
+        "process_noise_variance": model.process_noise_variance,
+        "hermite": table.tolist(),
+    }, indent=2, sort_keys=True))
 
     _write_table(out_dir / "decomposition_variances.csv",
                  "bin_index,frequency_hz,var_nonlinear,var_process,var_noise",
@@ -514,13 +510,7 @@ def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
                   decomposition.var_noise),
                  newline="\n",
                  labels=_bin_labels(config.samples_per_period, config.sampling_frequency))
-    rebuild = (decomposition.y_bla + decomposition.y_nonlinear
-               + decomposition.y_process + decomposition.y_output_noise)
-    return {
-        "enabled": True,
-        "reconstruction_max_abs_error": float(
-            np.abs(rebuild - decomposition.y_total).max()),
-    }
+    return {"enabled": True}
 
 
 def estimate_from_bundle(config: ExperimentConfig, out_dir) -> ExperimentReport:

@@ -1,113 +1,108 @@
 from __future__ import annotations
 
-import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import hermite_e
 from scipy.signal import lfilter
 
 from blakit.analytic import (
     GaussianInputModel,
-    Term,
     analytic_hammerstein_bla,
-    analytic_hammerstein_decomposition,
     bussgang_gain,
-    decomposition_report_json,
+    hermite_table,
 )
-from blakit.systems import PolynomialNonlinearity, RationalLTI
+from blakit.systems import ConfigurationError, PolynomialNonlinearity, RationalLTI
 from blakit.volterra import gaussian_power_moment
 
 CUBIC = PolynomialNonlinearity(coefficients=[1.0, 0.0, 0.1])
-
-# The constituents whose sum is the output; y_p_alt and y_n_alt re-split y_p + y_n.
-SPLIT = ("y_bla", "y_s", "y_p", "y_n")
+QUINTIC = PolynomialNonlinearity(coefficients=[1.0, 0.3, 0.1, 0.0, -0.01])
 
 
-# Term-list algebra: the exact oracle the decomposition report's term lists
-# are checked against.
-def _add(out: dict, key, coeff: float) -> None:
-    """Add ``coeff`` to ``out[key]``; a sum of exactly zero drops the key."""
-    out[key] = out.get(key, 0.0) + coeff
-    if out[key] == 0.0:
-        del out[key]
+class Term(NamedTuple):
+    """One monomial ``coefficient * u^u_power * nx^nx_power`` of a constituent.
 
-
-def expand_terms(terms, model: GaussianInputModel) -> dict:
-    """Expand centered factors into plain monomials.
-
-    Returns ``{(u_power, nx_power, filtered, output_noise): coefficient}``
-    with centered terms split into their raw monomial and the mean they
-    subtract.
+    ``centered`` subtracts the Gaussian mean of the noise factor, so the
+    factor becomes ``nx^b - E{nx^b}`` (the ``nx^2 - var`` term).
     """
-    out: dict = {}
+
+    coefficient: float
+    u_power: int = 0
+    nx_power: int = 0
+    centered: bool = False
+
+
+def cubic_terms(model: GaussianInputModel) -> dict:
+    """The static constituents of ``CUBIC`` written out by hand: the oracle of its table.
+
+    ``moved`` is what the orthogonal split moves from ``y_p`` into the
+    output-noise constituent: the cells that hold no power of ``u``.
+    """
+    c, s2_u, s2_x = 0.1, model.input_variance, model.process_noise_variance
+    return {
+        "y_bla": (Term(1.0 + 3.0 * c * (s2_u + s2_x), u_power=1),),
+        "y_s": (Term(c, u_power=3), Term(-3.0 * c * s2_u, u_power=1)),
+        "y_p": (Term(1.0, nx_power=1), Term(3.0 * c, u_power=2, nx_power=1),
+                Term(3.0 * c, u_power=1, nx_power=2, centered=True), Term(c, nx_power=3)),
+        "y_p_alt": (Term(3.0 * c, u_power=2, nx_power=1), Term(-3.0 * c * s2_u, nx_power=1),
+                    Term(3.0 * c, u_power=1, nx_power=2, centered=True)),
+        "moved": (Term(1.0, nx_power=1), Term(3.0 * c * s2_u, nx_power=1),
+                  Term(c, nx_power=3)),
+    }
+
+
+def evaluate_terms(terms, u, nx, model: GaussianInputModel) -> np.ndarray:
+    """Realize a term list on concrete sequences."""
+    total = np.zeros_like(u)
     for t in terms:
-        _add(out, (t.u_power, t.nx_power, t.filtered, t.output_noise), t.coefficient)
+        nx_part = nx ** t.nx_power
         if t.centered:
-            mean = gaussian_power_moment(t.nx_power, model.process_noise_variance)
-            if mean:
-                _add(out, (t.u_power, 0, t.filtered, t.output_noise), -t.coefficient * mean)
-    return out
+            nx_part = nx_part - gaussian_power_moment(t.nx_power, model.process_noise_variance)
+        total = total + t.coefficient * u ** t.u_power * nx_part
+    return total
 
 
-def _mean_over(terms, model: GaussianInputModel, averaged: int, variance: float) -> dict:
-    """Average the expanded terms over one Gaussian factor, exactly.
+def constituents(table: np.ndarray, u, nx, model: GaussianInputModel) -> dict:
+    """Each cell rule's share of ``f(u + nx)``, from the Hermite table.
 
-    ``averaged`` is 0 for ``u`` and 1 for ``nx``, the factor of variance
-    ``variance``; the other factor stays symbolic.  Returns
-    ``{(kept_power, filtered): coefficient}``; output-noise terms average
-    to zero.
+    ``y_bla`` is cell ``(1, 0)``, ``y_s`` the other ``j = 0`` cells and
+    ``y_p`` every ``j >= 1`` cell; the orthogonal split keeps the cells
+    with ``i, j >= 1`` in ``y_p_alt`` and moves the ``i = 0, j >= 1`` cells
+    into ``y_n_alt``.
     """
-    out: dict = {}
-    for (u_power, nx_power, filtered, is_ny), coeff in expand_terms(terms, model).items():
-        powers = (u_power, nx_power)
-        weight = gaussian_power_moment(powers[averaged], variance)
-        if weight and not is_ny:
-            _add(out, (powers[1 - averaged], filtered), coeff * weight)
-    return out
+    z = u / np.sqrt(model.input_variance)
+    sx = np.sqrt(model.process_noise_variance)
+    w = nx / sx if sx else np.zeros_like(nx)
+    i, j = np.indices(table.shape)
+    rules = {"y_bla": (i == 1) & (j == 0), "y_s": (i != 1) & (j == 0), "y_p": j >= 1,
+             "y_p_alt": (i >= 1) & (j >= 1), "moved": (i == 0) & (j >= 1)}
+    return {name: hermite_e.hermeval2d(z, w, np.where(cells, table, 0.0))
+            for name, cells in rules.items()}
 
 
-def mean_over_process_noise(terms, model: GaussianInputModel) -> dict:
-    """Expected terms after averaging over the process noise: ``{(u_power, filtered): c}``.
-
-    Centered factors average to zero by construction.
-    """
-    return _mean_over(terms, model, 1, model.process_noise_variance)
+def term_scale(f: PolynomialNonlinearity, x) -> np.ndarray:
+    """``sum_n |c_n| x^n``: the size of the terms that make up ``f`` at ``|x|``."""
+    powers = np.arange(1, f.coefficients.size + 1)
+    return np.sum(np.abs(f.coefficients)[:, None] * np.asarray(x)[None] ** powers[:, None], axis=0)
 
 
-def mean_over_input(terms, model: GaussianInputModel) -> dict:
-    """Expected terms after averaging over the excitation: ``{(nx_power, filtered): c}``."""
-    return _mean_over(terms, model, 0, model.input_variance)
+def gauss_hermite(points: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Standard normal quadrature nodes and weights, exact for polynomials of degree < 2 * points."""
+    nodes, weights = hermite_e.hermegauss(points)
+    return nodes, weights / weights.sum()
 
 
-def evaluate_terms(terms, u, nx, ny, dynamics: RationalLTI,
-                   model: GaussianInputModel) -> np.ndarray:
-    """Realize a term list on concrete sequences.
+@st.composite
+def polynomials(draw, max_degree: int = 9) -> PolynomialNonlinearity:
+    degree = draw(st.integers(1, max_degree))
+    coefficient = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    return PolynomialNonlinearity(draw(st.lists(coefficient, min_size=degree, max_size=degree)))
 
-    Filtering is the zero-state response (``RationalLTI.filter``), so pass
-    sequences with their own warm-up stretch and discard it outside when
-    steady state is wanted.
-    """
-    plain = np.zeros_like(u)
-    filtered = np.zeros_like(u)
-    for t in terms:
-        if t.output_noise:
-            plain = plain + t.coefficient * ny
-            continue
-        factor = np.ones_like(u)
-        if t.u_power:
-            factor = factor * u ** t.u_power
-        if t.nx_power:
-            nx_part = nx ** t.nx_power
-            if t.centered:
-                nx_part = nx_part - gaussian_power_moment(
-                    t.nx_power, model.process_noise_variance
-                )
-            factor = factor * nx_part
-        if t.filtered:
-            filtered = filtered + t.coefficient * factor
-        else:
-            plain = plain + t.coefficient * factor
-    return plain + dynamics.filter(filtered)
+
+variances = st.floats(1e-4, 10.0)
 
 
 def hermite_gain_oracle(f: PolynomialNonlinearity, variance: float) -> float:
@@ -197,131 +192,132 @@ class TestAnalyticBla:
         assert np.all(np.abs(ratio - 1.2280) < 1e-3)
 
 
-class TestDecompositionTerms:
-    model = GaussianInputModel(input_variance=1.0, process_noise_variance=0.01)
+class TestGaussianInputModel:
+    @pytest.mark.parametrize("field", ["input_variance", "process_noise_variance"])
+    @pytest.mark.parametrize("value", [-1e-300, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_invalid_variance_rejected(self, field, value):
+        kwargs = {"input_variance": 1.0, field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            GaussianInputModel(**kwargs)
 
-    @staticmethod
-    def assert_terms(got, expected):
-        assert len(got) == len(expected)
-        for g, e in zip(got, expected):
-            assert (g.u_power, g.nx_power, g.centered, g.filtered, g.output_noise) == (
-                e.u_power, e.nx_power, e.centered, e.filtered, e.output_noise)
-            assert g.coefficient == pytest.approx(e.coefficient, rel=1e-12)
+
+class TestDecompositionTerms:
+    """The Hermite table of ``f(u + nx)`` and the output split its cells give."""
+
+    model = GaussianInputModel(input_variance=1.7, process_noise_variance=0.04)
+
+    def draws(self, seed: int, n: int = 200) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        return (np.sqrt(self.model.input_variance) * rng.standard_normal(n),
+                np.sqrt(self.model.process_noise_variance) * rng.standard_normal(n))
 
     def test_reference_term_lists(self):
-        dec = analytic_hammerstein_decomposition(CUBIC, self.model)
-        self.assert_terms(dec.constituents["y_s"], (
-            Term(0.1, u_power=3, filtered=True),
-            Term(-0.3, u_power=1, filtered=True),
-        ))
-        self.assert_terms(dec.constituents["y_p"], (
-            Term(1.0, nx_power=1, filtered=True),
-            Term(0.3, u_power=2, nx_power=1, filtered=True),
-            Term(0.3, u_power=1, nx_power=2, centered=True, filtered=True),
-            Term(0.1, nx_power=3, filtered=True),
-        ))
-        self.assert_terms(dec.constituents["y_n"], (Term(1.0, output_noise=True),))
-        (bla_term,) = dec.constituents["y_bla"]
-        assert bla_term.coefficient == pytest.approx(1.303)
-        assert bla_term.u_power == 1 and bla_term.filtered
+        # y_bla, y_s and y_p of the cubic's table are the hand-written term lists.
+        u, nx = self.draws(0)
+        for model in (self.model, GaussianInputModel(1.0, 0.01)):
+            got = constituents(hermite_table(CUBIC, model), u, nx, model)
+            oracle = cubic_terms(model)
+            for name in ("y_bla", "y_s", "y_p"):
+                np.testing.assert_allclose(got[name], evaluate_terms(oracle[name], u, nx, model),
+                                           rtol=0, atol=1e-14)
 
-    def test_bla_gain_is_bussgang_gain(self):
-        # 1 + 3c(s2_u + s2_x) written out term by term rounds to
-        # 1.0779999999999998 here, one bit away from the gain of the BLA.
-        model = GaussianInputModel(0.25, 0.01)
-        (bla_term,) = analytic_hammerstein_decomposition(CUBIC, model).constituents["y_bla"]
-        assert bla_term.coefficient == bussgang_gain(CUBIC, model) == 1.078
+    @settings(max_examples=200, deadline=None)
+    @given(f=polynomials(), input_variance=variances,
+           process_noise_variance=st.one_of(st.just(0.0), variances))
+    def test_bla_gain_is_bussgang_gain(self, f, input_variance, process_noise_variance):
+        # Cell (1, 0) is su times the Bussgang gain, to round-off of the
+        # gain of |f|'s coefficients, which bounds what cancellation can leave.
+        model = GaussianInputModel(input_variance, process_noise_variance)
+        su = np.sqrt(input_variance)
+        scale = su * bussgang_gain(PolynomialNonlinearity(np.abs(f.coefficients)), model)
+        assert abs(hermite_table(f, model)[1, 0] - su * bussgang_gain(f, model)) <= 1e-14 * scale
 
     def test_alternate_split(self):
-        dec = analytic_hammerstein_decomposition(CUBIC, self.model)
-        self.assert_terms(dec.constituents["y_p_alt"], (
-            Term(0.3, u_power=2, nx_power=1, filtered=True),
-            Term(0.3, u_power=1, nx_power=2, centered=True, filtered=True),
-        ))
-        self.assert_terms(dec.constituents["y_n_alt"], (
-            Term(1.0, output_noise=True),
-            Term(1.0, nx_power=1, filtered=True),
-            Term(0.1, nx_power=3, filtered=True),
-        ))
-
-    def test_zero_process_noise_empties_y_p(self):
-        dec = analytic_hammerstein_decomposition(
-            CUBIC, GaussianInputModel(1.0, 0.0))
-        assert dec.constituents["y_p"] == ()
-
-    def test_constituent_expectations_vanish_exactly(self):
-        dec = analytic_hammerstein_decomposition(CUBIC, self.model)
-        assert mean_over_process_noise(dec.constituents["y_p"], self.model) == {}
-        assert mean_over_input(dec.constituents["y_s"], self.model) == {}
-        assert mean_over_process_noise(dec.constituents["y_p_alt"], self.model) == {}
-
-    def test_sum_identity_reproduces_system_equation(self):
-        dec = analytic_hammerstein_decomposition(CUBIC, self.model)
-        total = {}
-        for name in SPLIT:
-            for key, coeff in expand_terms(dec.constituents[name], self.model).items():
-                total[key] = total.get(key, 0.0) + coeff
-        total = {k: v for k, v in total.items() if abs(v) > 1e-15}
-        # Expansion of f(u + nx) filtered by the dynamics, plus output noise.
-        expected = {
-            (1, 0, True, False): 1.0,
-            (0, 1, True, False): 1.0,
-            (3, 0, True, False): 0.1,
-            (2, 1, True, False): 0.3,
-            (1, 2, True, False): 0.3,
-            (0, 3, True, False): 0.1,
-            (0, 0, False, True): 1.0,
-        }
-        assert set(total) == set(expected)
-        for key in expected:
-            assert total[key] == pytest.approx(expected[key], abs=1e-14)
+        # The orthogonal split: y_p_alt holds the cells with i, j >= 1, and
+        # the i = 0 cells move to y_n_alt, 0.3 su^2 nx among them.
+        u, nx = self.draws(1)
+        got = constituents(hermite_table(CUBIC, self.model), u, nx, self.model)
+        oracle = cubic_terms(self.model)
+        for name in ("y_p_alt", "moved"):
+            np.testing.assert_allclose(got[name], evaluate_terms(oracle[name], u, nx, self.model),
+                                       rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got["y_p_alt"] + got["moved"], got["y_p"], rtol=0, atol=1e-14)
 
     def test_alternate_moves_only_input_free_noise_terms(self):
-        dec = analytic_hammerstein_decomposition(CUBIC, self.model)
-        moved = expand_terms(dec.constituents["y_p"], self.model)
-        for key, coeff in expand_terms(dec.constituents["y_p_alt"], self.model).items():
-            moved[key] = moved.get(key, 0.0) - coeff
-        gained = expand_terms(dec.constituents["y_n_alt"], self.model)
-        for key, coeff in expand_terms(dec.constituents["y_n"], self.model).items():
-            gained[key] = gained.get(key, 0.0) - coeff
-        moved = {k: v for k, v in moved.items() if abs(v) > 1e-15}
-        gained = {k: v for k, v in gained.items() if abs(v) > 1e-15}
-        assert moved == gained
+        # What moves is E_u f(u + nx) - E f(u + nx), a function of nx alone.
+        nodes, weights = gauss_hermite()
+        _, nx = self.draws(2, n=7)
+        su = np.sqrt(self.model.input_variance)
+        for f in (CUBIC, QUINTIC):
+            table = hermite_table(f, self.model)
+            u_grid, nx_grid = np.meshgrid(su * nodes, nx, indexing="ij")
+            moved = constituents(table, u_grid, nx_grid, self.model)["moved"]
+            np.testing.assert_allclose(moved, np.broadcast_to(moved[0], moved.shape),
+                                       rtol=0, atol=1e-14)
+            conditional = weights @ f(u_grid + nx_grid)
+            np.testing.assert_allclose(moved[0], conditional - table[0, 0], rtol=0, atol=1e-14)
 
-    def test_unsupported_nonlinearity_rejected(self):
-        with pytest.raises(ValueError, match="supported"):
-            analytic_hammerstein_decomposition(
-                PolynomialNonlinearity(coefficients=[1.0, 0.5]), self.model)
-        with pytest.raises(ValueError, match="supported"):
-            analytic_hammerstein_decomposition(
-                PolynomialNonlinearity(coefficients=[2.0, 0.0, 0.1]), self.model)
+    def test_zero_process_noise_empties_y_p(self):
+        for f in (CUBIC, QUINTIC, PolynomialNonlinearity(np.arange(1.0, 10.0))):
+            table = hermite_table(f, GaussianInputModel(1.0, 0.0))
+            assert table.shape == (f.coefficients.size + 1,) * 2
+            assert np.all(table[:, 1:] == 0.0)
+
+    def test_constituent_expectations_vanish_exactly(self):
+        # Under Gauss-Hermite quadrature, exact for these polynomials: y_p has
+        # zero mean over nx for every u, y_s less its constant cell has zero
+        # mean over u, y_p_alt has zero mean over either factor, and the
+        # constant cell (0, 0) is E f(u + nx).
+        nodes, weights = gauss_hermite()
+        su = np.sqrt(self.model.input_variance)
+        sx = np.sqrt(self.model.process_noise_variance)
+        u_grid, nx_grid = np.meshgrid(su * nodes, sx * nodes, indexing="ij")
+        for f in (CUBIC, QUINTIC):
+            table = hermite_table(f, self.model)
+            got = constituents(table, u_grid, nx_grid, self.model)
+            np.testing.assert_allclose(got["y_p"] @ weights, 0.0, atol=1e-14)
+            np.testing.assert_allclose(weights @ got["y_s"][:, 0] - table[0, 0], 0.0, atol=1e-14)
+            np.testing.assert_allclose(got["y_p_alt"] @ weights, 0.0, atol=1e-14)
+            np.testing.assert_allclose(weights @ got["y_p_alt"], 0.0, atol=1e-14)
+            variance = self.model.input_variance + self.model.process_noise_variance
+            mean = sum(c * gaussian_power_moment(n, variance)
+                       for n, c in enumerate(f.coefficients, start=1))
+            assert table[0, 0] == pytest.approx(mean, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=polynomials(), input_variance=variances,
+           process_noise_variance=st.one_of(st.just(0.0), variances),
+           z=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8), data=st.data())
+    def test_sum_identity_reproduces_system_equation(self, f, input_variance,
+                                                     process_noise_variance, z, data):
+        # The whole table rebuilds f(u + nx).  Its cells are products of
+        # terms of size su^k sx^l, so round-off is measured against f's term
+        # sizes at |u| + |nx| + su + sx.
+        model = GaussianInputModel(input_variance, process_noise_variance)
+        su, sx = np.sqrt(input_variance), np.sqrt(process_noise_variance)
+        w = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=len(z), max_size=len(z)))
+        u, nx = su * np.array(z), sx * np.array(w)
+        table = hermite_table(f, model)
+        assert table.shape == (f.coefficients.size + 1,) * 2
+        if sx == 0.0:
+            assert np.all(table[:, 1:] == 0.0)
+        rebuilt = sum(constituents(table, u, nx, model)[name] for name in ("y_bla", "y_s", "y_p"))
+        scale = term_scale(f, np.abs(u) + np.abs(nx) + su + sx)
+        assert np.all(np.abs(rebuilt - f(u + nx)) <= 1e-12 * scale)
 
     def test_evaluate_terms_reconstructs_output(self):
-        # Realizing all four constituents on concrete sequences must rebuild
-        # the simulated system output sample for sample (zero-state filters).
+        # The three constituents realized on concrete sequences, through the
+        # dynamics, plus the output noise rebuild the simulated output sample
+        # for sample (zero-state filters).
         rng = np.random.default_rng(6)
         n = 512
+        model = GaussianInputModel(1.0, 0.01)
         u = rng.standard_normal(n)
         nx = 0.1 * rng.standard_normal(n)
         ny = 0.03 * rng.standard_normal(n)
         lti = RationalLTI(b=[0.2, 0.1], a=[1.0, -0.7])
-        dec = analytic_hammerstein_decomposition(CUBIC, self.model)
-        rebuilt = sum(
-            evaluate_terms(dec.constituents[name], u, nx, ny, lti, self.model)
-            for name in SPLIT
-        )
-        direct = lfilter(lti.numerator, lti.denominator, CUBIC(u + nx)) + ny
-        np.testing.assert_allclose(rebuilt, direct, rtol=1e-10, atol=1e-12)
-
-    def test_report_json_schema(self):
-        dec = analytic_hammerstein_decomposition(CUBIC, self.model)
-        payload = json.loads(decomposition_report_json(dec))
-        assert set(payload) == {
-            "y_bla", "y_s", "y_p", "y_n", "y_p_alt", "y_n_alt",
-            "input_variance", "process_noise_variance",
-        }
-        for term in payload["y_p"]:
-            assert set(term) == {"coefficient", "u_power", "nx_power",
-                                 "centered_flag", "filtered_flag",
-                                 "output_noise_flag"}
-        assert payload["process_noise_variance"] == 0.01
+        for f in (CUBIC, QUINTIC):
+            got = constituents(hermite_table(f, model), u, nx, model)
+            rebuilt = lti.filter(got["y_bla"] + got["y_s"] + got["y_p"]) + ny
+            direct = lfilter(lti.numerator, lti.denominator, f(u + nx)) + ny
+            np.testing.assert_allclose(rebuilt, direct, rtol=1e-10, atol=1e-12)

@@ -342,10 +342,22 @@ class TestSubcommands:
         out = tmp_path / "out"
         assert main(["decompose", "--config", str(path), "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "decomposition_report.json").read_text())
-        assert "y_p" in report and "y_n_alt" in report
+        assert set(report) == {"hermite", "input_variance", "process_noise_variance"}
+        assert report["process_noise_variance"] == 0.01
+        assert np.array(report["hermite"]).shape == (4, 4)  # the demo's cubic f
         assert (out / "decomposition_variances.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["decomposition"]["reconstruction_max_abs_error"] < 1e-12
+        assert summary["decomposition"] == {"enabled": True}
+
+    def test_decompose_takes_any_open_loop_polynomial(self, tmp_path):
+        system = dataclasses.replace(hammerstein_demo_system(), nonlinearity=PolynomialNonlinearity(
+            coefficients=[1.0, 0.3, 0.1, 0.0, -0.01]))
+        path, _ = write_config(tmp_path, system=system, decompose=True, realizations=10,
+                               samples_per_period=256, master_seed=0)
+        out = tmp_path / "out"
+        assert main(["decompose", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "decomposition_report.json").read_text())
+        assert np.array(report["hermite"]).shape == (6, 6)
 
     def test_noiseless_linear_config_has_zero_variances_and_error(self, tmp_path):
         system = SystemDescription(

@@ -1,5 +1,5 @@
 """The analytic oracle's pass rule, the statistics of ``compare``, ``==``
-on the value types that hold arrays or dicts, and the summary's config echo."""
+on the value types that hold arrays, and the summary's config echo."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blakit.analytic import GaussianInputModel, analytic_hammerstein_decomposition
 from blakit.estimator import BlaEstimate, ExperimentRecord, robust_bla, write_bla_csv
 from blakit.experiment import (
     BAND_SIGMA,
@@ -183,18 +182,12 @@ class TestCompareStatistics:
         assert not ok and summary["within_tolerance"] is False
 
 
-def symbolic_decomposition():
-    return analytic_hammerstein_decomposition(PolynomialNonlinearity([1.0, 0.0, 0.1]),
-                                              GaussianInputModel(1.0, 0.01))
-
-
 @pytest.mark.parametrize("make", [lambda: PolynomialNonlinearity([1.0, 0.0, 0.1]),
-                                  hammerstein_demo_system, hammerstein_demo_config,
-                                  symbolic_decomposition],
-                         ids=["nonlinearity", "system", "demo_config", "symbolic_decomposition"])
+                                  hammerstein_demo_system, hammerstein_demo_config],
+                         ids=["nonlinearity", "system", "demo_config"])
 def test_array_holding_values_compare_by_identity(make):
     # Field-wise == would compare arrays, whose truth value raises ValueError,
-    # and a field-wise hash would hash a dict, which raises TypeError.
+    # and a field-wise hash would hash an array, which raises TypeError.
     value = make()
     assert value == value
     assert (value == make()) is False

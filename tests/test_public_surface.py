@@ -20,7 +20,7 @@ import textwrap
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "blakit"
 
-# ROADMAP item 2 gives predict_variances its caller: the summary's predicted variances.
+# ROADMAP item 3 gives predict_variances its caller: the summary's predicted variances.
 AWAITING_CALLER = {"predict_variances"}
 
 
