@@ -109,20 +109,21 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_estimate(args) -> int:
-    config = _load_config(args)
-    report = estimate_from_bundle(config, args.out)
+def _print_comparison(report) -> int:
+    """Print the analytic comparison, which says why a run exits 4; return the exit code."""
     print(json.dumps(report.summary["analytic_comparison"], indent=2, sort_keys=True))
     return EXIT_OK if report.tolerance_ok else EXIT_TOLERANCE
+
+
+def _cmd_estimate(args) -> int:
+    return _print_comparison(estimate_from_bundle(_load_config(args), args.out))
 
 
 def _cmd_decompose(args) -> int:
     config = _load_config(args)
     if not config.decompose:
         config = type(config)(**{**config.__dict__, "decompose": True})
-    report = run_experiment(config, args.out, workers=args.workers)
-    print(json.dumps(report.summary["decomposition"], indent=2, sort_keys=True))
-    return EXIT_OK if report.tolerance_ok else EXIT_TOLERANCE
+    return _print_comparison(run_experiment(config, args.out, workers=args.workers))
 
 
 def _cmd_compare(args) -> int:

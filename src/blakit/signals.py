@@ -13,6 +13,7 @@ every bin, and Parseval reads ``sum x^2 = sum_k w_k |X_k|^2`` with weight
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -249,7 +250,7 @@ def generate_noise(variance: float, length: int, seed=None) -> np.ndarray:
     Deterministic per seed; distinct seeds give independent streams.
     """
     variance = float(variance)
-    if not np.isfinite(variance) or variance < 0:
+    if not math.isfinite(variance) or variance < 0:
         raise ValueError("variance must be finite and >= 0")
     length = int(length)
     if length < 0:
@@ -257,7 +258,7 @@ def generate_noise(variance: float, length: int, seed=None) -> np.ndarray:
     if variance == 0.0:
         return np.zeros(length)
     white = _as_generator(seed).standard_normal(length)
-    white *= np.sqrt(variance)  # in place: the same products, one array fewer
+    white *= math.sqrt(variance)  # in place: the same products, one array fewer
     return white
 
 

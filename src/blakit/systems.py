@@ -6,13 +6,13 @@ polynomial nonlinearities, the Hammerstein structure
 the nonlinear plant and a strictly delayed linear feedback path.
 
 Recorded periods are steady state.  The closed loop runs sample by sample,
-the one time-domain recursion, since feedback needs it, with all its linear
-blocks in one stacked state (``_StackedState``); each realization's warm-up
-is the number of periods after which its noise-free loop is periodic (its
-last two periods differing by less than ``STEADY_STATE_RTOL`` in relative
-RMS).  The open loop has no warm-up: it starts at the exact periodic steady
-state and runs only the response to the process noise, over a lead-in of
-``settling_length()`` samples.  What the
+the one time-domain recursion, since feedback needs it: a plant step, then
+one linear map (``_loop_map``) for all its linear blocks.  Each
+realization's warm-up is the number of periods after which its noise-free
+loop is periodic (its last two periods differing by less than
+``STEADY_STATE_RTOL`` in relative RMS).  The open loop has no warm-up: it
+starts at the exact periodic steady state and runs only the response to
+the process noise, over a lead-in of ``settling_length()`` samples.  What the
 white process noise does on average, and its variance spectrum, are exact
 (``HammersteinSimulator.process_noise_statistics``).  Open-loop filtering is a
 product of spectra: periodic responses on the period's bin
@@ -217,40 +217,6 @@ class RationalLTI:
     @property
     def order(self) -> int:
         return max(self.numerator.size, self.denominator.size) - 1
-
-
-class _StackedState:
-    """Direct-form II transposed states of LTI blocks over ``width`` channels,
-    zero-padded to the largest order and stacked.  The caller makes block
-    ``k``'s output ``y = b0 x + heads[k]``; ``advance(x, y)``, both ``(blocks,
-    1, width)``, sets ``z_i = z_{i+1} + (b_{i+1} x - a_{i+1} y)`` in every
-    block in four numpy calls.  Padded taps and a last row stay ``+0.0`` for
-    finite signals, so a last tap adds onto ``+0.0`` and zeros keep their sign."""
-
-    def __init__(self, blocks, width: int):
-        b, a = np.zeros((2, len(blocks), max(lti.order for lti in blocks) + 1, 1))
-        for k, lti in enumerate(blocks):
-            b[k, :lti.numerator.size, 0] = lti.numerator
-            a[k, :lti.denominator.size, 0] = lti.denominator
-        self.b0 = [b[k, 0, 0, ...] for k in range(len(blocks))]  # 0-d: cheaper operands
-        self._b, self._a = b[:, 1:], a[:, 1:]
-        self._bx, self._ay = np.empty((2,) + self._b.shape[:2] + (width,))
-        self._z = z = np.zeros((2,) + b.shape[:2] + (width,))  # live: _z[advances % 2]
-        zero = np.zeros(width)
-        heads = [tuple(z[i, k, 0] if lti.order else zero for k, lti in enumerate(blocks))
-                 for i in (0, 1)]
-        self.heads = heads[0]
-        self._phases = itertools.cycle([(z[0, :, 1:], z[1, :, :-1], heads[1]),
-                                        (z[1, :, 1:], z[0, :, :-1], heads[0])])
-
-    def advance(self, x: np.ndarray, y: np.ndarray) -> tuple:
-        tail, head, heads = next(self._phases)
-        np.multiply(self._b, x, out=self._bx)
-        np.multiply(self._a, y, out=self._ay)
-        np.subtract(self._bx, self._ay, out=self._bx)
-        np.add(tail, self._bx, out=head)
-        self.heads = heads
-        return heads
 
 
 @dataclass(frozen=True, eq=False)
@@ -578,7 +544,7 @@ class HammersteinPlant:
 
     def stepper(self, width: int):
         """Per-sample ``f(u0 + nx)`` over ``width`` channels, into a reused row;
-        the loop runs ``S`` in its stacked state."""
+        the loop's linear map runs ``S``."""
         f, (x, out) = self.nonlinearity, np.empty((2, width))
         return lambda u0, nx: f(np.add(u0, nx, out=x), out)
 
@@ -623,14 +589,17 @@ class VolterraPlant:
         gathered, sums = np.empty(tables.shape[1:] + (width,)), np.empty((u_slots, width))
         summands = np.zeros((u_slots, width))  # row 0 stays 0.0, where the sum starts
         products, total = summands[1:], sums[-1]
+        # The C methods, with positional arguments: at this size, np.take's
+        # Python wrapper and keyword parsing cost about as much as the arithmetic.
+        take, multiply_reduce, accumulate = store.take, np.multiply.reduce, np.add.accumulate
 
         def step(u0, nx):
             table, u_slot, nx_slot = next(phases)
             u_slot[...] = u0
             nx_slot[...] = nx
-            np.take(store, table, axis=0, out=gathered, mode="clip")
-            np.multiply.reduce(gathered, axis=0, out=products)
-            np.add.accumulate(summands, axis=0, out=sums)
+            take(table, 0, gathered, "clip")
+            multiply_reduce(gathered, 0, None, products)
+            accumulate(summands, 0, None, sums)
             return total
 
         return step
@@ -675,53 +644,91 @@ class ClosedLoopRecord:
     steady_state_residual: float
 
 
+def _df2t_step(lti: RationalLTI, z, x):
+    """One direct-form II transposed step of ``lti`` on input ``x`` from state
+    ``z`` (a sequence of ``lti.order`` taps): ``y = b0 x + z_0`` (``b0 x`` at
+    order 0) and ``z'_i = z_{i+1} + (b_{i+1} x - a_{i+1} y)``, the last tap
+    adding onto 0.  Returns ``(y, z')``."""
+    order = lti.order
+    b = np.pad(lti.numerator, (0, order + 1 - lti.numerator.size))
+    a = np.pad(lti.denominator, (0, order + 1 - lti.denominator.size))
+    y = b[0] * x + z[0] if order else b[0] * x
+    return y, [(z[i + 1] if i + 1 < order else 0.0) + (b[i + 1] * x - a[i + 1] * y)
+               for i in range(order)]
+
+
+def _loop_map(dynamics: RationalLTI, actuator: RationalLTI, feedback: RationalLTI) -> np.ndarray:
+    """The loop's linear blocks as one matrix ``A``, from one sample to the next:
+
+        [u0(t+1), y0(t), x(t+1)] = A [x(t), p(t), r(t), r(t+1)],
+
+    where ``x`` stacks the direct-form II transposed taps of ``S``, ``G_act``
+    and ``M``, ``p = plant(u0, nx)`` is the plant's static output (``S``'s
+    input) and ``r`` the reference.  ``M`` is strictly delayed, so its
+    output is its first tap and ``u0(t+1) = G_act[r - M[y0]](t+1)`` follows
+    from ``x(t+1)`` and ``r(t+1)``.  Column ``j`` of ``A`` is one step of the
+    three recursions on the ``j``-th unit vector."""
+    orders = np.cumsum([0, dynamics.order, actuator.order, feedback.order])
+    basis = np.eye(orders[-1] + 3)
+    z_s, z_act, z_fb = (basis[lo:hi] for lo, hi in zip(orders, orders[1:]))
+    p, r, r_next = basis[orders[-1]:]
+    y0, z_s = _df2t_step(dynamics, z_s, p)
+    y_fb, z_fb = _df2t_step(feedback, z_fb, y0)
+    _, z_act = _df2t_step(actuator, z_act, r - y_fb)
+    u0_next, _ = _df2t_step(actuator, z_act, r_next - (z_fb[0] if z_fb else 0.0 * p))
+    return np.array([u0_next, y0, *z_s, *z_act, *z_fb])
+
+
 class _LoopEngine:
     """Sample-by-sample loop runner, vectorized over parallel loops.
 
-    Column ``i`` is a loop of realization ``realizations[i]``.  Periods are
-    counted from the engine's zero state, so a divergence is reported at the
-    simulated period, warm-up included.  ``S`` (identity for a Volterra
-    plant), ``G_act`` and ``M`` share one ``_StackedState``; its inputs and
-    outputs are rows 0-2 and 2-4 of a per-period buffer of ``plant(u0, nx)``,
-    ``r - M``'s head, ``y0``, ``u0`` and ``M[y0]``.  Order-0 blocks add no head
-    (``-0.0 + 0.0`` is ``+0.0``)."""
+    Column ``i`` is a loop of realization ``realizations[i]`` on reference
+    column ``i`` (one period, repeated).  Periods are counted from the
+    engine's zero state, so a divergence is reported at the simulated
+    period, warm-up included.  Row ``t`` of a per-period buffer holds
+    ``[u0(t), y0(t-1), x(t), p(t), r(t), r(t+1)]``; a sample runs the plant
+    into ``p(t)``, then writes ``_loop_map``'s product with the row's last
+    entries into the next row's first ones, by one multiply and one add
+    reduction over the columns in order: no BLAS rounding, and the same bits
+    at every width, as the map's two or more rows keep numpy from pairing
+    the terms of a one-element reduction.  The start is the zero state, with
+    ``u0(0) = b_act0 r(0)``; each further period starts from the last row."""
 
-    def __init__(self, config: ClosedLoopConfig, realizations):
-        blocks = (getattr(config.plant, "dynamics", None) or RationalLTI.identity(),
-                  config.actuator, config.feedback)  # S, or the identity for a Volterra plant
-        self._stateful = [lti.order > 0 for lti in blocks]
-        self._state = _StackedState(blocks, len(realizations))
-        self._plant = config.plant.stepper(len(realizations))
+    def __init__(self, config: ClosedLoopConfig, reference: np.ndarray, realizations):
+        n, width = reference.shape
+        matrix = _loop_map(getattr(config.plant, "dynamics", None) or RationalLTI.identity(),
+                           config.actuator, config.feedback)  # identity S for a Volterra plant
+        k = matrix.shape[0]
+        self._matrix = np.ascontiguousarray(matrix.T)[:, :, None]
+        self._products = np.empty((k + 1, k, width))
+        self._rows = rows = np.zeros((n + 1, k + 3, width))
+        rows[:-1, -2], rows[:-1, -1] = reference, np.roll(reference, -1, axis=0)
+        rows[0, 0] = config.actuator.numerator[0] * reference[0]
+        self._plant = config.plant.stepper(width)
         self._realizations = realizations
         self._period = 0
 
-    def run_period(self, r_block: np.ndarray, nx_block: np.ndarray):
-        n = r_block.shape[0]
-        signals = np.zeros((n, 5, 1) + r_block.shape[1:])
-        p, e, y0, u0, y_fb = signals[:, :, 0].transpose(1, 0, 2)
-        (b_s, b_act, b_fb), (s_state, act_state, fb_state) = self._state.b0, self._stateful
-        plant, advance, heads = self._plant, self._state.advance, self._state.heads
+    def run_period(self, nx_block: np.ndarray):
+        """One period on process noise ``nx_block`` ``(N, width)``: views of
+        the buffer's ``u0`` and ``y0``, valid until the next call."""
+        rows, k = self._rows, self._matrix.shape[1]
+        if self._period:
+            rows[0, :k] = rows[-1, :k]
+        plant, matrix, products = self._plant, self._matrix, self._products
+        multiply, add_reduce = np.multiply, np.add.reduce
         # Overflow on the way to divergence is expected; it is detected and
-        # reported as an InstabilityError right below.
+        # reported as an InstabilityError right below.  The row views are made
+        # as the loop goes: kept for every period, they would hold ~0.6 kB a
+        # sample for the whole run.
         with np.errstate(over="ignore", invalid="ignore"):
-            for r_t, nx_t, p_t, e_t, y0_t, u0_t, fb_t, x_t, y_t in zip(
-                    r_block, nx_block, p, e, y0, u0, y_fb, signals[:, :3], signals[:, 2:]):
-                z_s, z_act, z_fb = heads
-                np.subtract(r_t, z_fb, out=e_t)
-                np.multiply(b_act, e_t, out=u0_t)
-                if act_state:
-                    np.add(u0_t, z_act, out=u0_t)
-                static = plant(u0_t, nx_t)
-                np.multiply(b_s, static, out=y0_t)
-                if s_state:
-                    np.add(y0_t, z_s, out=y0_t)
-                    p_t[...] = static
-                np.multiply(b_fb, y0_t, out=fb_t)
-                if fb_state:
-                    np.add(fb_t, z_fb, out=fb_t)
-                heads = advance(x_t, y_t)
+            for u0_t, nx_t, p_t, v_t, out_t in zip(rows[:-1, 0], nx_block, rows[:-1, k],
+                                                   rows[:-1, 2:, None], rows[1:, :k]):
+                p_t[...] = plant(u0_t, nx_t)
+                multiply(matrix, v_t, products)
+                add_reduce(products, 0, None, out_t)
+        u0, y0 = rows[:-1, 0], rows[1:, 1]
         for i, m in enumerate(self._realizations):
-            _check_divergence(y0[:, i], n, f"closed loop, realization {m}",
+            _check_divergence(y0[:, i], y0.shape[0], f"closed loop, realization {m}",
                               first_period=self._period)
         self._period += 1
         return u0, y0
@@ -756,9 +763,9 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
     realizations = [first_realization + i for i in range(width)]
     nx_rngs = [derive_rng(master, "loop_process_noise", m) for m in realizations]
 
-    engine = _LoopEngine(config, realizations * 2)
-    steady = _SteadyState(width, first_realization)
     r_block = np.tile(np.stack([r.period(0) for r in references], axis=1), 2)
+    engine = _LoopEngine(config, r_block, realizations * 2)
+    steady = _SteadyState(width, first_realization)
     nx_block = np.zeros_like(r_block)
     u0, y0 = np.empty((2, width, p, n))
     period = 0
@@ -767,7 +774,7 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
         recording = (steady.periods > 0) & (j < p)
         for i, rng in enumerate(nx_rngs):
             nx_block[:, width + i] = generate_noise(config.process_noise_variance, n, rng)
-        u0_block, y0_block = engine.run_period(r_block, nx_block)
+        u0_block, y0_block = engine.run_period(nx_block)
         rec = np.flatnonzero(recording)
         u0[rec, j[rec]] = u0_block[:, width + rec].T
         y0[rec, j[rec]] = y0_block[:, width + rec].T

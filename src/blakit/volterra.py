@@ -53,6 +53,8 @@ class DualVolterraKernel:
     ``term_coefficients[i]`` is the i-th nonzero coefficient in C
     (``np.ndindex``) order and ``term_lags[i]`` its tap lags, one column per
     axis of the coefficient array: excitation lags first, then noise lags.
+    The evaluators read the same table as Python ``(c, u_lags, nx_lags)``
+    tuples, compiled once here.
     """
 
     input_degree: int
@@ -88,6 +90,9 @@ class DualVolterraKernel:
         nonzero = coeff != 0.0
         object.__setattr__(self, "term_coefficients", coeff[nonzero])
         object.__setattr__(self, "term_lags", np.argwhere(nonzero))
+        object.__setattr__(self, "_terms", tuple(
+            (c, tuple(lags[:m]), tuple(lags[m:]))
+            for c, lags in zip(self.term_coefficients.tolist(), self.term_lags.tolist())))
 
     @property
     def input_max_lag(self) -> int:
@@ -137,12 +142,15 @@ def _lagged(x: np.ndarray, max_lag: int) -> list[np.ndarray]:
     return [padded[..., max_lag - lag:max_lag - lag + t_len] for lag in range(max_lag + 1)]
 
 
-def _lag_product(lagged: list[np.ndarray], lags) -> np.ndarray:
-    """Left-to-right product of the lagged rows named by ``lags`` (non-empty)."""
-    product = lagged[lags[0]]
-    for lag in lags[1:]:
-        product = product * lagged[lag]
-    return product
+def _lag_product(lagged: list[np.ndarray], lags, out: np.ndarray) -> np.ndarray:
+    """Left-to-right product of the lagged rows named by ``lags`` (non-empty):
+    that row itself for one lag, else written into ``out``."""
+    if len(lags) == 1:
+        return lagged[lags[0]]
+    np.multiply(lagged[lags[0]], lagged[lags[1]], out)
+    for lag in lags[2:]:
+        np.multiply(out, lagged[lag], out)
+    return out
 
 
 def evaluate_kernel(kernel: DualVolterraKernel, u) -> np.ndarray:
@@ -174,6 +182,8 @@ def _sum_terms(kernel: DualVolterraKernel, u, nx) -> np.ndarray:
     The body of both evaluators; without noise taps ``nx`` only gives the
     output shape.  Terms are added in order into a zero array rather than
     reduced with ``sum``, whose pairwise summation would change the rounding.
+    Every term is formed in the same two buffers, one the size of ``u`` and
+    one the size of the output.
     """
     u = np.asarray(u, dtype=float)
     nx = np.asarray(nx, dtype=float)
@@ -188,13 +198,14 @@ def _sum_terms(kernel: DualVolterraKernel, u, nx) -> np.ndarray:
     u_lagged = _lagged(u, kernel.input_max_lag) if m else None
     nx_lagged = _lagged(nx, kernel.noise_max_lag) if n else None
     out = np.zeros(nx.shape)
-    for c, lags in zip(kernel.term_coefficients.tolist(), kernel.term_lags.tolist()):
+    u_buffer, buffer = np.empty(u.shape), np.empty(nx.shape)
+    for c, u_lags, nx_lags in kernel._terms:
         term = c
-        if m:
-            term = term * _lag_product(u_lagged, lags[:m])
-        if n:
-            term = term * _lag_product(nx_lagged, lags[m:])
-        out += term
+        if u_lags:
+            term = np.multiply(c, _lag_product(u_lagged, u_lags, u_buffer), u_buffer)
+        if nx_lags:
+            term = np.multiply(term, _lag_product(nx_lagged, nx_lags, buffer), buffer)
+        np.add(out, term, out)
     return out
 
 

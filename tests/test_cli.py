@@ -349,6 +349,17 @@ class TestSubcommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["decomposition"] == {"enabled": True}
 
+    def test_decompose_prints_the_analytic_comparison(self, tmp_path, capsys):
+        # What estimate prints: the block that says whether and why a run exits 4.
+        path, _ = write_config(tmp_path, process_noise_variance=0.01, decompose=True)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["decompose", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        summary = json.loads((out / "summary.json").read_text())
+        assert printed == summary["analytic_comparison"]
+        assert printed["pass"] is True and "tail_probability" in printed
+
     def test_decompose_takes_any_open_loop_polynomial(self, tmp_path):
         system = dataclasses.replace(hammerstein_demo_system(), nonlinearity=PolynomialNonlinearity(
             coefficients=[1.0, 0.3, 0.1, 0.0, -0.01]))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from statistics import NormalDist
@@ -30,7 +31,6 @@ from blakit.systems import (
     simulate_closed_loop_batch,
     write_system_file,
     _noise_moments,
-    _StackedState,
 )
 from blakit.volterra import (DualVolterraKernel, NoiseMomentModel,
                              evaluate_kernel, expected_kernel, gaussian_power_moment)
@@ -151,45 +151,6 @@ class TestRationalLTI:
         assert pole ** length <= STEADY_STATE_RTOL
         if length > 1000:
             assert pole ** (length - 1) > STEADY_STATE_RTOL
-
-
-class TestStackedState:
-    """The closed loop's linear blocks share one stacked state."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), width=st.integers(1, 5), steps=st.integers(1, 12))
-    def test_each_block_matches_its_scalar_recursion_bitwise(self, data, width, steps):
-        # assert_array_equal takes -0.0 for 0.0, so the bits are compared.
-        signed = st.sampled_from([0.0, -0.0])
-        blocks = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            b = data.draw(st.lists(signed | st.floats(-2.0, 2.0), min_size=1, max_size=9))
-            if data.draw(st.booleans()):
-                b[0] = 0.0
-            # sum |a_i| < 1 keeps every pole inside the unit circle.
-            a = [1.0] + data.draw(st.lists(signed | st.floats(-0.12, 0.12), max_size=8))
-            blocks.append(RationalLTI(b=b, a=a))
-        size = steps * len(blocks) * width
-        xs = np.array(data.draw(st.lists(signed | st.floats(-10.0, 10.0), min_size=size,
-                                         max_size=size))).reshape(steps, len(blocks), 1, width)
-        state = _StackedState(blocks, width)
-        ys = np.empty_like(xs)
-        for x, y in zip(xs, ys):  # each block's output, as the loop computes it
-            for k, lti in enumerate(blocks):
-                np.multiply(state.b0[k], x[k, 0], out=y[k, 0])
-                if lti.order:
-                    np.add(y[k, 0], state.heads[k], out=y[k, 0])
-            state.advance(x, y)
-        z = state._z[steps % 2]
-        for k, lti in enumerate(blocks):
-            for col in range(width):
-                block = ScalarDFII(lti.numerator.tolist(), lti.denominator.tolist())
-                want = [block.step(x) for x in xs[:, k, 0, col].tolist()]
-                assert ys[:, k, 0, col].tobytes() == np.array(want).tobytes()
-                assert z[k, :lti.order, col].tobytes() == np.array(block.z, dtype=float).tobytes()
-                assert state.heads[k][col].tobytes() == np.float64(block.head).tobytes()
-            # The padded taps and the zero row stay +0.0.
-            assert z[k, lti.order:].tobytes() == bytes(z[k, lti.order:].nbytes)
 
 
 class TestPolynomialNonlinearity:
@@ -696,17 +657,11 @@ def study_kernels():
     )
 
 
-def scalar_loop(config, reference, seed, m, periods):
-    """Noise-free input and output of realization ``m``'s noisy loop over its
-    first ``periods`` periods, in Python floats: a ``ScalarDFII`` per linear
-    block, ``f`` by Horner's rule in polyval's order, and the Volterra terms
-    as ``((c * u_a) * u_b) * nx_c``, added one after another onto ``0.0``."""
-    plant = config.plant
-    act, fb = (ScalarDFII(lti.numerator.tolist(), lti.denominator.tolist())
-               for lti in (config.actuator, config.feedback))
+def scalar_plant(plant):
+    """The plant's static part ``p = plant(u0, nx)``, one sample at a time in
+    Python floats: ``f`` by Horner's rule in polyval's order, or the Volterra
+    terms as ``((c * u_a) * u_b) * nx_c``, added one after another onto ``0.0``."""
     if isinstance(plant, HammersteinPlant):
-        dynamics = ScalarDFII(plant.dynamics.numerator.tolist(),
-                              plant.dynamics.denominator.tolist())
         highest, *lower = plant.nonlinearity.coefficients[::-1].tolist()
 
         def output(u0, nx):
@@ -714,31 +669,122 @@ def scalar_loop(config, reference, seed, m, periods):
             acc = highest + x * 0.0
             for c in (*lower, 0.0):
                 acc = c + acc * x
-            return dynamics.step(acc)
-    else:
-        past = {False: [], True: []}  # excitation and noise, latest first
+            return acc
 
-        def output(u0, nx):
-            past[False].insert(0, u0)
-            past[True].insert(0, nx)
-            total = 0.0
-            for kernel in plant.kernels:
-                for c, lags in zip(kernel.term_coefficients.tolist(), kernel.term_lags.tolist()):
-                    for j, lag in enumerate(lags):
-                        history = past[j >= kernel.input_degree]
-                        c *= history[lag] if lag < len(history) else 0.0
-                    total += c
-            return total
+        return output
+    past = {False: [], True: []}  # excitation and noise, latest first
 
+    def output(u0, nx):
+        past[False].insert(0, u0)
+        past[True].insert(0, nx)
+        total = 0.0
+        for kernel in plant.kernels:
+            for c, lags in zip(kernel.term_coefficients.tolist(), kernel.term_lags.tolist()):
+                for j, lag in enumerate(lags):
+                    history = past[j >= kernel.input_degree]
+                    c *= history[lag] if lag < len(history) else 0.0
+                total += c
+        return total
+
+    return output
+
+
+def loop_noise(config, seed, m, n, periods, noisy=True):
+    """Realization ``m``'s process noise over ``periods`` periods of ``n``, as
+    the loop draws it (zeros for the noise-free loop)."""
+    if not noisy:
+        return [0.0] * (n * periods)
     rng = derive_rng(seed, "loop_process_noise", m)
-    r = reference.period(0).tolist()
+    return [nx for _ in range(periods)
+            for nx in generate_noise(config.process_noise_variance, n, rng).tolist()]
+
+
+def scalar_loop(config, reference, seed, m, periods):
+    """Noise-free input and output of realization ``m``'s noisy loop over its
+    first ``periods`` periods, in Python floats: a ``ScalarDFII`` per linear
+    block around ``scalar_plant``."""
+    plant = config.plant
+    act, fb = (ScalarDFII(lti.numerator.tolist(), lti.denominator.tolist())
+               for lti in (config.actuator, config.feedback))
+    dynamics = getattr(plant, "dynamics", RationalLTI.identity())
+    s = ScalarDFII(dynamics.numerator.tolist(), dynamics.denominator.tolist())
+    static = scalar_plant(plant)
+    r = reference.period(0).tolist() * periods
     u0s, y0s = [], []
-    for _ in range(periods):
-        for r_t, nx in zip(r, generate_noise(config.process_noise_variance, len(r), rng).tolist()):
-            u0s.append(act.step(r_t - fb.head))
-            y0s.append(output(u0s[-1], nx))
-            fb.step(y0s[-1])
+    for r_t, nx in zip(r, loop_noise(config, seed, m, len(r) // periods, periods)):
+        u0s.append(act.step(r_t - fb.head))
+        y0s.append(s.step(static(u0s[-1], nx)))
+        fb.step(y0s[-1])
     return np.array(u0s), np.array(y0s)
+
+
+def scalar_loop_map(config):
+    """The loop's linear blocks as one map in Python floats, rows
+    ``[u0(t+1), y0(t), x(t+1)]`` and columns ``[x(t), p(t), r(t), r(t+1)]``,
+    where ``x`` stacks the ``ScalarDFII`` taps of ``S``, ``G_act`` and ``M``:
+    column ``j`` is one step of the three recursions from the ``j``-th unit
+    vector.  ``M`` is strictly delayed, so ``u0(t+1)`` is ``G_act``'s next
+    output on ``r(t+1)`` minus ``M``'s next head."""
+    dynamics = getattr(config.plant, "dynamics", RationalLTI.identity())
+    specs = [(lti.numerator.tolist(), lti.denominator.tolist())
+             for lti in (dynamics, config.actuator, config.feedback)]
+    columns = []
+    for j in range(sum(ScalarDFII(*spec).order for spec in specs) + 3):
+        s, act, fb = (ScalarDFII(*spec) for spec in specs)
+        unit = [float(i == j) for i in range(len(s.z) + len(act.z) + len(fb.z) + 3)]
+        s.z, act.z, fb.z = (unit[:len(s.z)], unit[len(s.z):len(s.z) + len(act.z)],
+                            unit[len(s.z) + len(act.z):-3])
+        p, r, r_next = unit[-3:]
+        y0 = s.step(p)
+        act.step(r - fb.step(y0))
+        z_act = act.z
+        columns.append([act.step(r_next - fb.head), y0, *s.z, *z_act, *fb.z])
+    return [list(row) for row in zip(*columns)]
+
+
+def map_loop(config, reference, seed, m, periods, noisy=True):
+    """Noise-free input and output of realization ``m``'s loop (its noisy one
+    unless ``noisy`` is False) over its first ``periods`` periods, in Python
+    floats: ``scalar_loop_map`` applied a sample at a time, each entry summed
+    over the columns in order onto ``0.0``, from the zero state and
+    ``u0(0) = b_act0 r(0)``, around ``scalar_plant``."""
+    rows = scalar_loop_map(config)
+    static = scalar_plant(config.plant)
+    r = reference.period(0).tolist()
+    n = len(r)
+    x, u0 = [0.0] * (len(rows) - 2), config.actuator.numerator[0].item() * r[0]
+    u0s, y0s = [], []
+    for t, nx in enumerate(loop_noise(config, seed, m, n, periods, noisy)):
+        v = [*x, static(u0, nx), r[t % n], r[(t + 1) % n]]
+        u0s.append(u0)
+        out = []
+        for row in rows:
+            acc = 0.0
+            for a, v_j in zip(row, v):
+                acc += a * v_j
+            out.append(acc)
+        u0, y0, x = out[0], out[1], out[2:]
+        y0s.append(y0)
+    return np.array(u0s), np.array(y0s)
+
+
+@st.composite
+def stable_blocks(draw, min_order, delayed=False):
+    """A block of order ``min_order`` to 3 with ``order + 1`` numerator taps,
+    ``b[0] = 0`` when ``delayed``, and up to ``order`` poles of radius <= 0.8,
+    real or in complex pairs."""
+    order = draw(st.integers(min_order, 3))
+    b = draw(st.lists(st.floats(-1.0, 1.0), min_size=order + 1, max_size=order + 1))
+    if delayed:
+        b[0] = 0.0
+    count, poles = draw(st.integers(0, order)), []
+    while len(poles) < count:
+        if count - len(poles) >= 2 and draw(st.booleans()):
+            pole = draw(st.floats(0.0, 0.8)) * np.exp(1j * draw(st.floats(0.1, np.pi - 0.1)))
+            poles += [pole, pole.conjugate()]
+        else:
+            poles.append(draw(st.floats(-0.8, 0.8)))
+    return RationalLTI(b=b, a=np.real(np.poly(poles)))
 
 
 def linear_loop_blocks():
@@ -908,11 +954,12 @@ class TestClosedLoop:
     @pytest.mark.parametrize("case", ["volterra", "hammerstein, G_act order 0",
                                       "hammerstein, G_act order 1", "signed zeros"])
     def test_matches_scalar_loop_bitwise(self, case):
-        # The stacked state, the ring-buffer plant and Horner's f make the
-        # scalar recursion's operations in its order: every recorded bit
-        # agrees, signed zeros included (hence tobytes).  A -0.0 reference
-        # without noise makes -0.0 samples, where an order-0 G_act or S
-        # must add no head (f(0) is +0.0, so S is negative).
+        # The loop map, the ring-buffer plant and Horner's f make the
+        # Python-float map's operations in its order: every recorded bit
+        # agrees, signed zeros included (hence tobytes): with a -0.0
+        # reference and no noise, u0(0) = -0.0 and every later sample is a
+        # sum onto +0.0.  The per-block recursion rounds otherwise but agrees
+        # to 1e-12 of each signal's peak.
         act = (RationalLTI(b=[0.9], a=[1.0, -0.3]) if "order 1" in case
                else RationalLTI(b=[0.5]))
         f = PolynomialNonlinearity([1.0, 0.2, 0.1, -0.01])
@@ -926,27 +973,67 @@ class TestClosedLoop:
         if case == "signed zeros":
             refs = [PeriodicSignal(np.full(32, -0.0), 16, 2, 1.0)] * 2
         for m, rec in enumerate(simulate_closed_loop_batch(config, refs, seed=3)):
-            u0, y0 = scalar_loop(config, refs[m], 3, m, rec.warmup_periods + 2)
+            periods = rec.warmup_periods + 2
+            u0, y0 = map_loop(config, refs[m], 3, m, periods)
             recorded = slice(rec.warmup_periods * 16, None)
             assert rec.input_noise_free.tobytes() == u0[recorded].tobytes()
             assert rec.output_noise_free.tobytes() == y0[recorded].tobytes()
+            for got, want in zip((rec.input_noise_free, rec.output_noise_free),
+                                 scalar_loop(config, refs[m], 3, m, periods)):
+                assert np.abs(got - want[recorded]).max() <= 1e-12 * np.abs(want).max()
 
     def test_divergence_report_survives_padded_state(self):
-        # G_act (order 1) and M (order 2) are padded to the stacked state's
-        # order, where 0 * inf makes NaN.  The reports are those of the
-        # per-block steppers the stacked state replaced: a finite peak at
-        # rms 0.7, and an overflow to inf inside period 0 at rms 0.8.
+        # Once a loop overflows, the map's zero entries meet inf and make NaN.
+        # The report still names the first diverged period, its first loop in
+        # the engine's column order (noise-free loops, then noisy ones) and
+        # that period's peak, as the Python-float map gives them: a finite
+        # peak at rms 0.7, and an overflow to inf inside period 0 at rms 0.8.
         config = ClosedLoopConfig(plant=HammersteinPlant(DEMO_S, CUBIC),
                                   actuator=RationalLTI(b=[0.9], a=[1.0, -0.3]),
                                   feedback=RationalLTI(b=[0.0, 0.0, 0.5]),
                                   process_noise_variance=0.01)
-        for rms, realization, peak in ((0.7, 5, 8.95109910777364e+50), (0.8, 1, np.inf)):
+        for rms, finite in ((0.7, True), (0.8, False)):
             refs = [flat_multisine(n=256, seed=derive_rng(5, "reference", m), rms=rms).tile(2)
                     for m in range(6)]
+            reports = []
+            for noisy, m in itertools.product((False, True), range(6)):
+                y0 = map_loop(config, refs[m], 5, m, 2, noisy)[1].reshape(2, 256)
+                for period, span in enumerate(np.abs(y0)):
+                    if not (span <= DIVERGENCE_LIMIT).all():
+                        reports.append((period, noisy, m,
+                                        np.inf if np.isnan(span).any() else span.max()))
+                        break
+            period, _, realization, peak = min(reports)
+            assert np.isfinite(peak) == finite
             with pytest.raises(InstabilityError, match=f"closed loop, realization {realization}, "
-                                                       f"simulated period 0: ") as info:
+                                                       f"simulated period {period}: ") as info:
                 simulate_closed_loop_batch(config, refs, seed=5)
-            assert info.value.period == 0 and info.value.peak == peak
+            assert info.value.period == period and info.value.peak == peak
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_map_matches_closed_form_across_orders(self, data):
+        # Random stable S and G_act of orders 0-3 and a strictly delayed M of
+        # orders 1-3, M scaled so that |S G_act M| <= 0.5 on a grid holding
+        # every bin: the noise-free loop with the identity f gives
+        # Y/R = S G_act / (1 + S G_act M) on every excited bin, to 1e-9 of
+        # the larger of 1 and the closed form's peak.
+        s, act = data.draw(stable_blocks(0)), data.draw(stable_blocks(0))
+        fb = data.draw(stable_blocks(1, delayed=True))
+        grid = 2.0 * np.pi * np.arange(1024) / 1024
+        peak = np.abs(s.frequency_response(grid) * act.frequency_response(grid)
+                      * fb.frequency_response(grid)).max()
+        if peak > 0.5:
+            fb = RationalLTI(b=fb.numerator * (0.5 / peak), a=fb.denominator)
+        config = ClosedLoopConfig(plant=HammersteinPlant(s, PolynomialNonlinearity.identity()),
+                                  actuator=act, feedback=fb)
+        r = flat_multisine(n=64, seed=data.draw(st.integers(0, 2 ** 16))).tile(2)
+        rec = simulate_closed_loop_batch(config, [r], seed=0)[0]
+        bins = np.arange(1, 32)
+        loop = (s.bin_response(64) * act.bin_response(64))[bins]
+        closed_form = loop / (1.0 + loop * fb.bin_response(64)[bins])
+        got = dft(rec.output_measured).bins[bins] / dft(rec.reference).bins[bins]
+        assert np.abs(got - closed_form).max() <= 1e-9 * max(np.abs(closed_form).max(), 1.0)
 
     def test_volterra_plant_matches_hammerstein_equivalent(self):
         # Static cubic plant y0 = v + 0.1 v^3 with v = u0 + nx expands into
