@@ -355,8 +355,8 @@ class _SteadyState:
         self._previous = None
         self._count = 0
 
-    def update(self, columns: np.ndarray) -> bool:
-        """Take the next period, shape ``(N, width)``; True once all columns settled."""
+    def update(self, columns: np.ndarray) -> None:
+        """Take the next period, shape ``(N, width)``."""
         # A contiguous row per column is reduced as that column alone would be.
         rows = np.ascontiguousarray(columns.T)
         self._count += 1
@@ -374,7 +374,6 @@ class _SteadyState:
                 f"realization {self._first_realization + i} "
                 f"(relative residual {self.residuals[i]:.3g})"
             )
-        return bool(self.periods.all())
 
 
 def _check_periodic(sig: PeriodicSignal, name: str, where: str = "") -> None:
@@ -563,27 +562,27 @@ class VolterraPlant:
 
     def stepper(self, width: int):
         """Per-sample plant output over ``width`` channels, into a reused row.
-        One array holds a ones row, the terms' coefficients (kernels in tuple
-        order) and ``span`` zeroed ring slots each for ``u0`` and ``nx``.  Per
-        sample: one gather by the ring phase's table, one multiply reduction
-        (``((c * u_a) * u_b) * nx_c``, padded with exact ones), and one
-        ``add.accumulate`` adding the terms in turn onto zero (a sum would pair them)."""
+        One array holds a ones row, the coefficients of the kernels' ``terms``
+        (kernels in tuple order) and ``span`` zeroed ring slots each for ``u0``
+        and ``nx``.  Per sample: one gather by the ring phase's table, one
+        multiply reduction (``((c * u_a) * u_b) * nx_c``, padded with exact
+        ones: the order of ``evaluate_dual_kernel``), and one ``add.accumulate``
+        adding the terms in turn onto zero (a sum would pair them)."""
         span = 1 + max(max(k.input_max_lag, k.noise_max_lag) for k in self.kernels)
-        coefficients = np.concatenate([k.term_coefficients for k in self.kernels])
-        u_slots = 1 + coefficients.size
+        terms = [term for k in self.kernels for term in k.terms]
+        u_slots = 1 + len(terms)
         # Per term, row j: factor j's first slot (row 0: the coefficient) and lag.
         degree = max(k.coefficients.ndim for k in self.kernels)
-        first, lag = np.zeros((2, 1 + degree, coefficients.size), dtype=np.intp)
-        first[0], column = np.arange(1, u_slots), 0
-        for kern in self.kernels:
-            m, d = kern.input_degree, kern.input_degree + kern.noise_degree
-            cols = slice(column, column + kern.term_coefficients.size)
-            first[1:1 + m, cols], first[1 + m:1 + d, cols] = u_slots, u_slots + span
-            lag[1:1 + d, cols], column = kern.term_lags.T, cols.stop
+        first, lag = np.zeros((2, 1 + degree, len(terms)), dtype=np.intp)
+        first[0] = np.arange(1, u_slots)
+        for column, (_, u_lags, nx_lags) in enumerate(terms):
+            m, d = len(u_lags), len(u_lags) + len(nx_lags)
+            first[1:1 + m, column], first[1 + m:1 + d, column] = u_slots, u_slots + span
+            lag[1:1 + d, column] = u_lags + nx_lags
         ring = np.arange(span)[:, None, None]
         tables = np.where(first >= u_slots, first + (ring - lag) % span, first)
         store = np.zeros((u_slots + 2 * span, width))
-        store[0], store[1:u_slots] = 1.0, coefficients[:, None]
+        store[0], store[1:u_slots] = 1.0, np.reshape([c for c, _, _ in terms], (-1, 1))
         phases = itertools.cycle([(tables[p], store[u_slots + p], store[u_slots + span + p])
                                   for p in range(span)])
         gathered, sums = np.empty(tables.shape[1:] + (width,)), np.empty((u_slots, width))

@@ -13,10 +13,14 @@ power moments.  The noise-averaged kernel is a kernel like any other.
 Kernels are stored dense over the full tap hypercube.  Enumerating it costs
 ``(taps+1)**degree``, so construction is bounded to total degree
 ``m + n <= 6`` and tap lag ``<= 8``.  That cost is paid once per kernel:
-construction compiles the nonzero coefficients, in C order, into a term
-table of coefficients and their u- and nx-lags.  Evaluation is periodic:
-it puts each input's last samples once in front of it, takes every lag as a
-slice of that array, and then costs one multiply per factor of each term.
+construction compiles the nonzero coefficients, in C order, into one term
+table of ``(c, u_lags, nx_lags)`` tuples.  Evaluation is periodic: it puts
+each input's last samples once in front of it, takes every lag as a slice
+of that array, and then costs one multiply per factor of each term.  Every
+term is formed as ``((c * u_a) * u_b) * nx_c``, left to right, and the
+terms are added onto zero in table order: the order of the closed-loop
+plant (``systems.VolterraPlant``) and of the scalar nested sum, so all
+three give the same bits.
 """
 
 from __future__ import annotations
@@ -50,18 +54,16 @@ class DualVolterraKernel:
     total degree 0 (a scalar constant) arises from contracting pure-noise
     kernels.
 
-    ``term_coefficients[i]`` is the i-th nonzero coefficient in C
-    (``np.ndindex``) order and ``term_lags[i]`` its tap lags, one column per
-    axis of the coefficient array: excitation lags first, then noise lags.
-    The evaluators read the same table as Python ``(c, u_lags, nx_lags)``
-    tuples, compiled once here.
+    ``terms`` is the kernel's one compiled form: a ``(c, u_lags, nx_lags)``
+    tuple per nonzero coefficient in C (``np.ndindex``) order, with ``c`` a
+    Python float and the lags its excitation and noise tap indices.  Both
+    evaluators and ``VolterraPlant.stepper`` read it.
     """
 
     input_degree: int
     noise_degree: int
     coefficients: np.ndarray
-    term_coefficients: np.ndarray = field(init=False, repr=False)
-    term_lags: np.ndarray = field(init=False, repr=False)
+    terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         m = int(self.input_degree)
@@ -88,11 +90,9 @@ class DualVolterraKernel:
         object.__setattr__(self, "noise_degree", n)
         object.__setattr__(self, "coefficients", coeff)
         nonzero = coeff != 0.0
-        object.__setattr__(self, "term_coefficients", coeff[nonzero])
-        object.__setattr__(self, "term_lags", np.argwhere(nonzero))
-        object.__setattr__(self, "_terms", tuple(
+        object.__setattr__(self, "terms", tuple(
             (c, tuple(lags[:m]), tuple(lags[m:]))
-            for c, lags in zip(self.term_coefficients.tolist(), self.term_lags.tolist())))
+            for c, lags in zip(coeff[nonzero].tolist(), np.argwhere(nonzero).tolist())))
 
     @property
     def input_max_lag(self) -> int:
@@ -142,17 +142,6 @@ def _lagged(x: np.ndarray, max_lag: int) -> list[np.ndarray]:
     return [padded[..., max_lag - lag:max_lag - lag + t_len] for lag in range(max_lag + 1)]
 
 
-def _lag_product(lagged: list[np.ndarray], lags, out: np.ndarray) -> np.ndarray:
-    """Left-to-right product of the lagged rows named by ``lags`` (non-empty):
-    that row itself for one lag, else written into ``out``."""
-    if len(lags) == 1:
-        return lagged[lags[0]]
-    np.multiply(lagged[lags[0]], lagged[lags[1]], out)
-    for lag in lags[2:]:
-        np.multiply(out, lagged[lag], out)
-    return out
-
-
 def evaluate_kernel(kernel: DualVolterraKernel, u) -> np.ndarray:
     """Exact nested-sum output of a kernel without noise taps.
 
@@ -177,34 +166,32 @@ def evaluate_dual_kernel(kernel: DualVolterraKernel, u, nx) -> np.ndarray:
 
 
 def _sum_terms(kernel: DualVolterraKernel, u, nx) -> np.ndarray:
-    """Sum of ``(c * prod u) * prod nx`` over the term table, one term after another.
+    """Sum of ``((c * u_a) * u_b) * nx_c`` over the term table, one term after another.
 
     The body of both evaluators; without noise taps ``nx`` only gives the
-    output shape.  Terms are added in order into a zero array rather than
-    reduced with ``sum``, whose pairwise summation would change the rounding.
-    Every term is formed in the same two buffers, one the size of ``u`` and
-    one the size of the output.
+    output shape.  Each term's factors are multiplied in left to right, the
+    excitation ones in a buffer the size of ``u`` and the noise ones in a
+    buffer the size of the output, and the terms are added in order into a
+    zero array rather than reduced with ``sum``, whose pairwise summation
+    would change the rounding.
     """
     u = np.asarray(u, dtype=float)
     nx = np.asarray(nx, dtype=float)
     if u.ndim != 1 or nx.ndim not in (1, 2) or nx.shape[-1] != u.size:
         raise ValueError("input and noise sequences must share one length "
                          "(u of shape (T,), nx of shape (T,) or (K, T))")
-    m, n = kernel.input_degree, kernel.noise_degree
-    if m + n == 0:
-        return np.full(nx.shape, float(kernel.coefficients))
     if u.size <= max(kernel.input_max_lag, kernel.noise_max_lag):
         raise ValueError("sequences shorter than the kernel tap support")
-    u_lagged = _lagged(u, kernel.input_max_lag) if m else None
-    nx_lagged = _lagged(nx, kernel.noise_max_lag) if n else None
+    u_lagged = _lagged(u, kernel.input_max_lag) if kernel.input_degree else None
+    nx_lagged = _lagged(nx, kernel.noise_max_lag) if kernel.noise_degree else None
     out = np.zeros(nx.shape)
     u_buffer, buffer = np.empty(u.shape), np.empty(nx.shape)
-    for c, u_lags, nx_lags in kernel._terms:
+    for c, u_lags, nx_lags in kernel.terms:
         term = c
-        if u_lags:
-            term = np.multiply(c, _lag_product(u_lagged, u_lags, u_buffer), u_buffer)
-        if nx_lags:
-            term = np.multiply(term, _lag_product(nx_lagged, nx_lags, buffer), buffer)
+        for lag in u_lags:
+            term = np.multiply(term, u_lagged[lag], u_buffer)
+        for lag in nx_lags:
+            term = np.multiply(term, nx_lagged[lag], buffer)
         np.add(out, term, out)
     return out
 

@@ -4,7 +4,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 from scipy.signal import lfilter
@@ -20,6 +20,13 @@ from blakit.volterra import gaussian_power_moment
 
 CUBIC = PolynomialNonlinearity(coefficients=[1.0, 0.0, 0.1])
 QUINTIC = PolynomialNonlinearity(coefficients=[1.0, 0.3, 0.1, 0.0, -0.01])
+
+# Round-off bounds relative to the size of f's terms hold down to the
+# smallest normal float.  Below it the arithmetic resolves only steps of
+# ulp(0.0), absolute, and the Hermite products multiply a subnormal cell's
+# error: f = [0, 0, 2.2e-313] rebuilds f(u + nx) 72 steps off.  So each
+# relative bound has this absolute floor.
+SUBNORMAL_FLOOR = np.finfo(float).tiny
 
 
 class Term(NamedTuple):
@@ -224,13 +231,16 @@ class TestDecompositionTerms:
     @settings(max_examples=200, deadline=None)
     @given(f=polynomials(), input_variance=variances,
            process_noise_variance=st.one_of(st.just(0.0), variances))
+    @example(f=PolynomialNonlinearity([0.0, 0.0, 2.22507386e-308]), input_variance=0.0078125,
+             process_noise_variance=0.0078125)
     def test_bla_gain_is_bussgang_gain(self, f, input_variance, process_noise_variance):
         # Cell (1, 0) is su times the Bussgang gain, to round-off of the
         # gain of |f|'s coefficients, which bounds what cancellation can leave.
         model = GaussianInputModel(input_variance, process_noise_variance)
         su = np.sqrt(input_variance)
         scale = su * bussgang_gain(PolynomialNonlinearity(np.abs(f.coefficients)), model)
-        assert abs(hermite_table(f, model)[1, 0] - su * bussgang_gain(f, model)) <= 1e-14 * scale
+        error = abs(hermite_table(f, model)[1, 0] - su * bussgang_gain(f, model))
+        assert error <= 1e-14 * scale + SUBNORMAL_FLOOR
 
     def test_alternate_split(self):
         # The orthogonal split: y_p_alt holds the cells with i, j >= 1, and
@@ -287,23 +297,28 @@ class TestDecompositionTerms:
     @settings(max_examples=300, deadline=None)
     @given(f=polynomials(), input_variance=variances,
            process_noise_variance=st.one_of(st.just(0.0), variances),
-           z=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8), data=st.data())
+           zw=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                       min_size=1, max_size=8))
+    @example(f=PolynomialNonlinearity([0.0, 0.0, 2.22507386e-313]), input_variance=1e-4,
+             process_noise_variance=0.0078125, zw=[(-1.0, 2.0)])
+    @example(f=PolynomialNonlinearity([0.0, 0.0, 2.22507386e-313]), input_variance=0.0078125,
+             process_noise_variance=0.0078125, zw=[(4.0, 4.0)])
     def test_sum_identity_reproduces_system_equation(self, f, input_variance,
-                                                     process_noise_variance, z, data):
+                                                     process_noise_variance, zw):
         # The whole table rebuilds f(u + nx).  Its cells are products of
         # terms of size su^k sx^l, so round-off is measured against f's term
         # sizes at |u| + |nx| + su + sx.
         model = GaussianInputModel(input_variance, process_noise_variance)
         su, sx = np.sqrt(input_variance), np.sqrt(process_noise_variance)
-        w = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=len(z), max_size=len(z)))
-        u, nx = su * np.array(z), sx * np.array(w)
+        z, w = np.array(zw).T
+        u, nx = su * z, sx * w
         table = hermite_table(f, model)
         assert table.shape == (f.coefficients.size + 1,) * 2
         if sx == 0.0:
             assert np.all(table[:, 1:] == 0.0)
         rebuilt = sum(constituents(table, u, nx, model)[name] for name in ("y_bla", "y_s", "y_p"))
         scale = term_scale(f, np.abs(u) + np.abs(nx) + su + sx)
-        assert np.all(np.abs(rebuilt - f(u + nx)) <= 1e-12 * scale)
+        assert np.all(np.abs(rebuilt - f(u + nx)) <= 1e-12 * scale + SUBNORMAL_FLOOR)
 
     def test_evaluate_terms_reconstructs_output(self):
         # The three constituents realized on concrete sequences, through the

@@ -672,17 +672,17 @@ def scalar_plant(plant):
             return acc
 
         return output
-    past = {False: [], True: []}  # excitation and noise, latest first
+    u_past, nx_past = [], []  # latest first
 
     def output(u0, nx):
-        past[False].insert(0, u0)
-        past[True].insert(0, nx)
+        u_past.insert(0, u0)
+        nx_past.insert(0, nx)
         total = 0.0
         for kernel in plant.kernels:
-            for c, lags in zip(kernel.term_coefficients.tolist(), kernel.term_lags.tolist()):
-                for j, lag in enumerate(lags):
-                    history = past[j >= kernel.input_degree]
-                    c *= history[lag] if lag < len(history) else 0.0
+            for c, u_lags, nx_lags in kernel.terms:
+                for history, lags in ((u_past, u_lags), (nx_past, nx_lags)):
+                    for lag in lags:
+                        c *= history[lag] if lag < len(history) else 0.0
                 total += c
         return total
 

@@ -80,6 +80,27 @@ def perfect_matchings(n: int) -> frozenset:
         for perm in itertools.permutations(range(n)))
 
 
+signed_zeros = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def signed_kernels(draw):
+    """A kernel with ``m + n <= 3``, tap axes of 1 to 3 lags and coefficients
+    that include zeros of either sign."""
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 3 - m))
+    shape = (draw(st.integers(1, 3)),) * m + (draw(st.integers(1, 3)),) * n
+    size = math.prod(shape)
+    values = draw(st.lists(signed_zeros | st.floats(-2.0, 2.0), min_size=size, max_size=size))
+    return DualVolterraKernel(m, n, np.array(values).reshape(shape))
+
+
+def signed_sequences(size: int):
+    """Sequences of ``size`` samples that include zeros of either sign."""
+    return st.lists(signed_zeros | st.floats(-3.0, 3.0), min_size=size,
+                    max_size=size).map(np.array)
+
+
 class TestEvaluateKernel:
     def test_first_order_identity(self):
         kernel = DualVolterraKernel(1, 0, np.array([1.0]))
@@ -96,9 +117,7 @@ class TestEvaluateKernel:
         coeff = rng.standard_normal((3, 3, 3))
         kernel = DualVolterraKernel(3, 0, coeff)
         u = rng.standard_normal(16)
-        got = evaluate_kernel(kernel, u)
-        np.testing.assert_allclose(got, brute_force_single(coeff, u),
-                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(evaluate_kernel(kernel, u), brute_force_single(coeff, u))
 
     def test_short_input_rejected(self):
         kernel = DualVolterraKernel(2, 0, np.zeros((4, 4)))
@@ -138,9 +157,8 @@ class TestEvaluateDualKernel:
                                     coefficients=rng.standard_normal((3, 3, 3)))
         u = rng.standard_normal(14)
         nx = rng.standard_normal(14)
-        got = evaluate_dual_kernel(kernel, u, nx)
-        np.testing.assert_allclose(got, brute_force_dual(kernel, u, nx),
-                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(evaluate_dual_kernel(kernel, u, nx),
+                                      brute_force_dual(kernel, u, nx))
 
     def test_plant_stepper_matches_brute_force_exactly(self):
         # The stepper multiplies ((c * u_a) * u_b) * nx_c and sums terms in
@@ -162,25 +180,44 @@ class TestEvaluateDualKernel:
         # Several kernels of mixed degrees and lags, whose terms the plant
         # sums into one total; assert_array_equal takes -0.0 for 0.0, so
         # the bits are compared.
-        signed = st.sampled_from([0.0, -0.0])
-        kernels = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            m = data.draw(st.integers(0, 3))
-            n = data.draw(st.integers(0, 3 - m))
-            shape = (data.draw(st.integers(1, 3)),) * m + (data.draw(st.integers(1, 3)),) * n
-            size = math.prod(shape)
-            values = data.draw(st.lists(signed | st.floats(-2.0, 2.0), min_size=size,
-                                        max_size=size))
-            kernels.append(DualVolterraKernel(m, n, np.array(values).reshape(shape)))
-        kernels = tuple(kernels)
-        inputs = st.lists(signed | st.floats(-3.0, 3.0), min_size=steps * width,
-                          max_size=steps * width)
-        u, nx = (np.array(data.draw(inputs)).reshape(steps, width) for _ in range(2))
+        kernels = tuple(data.draw(signed_kernels()) for _ in range(data.draw(st.integers(1, 3))))
+        u, nx = (data.draw(signed_sequences(steps * width)).reshape(steps, width)
+                 for _ in range(2))
         step = VolterraPlant(kernels).stepper(width)
         got = np.array([step(a, b).copy() for a, b in zip(u, nx)])
         for col in range(width):
             want = brute_force_dual(kernels, u[:, col], nx[:, col], periodic=False)
             assert got[:, col].tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel=signed_kernels(), data=st.data())
+    def test_evaluators_match_brute_force_bitwise(self, kernel, data):
+        # One product order, ((c * u_a) * u_b) * nx_c, in the evaluators and
+        # the scalar sums: single and stacked draws give the oracle's bits.
+        t_len = data.draw(st.integers(3, 8))
+        u = data.draw(signed_sequences(t_len))
+        nx = data.draw(signed_sequences(data.draw(st.integers(1, 3)) * t_len)).reshape(-1, t_len)
+        stacked = evaluate_dual_kernel(kernel, u, nx)
+        for draw, row in zip(nx, stacked):
+            want = brute_force_dual(kernel, u, draw).tobytes()
+            assert evaluate_dual_kernel(kernel, u, draw).tobytes() == want
+            assert row.tobytes() == want
+        if kernel.noise_degree == 0:
+            got = evaluate_kernel(kernel, u).tobytes()
+            assert got == brute_force_dual(kernel, u, u).tobytes()
+            if kernel.input_degree:
+                assert got == brute_force_single(kernel.coefficients, u).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel=signed_kernels(), data=st.data())
+    def test_stepper_second_period_matches_periodic_evaluation_bitwise(self, kernel, data):
+        # From its second period on, the ring buffer holds the periodic
+        # extension, so the plant's output is the periodic kernel sum.
+        t_len = data.draw(st.integers(3, 8))
+        u, nx = (data.draw(signed_sequences(t_len)) for _ in range(2))
+        step = VolterraPlant((kernel,)).stepper(1)
+        got = np.array([step(a, b)[0] for a, b in zip(np.tile(u, 2), np.tile(nx, 2))])
+        assert got[t_len:].tobytes() == evaluate_dual_kernel(kernel, u, nx).tobytes()
 
     def test_stacked_draws_match_single_draws_exactly(self):
         rng = np.random.default_rng(31)
