@@ -10,17 +10,18 @@ the one time-domain recursion, since feedback needs it: a plant step, then
 one linear map (``_loop_map``) for all its linear blocks.  Each
 realization's warm-up is the number of periods after which its noise-free
 loop is periodic (its last two periods differing by less than
-``STEADY_STATE_RTOL`` in relative RMS).  The open loop has no warm-up: it
-starts at the exact periodic steady state and runs only the response to
-the process noise, over a lead-in of ``settling_length()`` samples.  What the
-white process noise does on average, and its variance spectrum, are exact
-(``HammersteinSimulator.process_noise_statistics``).  Open-loop filtering is a
-product of spectra: periodic responses on the period's bin
-grid, zero-state ones on a grid padded by ``settling_length()`` samples so
-that, for simple dominant poles, the wrap-around has decayed below
-``STEADY_STATE_RTOL``.  Open-loop dynamics whose dominant mode needs more
-than ``_MAX_WARMUP`` periods to decay that far raise InstabilityError before
-any draw.  Noisy simulations are a pure function of their seeds.
+``STEADY_STATE_RTOL`` in relative RMS).  The open loop has one filter,
+``RationalLTI.filter``: the periodic steady-state response, a product of
+spectra on the input's own grid.  A noise-free run filters one period; a
+noisy run filters ``f(u + nx)`` once over whole periods, a lead-in of at
+least ``settling_length()`` samples and the recorded ones, so that, for
+simple dominant poles, the noise that wraps round onto a recorded sample has
+decayed below ``STEADY_STATE_RTOL``.  What the white process noise does on
+average, and its variance spectrum, are exact
+(``HammersteinSimulator.process_noise_statistics``).  Open-loop dynamics
+whose dominant mode needs more than ``_MAX_WARMUP`` periods to decay that
+far raise InstabilityError before any draw.  Noisy simulations are a pure
+function of their seeds.
 """
 
 from __future__ import annotations
@@ -106,19 +107,6 @@ def _check_divergence(y: np.ndarray, period_size: int, stage: str = "",
     )
 
 
-def _fft_length(n: int) -> int:
-    """The smallest 5-smooth integer ``>= n`` (numpy has no ``next_fast_len``)."""
-    best = 1 << max(n - 1, 0).bit_length()  # a power of two is 5-smooth
-    odd = 1
-    while odd < best:  # odd runs over 3^i 5^j
-        factor = odd
-        while factor < best:
-            best = min(best, factor << (-(-n // factor) - 1).bit_length())
-            factor *= 3
-        odd *= 5
-    return best
-
-
 class RationalLTI:
     """Discrete-time rational transfer function ``B(q) / A(q)``.
 
@@ -172,9 +160,10 @@ class RationalLTI:
         return int(np.ceil(self.time_constant() * np.log(1.0 / STEADY_STATE_RTOL)))
 
     def settling_length(self) -> int:
-        """Warm-up samples after which a start-up transient has decayed below
+        """Samples after which an impulse response has decayed below
         ``STEADY_STATE_RTOL`` of its size, for simple dominant poles:
-        ``_decay_length()``, and at least 1000 samples."""
+        ``_decay_length()``, and at least 1000 samples.  A noisy open-loop
+        run leads in over the fewest whole periods that span it."""
         return max(self._decay_length(), 1000)
 
     def frequency_response(self, normalized_frequencies) -> np.ndarray:
@@ -191,28 +180,21 @@ class RationalLTI:
         return self.frequency_response(2.0 * np.pi * np.arange(n // 2 + 1) / n)
 
     def filter(self, x) -> np.ndarray:
-        """Zero-state response along the last axis, as a product on an FFT grid.
+        """Periodic steady-state response along the last axis: the response to
+        ``x`` repeated forever, one period of it on ``x``'s own grid.
 
-        ``x`` (``n`` samples per row) is zero-padded to ``T``, the smallest
-        5-smooth length ``>= n + settling_length()``; its spectrum times the
-        response on that grid, transformed back, holds the response in its
-        first ``n`` samples.  That circular convolution reaches an output
-        only through impulse-response lags beyond ``settling_length()``: it
-        differs from the zero-state recursion by at most ``max|x|`` times the
-        impulse response's tail sum past those lags, which is below
-        ``STEADY_STATE_RTOL`` of its absolute sum for simple dominant poles
-        and larger for repeated or clustered ones.  The grid response is
-        kept for the last ``T``, so repeated calls at one length compute it
-        once.
+        ``x``'s spectrum times ``bin_response(T)``, for its ``T`` samples per
+        row, transformed back: a product on the period's bin grid, with no
+        padding and no start-up transient.  The grid response is kept for the
+        last ``T``, so repeated calls at one length compute it once.
         """
         x = np.asarray(x, dtype=float)
-        n = x.shape[-1]
-        size = _fft_length(n + self.settling_length())
+        size = x.shape[-1]
         grid_size, response = self._grid
         if grid_size != size:
             response = self.bin_response(size)
             self._grid = size, response
-        return np.fft.irfft(np.fft.rfft(x, size) * response, size)[..., :n]
+        return np.fft.irfft(np.fft.rfft(x) * response, size)
 
     @property
     def order(self) -> int:
@@ -255,16 +237,14 @@ class PolynomialNonlinearity:
 
 
 def filter_periodic(lti: RationalLTI, sig: PeriodicSignal) -> PeriodicSignal:
-    """Exact periodic steady-state response of a stable filter.
+    """Exact periodic steady-state response of a stable filter: ``lti.filter``
+    of period 0, tiled over the periods of ``sig``.
 
-    Multiplies the period spectrum by the frequency response on the bin
-    grid, which equals the time-domain recursion after transients decay.
+    This equals the time-domain recursion after transients decay.
     """
-    n = sig.samples_per_period
-    period = np.fft.irfft(np.fft.rfft(sig.period(0)) * lti.bin_response(n), n=n)
     return PeriodicSignal(
-        samples=np.tile(period, sig.period_count),
-        samples_per_period=n,
+        samples=np.tile(lti.filter(sig.period(0)), sig.period_count),
+        samples_per_period=sig.samples_per_period,
         period_count=sig.period_count,
         sampling_frequency=sig.sampling_frequency,
     )
@@ -417,14 +397,14 @@ class HammersteinSimulator:
         self.output_noise_variance = float(output_noise_variance)
 
     def required_warmup(self, u: PeriodicSignal) -> tuple[int, int]:
-        """The open loop's warm-up: ``(0, dynamics.settling_length())``.
+        """The noisy run's lead-in: ``(W, W * N)`` for ``W`` the fewest whole
+        periods of ``u`` (``N`` samples each) that span
+        ``dynamics.settling_length()`` samples.
 
-        No warm-up period runs, since a run starts at the exact periodic
-        steady state; the response to the process noise runs over a lead-in
-        of ``settling_length()`` samples.  (The benchmark's tracer reads the
-        first element as the periods simulated.)  Dynamics whose
-        ``_decay_length()`` exceeds ``_MAX_WARMUP`` periods of ``u`` raise
-        InstabilityError instead, before anything is drawn or filtered.
+        (The benchmark's tracer reads the first element as the periods
+        simulated.)  Dynamics whose ``_decay_length()`` exceeds
+        ``_MAX_WARMUP`` periods of ``u`` raise InstabilityError instead,
+        before anything is drawn or filtered.
         """
         n = u.samples_per_period
         decay = self.dynamics._decay_length()
@@ -433,30 +413,28 @@ class HammersteinSimulator:
                 f"steady state not reachable within {_MAX_WARMUP} warm-up periods: the "
                 f"dynamics settle in {decay} samples, more than {_MAX_WARMUP} periods of {n}"
             )
-        return 0, self.dynamics.settling_length()
+        periods = -(-self.dynamics.settling_length() // n)
+        return periods, periods * n
 
     def run(self, u: PeriodicSignal, process_noise_rng=None,
             output_noise_rng=None) -> SimulationRecord:
-        """Simulate ``u.period_count`` steady-state periods.
+        """Simulate ``u.period_count`` (``P``) steady-state periods.
 
-        ``S`` is linear, so the output splits as
-
-            S[f(u + nx)] = S[f(u)] + S[f(u + nx) - f(u)].
-
-        The first term is the exact periodic steady state (the fixed point
-        the recursion converges to), computed in the frequency domain.  With
-        process noise on, only the second runs: from zero state, in one
-        ``dynamics.filter`` call, over a lead-in of ``required_warmup``'s
-        ``dynamics.settling_length()`` samples (``u`` extended periodically
-        before period 0) and the recorded stretch, so the recorded noise
-        paths carry settled filter state.  The output noise is drawn over
-        the recorded stretch only and added.  All of this is built from
-        period 0, so ``u`` whose periods differ raises ValueError naming the
-        first that differs.  A run that diverges raises InstabilityError; its
-        simulated periods are the ``N``-sample blocks from the start of the
-        lead-in.  Returns the measured output together with the exact noise
-        sequences that entered it and the lead-in that ran (0 without
-        process noise).
+        Without process noise the output is the exact periodic steady state,
+        one period filtered by ``filter_periodic`` and repeated.  With it,
+        the process noise is drawn over ``W + P`` periods, ``W`` from
+        ``required_warmup``, and ``dynamics.filter`` runs once on
+        ``f(u + nx)`` over that whole grid, ``u`` being period 0 repeated;
+        the last ``P`` periods are recorded.  The grid is a whole number of
+        periods, so the periodic part of the response is exact and the
+        noise wraps round onto a recorded sample only through lags beyond
+        ``W * N >= settling_length()``.  The output noise is drawn over the
+        recorded stretch only and added.  ``u`` whose periods differ raises
+        ValueError naming the first that differs.  A run that diverges
+        raises InstabilityError; its simulated periods are the ``N``-sample
+        blocks from the start of the lead-in.  Returns the measured output
+        together with the exact noise sequences that entered it and the
+        lead-in that ran (0 without process noise).
         """
         if self.process_noise_variance > 0 and process_noise_rng is None:
             raise ValueError("process_noise_rng is required when process noise is on")
@@ -465,19 +443,15 @@ class HammersteinSimulator:
         n = u.samples_per_period
         p = u.period_count
         _check_periodic(u, "input")
-        _, lead = self.required_warmup(u)
-        periodic = self._periodic_output(u)
+        lead_periods, lead = self.required_warmup(u)
         if self.process_noise_variance == 0:
-            lead, y0, nx = 0, np.tile(periodic, p), np.zeros(p * n)
+            lead, y0, nx = 0, np.tile(self._periodic_output(u), p), np.zeros(p * n)
         else:
-            phase = np.arange(-lead, p * n) % n  # the sample's index within its period
-            u_ext = u.period(0)[phase]
             with np.errstate(over="ignore", invalid="ignore"):  # reported right below
                 nx = generate_noise(self.process_noise_variance, lead + p * n,
                                     process_noise_rng)
-                y0 = self.dynamics.filter(self.nonlinearity(u_ext + nx)
-                                          - self.nonlinearity(u_ext))
-                y0 += periodic[phase]
+                y0 = self.dynamics.filter(
+                    self.nonlinearity(np.tile(u.period(0), lead_periods + p) + nx))
             _check_divergence(y0, n)
             y0, nx = y0[lead:], nx[lead:]
         ny = generate_noise(self.output_noise_variance, p * n, output_noise_rng)

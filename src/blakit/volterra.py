@@ -25,6 +25,7 @@ three give the same bits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +58,7 @@ class DualVolterraKernel:
     ``terms`` is the kernel's one compiled form: a ``(c, u_lags, nx_lags)``
     tuple per nonzero coefficient in C (``np.ndindex``) order, with ``c`` a
     Python float and the lags its excitation and noise tap indices.  Both
-    evaluators and ``VolterraPlant.stepper`` read it.
+    evaluators, ``expected_kernel`` and ``VolterraPlant.stepper`` read it.
     """
 
     input_degree: int
@@ -239,23 +240,25 @@ def expected_kernel(kernel: DualVolterraKernel, model: NoiseMomentModel) -> Dual
     Returns the kernel of input degree ``input_degree`` and no noise taps
     whose output equals the process-noise average of ``kernel``'s output.
     Odd noise degree gives the zero kernel.  The contraction is linear in
-    the kernel coefficients.
+    the kernel coefficients: each term of ``kernel.terms`` with a nonzero
+    moment adds ``moment * c`` to its excitation taps' coefficient, in
+    table order.
     """
     m, n = kernel.input_degree, kernel.noise_degree
     if n == 0:
         return DualVolterraKernel(m, 0, kernel.coefficients.copy())
-    shape_u = kernel.coefficients.shape[:m]
+    out = np.zeros(kernel.coefficients.shape[:m])
     if n % 2:
-        return DualVolterraKernel(m, 0, np.zeros(shape_u))
+        return DualVolterraKernel(m, 0, out)
     if kernel.noise_max_lag > model.max_lag:
         raise ValueError(
             f"kernel noise lags reach {kernel.noise_max_lag}, noise "
             f"support ends at {model.max_lag}"
         )
-    out = np.zeros(shape_u)
-    for j_idx in np.ndindex((kernel.noise_max_lag + 1,) * n):
-        weight = gaussian_moment(model, j_idx)
+    moment = functools.cache(lambda lags: gaussian_moment(model, lags))
+    for c, u_lags, nx_lags in kernel.terms:
+        weight = moment(nx_lags)
         if weight != 0.0:
-            out = out + weight * kernel.coefficients[(...,) + j_idx]
+            out[u_lags] += weight * c
     return DualVolterraKernel(m, 0, out)
 

@@ -127,9 +127,11 @@ class TestRationalLTI:
            shape=st.sampled_from(["gaussian", "ones", "alternating"]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_filter_matches_lfilter_within_tail_bound(self, lti, n, rows, shape, seed):
-        # The padded-grid filter differs from the zero-state recursion by the
-        # wrap-around, at most max|x| times the impulse response's tail past
-        # settling_length(), below 1e-9 of max|x| * sum|h| for these filters.
+        # filter(x) is the steady-state response to x repeated.  The zero-state
+        # recursion over 1 + ceil(settling_length() / n) repeats differs from
+        # it in its last repeat by the start-up transient, at most max|x|
+        # times the impulse response's tail past settling_length(), below
+        # 1e-9 of max|x| * sum|h| for these filters.
         size = (rows, n) if rows else (n,)
         if shape == "gaussian":
             x = np.random.default_rng(seed).standard_normal(size)
@@ -138,10 +140,43 @@ class TestRationalLTI:
         impulse = np.zeros(lti.settling_length() + 1)
         impulse[0] = 1.0
         h = sps.lfilter(lti.numerator, lti.denominator, impulse)
-        want = sps.lfilter(lti.numerator, lti.denominator, x, axis=-1)
+        repeats = 1 + math.ceil(lti.settling_length() / n)
+        want = sps.lfilter(lti.numerator, lti.denominator, np.tile(x, repeats),
+                           axis=-1)[..., -n:]
         got = lti.filter(x)
         assert got.shape == x.shape
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(x).max() * np.abs(h).sum())
+
+    @settings(max_examples=100, deadline=None)
+    @given(lti=stable_filters(), n=st.integers(1, 1000), repeats=st.integers(2, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_filter_of_repeats_is_the_repeated_filter(self, lti, n, repeats, seed):
+        # The response to x repeated does not depend on how many repeats the
+        # grid holds: whole periods have no transient and no leakage.  Only
+        # the two transforms' round-off separates them, which is absolute
+        # below the smallest normal float (subnormal coefficients), hence
+        # the floor.
+        x = np.random.default_rng(seed).standard_normal(n)
+        impulse = np.zeros(lti.settling_length() + 1)
+        impulse[0] = 1.0
+        h = sps.lfilter(lti.numerator, lti.denominator, impulse)
+        got = lti.filter(np.tile(x, repeats))
+        want = np.tile(lti.filter(x), repeats)
+        scale = np.abs(x).max() * np.abs(h).sum()
+        assert np.all(np.abs(got - want) <= 1e-12 * scale + np.finfo(float).tiny)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lti=stable_filters(), n=st.integers(1, 600), periods=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_filter_periodic_keeps_the_period_product_bitwise(self, lti, n, periods, seed):
+        # filter_periodic is lti.filter of period 0, tiled: the bits of the
+        # product on the period's own bin grid.
+        period = np.random.default_rng(seed).standard_normal(n)
+        sig = PeriodicSignal(np.tile(period, periods), n, periods, 1.0)
+        want = np.tile(np.fft.irfft(np.fft.rfft(period) * lti.bin_response(n), n), periods)
+        got = filter_periodic(lti, sig)
+        assert got.samples.tobytes() == want.tobytes()
+        assert (got.samples_per_period, got.period_count) == (n, periods)
 
     @pytest.mark.parametrize("pole", [0.0, 0.5, 0.977, 0.99, 0.999])
     def test_settling_length_decays_transient_below_rtol(self, pole):
@@ -217,7 +252,9 @@ class TestHammersteinSimulator:
             flat_multisine(n=64, seed=3), derive_rng(0, "process_noise"))
         assert not hasattr(rec, "warmup_periods")
         assert not hasattr(rec, "steady_state_residual")
-        assert rec.lead_in_samples == RationalLTI(**LOWPASS).settling_length()
+        # The lead-in is whole periods: 16 of 64 cover the 1000-sample floor.
+        assert RationalLTI(**LOWPASS).settling_length() == 1000
+        assert rec.lead_in_samples == 1024
 
     def test_zero_input_exercises_pure_noise_path(self):
         n = 128
@@ -227,14 +264,17 @@ class TestHammersteinSimulator:
                                    output_noise_variance=0.04)
         rec = sim.run(u, process_noise_rng=derive_rng(7, "nx"),
                       output_noise_rng=derive_rng(7, "ny"))
-        # Rebuild the output from the returned noise sequences: the recorded
-        # stretch continues the recursion of the process noise over its
-        # lead-in, so rebuild that over lead-in + record; the output noise
-        # covers the record only.
-        total = lti.settling_length() + n
+        # Rebuild the output from the returned noise sequences: the run
+        # filters the process noise over whole periods, its lead-in (8 periods
+        # of 128 cover settling_length()) and the record, as one period of a
+        # periodic signal.  The recursion over two repeats of that stretch
+        # holds its steady state in the last repeat; the output noise covers
+        # the record only.
+        total = 8 * n + n
+        assert rec.lead_in_samples == 8 * n >= lti.settling_length() > 7 * n
         nx_full = generate_noise(0.25, total, derive_rng(7, "nx"))
         ny = generate_noise(0.04, n, derive_rng(7, "ny"))
-        y_full = sps.lfilter(lti.numerator, lti.denominator, CUBIC(nx_full))
+        y_full = sps.lfilter(lti.numerator, lti.denominator, np.tile(CUBIC(nx_full), 2))
         np.testing.assert_allclose(rec.output.samples, y_full[-n:] + ny, rtol=1e-12)
         np.testing.assert_array_equal(rec.process_noise, nx_full[-n:])
         np.testing.assert_array_equal(rec.output_noise, ny)
@@ -298,7 +338,26 @@ class TestHammersteinSimulator:
             assert rng.bit_generator.state == state  # refused before any draw
         else:
             rec = sim.run(flat_multisine(n=n, seed=1).tile(2), process_noise_rng=rng)
-            assert rec.lead_in_samples == lti.settling_length()
+            assert rec.lead_in_samples == math.ceil(lti.settling_length() / n) * n
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 2048), p=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_noisy_run_leads_in_whole_periods(self, n, p, seed):
+        # The lead-in is the fewest whole periods spanning settling_length(),
+        # and the process noise is drawn over it and the record, no more.
+        lti = RationalLTI(**LOWPASS)
+        u = PeriodicSignal(np.tile(np.random.default_rng(seed).standard_normal(n), p),
+                           n, p, 1.0)
+        sim = HammersteinSimulator(lti, CUBIC, process_noise_variance=0.01)
+        rng = derive_rng(seed, "nx")
+        rec = sim.run(u, process_noise_rng=rng)
+        lead = math.ceil(lti.settling_length() / n) * n
+        assert rec.lead_in_samples == lead
+        assert sim.required_warmup(u) == (lead // n, lead)
+        twin = derive_rng(seed, "nx")
+        nx = generate_noise(0.01, lead + p * n, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        np.testing.assert_array_equal(rec.process_noise, nx[lead:])
 
     def test_aperiodic_input_rejected(self):
         u = flat_multisine(n=64, seed=3).tile(3)
@@ -531,22 +590,23 @@ class TestProcessNoiseEnsemble:
 
     @pytest.mark.parametrize("process_var", [0.04, 0.0])
     def test_one_filter_call_per_noisy_draw(self, monkeypatch, process_var):
-        # The noise-free part is the exact periodic output, so the dynamics
-        # filter only the response to the process noise, once per run, and
-        # nothing at all without process noise or in the closed form.
+        # Every run filters once: with process noise, f(u + nx) over its
+        # whole lead-in (16 periods of 64) and record (2 periods); without
+        # it, one period of f(u).  The closed form filters the
+        # noise-averaged period once.
         calls = []
         original = RationalLTI.filter
         monkeypatch.setattr(RationalLTI, "filter",
-                            lambda self, x: calls.append(1) or original(self, x))
+                            lambda self, x: calls.append(np.shape(x)) or original(self, x))
         sim = HammersteinSimulator(RationalLTI(**LOWPASS), CUBIC,
                                    process_noise_variance=process_var)
         u = flat_multisine(n=64, seed=8).tile(2)
         for i in range(6):
             sim.run(u, process_noise_rng=derive_rng(4, i))
-        assert len(calls) == (6 if process_var else 0)
+        assert calls == [((16 + 2) * 64,) if process_var else (64,)] * 6
         calls.clear()
         sim.process_noise_statistics(u)
-        assert not calls
+        assert calls == [(64,)]
 
     def test_consumer_keeps_its_floating_point_error_handling(self):
         # Overflow is silenced inside a call, never for its caller.

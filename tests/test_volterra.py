@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from blakit.systems import VolterraPlant
 from blakit.volterra import (
+    MAX_TOTAL_DEGREE,
     DualVolterraKernel,
     NoiseMomentModel,
     _lagged,
@@ -78,6 +79,22 @@ def perfect_matchings(n: int) -> frozenset:
     return frozenset(
         tuple(sorted(tuple(sorted((perm[2 * i], perm[2 * i + 1]))) for i in range(n // 2)))
         for perm in itertools.permutations(range(n)))
+
+
+def dense_expected_kernel(kernel, model) -> np.ndarray:
+    """The noise contraction over the dense noise-tap hypercube in C order:
+    each noise index with a nonzero moment adds the moment times its slice
+    of the coefficients onto zeros.  A kernel without noise taps gives a
+    copy of its own coefficients."""
+    m, n = kernel.input_degree, kernel.noise_degree
+    if n == 0:
+        return kernel.coefficients.copy()
+    out = np.zeros(kernel.coefficients.shape[:m])
+    for lags in itertools.product(range(kernel.noise_max_lag + 1), repeat=n):
+        weight = gaussian_moment(model, lags)
+        if weight != 0.0:
+            out = out + weight * kernel.coefficients[(...,) + lags]
+    return out
 
 
 signed_zeros = st.sampled_from([0.0, -0.0])
@@ -437,6 +454,24 @@ class TestNoiseAveragedKernel:
         step = VolterraPlant((averaged,)).stepper(1)
         stepped = np.array([step(a, b)[0] for a, b in zip(u, nx)])
         np.testing.assert_array_equal(stepped, brute_force_dual(averaged, u, nx, periodic=False))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_contraction_matches_dense_hypercube_bitwise(self, data):
+        m = data.draw(st.integers(0, 4))
+        n = data.draw(st.integers(0, MAX_TOTAL_DEGREE - m))
+        shape = (data.draw(st.integers(1, 3)),) * m + (data.draw(st.integers(1, 3)),) * n
+        subnormals = st.sampled_from([5e-324, -5e-324, 1e-310, -1e-310])
+        values = signed_zeros | subnormals | st.floats(-2.0, 2.0)
+        size = math.prod(shape)
+        coefficients = np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+        kernel = DualVolterraKernel(m, n, coefficients.reshape(shape))
+        variance = data.draw(st.floats(0.0, 2.0) | st.sampled_from([5e-324, 1e-160]))
+        model = NoiseMomentModel.white(variance, max_lag=kernel.noise_max_lag)
+        got = expected_kernel(kernel, model).coefficients
+        want = dense_expected_kernel(kernel, model)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_evaluate_kernel_rejects_noise_taps(self):
         kernel = DualVolterraKernel(1, 1, np.ones((2, 2)))
