@@ -35,7 +35,6 @@ from .systems import (
     PolynomialNonlinearity,
     RationalLTI,
     VolterraPlant,
-    filter_periodic,
     simulate_closed_loop_batch,
 )
 from .estimator import (

@@ -44,7 +44,7 @@ def _add_common(sub: argparse.ArgumentParser, config_required: bool = True,
     sub.add_argument("--config", type=pathlib.Path, required=config_required,
                      help="experiment configuration file")
     sub.add_argument("--seed", type=int, default=None,
-                     help="master seed override (unsigned 64-bit)")
+                     help="master seed override (nonnegative integer)")
     if workers:
         sub.add_argument("--workers", type=int, default=1,
                          help="parallel workers over realizations (default 1)")

@@ -178,12 +178,6 @@ class Spectrum:
         object.__setattr__(self, "samples_per_period", n)
         object.__setattr__(self, "sampling_frequency", float(self.sampling_frequency))
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Bin frequencies in Hz, ``f_k = k * f_s / N``."""
-        n = self.samples_per_period
-        return np.arange(n // 2 + 1) * (self.sampling_frequency / n)
-
 
 def generate_multisine(spec: MultisineSpec, seed=None) -> PeriodicSignal:
     """Generate one period of a random-phase multisine.
@@ -307,8 +301,8 @@ def _write_table(path, header: str, columns, newline: str = "\r\n", labels=None)
 def _bin_labels(n: int, fs: float) -> tuple[str, ...]:
     """The ``bin_index,frequency_hz`` text of the half grid of ``n`` samples at ``fs``.
 
-    Formatted once per grid: ``Spectrum.frequencies``' own product, so the
-    text is what formatting those frequencies gives.
+    Formatted once per grid.  Bin ``k`` is at ``k * (fs / n)`` Hz, the
+    product that ``BlaEstimate.frequencies`` forms too.
     """
     index = np.arange(n // 2 + 1)
     return tuple(map(("%d," + _FLOAT).__mod__, zip(index.tolist(), (index * (fs / n)).tolist())))

@@ -48,7 +48,6 @@ __all__ = [
     "SimulationRecord",
     "ClosedLoopRecord",
     "HammersteinSimulator",
-    "filter_periodic",
     "simulate_closed_loop_batch",
     "SystemDescription",
     "read_system_file",
@@ -146,38 +145,32 @@ class RationalLTI:
     def is_strictly_delayed(self) -> bool:
         return self.numerator[0] == 0.0
 
-    def time_constant(self) -> float:
-        """Dominant time constant in samples (FIR length if there are no poles)."""
-        mags = np.abs(self._poles)
-        mags = mags[mags > 0]
-        if mags.size == 0:
-            return float(self.numerator.size - 1)
-        return -1.0 / np.log(mags.max())
-
     def _decay_length(self) -> int:
         """Samples over which the dominant mode decays by ``STEADY_STATE_RTOL``:
-        ``ln(1 / STEADY_STATE_RTOL)`` time constants."""
-        return int(np.ceil(self.time_constant() * np.log(1.0 / STEADY_STATE_RTOL)))
+        ``ln(1 / STEADY_STATE_RTOL)`` time constants of the largest nonzero
+        pole magnitude, or of the FIR length if there is none."""
+        mags = np.abs(self._poles)
+        mags = mags[mags > 0]
+        time_constant = (float(self.numerator.size - 1) if mags.size == 0
+                         else -1.0 / np.log(mags.max()))
+        return int(np.ceil(time_constant * np.log(1.0 / STEADY_STATE_RTOL)))
 
     def settling_length(self) -> int:
         """Samples after which an impulse response has decayed below
         ``STEADY_STATE_RTOL`` of its size, for simple dominant poles:
-        ``_decay_length()``, and at least 1000 samples.  A noisy open-loop
-        run leads in over the fewest whole periods that span it."""
+        ``_decay_length()``, which reads only the largest pole magnitude, and
+        at least 1000 samples.  A noisy open-loop run leads in over the
+        fewest whole periods that span it."""
         return max(self._decay_length(), 1000)
 
-    def frequency_response(self, normalized_frequencies) -> np.ndarray:
-        """Response at digital frequencies ``w`` (radians/sample)."""
-        w = np.asarray(normalized_frequencies, dtype=float)
-        zinv = np.exp(-1j * w)
+    def bin_response(self, samples_per_period: int) -> np.ndarray:
+        """Response ``B / A`` on the half DFT bin grid, bins ``0..N//2``: both
+        polynomials in ``exp(-1j w)`` at ``w = 2 pi k / N`` radians/sample."""
+        n = samples_per_period
+        zinv = np.exp(-1j * (2.0 * np.pi * np.arange(n // 2 + 1) / n))
         num = np.polynomial.polynomial.polyval(zinv, self.numerator)
         den = np.polynomial.polynomial.polyval(zinv, self.denominator)
         return num / den
-
-    def bin_response(self, samples_per_period: int) -> np.ndarray:
-        """Response on the half DFT bin grid, bins ``0..N//2``."""
-        n = samples_per_period
-        return self.frequency_response(2.0 * np.pi * np.arange(n // 2 + 1) / n)
 
     def filter(self, x) -> np.ndarray:
         """Periodic steady-state response along the last axis: the response to
@@ -234,20 +227,6 @@ class PolynomialNonlinearity:
             np.multiply(out, x, out=out)
             np.add(out, c, out=out)
         return out
-
-
-def filter_periodic(lti: RationalLTI, sig: PeriodicSignal) -> PeriodicSignal:
-    """Exact periodic steady-state response of a stable filter: ``lti.filter``
-    of period 0, tiled over the periods of ``sig``.
-
-    This equals the time-domain recursion after transients decay.
-    """
-    return PeriodicSignal(
-        samples=np.tile(lti.filter(sig.period(0)), sig.period_count),
-        samples_per_period=sig.samples_per_period,
-        period_count=sig.period_count,
-        sampling_frequency=sig.sampling_frequency,
-    )
 
 
 def _noise_moments(nonlinearity: PolynomialNonlinearity, x: np.ndarray,
@@ -420,21 +399,21 @@ class HammersteinSimulator:
             output_noise_rng=None) -> SimulationRecord:
         """Simulate ``u.period_count`` (``P``) steady-state periods.
 
-        Without process noise the output is the exact periodic steady state,
-        one period filtered by ``filter_periodic`` and repeated.  With it,
-        the process noise is drawn over ``W + P`` periods, ``W`` from
-        ``required_warmup``, and ``dynamics.filter`` runs once on
-        ``f(u + nx)`` over that whole grid, ``u`` being period 0 repeated;
-        the last ``P`` periods are recorded.  The grid is a whole number of
-        periods, so the periodic part of the response is exact and the
-        noise wraps round onto a recorded sample only through lags beyond
-        ``W * N >= settling_length()``.  The output noise is drawn over the
-        recorded stretch only and added.  ``u`` whose periods differ raises
-        ValueError naming the first that differs.  A run that diverges
-        raises InstabilityError; its simulated periods are the ``N``-sample
-        blocks from the start of the lead-in.  Returns the measured output
-        together with the exact noise sequences that entered it and the
-        lead-in that ran (0 without process noise).
+        ``dynamics.filter`` is the one filter.  Without process noise it runs
+        on one period, ``f`` of period 0, and the output, that period
+        repeated, is the exact periodic steady state.  With it, the process
+        noise is drawn over ``W + P`` periods, ``W`` from ``required_warmup``,
+        and the filter runs once on ``f(u + nx)`` over that whole grid, ``u``
+        being period 0 repeated; the last ``P`` periods are recorded.  The
+        grid is a whole number of periods, so the periodic part of the
+        response is exact and the noise wraps round onto a recorded sample
+        only through lags beyond ``W * N >= settling_length()``.  The output
+        noise is drawn over the recorded stretch only and added.  ``u`` whose
+        periods differ raises ValueError naming the first that differs.  A
+        run that diverges raises InstabilityError; its simulated periods are
+        the ``N``-sample blocks from the start of the lead-in.  Returns the
+        measured output together with the exact noise sequences that entered
+        it and the lead-in that ran (0 without process noise).
         """
         if self.process_noise_variance > 0 and process_noise_rng is None:
             raise ValueError("process_noise_rng is required when process noise is on")
@@ -485,8 +464,7 @@ class HammersteinSimulator:
         with np.errstate(over="ignore", invalid="ignore"):  # reported right below
             mean, variance = _noise_moments(self.nonlinearity, u.period(0),
                                             self.process_noise_variance)
-            x = PeriodicSignal(mean, n, 1, u.sampling_frequency)
-            y_mean = filter_periodic(self.dynamics, x).samples
+            y_mean = self.dynamics.filter(mean)
             var_process = _modulated_noise_variance(self.dynamics, variance)
         _check_divergence(y_mean, n, "noise-averaged steady state")
         # A standard deviation per bin; abs, as round-off may leave a zero variance negative.
@@ -498,8 +476,7 @@ class HammersteinSimulator:
         """One period of the exact noise-free periodic steady state."""
         n = u.samples_per_period
         with np.errstate(over="ignore", invalid="ignore"):  # reported right below
-            x = PeriodicSignal(self.nonlinearity(u.period(0)), n, 1, u.sampling_frequency)
-            period = filter_periodic(self.dynamics, x).samples
+            period = self.dynamics.filter(self.nonlinearity(u.period(0)))
         _check_divergence(period, n, "periodic steady state")
         return period
 

@@ -47,7 +47,6 @@ from blakit.systems import (
     HammersteinSimulator,
     PolynomialNonlinearity,
     RationalLTI,
-    filter_periodic,
     simulate_closed_loop_batch,
 )
 from blakit.volterra import (
@@ -187,8 +186,7 @@ def _distortion_realizations(count, n, seed):
     for m in range(count):
         u = generate_multisine(spec, derive_rng(seed, "u", m))
         inner = 0.1 * u.samples ** 3 - 0.3 * u.samples
-        out[m] = filter_periodic(
-            DYNAMICS, PeriodicSignal(inner, n, 1, 1.0)).samples
+        out[m] = DYNAMICS.filter(inner)
         inputs[m] = u.samples
     return inputs, out
 
@@ -202,7 +200,7 @@ def _process_noise_realizations(count, n, seed, s2=0.01):
     u = generate_multisine(flat_spec(n), derive_rng(seed, "u_fixed")).samples
     u_full = np.tile(u, 2)
     mean_inner = u + 0.1 * u ** 3 + 0.3 * s2 * u
-    y_mean = filter_periodic(DYNAMICS, PeriodicSignal(mean_inner, n, 1, 1.0)).samples
+    y_mean = DYNAMICS.filter(mean_inner)
     out = np.empty((count, n))
     for i in range(count):
         nx = np.sqrt(s2) * derive_rng(seed, "nx", i).standard_normal(2 * n)

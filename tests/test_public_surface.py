@@ -5,7 +5,10 @@ the command-line pipeline (``src/blakit`` outside ``__init__.py``), the
 benchmark scripts (``perfbench/*.py``) or the README's library quickstart
 refers to it.  A name that only the tests use belongs in the tests.  So does
 a defaulted parameter of an exported name that none of those callers passes
-with a value other than its default.
+with a value other than its default, and a public method, property or
+classmethod of an exported class that none of them refers to outside that
+class's own body; a ``"Class.method"`` that the benchmark's tracer wraps
+(``METHODS`` in ``perfbench/tracer.py``) counts as a reference.
 """
 
 from __future__ import annotations
@@ -31,19 +34,32 @@ def quickstart() -> str:
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
-def references(tree: ast.AST) -> set[str]:
-    """Names read as ``name`` or as ``something.name`` anywhere in ``tree``."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+def references(tree: ast.AST, outside: ast.AST | None = None) -> set[str]:
+    """Names read as ``name`` or as ``something.name`` anywhere in ``tree``
+    except inside its subtree ``outside``."""
+    names, nodes = set(), [tree]
+    while nodes:
+        node = nodes.pop()
+        if node is outside:
+            continue
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+        nodes.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def assigned(tree: ast.Module, name: str, default):
+    """The literal that ``tree``'s top level assigns to ``name``, else ``default``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    return default
 
 
 def exported(tree: ast.Module) -> list[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in node.targets):
-            return ast.literal_eval(node.value)
-    return []
+    return assigned(tree, "__all__", [])
 
 
 def package_modules(package: pathlib.Path = PACKAGE) -> list[ast.Module]:
@@ -51,11 +67,15 @@ def package_modules(package: pathlib.Path = PACKAGE) -> list[ast.Module]:
             for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
 
 
+def outside_callers() -> list[ast.Module]:
+    """The quickstart and the benchmark scripts."""
+    return [ast.parse(quickstart()), *(ast.parse(path.read_text(encoding="utf8"))
+                                       for path in sorted((ROOT / "perfbench").glob("*.py")))]
+
+
 def callers(package: pathlib.Path = PACKAGE) -> list[ast.Module]:
     """The pipeline's modules, the benchmark scripts and the quickstart."""
-    return [*package_modules(package), ast.parse(quickstart()),
-            *(ast.parse(path.read_text(encoding="utf8"))
-              for path in sorted((ROOT / "perfbench").glob("*.py")))]
+    return [*package_modules(package), *outside_callers()]
 
 
 def test_every_exported_name_has_a_caller():
@@ -213,6 +233,78 @@ def test_unpassed_parameters_are_named(tmp_path):
     '''))
     assert unpassed_parameters(tmp_path) == [
         "Spec.make(scale=)", "tune(at_default=)", "tune(unused=)"]
+
+
+def traced_methods() -> set[str]:
+    """The ``"Class.method"`` names in ``perfbench/tracer.py``'s ``METHODS``."""
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf8"))
+    return set().union(*assigned(tracer, "METHODS", {}).values())
+
+
+def unreferenced_members(package: pathlib.Path = PACKAGE) -> list[str]:
+    """``Class.member`` for each public method, property or classmethod of an
+    exported class that no caller refers to outside the class's own body and
+    that the tracer does not wrap; references resolve by name alone."""
+    modules = package_modules(package)
+    trees = [*modules, *outside_callers()]
+    wrapped = traced_methods()
+    unreferenced = []
+    for tree in modules:
+        names = set(exported(tree))
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and node.name in names):
+                continue
+            called = set().union(*(references(caller, outside=node) for caller in trees))
+            unreferenced += [f"{node.name}.{member.name}" for member in node.body
+                             if isinstance(member, ast.FunctionDef)
+                             and not member.name.startswith("_")
+                             and member.name not in called
+                             and f"{node.name}.{member.name}" not in wrapped]
+    return sorted(unreferenced)
+
+
+def test_every_public_member_has_a_caller():
+    assert unreferenced_members() == []
+
+
+def test_members_used_only_in_their_own_class_are_named(tmp_path):
+    (tmp_path / "parts.py").write_text(textwrap.dedent('''
+        __all__ = ["Gadget", "HammersteinSimulator", "build"]
+
+        class Gadget:
+            def __init__(self):
+                self._size = self.measure_inside()
+
+            def measure_inside(self):
+                return 1
+
+            @property
+            def reach_outside(self):
+                return 2
+
+            @classmethod
+            def spare_maker(cls):
+                return cls()
+
+            def _hidden(self):
+                return self.spare_maker()
+
+        class HammersteinSimulator:
+            def required_warmup(self):
+                return 0
+
+            def repeat_inside(self):
+                return self.required_warmup() + self.repeat_inside()
+
+        class Unexported:
+            def lonely_helper(self):
+                return 3
+
+        def build():
+            return Gadget().reach_outside
+    '''))
+    assert unreferenced_members(tmp_path) == [
+        "Gadget.measure_inside", "Gadget.spare_maker", "HammersteinSimulator.repeat_inside"]
 
 
 def test_readme_quickstart_runs():
