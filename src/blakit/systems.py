@@ -8,9 +8,10 @@ the nonlinear plant and a strictly delayed linear feedback path.
 Recorded periods are steady state.  The closed loop runs sample by sample,
 the one time-domain recursion, since feedback needs it: a plant step, then
 one linear map (``_loop_map``) for all its linear blocks.  Each
-realization's warm-up is the number of periods after which its noise-free
-loop is periodic (its last two periods differing by less than
-``STEADY_STATE_RTOL`` in relative RMS).  The open loop has one filter,
+realization records from the first period ``s >= 1`` that its noise-free
+loop repeats in period ``s + 1`` (the two differing by less than
+``STEADY_STATE_RTOL`` in relative RMS), or from ``s + 1`` if that repeat is
+not exact.  The open loop has one filter,
 ``RationalLTI.filter``: the periodic steady-state response, a product of
 spectra on the input's own grid.  A noise-free run filters one period; a
 noisy run filters ``f(u + nx)`` once over whole periods, a lead-in of at
@@ -56,7 +57,6 @@ __all__ = [
 
 STEADY_STATE_RTOL = 1e-10
 DIVERGENCE_LIMIT = 1e12
-_MIN_WARMUP = 4  # the closed loop's least warm-up, in periods
 _MAX_WARMUP = 64
 
 
@@ -301,33 +301,44 @@ def _modulated_noise_variance(lti: RationalLTI, v: np.ndarray) -> np.ndarray:
 class _SteadyState:
     """The closed loop's warm-up rule, applied to each column of a run on its own.
 
-    Column ``i`` settles at the first period count ``>= _MIN_WARMUP`` at which
-    its noise-free period changed by less than ``STEADY_STATE_RTOL`` in
-    relative RMS: ``periods[i]`` is that count (0 before), ``residuals[i]``
-    that change.  Errors name it realization ``first_realization + i``.
+    Each period ``t >= 2`` of column ``i``'s noise-free loop is checked
+    against period ``t - 1`` until one differs from it by less than
+    ``STEADY_STATE_RTOL`` in relative RMS, which settles the column.
+    ``starts[i]`` is the first recorded period: tentatively 1, and ``t``
+    after each check whose residual is not 0, so that a column settles at
+    ``t - 1`` on an exact repeat and at the confirming period ``t``
+    otherwise.  ``residuals[i]`` is the last check's residual, once settled
+    the confirming period's.  Errors name it realization
+    ``first_realization + i``.
     """
 
     def __init__(self, width: int, first_realization: int):
-        self.periods = np.zeros(width, dtype=int)
+        self.starts = np.ones(width, dtype=int)
+        self.settled = np.zeros(width, dtype=bool)
         self.residuals = np.full(width, np.inf)
         self._first_realization = first_realization
         self._previous = None
         self._count = 0
 
     def update(self, columns: np.ndarray) -> None:
-        """Take the next period, shape ``(N, width)``."""
+        """Take the next period, shape ``(N, width)``, and check each unsettled
+        column against its previous period."""
         # A contiguous row per column is reduced as that column alone would be.
         rows = np.ascontiguousarray(columns.T)
         self._count += 1
-        if self._previous is not None:
-            unsettled = self.periods == 0
-            rms = np.sqrt(np.mean(np.square([rows, rows - self._previous]), axis=-1))
+        if self._count > 2:
+            unsettled = ~self.settled
+            # Over each row's peak, so that a loop at 1e-200 does not square to 0.
+            peak = np.maximum(np.abs(rows).max(axis=-1, keepdims=True), 1e-300)
+            with np.errstate(over="ignore"):  # a residual of inf does not settle
+                scaled = np.array([rows, rows - self._previous]) / peak
+            rms = np.sqrt(np.mean(np.square(scaled), axis=-1))
             self.residuals[unsettled] = (rms[1] / np.maximum(rms[0], 1e-300))[unsettled]
-            if self._count >= _MIN_WARMUP:
-                self.periods[unsettled & (self.residuals < STEADY_STATE_RTOL)] = self._count
+            self.settled |= unsettled & (self.residuals < STEADY_STATE_RTOL)
+            self.starts[unsettled & (self.residuals > 0)] = self._count - 1
         self._previous = rows
-        if not self.periods.all() and self._count == _MAX_WARMUP:
-            i = int(np.flatnonzero(self.periods == 0)[0])
+        if not self.settled.all() and self._count == _MAX_WARMUP:
+            i = int(np.flatnonzero(~self.settled)[0])
             raise InstabilityError(
                 f"steady state not reached within {_MAX_WARMUP} warm-up periods in "
                 f"realization {self._first_realization + i} "
@@ -691,9 +702,14 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
     One engine pass runs column ``i`` as the noise-free loop of realization
     ``m = first_realization + i`` and column ``M + i`` as its noisy loop,
     which records periods ``W_m .. W_m + P - 1``.  The warm-up ``W_m`` is
-    the first period count ``>= _MIN_WARMUP`` (4) at which the noise-free
-    loop alone, where steady state is defined, changed by less than
-    ``STEADY_STATE_RTOL`` in relative RMS over one period.  Every reference
+    found on the noise-free loop alone, where steady state is defined: the
+    first period ``s >= 1`` that its next period repeats to less than
+    ``STEADY_STATE_RTOL`` in relative RMS, if that repeat is exact
+    (residual 0), and the repeating period ``s + 1`` otherwise.  Recording
+    starts at period 1 and moves to the checked period after each check
+    that is not exact, so the confirming period is recorded with the rest
+    whenever ``P >= 2``: a loop that repeats exactly at once runs ``1 + P``
+    periods (3 for ``P = 1``).  Every reference
     must repeat its period 0, or ValueError names the first period that
     differs.  Noise streams are keyed by ``m``, so a record is a pure
     function of (config, seed, realization), batched or not.
@@ -719,16 +735,15 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
     nx_block = np.zeros_like(r_block)
     u0, y0 = np.empty((2, width, p, n))
     period = 0
-    while not steady.periods.all() or period < steady.periods.max() + p:
-        j = period - steady.periods  # the period each settled noisy loop records
-        recording = (steady.periods > 0) & (j < p)
+    while not (steady.settled.all() and period >= steady.starts.max() + p):
         for i, rng in enumerate(nx_rngs):
             nx_block[:, width + i] = generate_noise(config.process_noise_variance, n, rng)
         u0_block, y0_block = engine.run_period(nx_block)
-        rec = np.flatnonzero(recording)
+        steady.update(y0_block[:, :width])
+        j = period - steady.starts  # each noisy loop's record slot, if in 0..P-1
+        rec = np.flatnonzero((j >= 0) & (j < p))
         u0[rec, j[rec]] = u0_block[:, width + rec].T
         y0[rec, j[rec]] = y0_block[:, width + rec].T
-        steady.update(y0_block[:, :width])
         period += 1
 
     records = []
@@ -743,7 +758,7 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
             input_noise_free=u0[i].reshape(-1),
             output_noise_free=y0[i].reshape(-1),
             reference=r,
-            warmup_periods=int(steady.periods[i]),
+            warmup_periods=int(steady.starts[i]),
             steady_state_residual=float(steady.residuals[i]),
         ))
     return records

@@ -29,6 +29,7 @@ from blakit.systems import (
     read_system_file,
     simulate_closed_loop_batch,
     write_system_file,
+    _LoopEngine,
     _noise_moments,
 )
 from blakit.volterra import (DualVolterraKernel, NoiseMomentModel,
@@ -800,19 +801,22 @@ def scalar_loop_map(config):
     return [list(row) for row in zip(*columns)]
 
 
-def map_loop(config, reference, seed, m, periods, noisy=True):
+def map_loop(config, reference, seed, m, periods, noisy=True, noise=None):
     """Noise-free input and output of realization ``m``'s loop (its noisy one
     unless ``noisy`` is False) over its first ``periods`` periods, in Python
     floats: ``scalar_loop_map`` applied a sample at a time, each entry summed
     over the columns in order onto ``0.0``, from the zero state and
-    ``u0(0) = b_act0 r(0)``, around ``scalar_plant``."""
+    ``u0(0) = b_act0 r(0)``, around ``scalar_plant``.  A given ``noise``, a
+    whole number of periods, replaces the drawn process noise."""
     rows = scalar_loop_map(config)
     static = scalar_plant(config.plant)
     r = reference.period(0).tolist()
     n = len(r)
     x, u0 = [0.0] * (len(rows) - 2), config.actuator.numerator[0].item() * r[0]
     u0s, y0s = [], []
-    for t, nx in enumerate(loop_noise(config, seed, m, n, periods, noisy)):
+    if noise is None:
+        noise = loop_noise(config, seed, m, n, periods, noisy)
+    for t, nx in enumerate(noise):
         v = [*x, static(u0, nx), r[t % n], r[(t + 1) % n]]
         u0s.append(u0)
         out = []
@@ -850,6 +854,22 @@ def linear_loop_blocks():
     actuator = RationalLTI(b=[0.9], a=[1.0, -0.2])
     feedback = RationalLTI(b=[0.0, 0.4], a=[1.0, -0.1])
     return plant_lti, actuator, feedback
+
+
+# A loop whose realizations, on the references of master seed 32, record
+# from different periods.
+STAGGERED_LOOP = ClosedLoopConfig(
+    plant=HammersteinPlant(RationalLTI(b=[0.1], a=[1.0, -0.9]),
+                           PolynomialNonlinearity.identity()),
+    actuator=RationalLTI(b=[0.5]),
+    feedback=RationalLTI(b=[0.0, 0.5]),
+    process_noise_variance=0.01,
+)
+
+
+def staggered_references(periods):
+    return [flat_multisine(n=64, seed=derive_rng(32, "reference", m)).tile(periods)
+            for m in range(4)]
 
 
 class TestClosedLoop:
@@ -986,15 +1006,7 @@ class TestClosedLoop:
         # On the references of master seed 32, the realizations of this loop
         # settle after different warm-ups, so a warm-up shared by the batch
         # would give realization 1 other bytes than its single run.
-        staggered = ClosedLoopConfig(
-            plant=HammersteinPlant(RationalLTI(b=[0.1], a=[1.0, -0.9]),
-                                   PolynomialNonlinearity.identity()),
-            actuator=RationalLTI(b=[0.5]),
-            feedback=RationalLTI(b=[0.0, 0.5]),
-            process_noise_variance=0.01,
-        )
-        cases.append((staggered, [flat_multisine(n=64, seed=derive_rng(32, "reference", m)).tile(2)
-                                  for m in range(4)], 32, [5, 4, 5, 5]))
+        cases.append((STAGGERED_LOOP, staggered_references(2), 32, [4, 3, 4, 4]))
         for config, refs, seed, warmups in cases:
             batch = simulate_closed_loop_batch(config, refs, seed=seed)
             if warmups is not None:
@@ -1008,6 +1020,95 @@ class TestClosedLoop:
                                               batch[i].output_measured.samples)
                 np.testing.assert_array_equal(single.input_measured.samples,
                                               batch[i].input_measured.samples)
+
+    def test_loop_runs_the_periods_it_records(self, monkeypatch):
+        # Recording starts at period 1 and period t is checked against period
+        # t - 1.  The study loop repeats its period 1 exactly in period 2, so
+        # it records from period 1 and runs 1 + P periods (3 for P = 1).  The
+        # staggered loop's first repeats are not exact, so each realization
+        # records from its confirming period W: the batch runs max W + P
+        # periods, and a P = 1 record runs W + 1 and holds period W.
+        shapes = []
+        run_period = _LoopEngine.run_period
+        monkeypatch.setattr(_LoopEngine, "run_period",
+                            lambda engine, nx: shapes.append(nx.shape) or run_period(engine, nx))
+        study = ClosedLoopConfig(plant=VolterraPlant(study_kernels()),
+                                 actuator=RationalLTI(b=[0.9], a=[1.0, -0.3]),
+                                 feedback=RationalLTI(b=[0.0, 0.7]),
+                                 process_noise_variance=0.04, output_noise_variance=9e-4)
+        for periods in (1, 2, 3):
+            shapes.clear()
+            refs = [flat_multisine(n=128, seed=derive_rng(3, "reference", m)).tile(periods)
+                    for m in range(2)]
+            records = simulate_closed_loop_batch(study, refs, 3)
+            assert [(rec.warmup_periods, rec.steady_state_residual) for rec in records] == [
+                (1, 0.0), (1, 0.0)]
+            assert shapes == [(128, 4)] * (1 + max(periods, 2))
+
+        shapes.clear()
+        records = simulate_closed_loop_batch(STAGGERED_LOOP, staggered_references(2), 32)
+        assert [rec.warmup_periods for rec in records] == [4, 3, 4, 4]
+        assert all(0 < rec.steady_state_residual < STEADY_STATE_RTOL for rec in records)
+        assert shapes == [(64, 8)] * (4 + 2)
+
+        ref = staggered_references(1)[0]
+        shapes.clear()
+        rec = simulate_closed_loop_batch(STAGGERED_LOOP, [ref], 32)[0]
+        assert rec.warmup_periods == 4 and len(shapes) == 4 + 1
+        u0, y0 = map_loop(STAGGERED_LOOP, ref, 32, 0, 5)
+        assert rec.input_noise_free.tobytes() == u0[4 * 64:].tobytes()
+        assert rec.output_noise_free.tobytes() == y0[4 * 64:].tobytes()
+
+    def test_warmup_does_not_depend_on_the_loop_scale(self):
+        # The staggered loop is linear, so its relative residuals, and with
+        # them its warm-ups, are the same at rms 1e-200, whose squares
+        # underflow to zero.
+        refs = [PeriodicSignal(r.samples * 1e-200, 64, 2, 1.0) for r in staggered_references(2)]
+        records = simulate_closed_loop_batch(STAGGERED_LOOP, refs, 32)
+        assert [rec.warmup_periods for rec in records] == [4, 3, 4, 4]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_noisy_loop_forgets_its_start_within_the_warmup(self, data):
+        # The warm-up is found on the noise-free loop alone, so the noisy
+        # loop must forget its zero start as fast: its record is set beside
+        # the record that the same noise samples give after a lead-in 8
+        # periods longer, whose first 8 periods carry noise of another seed.
+        # After an exact repeat, recorded from the repeated period on, the
+        # two agree to STEADY_STATE_RTOL in relative RMS.  After a repeat to
+        # STEADY_STATE_RTOL only, recorded from the confirming period on,
+        # the start weighs more in a nonlinear noisy loop than in its
+        # noise-free one: the two agree to 1e3 STEADY_STATE_RTOL.  Random
+        # stable S and G_act scaled to a peak gain of 1, so that the
+        # reference drives the loop, and a strictly delayed M with
+        # |S G_act M| <= 0.5 (on the 1024 grid, as in the closed-form test)
+        # around f = x + c2 x^2 + c3 x^3.  A loop that diverges has no record.
+        blocks = [data.draw(stable_blocks(0)), data.draw(stable_blocks(0)),
+                  data.draw(stable_blocks(1, delayed=True))]
+        for i, limit in enumerate((1.0, 1.0, 0.5)):
+            peak = np.abs(np.prod([b.bin_response(1024) for b in blocks[:i + 1]], axis=0)).max()
+            assume(i == 2 or peak > 1e-3)
+            if i < 2 or peak > limit:
+                blocks[i] = RationalLTI(b=blocks[i].numerator * (limit / peak),
+                                        a=blocks[i].denominator)
+        s, act, fb = blocks
+        f = PolynomialNonlinearity([1.0, data.draw(st.floats(-0.1, 0.1)),
+                                    data.draw(st.floats(-0.05, 0.05))])
+        config = ClosedLoopConfig(plant=HammersteinPlant(s, f), actuator=act, feedback=fb,
+                                  process_noise_variance=0.01)
+        seed = data.draw(st.integers(0, 2 ** 16))
+        r = flat_multisine(n=16, seed=seed, rms=0.3).tile(2)
+        try:
+            rec = simulate_closed_loop_batch(config, [r], seed)[0]
+        except InstabilityError:
+            assume(False)
+        periods = rec.warmup_periods + 2
+        noise = loop_noise(config, seed + 1, 0, 16, 8) + loop_noise(config, seed, 0, 16, periods)
+        bound = STEADY_STATE_RTOL * (1.0 if rec.steady_state_residual == 0 else 1e3)
+        for got, want in zip((rec.input_noise_free, rec.output_noise_free),
+                             map_loop(config, r, seed, 0, 8 + periods, noise=noise)):
+            want = want[-2 * 16:]
+            assert np.sqrt(np.mean((got - want) ** 2)) <= bound * np.sqrt(np.mean(want ** 2))
 
     @pytest.mark.parametrize("case", ["volterra", "hammerstein, G_act order 0",
                                       "hammerstein, G_act order 1", "signed zeros"])
