@@ -21,11 +21,18 @@ term is formed as ``((c * u_a) * u_b) * nx_c``, left to right, and the
 terms are added onto zero in table order: the order of the closed-loop
 plant (``systems.VolterraPlant``) and of the scalar nested sum, so all
 three give the same bits.
+
+A kernel without noise taps gives the same output for every noise draw, so
+it is evaluated once per excitation: each such kernel keeps a one-entry
+memo of its last output, keyed by the bytes of the excitation, not by its
+identity, since a caller may change ``u`` in place between calls.  A stack
+of draws gets that one output in each row.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,16 +66,19 @@ class DualVolterraKernel:
     tuple per nonzero coefficient in C (``np.ndindex``) order, with ``c`` a
     Python float and the lags its excitation and noise tap indices.  Both
     evaluators, ``expected_kernel`` and ``VolterraPlant.stepper`` read it.
+    ``_memo`` is the evaluators' ``(u bytes, read-only output)`` of a kernel
+    without noise taps, or None.
     """
 
     input_degree: int
     noise_degree: int
     coefficients: np.ndarray
     terms: tuple = field(init=False, repr=False)
+    _memo: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        m = int(self.input_degree)
-        n = int(self.noise_degree)
+        m = _index("input_degree", self.input_degree)
+        n = _index("noise_degree", self.noise_degree)
         if m < 0 or n < 0:
             raise ValueError("degrees must be >= 0")
         if m + n > MAX_TOTAL_DEGREE:
@@ -83,6 +93,8 @@ class DualVolterraKernel:
         if n and len(set(coeff.shape[m:])) != 1:
             raise ValueError("noise tap axes must share one length")
         for axis_len in coeff.shape:
+            if axis_len == 0:
+                raise ValueError("tap axes must not be empty")
             if axis_len - 1 > MAX_TAP_LAG:
                 raise ValueError(f"tap lag {axis_len - 1} exceeds {MAX_TAP_LAG}")
         if not np.isfinite(coeff).all():
@@ -121,15 +133,24 @@ class NoiseMomentModel:
         variance = float(self.variance)
         if not np.isfinite(variance) or variance < 0:
             raise ValueError("variance must be finite and >= 0")
-        if int(self.max_lag) < 0:
+        max_lag = _index("max_lag", self.max_lag)
+        if max_lag < 0:
             raise ValueError("max_lag must be >= 0")
         object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "max_lag", int(self.max_lag))
+        object.__setattr__(self, "max_lag", max_lag)
 
     @classmethod
     def white(cls, variance: float, max_lag: int = 0) -> "NoiseMomentModel":
         """White noise of ``variance`` for kernels with noise taps up to ``max_lag``."""
         return cls(variance, max_lag)
+
+
+def _index(name: str, value) -> int:
+    """``value`` as an int by ``operator.index``: integers and numpy integers, never floats."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _lagged(x: np.ndarray, max_lag: int) -> list[np.ndarray]:
@@ -147,12 +168,14 @@ def evaluate_kernel(kernel: DualVolterraKernel, u) -> np.ndarray:
     """Exact nested-sum output of a kernel without noise taps.
 
     The input is one period, extended circularly (steady-state analysis).
-    A kernel with noise taps needs :func:`evaluate_dual_kernel`.
+    The term table runs once per distinct ``u`` (see the module docstring);
+    every call returns a fresh array.  A kernel with noise taps needs
+    :func:`evaluate_dual_kernel`.
     """
     if kernel.noise_degree:
         raise ValueError(f"kernel has noise degree {kernel.noise_degree}; "
                          "evaluate it with evaluate_dual_kernel")
-    return _sum_terms(kernel, u, u)
+    return _evaluate(kernel, u, u)
 
 
 def evaluate_dual_kernel(kernel: DualVolterraKernel, u, nx) -> np.ndarray:
@@ -160,21 +183,21 @@ def evaluate_dual_kernel(kernel: DualVolterraKernel, u, nx) -> np.ndarray:
 
     Both inputs are extended circularly, as in :func:`evaluate_kernel`.
     ``nx`` is one noise sequence of the length of ``u``, or a stack of
-    ``K`` draws of shape ``(K, len(u))``; the output has the shape of ``nx``,
-    and each row equals the call with that draw alone, bit for bit.
+    ``K`` draws of shape ``(K, len(u))``; the output is a fresh array of
+    the shape of ``nx``, and each row equals the call with that draw alone,
+    bit for bit.  A kernel without noise taps runs its term table once per
+    distinct ``u``, whatever ``nx`` is, and copies that output into each row.
     """
-    return _sum_terms(kernel, u, nx)
+    return _evaluate(kernel, u, nx)
 
 
-def _sum_terms(kernel: DualVolterraKernel, u, nx) -> np.ndarray:
-    """Sum of ``((c * u_a) * u_b) * nx_c`` over the term table, one term after another.
+def _evaluate(kernel: DualVolterraKernel, u, nx) -> np.ndarray:
+    """Both evaluators: check the shapes, then sum the terms or copy the memo.
 
-    The body of both evaluators; without noise taps ``nx`` only gives the
-    output shape.  Each term's factors are multiplied in left to right, the
-    excitation ones in a buffer the size of ``u`` and the noise ones in a
-    buffer the size of the output, and the terms are added in order into a
-    zero array rather than reduced with ``sum``, whose pairwise summation
-    would change the rounding.
+    A kernel without noise taps sums its terms over ``u`` alone and keeps
+    the read-only result with ``u``'s bytes.  The memo is one tuple, read
+    and replaced whole, so concurrent callers each get the output of their
+    own ``u``.
     """
     u = np.asarray(u, dtype=float)
     nx = np.asarray(nx, dtype=float)
@@ -183,6 +206,30 @@ def _sum_terms(kernel: DualVolterraKernel, u, nx) -> np.ndarray:
                          "(u of shape (T,), nx of shape (T,) or (K, T))")
     if u.size <= max(kernel.input_max_lag, kernel.noise_max_lag):
         raise ValueError("sequences shorter than the kernel tap support")
+    if kernel.noise_degree:
+        return _sum_terms(kernel, u, nx)
+    key = u.tobytes()
+    memo = kernel._memo
+    if memo is None or memo[0] != key:
+        out = _sum_terms(kernel, u, u)
+        out.flags.writeable = False
+        memo = (key, out)
+        object.__setattr__(kernel, "_memo", memo)
+    out = np.empty(nx.shape)
+    out[...] = memo[1]
+    return out
+
+
+def _sum_terms(kernel: DualVolterraKernel, u: np.ndarray, nx: np.ndarray) -> np.ndarray:
+    """Sum of ``((c * u_a) * u_b) * nx_c`` over the term table, one term after another.
+
+    The term loop of both evaluators, on checked float arrays; without
+    noise taps ``nx`` only gives the output shape.  Each term's factors are
+    multiplied in left to right, the excitation ones in a buffer the size of
+    ``u`` and the noise ones in a buffer the size of the output, and the
+    terms are added in order into a zero array rather than reduced with
+    ``sum``, whose pairwise summation would change the rounding.
+    """
     u_lagged = _lagged(u, kernel.input_max_lag) if kernel.input_degree else None
     nx_lagged = _lagged(nx, kernel.noise_max_lag) if kernel.noise_degree else None
     out = np.zeros(nx.shape)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blakit import volterra
 from blakit.systems import VolterraPlant
 from blakit.volterra import (
     MAX_TOTAL_DEGREE,
@@ -148,6 +150,21 @@ class TestEvaluateKernel:
     def test_tap_bound_enforced(self):
         with pytest.raises(ValueError, match="lag"):
             DualVolterraKernel(1, 0, np.zeros(12))
+
+    @pytest.mark.parametrize("m, shape", [(1, (0,)), (2, (0, 0))])
+    def test_empty_tap_axes_rejected(self, m, shape):
+        with pytest.raises(ValueError, match="empty"):
+            DualVolterraKernel(m, 0, np.zeros(shape))
+
+    @pytest.mark.parametrize("m, n", [(1.5, 0), (1, 0.0), (np.float64(1.0), 0)])
+    def test_non_integral_degree_rejected(self, m, n):
+        with pytest.raises(TypeError, match="must be an integer"):
+            DualVolterraKernel(m, n, np.ones(2))
+
+    def test_numpy_integer_degrees_accepted(self):
+        kernel = DualVolterraKernel(np.int64(1), np.int32(1), np.ones((2, 2)))
+        assert (type(kernel.input_degree), type(kernel.noise_degree)) == (int, int)
+        assert (kernel.input_degree, kernel.noise_degree) == (1, 1)
 
 
 class TestEvaluateDualKernel:
@@ -321,6 +338,15 @@ class TestGaussianMoment:
             with pytest.raises(ValueError):
                 NoiseMomentModel.white(variance, max_lag=max_lag)
 
+    @pytest.mark.parametrize("max_lag", [1.7, 1.0, np.float64(2.0)])
+    def test_non_integral_max_lag_rejected(self, max_lag):
+        with pytest.raises(TypeError, match="max_lag must be an integer"):
+            NoiseMomentModel(1.0, max_lag)
+
+    def test_numpy_integer_max_lag_accepted(self):
+        model = NoiseMomentModel(1.0, np.int64(2))
+        assert type(model.max_lag) is int and model.max_lag == 2
+
 
 class TestExpectedKernel:
     def test_noise_free_kernel_unchanged(self):
@@ -478,6 +504,119 @@ class TestNoiseAveragedKernel:
         with pytest.raises(ValueError, match="noise degree 1"):
             evaluate_kernel(kernel, np.zeros(8))
 
+
+@st.composite
+def memo_calls(draw, t_len: int, pool_size: int):
+    """A sequence of evaluator calls and in-place edits on a pool of inputs.
+
+    Each step is ``("call", which, rows)``, with ``rows`` None for
+    ``evaluate_kernel``, 0 for a 1-D ``nx`` and ``K`` for a ``(K, T)`` stack;
+    ``("edit_u", which, sample, value)``, which changes a pool input in
+    place; or ``("edit_out", sample, value)``, which changes the last
+    returned array.
+    """
+    value = signed_zeros | st.floats(-3.0, 3.0)
+    which = st.integers(0, pool_size - 1)
+    sample = st.integers(0, t_len - 1)
+    step = st.one_of(
+        st.tuples(st.just("call"), which, st.none() | st.integers(0, 3)),
+        st.tuples(st.just("edit_u"), which, sample, value),
+        st.tuples(st.just("edit_out"), sample, value))
+    return draw(st.lists(step, min_size=1, max_size=12))
+
+
+class TestNoiseFreeMemo:
+    """A kernel without noise taps runs its term table once per distinct ``u``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel=signed_kernels().filter(lambda k: k.noise_degree == 0), data=st.data())
+    def test_memoized_calls_match_a_fresh_kernel_bitwise(self, kernel, data):
+        # The pool holds two inputs that differ only in the sign of one zero;
+        # each call must give the bits a kernel with no memo gives.
+        t_len = data.draw(st.integers(3, 8))
+        base = data.draw(signed_sequences(t_len))
+        plus, minus = base.copy(), base.copy()
+        plus[0], minus[0] = 0.0, -0.0
+        pool = [plus, minus, data.draw(signed_sequences(t_len))]
+        last = None
+        for step in data.draw(memo_calls(t_len, len(pool))):
+            if step[0] == "edit_u":
+                pool[step[1]][step[2]] = step[3]
+                continue
+            if step[0] == "edit_out":
+                if last is not None:
+                    last.reshape(-1)[step[1]] = step[2]
+                continue
+            u, rows = pool[step[1]], step[2]
+            fresh = DualVolterraKernel(kernel.input_degree, 0, kernel.coefficients)
+            if rows is None:
+                got, want = evaluate_kernel(kernel, u), evaluate_kernel(fresh, u.copy())
+            else:
+                nx = data.draw(signed_sequences(max(rows, 1) * t_len))
+                nx = nx.reshape(rows, t_len) if rows else nx
+                got = evaluate_dual_kernel(kernel, u, nx)
+                want = evaluate_dual_kernel(fresh, u.copy(), nx)
+            assert got.shape == want.shape and got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+            last = got
+
+    def test_term_loop_runs_once_for_one_input(self, monkeypatch):
+        calls = []
+        sum_terms = volterra._sum_terms
+
+        def counted(kernel, u, nx):
+            calls.append(kernel)
+            return sum_terms(kernel, u, nx)
+
+        monkeypatch.setattr(volterra, "_sum_terms", counted)
+        rng = np.random.default_rng(41)
+        kernel = DualVolterraKernel(3, 0, rng.standard_normal((2, 2, 2)))
+        u = rng.standard_normal(16)
+        outputs = {evaluate_dual_kernel(kernel, u, rng.standard_normal(16)).tobytes()
+                   for _ in range(1000)}
+        assert len(calls) == 1 and len(outputs) == 1
+        assert evaluate_kernel(kernel, u).tobytes() in outputs
+        assert len(calls) == 1
+
+    def test_term_loop_reruns_for_new_bits(self, monkeypatch):
+        # The key is u's bytes: a copy hits, a signed zero and an in-place
+        # change miss.
+        calls = []
+        sum_terms = volterra._sum_terms
+        monkeypatch.setattr(volterra, "_sum_terms",
+                            lambda *args: calls.append(1) or sum_terms(*args))
+        kernel = DualVolterraKernel(2, 0, np.ones((2, 2)))
+        u = np.array([0.0, 1.0, 2.0, 3.0])
+        flipped = u.copy()
+        flipped[0] = -0.0
+        counts = []
+        for x in (u, u.copy(), flipped, u):
+            evaluate_kernel(kernel, x)
+            counts.append(len(calls))
+        u[1] = 5.0
+        evaluate_dual_kernel(kernel, u, np.zeros((3, 4)))
+        assert counts + [len(calls)] == [1, 1, 2, 3, 4]
+
+    def test_memo_not_in_repr_or_equality(self):
+        kernel = DualVolterraKernel(1, 0, np.array([0.5, 0.25]))
+        before = repr(kernel), hash(kernel)
+        kept = {kernel}
+        evaluate_kernel(kernel, np.arange(4.0))
+        assert kernel._memo is not None
+        assert (repr(kernel), hash(kernel)) == before and kernel in kept
+        memo = next(f for f in dataclasses.fields(kernel) if f.name == "_memo")
+        assert not (memo.init or memo.repr or memo.compare)
+
+    def test_errors_raised_before_the_memo(self):
+        kernel = DualVolterraKernel(2, 0, np.ones((3, 3)))
+        u = np.arange(8.0)
+        evaluate_kernel(kernel, u)
+        with pytest.raises(ValueError, match="length"):
+            evaluate_dual_kernel(kernel, u, np.zeros((2, 9)))
+        with pytest.raises(ValueError, match="share one length"):
+            evaluate_dual_kernel(kernel, u.reshape(2, 4), np.zeros(8))
+        with pytest.raises(ValueError, match="shorter"):
+            evaluate_kernel(kernel, u[:2])
 
 
 def gathered_lags(x: np.ndarray, max_lag: int) -> np.ndarray:
