@@ -22,7 +22,6 @@ from .signals import (
     Spectrum,
     _read_table,
     _write_table,
-    derive_rng,
     dft,
     inverse_dft,
     period_spectra,
@@ -216,77 +215,46 @@ def _masked_estimate(record, g, g_m, g_mp, defined) -> BlaEstimate:
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Per-sample output constituents and their per-bin variance spectra.
+    """Per-bin variance spectra of the output's constituents, on the half bin
+    grid ``0..N//2``.
 
-    ``y_bla + y_nonlinear + y_process + y_output_noise`` rebuilds the
-    measured output ``y_total`` to round-off by construction.  The variance
-    spectra lie on the half bin grid ``0..N//2``.  ``var_noise`` and
-    ``var_process`` are exact: white noise of variance s2 has variance s2 in
-    every unitary DFT bin, and the process-noise spectrum is the simulator's
-    closed form.  ``var_nonlinear`` comes from the single supplied
-    excitation (one squared sample, unbiased but coarse).
+    ``var_noise`` and ``var_process`` are exact: white noise of variance s2
+    has variance s2 in every unitary DFT bin, and the process-noise spectrum
+    is the simulator's closed form.  ``var_nonlinear`` comes from the single
+    supplied excitation (one squared sample, unbiased but coarse).
     """
 
-    y_bla: np.ndarray
-    y_nonlinear: np.ndarray
-    y_process: np.ndarray
-    y_output_noise: np.ndarray
-    y_total: np.ndarray
     var_nonlinear: np.ndarray
     var_process: np.ndarray
     var_noise: np.ndarray
 
 
-def decompose_output(simulator, u: PeriodicSignal, g_bla: np.ndarray,
-                     seed=None) -> Decomposition:
-    """Split a measured output into its four constituents.
+def decompose_output(simulator, u: PeriodicSignal, g_bla: np.ndarray) -> Decomposition:
+    """Variance spectra of the nonlinear distortion, the process noise and the
+    output noise in ``simulator``'s output for the excitation ``u``.
 
-    One measured run fixes the realization; subtracting its recorded output
-    noise gives the noise-free output exactly (the output noise is
-    additive).  The simulator's ``process_noise_statistics`` gives the
-    noise-averaged output and the process-noise spectrum in closed form;
-    the supplied reference response ``g_bla`` (on bins ``0..N//2``) then
-    separates the linear part from the nonlinear distortion.  The
-    simulator is a ``HammersteinSimulator``, whose white output noise gives
-    ``var_noise`` in every bin.
+    Nothing is simulated or drawn.  The simulator's
+    ``process_noise_statistics`` gives the noise-averaged output and the
+    process-noise spectrum in closed form; the supplied reference response
+    ``g_bla`` (on bins ``0..N//2``) then separates the linear part from the
+    nonlinear distortion.  The simulator is a ``HammersteinSimulator``,
+    whose white output noise gives ``var_noise`` in every bin.
     """
     n = u.samples_per_period
-    p = u.period_count
-    master = seed if seed is not None else 0
     g_bla = np.asarray(g_bla, dtype=complex)
     if g_bla.shape != (n // 2 + 1,):
         raise ValueError(f"g_bla must have one value per bin 0..N//2, "
                          f"expected shape ({n // 2 + 1},)")
 
-    measured = simulator.run(
-        u,
-        process_noise_rng=derive_rng(master, "decompose", "measured_nx"),
-        output_noise_rng=derive_rng(master, "decompose", "measured_ny"),
-    )
-    y_total = measured.output.samples
-    y_bar = y_total - measured.output_noise
     y_bar_bar, var_process = simulator.process_noise_statistics(u)
-
-    u_spec = dft(u)
     bla_period = inverse_dft(Spectrum(
-        bins=g_bla * u_spec.bins,
+        bins=g_bla * dft(u).bins,
         samples_per_period=n,
         sampling_frequency=u.sampling_frequency,
     ))
-    y_bla = np.tile(bla_period, p)
-
-    y_nonlinear = y_bar_bar - y_bla
-    y_process = y_bar - y_bar_bar
-
-    var_nonlinear = (np.abs(period_spectra(y_nonlinear, n)) ** 2).mean(axis=0)
-
+    y_nonlinear = y_bar_bar - np.tile(bla_period, u.period_count)
     return Decomposition(
-        y_bla=y_bla,
-        y_nonlinear=y_nonlinear,
-        y_process=y_process,
-        y_output_noise=measured.output_noise,
-        y_total=y_total,
-        var_nonlinear=var_nonlinear,
+        var_nonlinear=(np.abs(period_spectra(y_nonlinear, n)) ** 2).mean(axis=0),
         var_process=var_process,
         var_noise=np.full(n // 2 + 1, float(simulator.output_noise_variance)),
     )

@@ -64,7 +64,6 @@ from .systems import (
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentReport",
     "read_experiment_config",
     "write_experiment_config",
     "multisine_spec",
@@ -373,14 +372,6 @@ def write_generated_signals(config: ExperimentConfig, out_dir) -> list[pathlib.P
 # Full experiment
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentReport:
-    summary: dict
-    estimate: BlaEstimate
-    record: ExperimentRecord
-    tolerance_ok: bool
-
-
 def _analytic_reference(config: ExperimentConfig) -> np.ndarray:
     # In closed loop f is the identity (checked at construction), whose gain
     # is exactly 1.0, so this is the linear plant's response bit for bit.
@@ -474,12 +465,13 @@ def _config_echo(config: ExperimentConfig) -> dict:
     return echo
 
 
-def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     """Simulate, estimate, optionally decompose, and write the report bundle.
 
     Writes the record bundle, the frequency-response result CSV, the
-    decomposition report (when enabled) and a self-describing summary JSON.
-    Identical config and seed give byte-identical outputs.
+    decomposition report (when enabled) and a self-describing summary JSON,
+    and returns that summary.  Identical config and seed give
+    byte-identical outputs.
     """
     record, ran = run_records(config, workers=workers)
     out_dir = pathlib.Path(out_dir)
@@ -493,9 +485,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
 def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
     u = next(_excitations(config, range(1)))
     decomposition = decompose_output(
-        _simulator(config), u.tile(config.periods), _analytic_reference(config),
-        seed=config.master_seed,
-    )
+        _simulator(config), u.tile(config.periods), _analytic_reference(config))
     model = config.gaussian_model
     table = hermite_table(config.system.nonlinearity, model)
     (out_dir / "decomposition_report.json").write_text(json.dumps({
@@ -513,15 +503,16 @@ def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
     return {"enabled": True}
 
 
-def estimate_from_bundle(config: ExperimentConfig, out_dir) -> ExperimentReport:
-    """Estimate from an existing record bundle and write result plus summary.
+def estimate_from_bundle(config: ExperimentConfig, out_dir) -> dict:
+    """Estimate from an existing record bundle, write the result, the
+    decomposition (when enabled) and the summary, and return the summary.
 
     The bundle must be readable and recorded on the grid of ``config``: the
     same samples per period, sampling frequency, excited bins, realization
     and period counts, and loop.  Otherwise ConfigurationError is raised
     before anything is written; the grid is checked on the manifest, before
-    any spectrum is read.  The output decomposition needs
-    re-simulation, so it is never run here.
+    any spectrum is read.  The decomposition is a closed form of the config
+    alone, so it writes what ``run_experiment`` writes.
     """
     out_dir = pathlib.Path(out_dir)
     bundle = out_dir / "records"
@@ -545,14 +536,15 @@ def estimate_from_bundle(config: ExperimentConfig, out_dir) -> ExperimentReport:
     if mismatched:
         raise ConfigurationError(f"record bundle under {bundle} does not match the "
                                  f"config in: {', '.join(mismatched)}")
-    skipped = {"skipped": "estimate does not re-simulate; run decompose"}
-    return _report(config, out_dir, record,
-                   {"enabled": False, **(skipped if config.decompose else {})})
+    decomposition = (_run_decomposition(config, out_dir) if config.decompose
+                     else {"enabled": False})
+    return _report(config, out_dir, record, decomposition)
 
 
 def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentRecord,
-            decomposition: dict, ran: dict | None = None) -> ExperimentReport:
-    """Estimate from ``record``, then write ``bla.csv`` and ``summary.json``.
+            decomposition: dict, ran: dict | None = None) -> dict:
+    """Estimate from ``record``, then write ``bla.csv`` and ``summary.json``
+    and return the summary.
 
     ``summary.json`` hashes every other file under ``out_dir``.  ``ran``
     (from ``run_records``) is known only for a record simulated in this run.
@@ -562,7 +554,6 @@ def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentR
     write_bla_csv(out_dir / "bla.csv", estimate)
     comparison = (_comparison_summary(config, estimate)
                   if config.compare_analytic else {"enabled": False})
-    tolerance_ok = bool(comparison.get("pass", True))
     summary = {
         "config": _config_echo(config),
         "estimate": {
@@ -574,12 +565,11 @@ def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentR
         },
         "analytic_comparison": comparison,
         "decomposition": decomposition,
-        "pass": tolerance_ok,
+        "pass": bool(comparison.get("pass", True)),
     }
     summary["files"] = _hash_tree(out_dir, skip={"summary.json"})
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    return ExperimentReport(summary=summary, estimate=estimate, record=record,
-                            tolerance_ok=tolerance_ok)
+    return summary
 
 
 # ---------------------------------------------------------------------------

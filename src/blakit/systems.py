@@ -362,19 +362,16 @@ class SimulationRecord:
     ``lead_in_samples`` that ran before them (0 without process noise)."""
 
     output: PeriodicSignal
-    process_noise: np.ndarray
-    output_noise: np.ndarray
     lead_in_samples: int
 
 
 class HammersteinSimulator:
     """Re-runnable Hammerstein simulator ``y = S(q)[f(u + nx)] + ny``.
 
-    Both noise sequences are white Gaussian.  Separate generators for the
-    process and output noise make controlled re-simulation possible: fixing
-    the input and redrawing only the process noise is what decomposition
-    needs, and ``process_noise_statistics`` gives what such redraws would
-    average to, exactly.
+    Both noise sequences are white Gaussian, each drawn from its own
+    generator, so a run is a pure function of the two seeds.  What redraws
+    of the process noise average to, and its variance spectrum, need no
+    run: ``process_noise_statistics`` gives both exactly.
     """
 
     def __init__(self, dynamics: RationalLTI, nonlinearity: PolynomialNonlinearity,
@@ -423,8 +420,7 @@ class HammersteinSimulator:
         periods differ raises ValueError naming the first that differs.  A
         run that diverges raises InstabilityError; its simulated periods are
         the ``N``-sample blocks from the start of the lead-in.  Returns the
-        measured output together with the exact noise sequences that entered
-        it and the lead-in that ran (0 without process noise).
+        measured output and the lead-in that ran (0 without process noise).
         """
         if self.process_noise_variance > 0 and process_noise_rng is None:
             raise ValueError("process_noise_rng is required when process noise is on")
@@ -435,7 +431,7 @@ class HammersteinSimulator:
         _check_periodic(u, "input")
         lead_periods, lead = self.required_warmup(u)
         if self.process_noise_variance == 0:
-            lead, y0, nx = 0, np.tile(self._periodic_output(u), p), np.zeros(p * n)
+            lead, y0 = 0, np.tile(self._periodic_output(u), p)
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # reported right below
                 nx = generate_noise(self.process_noise_variance, lead + p * n,
@@ -443,14 +439,10 @@ class HammersteinSimulator:
                 y0 = self.dynamics.filter(
                     self.nonlinearity(np.tile(u.period(0), lead_periods + p) + nx))
             _check_divergence(y0, n)
-            y0, nx = y0[lead:], nx[lead:]
+            y0 = y0[lead:]
         ny = generate_noise(self.output_noise_variance, p * n, output_noise_rng)
-        return SimulationRecord(
-            output=PeriodicSignal(y0 + ny, n, p, u.sampling_frequency),
-            process_noise=nx,
-            output_noise=ny,
-            lead_in_samples=lead,
-        )
+        return SimulationRecord(output=PeriodicSignal(y0 + ny, n, p, u.sampling_frequency),
+                                lead_in_samples=lead)
 
     def process_noise_statistics(self, u: PeriodicSignal) -> tuple[np.ndarray, np.ndarray]:
         """What ``run`` averages to over the process noise, and its spectrum, exactly.
@@ -594,12 +586,11 @@ class ClosedLoopConfig:
 
 @dataclass(frozen=True, eq=False)
 class ClosedLoopRecord:
-    """Measured loop signals plus the noise-free internal ones."""
+    """Measured loop signals, the reference, and the steady-state check that
+    placed the record: its first period and that check's residual."""
 
     input_measured: PeriodicSignal
     output_measured: PeriodicSignal
-    input_noise_free: np.ndarray
-    output_noise_free: np.ndarray
     reference: PeriodicSignal
     warmup_periods: int
     steady_state_residual: float
@@ -755,8 +746,6 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
         records.append(ClosedLoopRecord(
             input_measured=PeriodicSignal(u0[i].reshape(-1) + nu, n, p, fs),
             output_measured=PeriodicSignal(y0[i].reshape(-1) + ny, n, p, fs),
-            input_noise_free=u0[i].reshape(-1),
-            output_noise_free=y0[i].reshape(-1),
             reference=r,
             warmup_periods=int(steady.starts[i]),
             steady_state_residual=float(steady.residuals[i]),

@@ -83,7 +83,8 @@ class DualVolterraKernel:
             raise ValueError("degrees must be >= 0")
         if m + n > MAX_TOTAL_DEGREE:
             raise ValueError(f"total degree {m + n} exceeds {MAX_TOTAL_DEGREE}")
-        coeff = np.asarray(self.coefficients, dtype=float)
+        coeff = np.array(self.coefficients, dtype=float)  # a copy: terms must not go stale
+        coeff.flags.writeable = False
         if coeff.ndim != m + n:
             raise ValueError(
                 f"coefficient array has {coeff.ndim} axes, expected m+n = {m + n}"
@@ -293,7 +294,7 @@ def expected_kernel(kernel: DualVolterraKernel, model: NoiseMomentModel) -> Dual
     """
     m, n = kernel.input_degree, kernel.noise_degree
     if n == 0:
-        return DualVolterraKernel(m, 0, kernel.coefficients.copy())
+        return DualVolterraKernel(m, 0, kernel.coefficients)
     out = np.zeros(kernel.coefficients.shape[:m])
     if n % 2:
         return DualVolterraKernel(m, 0, out)

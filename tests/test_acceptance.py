@@ -21,7 +21,6 @@ from blakit.analytic import (
 )
 from blakit.estimator import (
     ExperimentRecord,
-    decompose_output,
     predict_variances,
     robust_bla,
     robust_bla_closed_loop,
@@ -86,9 +85,9 @@ def test_01_hammerstein_bla_within_band(tmp_path):
         start = time.perf_counter()
         config = dataclasses.replace(hammerstein_demo_config(master_seed=2024),
                                      decompose=False)
-        report = run_experiment(config, tmp_path / "run")
+        summary = run_experiment(config, tmp_path / "run")
         elapsed = time.perf_counter() - start
-        comparison = report.summary["analytic_comparison"]
+        comparison = summary["analytic_comparison"]
         assert comparison["fraction_in_band"] >= 0.95
         assert comparison["defined_bins"] == 2047
         assert elapsed < 30.0
@@ -388,7 +387,7 @@ def test_07_closed_loop_sanity():
               f"naive at M=64: {naive64:.4f} ({naive64 / e64:.1f}x)")
 
 
-def test_08_numerics_suite():
+def test_08_numerics_suite(split_output):
     with criterion("numerics"):
         rng = np.random.default_rng(808)
         for n in (64, 4096, 2 ** 16):
@@ -412,7 +411,7 @@ def test_08_numerics_suite():
         u = generate_multisine(flat_spec(512), seed=9).tile(2)
         g_ref = analytic_hammerstein_bla(DYNAMICS, CUBIC,
                                          GaussianInputModel(1.0, 0.01), 512)
-        dec = decompose_output(sim, u, g_ref, seed=6)
+        dec = split_output(sim, u, g_ref, seed=6)
         rebuilt = dec.y_bla + dec.y_nonlinear + dec.y_process + dec.y_output_noise
         assert np.max(np.abs(rebuilt - dec.y_total)) < 1e-12
         print("  round trip, Parseval, pairing counts, reconstruction all hold")

@@ -283,16 +283,22 @@ class TestSubcommands:
         assert comparison["tail_probability"] < comparison["false_fail_level"]
         assert comparison["pass"] is False
 
-    def test_estimate_reports_skipped_decomposition(self, tmp_path):
-        path, _ = write_config(tmp_path, process_noise_variance=0.01, decompose=True)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
-        assert main(["estimate", "--config", str(path), "--out", str(out)]) == EXIT_OK
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"]["decompose"] is True
-        assert summary["decomposition"]["enabled"] is False
-        assert "does not re-simulate" in summary["decomposition"]["skipped"]
-        assert not (out / "decomposition_report.json").exists()
+    def test_estimate_writes_the_decomposition(self, tmp_path):
+        # The decomposition is a closed form of the config, so simulate +
+        # estimate writes every file of one decompose run byte for byte; the
+        # summaries differ only in what ran before the record.
+        path, _ = write_config(tmp_path, process_noise_variance=0.01,
+                               output_noise_variance=0.0009, decompose=True)
+        split, whole = tmp_path / "split", tmp_path / "whole"
+        assert main(["simulate", "--config", str(path), "--out", str(split)]) == EXIT_OK
+        assert main(["estimate", "--config", str(path), "--out", str(split)]) == EXIT_OK
+        assert main(["decompose", "--config", str(path), "--out", str(whole)]) == EXIT_OK
+        files, whole_files = hash_tree(split), hash_tree(whole)
+        del files["summary.json"], whole_files["summary.json"]
+        assert files == whole_files
+        assert {"decomposition_report.json", "decomposition_variances.csv"} <= set(files)
+        summary = json.loads((split / "summary.json").read_text())
+        assert summary["decomposition"] == {"enabled": True}
 
     def test_estimate_without_bundle_is_config_error(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -405,9 +411,9 @@ class TestSubcommands:
             loop=loop, realizations=realizations, periods=2, samples_per_period=n,
             sampling_frequency=1.0, excited_bins=tuple(range(1, n // 2)), input_rms=1.0,
             system=system, master_seed=3)
-        report = run_experiment(config, tmp_path / "out")
-        assert report.summary["analytic_comparison"]["fraction_in_band"] == 1.0
-        assert report.tolerance_ok
+        summary = run_experiment(config, tmp_path / "out")
+        assert summary["analytic_comparison"]["fraction_in_band"] == 1.0
+        assert summary["pass"]
 
 
 class TestInvalidInputExits2:

@@ -359,48 +359,58 @@ class TestDecomposition:
         model = GaussianInputModel(1.0, process_var)
         return analytic_hammerstein_bla(DYNAMICS, CUBIC, model, 512)
 
-    def test_reconstruction_is_exact(self):
+    def test_reconstruction_is_exact(self, split_output):
         u = self.make_input()
-        dec = decompose_output(self.make_sim(), u, self.analytic_g(0.01), seed=1)
+        dec = split_output(self.make_sim(), u, self.analytic_g(0.01), seed=1)
         rebuilt = dec.y_bla + dec.y_nonlinear + dec.y_process + dec.y_output_noise
         np.testing.assert_allclose(rebuilt, dec.y_total, atol=1e-12)
 
-    def test_without_process_noise_y_process_vanishes(self):
+    def test_without_process_noise_y_process_vanishes(self, split_output):
         u = self.make_input()
-        dec = decompose_output(self.make_sim(process_var=0.0), u, self.analytic_g(0.0),
-                               seed=2)
+        dec = split_output(self.make_sim(process_var=0.0), u, self.analytic_g(0.0), seed=2)
         assert np.abs(dec.y_process).max() < 1e-12
 
-    def test_identity_nonlinearity_gives_zero_distortion(self):
+    def test_identity_nonlinearity_gives_zero_distortion(self, split_output):
         sim = HammersteinSimulator(DYNAMICS, PolynomialNonlinearity.identity(),
                                    0.0, 0.0009)
         u = self.make_input()
         g = DYNAMICS.bin_response(512)
-        dec = decompose_output(sim, u, g, seed=3)
+        dec = split_output(sim, u, g, seed=3)
         assert np.abs(dec.y_nonlinear).max() < 1e-12
         assert np.abs(dec.y_process).max() < 1e-12
         np.testing.assert_allclose(dec.y_output_noise, dec.y_total - dec.y_bla,
                                    atol=1e-12)
 
-    def test_distortion_matches_closed_form(self):
+    def test_distortion_matches_closed_form(self, split_output):
         # The noise average is exact, so the distortion is S[0.1 u^3 - 0.3 u]
         # (the unit-RMS multisine's u has variance exactly 1) to round-off.
         process_var = 0.01
         u = self.make_input()
-        dec = decompose_output(self.make_sim(process_var), u,
-                               self.analytic_g(process_var), seed=4)
+        dec = split_output(self.make_sim(process_var), u,
+                           self.analytic_g(process_var), seed=4)
         inner = 0.1 * u.samples ** 3 - 0.3 * u.samples
         n = u.samples_per_period
         predicted = np.tile(DYNAMICS.filter(inner[:n]), u.period_count)
         rms = np.sqrt(np.mean(predicted ** 2))
         assert np.sqrt(np.mean((dec.y_nonlinear - predicted) ** 2)) < 1e-12 * rms
 
+    def test_simulates_nothing(self, monkeypatch, split_output):
+        # The distortion spectrum is the split's y_nonlinear, squared per bin,
+        # bit for bit, with no run of the plant.
+        u = self.make_input()
+        sim, g = self.make_sim(), self.analytic_g(0.01)
+        y_nonlinear = split_output(sim, u, g, seed=1).y_nonlinear
+        monkeypatch.setattr(HammersteinSimulator, "run", lambda *args: pytest.fail("ran"))
+        dec = decompose_output(sim, u, g)
+        want = (np.abs(period_spectra(y_nonlinear, 512)) ** 2).mean(axis=0)
+        assert dec.var_nonlinear.tobytes() == want.tobytes()
+
     def test_variance_spectra_scales(self):
         process_var = 0.01
         output_var = 0.0009
         u = self.make_input()
         dec = decompose_output(self.make_sim(process_var, output_var), u,
-                               self.analytic_g(process_var), seed=5)
+                               self.analytic_g(process_var))
         n = u.samples_per_period
         bins = np.arange(1, n // 2)
         # White output noise: the exact flat spectrum at the noise variance.
@@ -421,8 +431,7 @@ class TestDecomposition:
         output_var, draws = 0.0009, 4000
         spec = MultisineSpec.flat(n, 1.0, np.arange(1, (n + 1) // 2), rms=1.0)
         u = generate_multisine(spec, seed=n).tile(2)
-        dec = decompose_output(self.make_sim(0.0, output_var), u,
-                               DYNAMICS.bin_response(n), seed=n)
+        dec = decompose_output(self.make_sim(0.0, output_var), u, DYNAMICS.bin_response(n))
         noise = np.concatenate([generate_noise(output_var, n, derive_rng(n, "white", j))
                                 for j in range(draws)])
         estimate = np.var(period_spectra(noise, n), axis=0, ddof=1)

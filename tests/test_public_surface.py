@@ -8,7 +8,9 @@ a defaulted parameter of an exported name that none of those callers passes
 with a value other than its default, and a public method, property or
 classmethod of an exported class that none of them refers to outside that
 class's own body; a ``"Class.method"`` that the benchmark's tracer wraps
-(``METHODS`` in ``perfbench/tracer.py``) counts as a reference.
+(``METHODS`` in ``perfbench/tracer.py``) counts as a reference.  Likewise a
+public field of an exported dataclass that none of them reads as
+``something.field`` outside the class's own body.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ PACKAGE = ROOT / "src" / "blakit"
 
 # ROADMAP item 3 gives predict_variances its caller: the summary's predicted variances.
 AWAITING_CALLER = {"predict_variances"}
+# ROADMAP item 8's run-stats file gives the closed loop's residual its reader.
+AWAITING_READER = {"ClosedLoopRecord.steady_state_residual"}
 
 
 def quickstart() -> str:
@@ -305,6 +309,86 @@ def test_members_used_only_in_their_own_class_are_named(tmp_path):
     '''))
     assert unreferenced_members(tmp_path) == [
         "Gadget.measure_inside", "Gadget.spare_maker", "HammersteinSimulator.repeat_inside"]
+
+
+def attribute_reads(tree: ast.AST, outside: ast.AST) -> set[str]:
+    """Names read as ``something.name`` in ``tree`` except inside its subtree
+    ``outside``; an assignment to ``something.name`` is no read."""
+    names, nodes = set(), [tree]
+    while nodes:
+        node = nodes.pop()
+        if node is outside:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        nodes.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unread_fields(package: pathlib.Path = PACKAGE, awaiting=AWAITING_READER) -> list[str]:
+    """``Class.field`` for each public field of an exported dataclass that no
+    caller reads as ``something.field`` outside the class's own body, less
+    the ``awaiting`` ones; reads resolve by name alone.  A field set only as a
+    constructor keyword, or read only by the class itself, is unread."""
+    modules = package_modules(package)
+    trees = [*modules, *outside_callers()]
+    unread = []
+    for tree in modules:
+        names = set(exported(tree))
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and node.name in names
+                    and "dataclass" in decorator_names(node)):
+                continue
+            read = set().union(*(attribute_reads(caller, outside=node) for caller in trees))
+            unread += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                       and not stmt.target.id.startswith("_")
+                       and stmt.target.id not in read]
+    return sorted(set(unread) - set(awaiting))
+
+
+def test_every_dataclass_field_has_a_reader():
+    assert unread_fields() == []
+    # Each awaiting field is still a field of an exported dataclass, and still unread.
+    assert AWAITING_READER <= set(unread_fields(awaiting=()))
+
+
+def test_fields_no_caller_reads_are_named(tmp_path):
+    (tmp_path / "records.py").write_text(textwrap.dedent('''
+        __all__ = ["Reading", "ClosedLoopRecord", "Plain", "build"]
+
+        @dataclass(frozen=True)
+        class Reading:
+            value: float
+            kept_inside: float
+            keyword_only: float = 0.0
+            _memo: tuple | None = field(init=False, default=None)
+
+            def __post_init__(self):
+                object.__setattr__(self, "kept_inside", abs(self.kept_inside))
+
+            def doubled(self):
+                return 2 * self.kept_inside + self.keyword_only
+
+        @dataclass(frozen=True)
+        class ClosedLoopRecord:
+            steady_state_residual: float
+
+        @dataclass
+        class Unexported:
+            lonely: int
+
+        class Plain:
+            width: int
+
+        def build():
+            reading = Reading(1.0, 2.0, keyword_only=3.0)
+            reading.kept_inside = 4.0
+            return reading.value, ClosedLoopRecord(steady_state_residual=0.0)
+    '''))
+    assert unread_fields(tmp_path) == ["Reading.kept_inside", "Reading.keyword_only"]
+    assert unread_fields(tmp_path, awaiting=()) == [
+        "ClosedLoopRecord.steady_state_residual", "Reading.kept_inside", "Reading.keyword_only"]
 
 
 def test_readme_quickstart_runs():

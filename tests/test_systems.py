@@ -225,13 +225,13 @@ class TestHammersteinSimulator:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_noise_free_run_tiles_one_filtered_period_bitwise(self, lti, n, periods, seed):
         # Without process noise, run filters f of period 0 once and repeats
-        # it; the output adds the (all-zero) output noise it records.
+        # it; the output adds the output noise, all zeros here.
         assume(lti._decay_length() <= 64 * n)  # else the lead-in guard refuses
         period = np.random.default_rng(seed).standard_normal(n)
         u = PeriodicSignal(np.tile(period, periods), n, periods, 1.0)
         rec = HammersteinSimulator(lti, CUBIC).run(u)
-        want = np.tile(lti.filter(CUBIC(u.period(0))), periods) + rec.output_noise
-        assert not rec.output_noise.any() and rec.lead_in_samples == 0
+        want = np.tile(lti.filter(CUBIC(u.period(0))), periods) + generate_noise(0.0, n * periods)
+        assert rec.lead_in_samples == 0
         assert rec.output.samples.tobytes() == want.tobytes()
         assert (rec.output.samples_per_period, rec.output.period_count) == (n, periods)
 
@@ -265,7 +265,7 @@ class TestHammersteinSimulator:
                                    output_noise_variance=0.04)
         rec = sim.run(u, process_noise_rng=derive_rng(7, "nx"),
                       output_noise_rng=derive_rng(7, "ny"))
-        # Rebuild the output from the returned noise sequences: the run
+        # Rebuild the output from the noise its streams give: the run
         # filters the process noise over whole periods, its lead-in (8 periods
         # of 128 cover settling_length()) and the record, as one period of a
         # periodic signal.  The recursion over two repeats of that stretch
@@ -277,8 +277,8 @@ class TestHammersteinSimulator:
         ny = generate_noise(0.04, n, derive_rng(7, "ny"))
         y_full = sps.lfilter(lti.numerator, lti.denominator, np.tile(CUBIC(nx_full), 2))
         np.testing.assert_allclose(rec.output.samples, y_full[-n:] + ny, rtol=1e-12)
-        np.testing.assert_array_equal(rec.process_noise, nx_full[-n:])
-        np.testing.assert_array_equal(rec.output_noise, ny)
+        periodic = lti.filter(CUBIC(np.tile(u.period(0), 9) + nx_full))
+        assert rec.output.samples.tobytes() == (periodic[-n:] + ny).tobytes()
 
     def test_lead_in_settles_slow_dynamics(self):
         # S has a 99.5-sample time constant.  The reference puts a much
@@ -358,7 +358,8 @@ class TestHammersteinSimulator:
         twin = derive_rng(seed, "nx")
         nx = generate_noise(0.01, lead + p * n, twin)
         assert rng.bit_generator.state == twin.bit_generator.state
-        np.testing.assert_array_equal(rec.process_noise, nx[lead:])
+        y = lti.filter(CUBIC(np.tile(u.period(0), lead // n + p) + nx))[lead:]
+        assert rec.output.samples.tobytes() == (y + generate_noise(0.0, p * n)).tobytes()
 
     def test_aperiodic_input_rejected(self):
         u = flat_multisine(n=64, seed=3).tile(3)
@@ -378,7 +379,12 @@ class TestHammersteinSimulator:
         lti = RationalLTI(**LOWPASS)
         rec = HammersteinSimulator(lti, CUBIC, 0.01, 0.0009).run(
             u, derive_rng(13, "process_noise"), derive_rng(13, "output_noise"))
-        inner = CUBIC(u.samples + rec.process_noise)
+        lead = rec.lead_in_samples
+        nx = generate_noise(0.01, lead + n, derive_rng(13, "process_noise"))
+        ny = generate_noise(0.0009, n, derive_rng(13, "output_noise"))
+        y_full = lti.filter(CUBIC(np.tile(u.samples, lead // n + 1) + nx))
+        assert rec.output.samples.tobytes() == (y_full[lead:] + ny).tobytes()
+        inner = CUBIC(u.samples + nx[lead:])
         dc_gain = abs(lti.numerator.sum() / lti.denominator.sum())
         y = rec.output.samples
         assert abs(y.mean()) < 4.0 * dc_gain * inner.std() / np.sqrt(y.size)
@@ -583,8 +589,9 @@ class TestProcessNoiseEnsemble:
                  for i in range(5)]
         for i, y in enumerate(draws):
             rec = sim.run(u, derive_rng(4, "ens", i), derive_rng(4, "ny", i))
-            assert rec.output_noise.any()
-            assert np.array_equal(rec.output.samples, y + rec.output_noise)
+            ny = generate_noise(0.01, y.size, derive_rng(4, "ny", i))
+            assert ny.any()
+            assert np.array_equal(rec.output.samples, y + ny)
         assert np.array_equal(draws[0], draws[1]) == (process_var == 0.0)
 
     @pytest.mark.parametrize("process_var", [0.04, 0.0])
@@ -893,8 +900,9 @@ class TestClosedLoop:
         rec = simulate_closed_loop_batch(config, [r], seed=5)[0]
         u0 = PeriodicSignal(actuator.filter(r.period(0)), 64, 1, r.sampling_frequency).tile(2)
         y0 = HammersteinSimulator(plant_lti, CUBIC).run(u0)
-        np.testing.assert_allclose(rec.output_noise_free, y0.output.samples, atol=1e-9)
-        np.testing.assert_allclose(rec.input_noise_free, u0.samples, atol=1e-9)
+        # Without measurement noise the measured signals are the loop's own.
+        np.testing.assert_allclose(rec.output_measured.samples, y0.output.samples, atol=1e-9)
+        np.testing.assert_allclose(rec.input_measured.samples, u0.samples, atol=1e-9)
 
     def test_linear_noiseless_loop_measures_plant_exactly(self):
         plant_lti, actuator, feedback = linear_loop_blocks()
@@ -1014,8 +1022,6 @@ class TestClosedLoop:
             for i, r in enumerate(refs):
                 single = simulate_closed_loop_batch(config, [r], seed, first_realization=i)[0]
                 assert single.warmup_periods == batch[i].warmup_periods
-                np.testing.assert_array_equal(single.output_noise_free,
-                                              batch[i].output_noise_free)
                 np.testing.assert_array_equal(single.output_measured.samples,
                                               batch[i].output_measured.samples)
                 np.testing.assert_array_equal(single.input_measured.samples,
@@ -1056,8 +1062,8 @@ class TestClosedLoop:
         rec = simulate_closed_loop_batch(STAGGERED_LOOP, [ref], 32)[0]
         assert rec.warmup_periods == 4 and len(shapes) == 4 + 1
         u0, y0 = map_loop(STAGGERED_LOOP, ref, 32, 0, 5)
-        assert rec.input_noise_free.tobytes() == u0[4 * 64:].tobytes()
-        assert rec.output_noise_free.tobytes() == y0[4 * 64:].tobytes()
+        assert rec.input_measured.samples.tobytes() == u0[4 * 64:].tobytes()
+        assert rec.output_measured.samples.tobytes() == y0[4 * 64:].tobytes()
 
     def test_warmup_does_not_depend_on_the_loop_scale(self):
         # The staggered loop is linear, so its relative residuals, and with
@@ -1105,7 +1111,7 @@ class TestClosedLoop:
         periods = rec.warmup_periods + 2
         noise = loop_noise(config, seed + 1, 0, 16, 8) + loop_noise(config, seed, 0, 16, periods)
         bound = STEADY_STATE_RTOL * (1.0 if rec.steady_state_residual == 0 else 1e3)
-        for got, want in zip((rec.input_noise_free, rec.output_noise_free),
+        for got, want in zip((rec.input_measured.samples, rec.output_measured.samples),
                              map_loop(config, r, seed, 0, 8 + periods, noise=noise)):
             want = want[-2 * 16:]
             assert np.sqrt(np.mean((got - want) ** 2)) <= bound * np.sqrt(np.mean(want ** 2))
@@ -1117,8 +1123,9 @@ class TestClosedLoop:
         # Python-float map's operations in its order: every recorded bit
         # agrees, signed zeros included (hence tobytes): with a -0.0
         # reference and no noise, u0(0) = -0.0 and every later sample is a
-        # sum onto +0.0.  The per-block recursion rounds otherwise but agrees
-        # to 1e-12 of each signal's peak.
+        # sum onto +0.0.  The loops have no measurement noise, so the measured
+        # signals are the recorded u0 and y0 plus zeros.  The per-block
+        # recursion rounds otherwise but agrees to 1e-12 of each signal's peak.
         act = (RationalLTI(b=[0.9], a=[1.0, -0.3]) if "order 1" in case
                else RationalLTI(b=[0.5]))
         f = PolynomialNonlinearity([1.0, 0.2, 0.1, -0.01])
@@ -1135,9 +1142,9 @@ class TestClosedLoop:
             periods = rec.warmup_periods + 2
             u0, y0 = map_loop(config, refs[m], 3, m, periods)
             recorded = slice(rec.warmup_periods * 16, None)
-            assert rec.input_noise_free.tobytes() == u0[recorded].tobytes()
-            assert rec.output_noise_free.tobytes() == y0[recorded].tobytes()
-            for got, want in zip((rec.input_noise_free, rec.output_noise_free),
+            assert rec.input_measured.samples.tobytes() == u0[recorded].tobytes()
+            assert rec.output_measured.samples.tobytes() == y0[recorded].tobytes()
+            for got, want in zip((rec.input_measured.samples, rec.output_measured.samples),
                                  scalar_loop(config, refs[m], 3, m, periods)):
                 assert np.abs(got - want[recorded]).max() <= 1e-12 * np.abs(want).max()
 

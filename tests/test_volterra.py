@@ -167,6 +167,21 @@ class TestEvaluateKernel:
         assert (kernel.input_degree, kernel.noise_degree) == (1, 1)
 
 
+    def test_coefficients_are_a_read_only_copy(self):
+        # The terms are compiled at construction, so the caller's array is
+        # copied: changing it later changes neither the coefficients nor
+        # either evaluator's output.
+        c = np.array([1.0, 0.5])
+        kernel = DualVolterraKernel(1, 0, c)
+        c[1] = 9.0
+        assert kernel.coefficients.tolist() == [1.0, 0.5]
+        u = np.array([1.0, 0.0, 0.0, 0.0])
+        assert evaluate_kernel(kernel, u).tolist() == [1.0, 0.5, 0.0, 0.0]
+        assert evaluate_dual_kernel(kernel, u, np.zeros(4)).tolist() == [1.0, 0.5, 0.0, 0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            kernel.coefficients[1] = 9.0
+
+
 class TestEvaluateDualKernel:
     def test_pure_input_degree_reduces_to_single(self):
         rng = np.random.default_rng(5)
