@@ -47,7 +47,8 @@ def _add_common(sub: argparse.ArgumentParser, config_required: bool = True,
                      help="master seed override (nonnegative integer)")
     if workers:
         sub.add_argument("--workers", type=int, default=1,
-                         help="parallel workers over realizations (default 1)")
+                         help="accepted and checked (>= 1), with no effect: "
+                              "every run is one process")
     sub.add_argument("--out", type=pathlib.Path, default=pathlib.Path("."),
                      help="output directory")
 
@@ -102,7 +103,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    record, _ = run_records(_load_config(args), workers=args.workers)
+    record, _ = run_records(_load_config(args))
     write_record_bundle(args.out / "records", record)
     print(f"wrote record bundle ({record.realization_count} realizations, "
           f"{record.period_count} periods) under {args.out / 'records'}")
@@ -123,7 +124,7 @@ def _cmd_decompose(args) -> int:
     config = _load_config(args)
     if not config.decompose:
         config = type(config)(**{**config.__dict__, "decompose": True})
-    return _print_comparison(run_experiment(config, args.out, workers=args.workers))
+    return _print_comparison(run_experiment(config, args.out))
 
 
 def _cmd_compare(args) -> int:
@@ -149,7 +150,7 @@ def _cmd_demo(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_system_file(out / "system.ini", config.system)
     write_experiment_config(out / "config.ini", config, system_file="system.ini")
-    summary = run_experiment(config, out, workers=args.workers)
+    summary = run_experiment(config, out)
     comparison = summary["analytic_comparison"]
     print(json.dumps({
         "fraction_in_band": comparison.get("fraction_in_band"),
@@ -181,8 +182,9 @@ def main(argv=None) -> int:
             if path.exists() and not path.is_dir():
                 raise ConfigurationError(f"--out {out}: {path} exists and is not a directory")
         return _COMMANDS[args.command](args)
-    except ConfigurationError as exc:
-        print(json.dumps({"error": "configuration", "message": str(exc)}),
+    # A MemoryError is a config too large to allocate; numpy's message gives the size.
+    except (ConfigurationError, MemoryError) as exc:
+        print(json.dumps({"error": "configuration", "message": str(exc) or "out of memory"}),
               file=sys.stderr)
         return EXIT_CONFIG
     except InstabilityError as exc:

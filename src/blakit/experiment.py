@@ -3,14 +3,12 @@
 An experiment is a pure function of its configuration and master seed: every
 random stream is derived from the seed by a stable key, reduction order is
 fixed by realization index, and floats are serialized at round-trip
-precision, so rerunning a config yields byte-identical outputs (also with
-realization-level worker parallelism enabled).
+precision, so rerunning a config yields byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import configparser
-import functools
 import hashlib
 import json
 import math
@@ -78,7 +76,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Everything a reproducible experiment depends on (except worker count)."""
+    """Everything a reproducible experiment depends on."""
 
     loop: str
     realizations: int
@@ -121,6 +119,9 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{_KEYS[field]} must be finite and > 0, got {value}")
         if not np.isfinite(float(self.input_rms) * self.input_rms):  # the input variance
             raise ConfigurationError(f"rms = {self.input_rms:g} has no finite square")
+        if not math.isfinite((n - 1) * (1.0 / self.sampling_frequency)):  # the last time
+            raise ConfigurationError(f"sampling_frequency_hz = {self.sampling_frequency:g} "
+                                     f"puts sample {n - 1} at no finite time")
         for field in ("process_noise_variance", "output_noise_variance",
                       "input_noise_variance"):
             _check_variance(_KEYS[field], getattr(self, field))
@@ -241,15 +242,15 @@ def write_experiment_config(path, config: ExperimentConfig, system_file: str) ->
 # Record building
 
 
-def _excitations(config: ExperimentConfig, realizations: range):
-    """One period of each listed realization's multisine, from one spec.
+def _excitations(config: ExperimentConfig):
+    """One period of each realization's multisine, from one spec.
 
     It is the plant input in open loop and the reference in closed loop,
     and finite: ``|u| <= rms * sqrt(2K)`` for ``K`` bins, and ``rms**2`` is.
     """
     spec = multisine_spec(config)
     label = "reference" if config.loop == "closed" else "input"
-    for m in realizations:
+    for m in range(config.realizations):
         yield generate_multisine(spec, derive_rng(config.master_seed, label, m))
 
 
@@ -260,63 +261,6 @@ def _simulator(config: ExperimentConfig) -> HammersteinSimulator:
     )
 
 
-def _open_loop_task(config: ExperimentConfig, start: int, count: int):
-    sim = _simulator(config)
-    out = []
-    for m, u in enumerate(_excitations(config, range(start, start + count)), start):
-        rec = sim.run(
-            u.tile(config.periods),
-            process_noise_rng=derive_rng(config.master_seed, "process_noise", m),
-            output_noise_rng=derive_rng(config.master_seed, "output_noise", m),
-        )
-        out.append((dft(u).bins, period_spectra(rec.output.samples, u.samples_per_period),
-                    rec.lead_in_samples))
-    return out
-
-
-def _closed_loop_task(config: ExperimentConfig, start: int, count: int):
-    refs = [u.tile(config.periods) for u in _excitations(config, range(start, start + count))]
-    loop = ClosedLoopConfig(
-        plant=HammersteinPlant(config.system.dynamics, config.system.nonlinearity),
-        actuator=config.system.actuator,
-        feedback=config.system.feedback,
-        input_noise_variance=config.input_noise_variance,
-        process_noise_variance=config.process_noise_variance,
-        output_noise_variance=config.output_noise_variance,
-    )
-    records = simulate_closed_loop_batch(loop, refs, config.master_seed,
-                                         first_realization=start)
-    n = config.samples_per_period
-    return [(dft(rec.reference).bins, period_spectra(rec.input_measured.samples, n),
-             period_spectra(rec.output_measured.samples, n), rec.warmup_periods)
-            for rec in records]
-
-
-def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    base, extra = divmod(total, parts)  # the first `extra` spans take one more
-    return [(i * base + min(i, extra), base + (i < extra)) for i in range(parts)]
-
-
-def _per_realization(config: ExperimentConfig, task, workers: int) -> list[tuple]:
-    """Run ``task(config, start, count)`` over contiguous spans of realizations.
-
-    One span per worker, each in its own process when there are several.
-    The per-realization results come back in realization order.
-    """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    spans = _chunks(config.realizations, workers)
-    if len(spans) > 1:
-        import concurrent.futures  # here, so that one worker never pays for its import
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            chunks = list(pool.map(functools.partial(task, config), *zip(*spans)))
-    else:
-        chunks = [task(config, *spans[0])]
-    return [result for chunk in chunks for result in chunk]
-
-
 def _record(config: ExperimentConfig, **spectra) -> ExperimentRecord:
     return ExperimentRecord(
         excited_bins=np.asarray(config.excited_bins, dtype=int),
@@ -325,23 +269,44 @@ def _record(config: ExperimentConfig, **spectra) -> ExperimentRecord:
     )
 
 
-def run_open_loop_records(config: ExperimentConfig,
-                          workers: int = 1) -> tuple[ExperimentRecord, dict]:
-    u, y, leads = zip(*_per_realization(config, _open_loop_task, workers))
+def run_open_loop_records(config: ExperimentConfig) -> tuple[ExperimentRecord, dict]:
+    sim = _simulator(config)
+    u, y, leads = [], [], []
+    for m, sig in enumerate(_excitations(config)):
+        rec = sim.run(
+            sig.tile(config.periods),
+            process_noise_rng=derive_rng(config.master_seed, "process_noise", m),
+            output_noise_rng=derive_rng(config.master_seed, "output_noise", m),
+        )
+        u.append(dft(sig).bins)
+        y.append(period_spectra(rec.output.samples, sig.samples_per_period))
+        leads.append(rec.lead_in_samples)
     record = _record(config, input_spectra=np.stack(u), output_spectra=np.stack(y))
     return record, {"lead_in_samples": max(leads)}
 
 
-def run_closed_loop_records(config: ExperimentConfig,
-                            workers: int = 1) -> tuple[ExperimentRecord, dict]:
-    r, u_pp, y, warmups = zip(*_per_realization(config, _closed_loop_task, workers))
-    u_pp = np.stack(u_pp)
-    record = _record(config, input_spectra=u_pp.mean(axis=1), output_spectra=np.stack(y),
-                     reference_spectra=np.stack(r), input_spectra_per_period=u_pp)
-    return record, {"warmup_periods_used": max(warmups)}
+def run_closed_loop_records(config: ExperimentConfig) -> tuple[ExperimentRecord, dict]:
+    loop = ClosedLoopConfig(
+        plant=HammersteinPlant(config.system.dynamics, config.system.nonlinearity),
+        actuator=config.system.actuator,
+        feedback=config.system.feedback,
+        input_noise_variance=config.input_noise_variance,
+        process_noise_variance=config.process_noise_variance,
+        output_noise_variance=config.output_noise_variance,
+    )
+    records = simulate_closed_loop_batch(
+        loop, [u.tile(config.periods) for u in _excitations(config)], config.master_seed)
+    n = config.samples_per_period
+    u_pp = np.stack([period_spectra(rec.input_measured.samples, n) for rec in records])
+    record = _record(
+        config, input_spectra=u_pp.mean(axis=1), input_spectra_per_period=u_pp,
+        output_spectra=np.stack([period_spectra(rec.output_measured.samples, n)
+                                 for rec in records]),
+        reference_spectra=np.stack([dft(rec.reference).bins for rec in records]))
+    return record, {"warmup_periods_used": max(rec.warmup_periods for rec in records)}
 
 
-def run_records(config: ExperimentConfig, workers: int = 1) -> tuple[ExperimentRecord, dict]:
+def run_records(config: ExperimentConfig) -> tuple[ExperimentRecord, dict]:
     """Simulate the record of ``config`` with the builder of its loop.
 
     Returns the record and, for the summary, what ran before it: the open
@@ -349,13 +314,13 @@ def run_records(config: ExperimentConfig, workers: int = 1) -> tuple[ExperimentR
     """
     # Looked up at call time, so a wrapped builder (e.g. a tracer's) is used.
     if config.loop == "closed":
-        return run_closed_loop_records(config, workers=workers)
-    return run_open_loop_records(config, workers=workers)
+        return run_closed_loop_records(config)
+    return run_open_loop_records(config)
 
 
 def write_generated_signals(config: ExperimentConfig, out_dir) -> list[pathlib.Path]:
     """Write the excitation signals and spectra the experiment would use."""
-    signals = list(_excitations(config, range(config.realizations)))
+    signals = list(_excitations(config))
     signals_dir = pathlib.Path(out_dir) / "signals"
     signals_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -428,8 +393,11 @@ def _comparison_summary(config: ExperimentConfig, estimate: BlaEstimate) -> dict
     n = in_band.size
     expected = _in_band_probability(estimate.realization_count)
     tail = _binomial_tail(n - int(in_band.sum()), n, 1 - expected)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel = err[defined] / np.abs(reference[defined])
+    # A zero gain has no relative error, and a subnormal one's may pass every float.
+    nonzero = defined & (reference != 0)
+    with np.errstate(over="ignore"):
+        rel = err[nonzero] / np.abs(reference[nonzero])
+    max_rel = float(rel.max()) if rel.size else math.inf
     return {
         "enabled": True,
         "band_sigma": BAND_SIGMA,
@@ -440,7 +408,7 @@ def _comparison_summary(config: ExperimentConfig, estimate: BlaEstimate) -> dict
         "defined_bins": n,
         "max_abs_error": float(err[defined].max()) if n else None,
         "mean_abs_error": float(err[defined].mean()) if n else None,
-        "max_relative_error": float(rel.max()) if n else None,
+        "max_relative_error": max_rel if math.isfinite(max_rel) else None,
         "pass": n > 0 and tail >= FALSE_FAIL_LEVEL,
     }
 
@@ -465,7 +433,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
     return echo
 
 
-def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> dict:
+def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     """Simulate, estimate, optionally decompose, and write the report bundle.
 
     Writes the record bundle, the frequency-response result CSV, the
@@ -473,7 +441,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     and returns that summary.  Identical config and seed give
     byte-identical outputs.
     """
-    record, ran = run_records(config, workers=workers)
+    record, ran = run_records(config)
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_record_bundle(out_dir / "records", record)
@@ -483,7 +451,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> dict:
 
 
 def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
-    u = next(_excitations(config, range(1)))
+    u = next(_excitations(config))
     decomposition = decompose_output(
         _simulator(config), u.tile(config.periods), _analytic_reference(config))
     model = config.gaussian_model

@@ -308,15 +308,13 @@ class _SteadyState:
     after each check whose residual is not 0, so that a column settles at
     ``t - 1`` on an exact repeat and at the confirming period ``t``
     otherwise.  ``residuals[i]`` is the last check's residual, once settled
-    the confirming period's.  Errors name it realization
-    ``first_realization + i``.
+    the confirming period's.  Errors name it realization ``i``.
     """
 
-    def __init__(self, width: int, first_realization: int):
+    def __init__(self, width: int):
         self.starts = np.ones(width, dtype=int)
         self.settled = np.zeros(width, dtype=bool)
         self.residuals = np.full(width, np.inf)
-        self._first_realization = first_realization
         self._previous = None
         self._count = 0
 
@@ -341,7 +339,7 @@ class _SteadyState:
             i = int(np.flatnonzero(~self.settled)[0])
             raise InstabilityError(
                 f"steady state not reached within {_MAX_WARMUP} warm-up periods in "
-                f"realization {self._first_realization + i} "
+                f"realization {i} "
                 f"(relative residual {self.residuals[i]:.3g})"
             )
 
@@ -686,13 +684,13 @@ class _LoopEngine:
         return u0, y0
 
 
-def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
-                               first_realization: int = 0) -> list[ClosedLoopRecord]:
+def simulate_closed_loop_batch(config: ClosedLoopConfig, references,
+                               seed=None) -> list[ClosedLoopRecord]:
     """Simulate one loop per reference signal, all advanced in lock step.
 
-    One engine pass runs column ``i`` as the noise-free loop of realization
-    ``m = first_realization + i`` and column ``M + i`` as its noisy loop,
-    which records periods ``W_m .. W_m + P - 1``.  The warm-up ``W_m`` is
+    One engine pass runs column ``m`` as the noise-free loop of realization
+    ``m`` and column ``M + m`` as its noisy loop, which records periods
+    ``W_m .. W_m + P - 1``.  The warm-up ``W_m`` is
     found on the noise-free loop alone, where steady state is defined: the
     first period ``s >= 1`` that its next period repeats to less than
     ``STEADY_STATE_RTOL`` in relative RMS, if that repeat is exact
@@ -703,7 +701,8 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
     periods (3 for ``P = 1``).  Every reference
     must repeat its period 0, or ValueError names the first period that
     differs.  Noise streams are keyed by ``m``, so a record is a pure
-    function of (config, seed, realization), batched or not.
+    function of (config, seed, its reference and the index ``m``), whatever
+    the references after it.
     """
     references = list(references)
     if not references:
@@ -711,18 +710,17 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
     n = references[0].samples_per_period
     p = references[0].period_count
     fs = references[0].sampling_frequency
-    for m, r in enumerate(references, first_realization):
+    for m, r in enumerate(references):
         if (r.samples_per_period, r.period_count, r.sampling_frequency) != (n, p, fs):
             raise ConfigurationError("all references must share one grid")
         _check_periodic(r, "reference", f" of realization {m}")
     width = len(references)
     master = seed if seed is not None else 0
-    realizations = [first_realization + i for i in range(width)]
-    nx_rngs = [derive_rng(master, "loop_process_noise", m) for m in realizations]
+    nx_rngs = [derive_rng(master, "loop_process_noise", m) for m in range(width)]
 
     r_block = np.tile(np.stack([r.period(0) for r in references], axis=1), 2)
-    engine = _LoopEngine(config, r_block, realizations * 2)
-    steady = _SteadyState(width, first_realization)
+    engine = _LoopEngine(config, r_block, [*range(width)] * 2)
+    steady = _SteadyState(width)
     nx_block = np.zeros_like(r_block)
     u0, y0 = np.empty((2, width, p, n))
     period = 0
@@ -738,17 +736,17 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references, seed=None,
         period += 1
 
     records = []
-    for i, (m, r) in enumerate(zip(realizations, references)):
+    for m, r in enumerate(references):
         nu = generate_noise(config.input_noise_variance, p * n,
                             derive_rng(master, "loop_input_noise", m))
         ny = generate_noise(config.output_noise_variance, p * n,
                             derive_rng(master, "loop_output_noise", m))
         records.append(ClosedLoopRecord(
-            input_measured=PeriodicSignal(u0[i].reshape(-1) + nu, n, p, fs),
-            output_measured=PeriodicSignal(y0[i].reshape(-1) + ny, n, p, fs),
+            input_measured=PeriodicSignal(u0[m].reshape(-1) + nu, n, p, fs),
+            output_measured=PeriodicSignal(y0[m].reshape(-1) + ny, n, p, fs),
             reference=r,
-            warmup_periods=int(steady.starts[i]),
-            steady_state_residual=float(steady.residuals[i]),
+            warmup_periods=int(steady.starts[m]),
+            steady_state_residual=float(steady.residuals[m]),
         ))
     return records
 

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import struct
@@ -25,9 +26,8 @@ from blakit.experiment import (
     hammerstein_demo_config,
     hammerstein_demo_system,
     read_experiment_config,
-    run_closed_loop_records,
     run_experiment,
-    run_open_loop_records,
+    run_records,
     write_experiment_config,
 )
 from blakit.systems import (
@@ -126,13 +126,15 @@ def experiment_configs(draw):
         bins = tuple(sorted(draw(st.sets(st.integers(1, top), min_size=1, max_size=12))))
     loop = draw(st.sampled_from(["open", "closed"]))
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    # The last sample's time, (N - 1) / fs, must be finite as well.
+    frequency = positive.filter(lambda fs: math.isfinite((n - 1) * (1.0 / fs)))
     variance = st.floats(min_value=0.0, allow_infinity=False)
     return ExperimentConfig(
         loop=loop,
         realizations=draw(st.integers(2, 1000)),
         periods=draw(st.integers(2, 100)),
         samples_per_period=n,
-        sampling_frequency=draw(positive),
+        sampling_frequency=draw(frequency),
         excited_bins=bins,
         # The input variance rms**2 must be finite as well.
         input_rms=draw(st.floats(min_value=0.0, exclude_min=True, max_value=1e154)),
@@ -341,6 +343,23 @@ class TestSubcommands:
                                compare_analytic=False)
         assert main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == EXIT_INSTABILITY
+
+    @pytest.mark.parametrize("gain", ["0.0", "1e-320"])
+    def test_summary_is_strict_json_without_a_finite_relative_error(self, tmp_path, gain):
+        # A zero gain has no relative error, and a subnormal one's error,
+        # divided by it, passes every float: either way no bin gives a number.
+        path, _ = write_config(tmp_path, output_noise_variance=1.0, process_noise_variance=0.0)
+        (tmp_path / "system.ini").write_text(f"[S]\nb = {gain}\n\n[f]\ncoefficients = 1.0\n")
+        out = tmp_path / "out"
+        assert main(["decompose", "--config", str(path), "--out", str(out)]) == EXIT_OK
+
+        def refuse(constant):
+            raise ValueError(f"summary.json holds {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        comparison = summary["analytic_comparison"]
+        assert comparison["defined_bins"] > 0
+        assert comparison["max_relative_error"] is None
 
     def test_decompose_writes_reports(self, tmp_path):
         path, _ = write_config(tmp_path, process_noise_variance=0.01,
@@ -737,20 +756,31 @@ class TestInvalidInputExits2:
         assert "--workers" in message
         assert not out.exists()
 
-    @pytest.mark.parametrize("loop", ["open", "closed"])
-    def test_record_builders_reject_workers_below_one(self, loop):
-        config = dataclasses.replace(
-            hammerstein_demo_config(realizations=2, samples_per_period=64), decompose=False)
-        run = run_open_loop_records if loop == "open" else run_closed_loop_records
-        if loop == "closed":
-            config = ExperimentConfig(**{
-                **config.__dict__, "loop": "closed", "compare_analytic": False,
-                "system": SystemDescription(
-                    dynamics=RationalLTI(b=[0.5]), nonlinearity=PolynomialNonlinearity.identity(),
-                    actuator=RationalLTI(b=[1.0]), feedback=RationalLTI(b=[0.0, 0.2])),
-            })
-        with pytest.raises(ConfigurationError, match="workers"):
-            run(config, workers=0)
+    @pytest.mark.parametrize("command", ["generate", "simulate", "demo-hammerstein"])
+    def test_allocation_that_fails_exits_2(self, tmp_path, capsys, command):
+        # 2**50 samples a period are beyond any 48-bit address space, so the
+        # first array of that length cannot be allocated under any overcommit policy.
+        path, _ = write_config(tmp_path)
+        self.edit_config(path, "samples_per_period = 128\n", f"samples_per_period = {2 ** 50}\n")
+        self.edit_config(path, "excited_bins = 1:63\n", "excited_bins = 1:3\n")
+        out = tmp_path / "out"
+        self.assert_config_error(capsys, [command, "--config", str(path), "--out", str(out)])
+        if command != "demo-hammerstein":  # the demo writes its config.ini first
+            assert not out.exists()
+
+    @pytest.mark.parametrize("fs", ["1e-308", "1e-310"])
+    @pytest.mark.parametrize("command", ["generate", "simulate", "estimate", "decompose",
+                                         "demo-hammerstein"])
+    def test_sample_time_without_finite_value(self, tmp_path, capsys, command, fs):
+        # At 1e-308 Hz the last of 128 samples is at 127e308 s, and at 1e-310 Hz
+        # even 1 / fs is inf, which puts sample 0 at 0 * inf, NaN.
+        path, _ = write_config(tmp_path)
+        self.edit_config(path, "sampling_frequency_hz = 1\n", f"sampling_frequency_hz = {fs}\n")
+        out = tmp_path / "out"
+        message = self.assert_config_error(
+            capsys, [command, "--config", str(path), "--out", str(out)])
+        assert f"sampling_frequency_hz = {fs} puts sample 127 at no finite time" in message
+        assert not out.exists()
 
 
 class TestImports:
@@ -824,8 +854,8 @@ print(json.dumps({"status": status, "eager": eager, "loaded": "numpy.ma" in sys.
             pytest.skip("this numpy imports numpy.ma together with numpy")
         assert not result["loaded"]
 
-    # One worker runs in this process, so the process pool's module (and the
-    # logging it imports) must stay unloaded; the --workers tests run the pool.
+    # Every run is one process, whatever --workers says, so the process
+    # pool's module (and the logging it imports) must stay unloaded.
     NO_POOL = """
 import json
 import sys
@@ -836,14 +866,15 @@ status = main(sys.argv[1:])
 print(json.dumps({"status": status, "loaded": "concurrent.futures" in sys.modules}))
 """
 
-    def test_one_worker_does_not_import_the_process_pool(self, tmp_path):
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    def test_run_does_not_import_the_process_pool(self, tmp_path, workers):
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, (str(src),
                                                            os.environ.get("PYTHONPATH"))))}
         done = subprocess.run(
             [sys.executable, "-c", self.NO_POOL, "demo-hammerstein", "--samples-per-period", "64",
-             "--realizations", "3", "--workers", "1", "--out", str(tmp_path / "out")],
+             "--realizations", "3", "--workers", workers, "--out", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout.splitlines()[-1])
@@ -882,31 +913,20 @@ class TestDeterminism:
                      "--seed", "124"]) == EXIT_OK
         assert hash_tree(out_a) != hash_tree(out_c)
 
-    def test_workers_bit_identical_open_loop(self, tmp_path):
-        path, _ = write_config(tmp_path, realizations=4,
-                               process_noise_variance=0.01)
-        # Five workers exceed the four realizations.
-        for workers in ("1", "2", "5"):
-            assert main(["simulate", "--config", str(path), "--out",
-                         str(tmp_path / f"w{workers}"), "--workers", workers]) == EXIT_OK
-        assert hash_tree(tmp_path / "w1") == hash_tree(tmp_path / "w2")
-        assert hash_tree(tmp_path / "w1") == hash_tree(tmp_path / "w5")
-
-    def test_workers_bit_identical_closed_loop(self, tmp_path):
-        for name, system, settings, workers in (
-                # Five workers exceed the four realizations.
-                ("loop", LOOP_SYSTEM, {}, ("1", "2", "5")),
-                ("staggered", STAGGERED_SYSTEM, dict(samples_per_period=64, master_seed=32),
-                 ("1", "2", "4"))):
-            (tmp_path / name).mkdir()
-            path, _ = write_config(tmp_path / name, system=system, loop="closed",
-                                   realizations=4, process_noise_variance=0.01, **settings)
-            for count in workers:
-                assert main(["simulate", "--config", str(path), "--out",
-                             str(tmp_path / name / f"w{count}"), "--workers", count]) == EXIT_OK
-            for count in workers[1:]:
-                assert hash_tree(tmp_path / name / "w1") == \
-                    hash_tree(tmp_path / name / f"w{count}"), (name, count)
+    @pytest.mark.parametrize("loop", ["open", "closed"])
+    def test_realizations_do_not_depend_on_the_count(self, tmp_path, loop):
+        # The staggered loop's realizations settle after 4, 3, 4 and 4 periods.
+        settings = (dict(system=STAGGERED_SYSTEM, loop="closed", samples_per_period=64,
+                         master_seed=32) if loop == "closed" else {})
+        _, config = write_config(tmp_path, realizations=4, process_noise_variance=0.01,
+                                 output_noise_variance=0.001, **settings)
+        four, _ = run_records(config)
+        two, _ = run_records(dataclasses.replace(config, realizations=2))
+        names = ["input_spectra", "output_spectra"]
+        if loop == "closed":
+            names += ["reference_spectra", "input_spectra_per_period"]
+        for name in names:
+            np.testing.assert_array_equal(getattr(two, name), getattr(four, name)[:2])
 
 
 class TestCompare:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -879,6 +880,13 @@ def staggered_references(periods):
             for m in range(4)]
 
 
+def assert_same_loop_record(a, b):
+    assert (a.warmup_periods, a.steady_state_residual) == \
+        (b.warmup_periods, b.steady_state_residual)
+    for name in ("reference", "input_measured", "output_measured"):
+        np.testing.assert_array_equal(getattr(a, name).samples, getattr(b, name).samples)
+
+
 class TestClosedLoop:
     def test_feedback_without_delay_rejected(self):
         plant_lti, actuator, _ = linear_loop_blocks()
@@ -964,12 +972,12 @@ class TestClosedLoop:
         y = sps.lfilter([1.0], [1.0, 1.05], np.tile(r.period(0), 20))
         period = int(np.flatnonzero(np.abs(y) > DIVERGENCE_LIMIT)[0]) // 64
         with pytest.raises(InstabilityError) as info:
-            simulate_closed_loop_batch(config, [quiet, r], seed=1, first_realization=4)
+            simulate_closed_loop_batch(config, [quiet, r], seed=1)
         err = info.value
         assert err.period == period > 1
         assert err.peak == pytest.approx(np.abs(y[period * 64:(period + 1) * 64]).max(),
                                          rel=1e-9)
-        assert (f"closed loop, realization 5, simulated period {period}: "
+        assert (f"closed loop, realization 1, simulated period {period}: "
                 f"peak |y| = {err.peak:.6g}") in str(err)
 
     def test_warmup_errors(self):
@@ -983,9 +991,8 @@ class TestClosedLoop:
         )
         zero = PeriodicSignal(np.zeros(128), 64, 2, 1.0)
         with pytest.raises(InstabilityError, match=r"within 64 warm-up periods in "
-                                                   r"realization 8 \(relative residual 0\.0"):
-            simulate_closed_loop_batch(config, [zero, flat_multisine(n=64).tile(2)],
-                                       first_realization=7)
+                                                   r"realization 1 \(relative residual 0\.0"):
+            simulate_closed_loop_batch(config, [zero, flat_multisine(n=64).tile(2)])
 
     def test_aperiodic_reference_rejected(self):
         plant_lti, actuator, feedback = linear_loop_blocks()
@@ -995,10 +1002,9 @@ class TestClosedLoop:
         r = flat_multisine(n=64, seed=3).tile(3)
         samples = r.samples.copy()
         samples[2 * 64 + 5] += 1e-12
-        with pytest.raises(ValueError, match="reference period 2 of realization 4 differs "
+        with pytest.raises(ValueError, match="reference period 2 of realization 1 differs "
                                              "from period 0"):
-            simulate_closed_loop_batch(config, [r, PeriodicSignal(samples, 64, 3, 1.0)],
-                                       first_realization=3)
+            simulate_closed_loop_batch(config, [r, PeriodicSignal(samples, 64, 3, 1.0)])
 
     def test_batch_matches_single_runs(self):
         plant_lti, actuator, feedback = linear_loop_blocks()
@@ -1019,13 +1025,16 @@ class TestClosedLoop:
             batch = simulate_closed_loop_batch(config, refs, seed=seed)
             if warmups is not None:
                 assert [rec.warmup_periods for rec in batch] == warmups
-            for i, r in enumerate(refs):
-                single = simulate_closed_loop_batch(config, [r], seed, first_realization=i)[0]
-                assert single.warmup_periods == batch[i].warmup_periods
-                np.testing.assert_array_equal(single.output_measured.samples,
-                                              batch[i].output_measured.samples)
-                np.testing.assert_array_equal(single.input_measured.samples,
-                                              batch[i].input_measured.samples)
+            # Realization m is column m, whatever the references after it.
+            for k in range(1, len(refs)):
+                for short, full in zip(simulate_closed_loop_batch(config, refs[:k], seed), batch):
+                    assert_same_loop_record(short, full)
+            # Without noise no stream is drawn, so each reference run alone,
+            # as realization 0, is its column of the batch.
+            quiet = dataclasses.replace(config, input_noise_variance=0.0,
+                                        process_noise_variance=0.0, output_noise_variance=0.0)
+            for r, column in zip(refs, simulate_closed_loop_batch(quiet, refs, seed)):
+                assert_same_loop_record(simulate_closed_loop_batch(quiet, [r], seed)[0], column)
 
     def test_loop_runs_the_periods_it_records(self, monkeypatch):
         # Recording starts at period 1 and period t is checked against period
