@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import stat
 import sys
 
 from .estimator import write_record_bundle
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("generate", "write the excitation signals", False),
             ("simulate", "simulate and write the record bundle", True),
             ("estimate", "estimate from an existing record bundle", False),
-            ("decompose", "run the full experiment including output decomposition", True)):
+            ("decompose", "run the full open-loop experiment and its decomposition", True)):
         _add_common(sub.add_parser(name, help=text), workers=workers)
 
     comp = sub.add_parser("compare", help="compare two result bundles")
@@ -122,8 +123,8 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_decompose(args) -> int:
     config = _load_config(args)
-    if not config.decompose:
-        config = type(config)(**{**config.__dict__, "decompose": True})
+    if config.loop != "open":
+        raise ConfigurationError("output decomposition is defined for open loop only")
     return _print_comparison(run_experiment(config, args.out))
 
 
@@ -179,7 +180,13 @@ def main(argv=None) -> int:
             raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
         out = getattr(args, "out", pathlib.Path("."))  # compare writes nothing
         for path in (out, *out.parents):
-            if path.exists() and not path.is_dir():
+            try:
+                mode = path.stat().st_mode
+            except (FileNotFoundError, NotADirectoryError):
+                continue  # absent: the command makes it
+            except OSError as exc:  # e.g. a name too long for the OS
+                raise ConfigurationError(f"--out {out}: {exc.strerror or exc}") from exc
+            if not stat.S_ISDIR(mode):
                 raise ConfigurationError(f"--out {out}: {path} exists and is not a directory")
         return _COMMANDS[args.command](args)
     # A MemoryError is a config too large to allocate; numpy's message gives the size.

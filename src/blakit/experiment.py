@@ -90,7 +90,6 @@ class ExperimentConfig:
     output_noise_variance: float = 0.0
     input_noise_variance: float = 0.0
     master_seed: int = 0
-    decompose: bool = False
     compare_analytic: bool = True
 
     def __post_init__(self):
@@ -131,8 +130,6 @@ class ExperimentConfig:
         if self.loop == "closed" and (self.system.actuator is None
                                       or self.system.feedback is None):
             raise ConfigurationError("closed-loop experiments need G_act and M blocks")
-        if self.decompose and self.loop != "open":
-            raise ConfigurationError("output decomposition is defined for open loop only")
         if self.compare_analytic and not self._analytic_supported():
             raise ConfigurationError("the closed loop's analytic reference needs f(x) = x")
         object.__setattr__(self, "excited_bins", tuple(bins))
@@ -190,7 +187,6 @@ _CONFIG_KEYS = (
     ("noise", "process_variance", "process_noise_variance", float),
     ("noise", "output_variance", "output_noise_variance", float),
     ("noise", "input_variance", "input_noise_variance", float),
-    ("decomposition", "enabled", "decompose", bool),
     ("oracle", "compare_analytic", "compare_analytic", bool),
 )
 _KEYS = {field: key for _, key, field, _ in _CONFIG_KEYS}
@@ -434,23 +430,21 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
-    """Simulate, estimate, optionally decompose, and write the report bundle.
+    """Simulate, estimate, and write the report bundle.
 
-    Writes the record bundle, the frequency-response result CSV, the
-    decomposition report (when enabled) and a self-describing summary JSON,
-    and returns that summary.  Identical config and seed give
-    byte-identical outputs.
+    Writes the record bundle, then what ``_report`` writes: the output
+    decomposition in open loop, the frequency-response result CSV and a
+    self-describing summary JSON, and returns that summary.  Identical
+    config and seed give byte-identical outputs.
     """
     record, ran = run_records(config)
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_record_bundle(out_dir / "records", record)
-    decomposition = (_run_decomposition(config, out_dir) if config.decompose
-                     else {"enabled": False})
-    return _report(config, out_dir, record, decomposition, ran=ran)
+    return _report(config, out_dir, record, ran=ran)
 
 
-def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
+def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> None:
     u = next(_excitations(config))
     decomposition = decompose_output(
         _simulator(config), u.tile(config.periods), _analytic_reference(config))
@@ -468,12 +462,11 @@ def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> dict:
                   decomposition.var_noise),
                  newline="\n",
                  labels=_bin_labels(config.samples_per_period, config.sampling_frequency))
-    return {"enabled": True}
 
 
 def estimate_from_bundle(config: ExperimentConfig, out_dir) -> dict:
-    """Estimate from an existing record bundle, write the result, the
-    decomposition (when enabled) and the summary, and return the summary.
+    """Estimate from an existing record bundle, write what ``_report``
+    writes and return the summary.
 
     The bundle must be readable and recorded on the grid of ``config``: the
     same samples per period, sampling frequency, excited bins, realization
@@ -504,19 +497,21 @@ def estimate_from_bundle(config: ExperimentConfig, out_dir) -> dict:
     if mismatched:
         raise ConfigurationError(f"record bundle under {bundle} does not match the "
                                  f"config in: {', '.join(mismatched)}")
-    decomposition = (_run_decomposition(config, out_dir) if config.decompose
-                     else {"enabled": False})
-    return _report(config, out_dir, record, decomposition)
+    return _report(config, out_dir, record)
 
 
 def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentRecord,
-            decomposition: dict, ran: dict | None = None) -> dict:
-    """Estimate from ``record``, then write ``bla.csv`` and ``summary.json``
+            ran: dict | None = None) -> dict:
+    """Write the output decomposition in open loop, where it is defined,
+    estimate from ``record``, then write ``bla.csv`` and ``summary.json``
     and return the summary.
 
     ``summary.json`` hashes every other file under ``out_dir``.  ``ran``
     (from ``run_records``) is known only for a record simulated in this run.
     """
+    decompose = config.loop == "open"
+    if decompose:
+        _run_decomposition(config, out_dir)
     estimate = (robust_bla_closed_loop(record) if record.reference_spectra is not None
                 else robust_bla(record))
     write_bla_csv(out_dir / "bla.csv", estimate)
@@ -532,7 +527,7 @@ def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentR
             **(ran or {}),
         },
         "analytic_comparison": comparison,
-        "decomposition": decomposition,
+        "decomposition": {"enabled": decompose},
         "pass": bool(comparison.get("pass", True)),
     }
     summary["files"] = _hash_tree(out_dir, skip={"summary.json"})
@@ -619,8 +614,7 @@ def hammerstein_demo_config(realizations: int = 10, periods: int = 2,
                             samples_per_period: int = 4096,
                             master_seed: int = 0) -> ExperimentConfig:
     """The flagship open-loop setup: unit-RMS flat multisine, cubic system,
-    process and output noise of standard deviation 0.1 and 0.03, with the
-    output decomposition on."""
+    process and output noise of standard deviation 0.1 and 0.03."""
     return ExperimentConfig(
         loop="open",
         realizations=realizations,
@@ -633,5 +627,4 @@ def hammerstein_demo_config(realizations: int = 10, periods: int = 2,
         process_noise_variance=0.1 ** 2,
         output_noise_variance=0.03 ** 2,
         master_seed=master_seed,
-        decompose=True,
     )

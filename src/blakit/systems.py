@@ -632,19 +632,18 @@ def _loop_map(dynamics: RationalLTI, actuator: RationalLTI, feedback: RationalLT
 class _LoopEngine:
     """Sample-by-sample loop runner, vectorized over parallel loops.
 
-    Column ``i`` is a loop of realization ``realizations[i]`` on reference
-    column ``i`` (one period, repeated).  Periods are counted from the
-    engine's zero state, so a divergence is reported at the simulated
-    period, warm-up included.  Row ``t`` of a per-period buffer holds
+    Column ``i`` is a loop on reference column ``i`` (one period, repeated),
+    run from the zero state.  Row ``t`` of a per-period buffer holds
     ``[u0(t), y0(t-1), x(t), p(t), r(t), r(t+1)]``; a sample runs the plant
     into ``p(t)``, then writes ``_loop_map``'s product with the row's last
     entries into the next row's first ones, by one multiply and one add
     reduction over the columns in order: no BLAS rounding, and the same bits
     at every width, as the map's two or more rows keep numpy from pairing
-    the terms of a one-element reduction.  The start is the zero state, with
-    ``u0(0) = b_act0 r(0)``; each further period starts from the last row."""
+    the terms of a one-element reduction.  Each period starts from the last
+    row, which holds the start before the first: the zero state, with
+    ``u0(0) = b_act0 r(0)``."""
 
-    def __init__(self, config: ClosedLoopConfig, reference: np.ndarray, realizations):
+    def __init__(self, config: ClosedLoopConfig, reference: np.ndarray):
         n, width = reference.shape
         matrix = _loop_map(getattr(config.plant, "dynamics", None) or RationalLTI.identity(),
                            config.actuator, config.feedback)  # identity S for a Volterra plant
@@ -653,21 +652,18 @@ class _LoopEngine:
         self._products = np.empty((k + 1, k, width))
         self._rows = rows = np.zeros((n + 1, k + 3, width))
         rows[:-1, -2], rows[:-1, -1] = reference, np.roll(reference, -1, axis=0)
-        rows[0, 0] = config.actuator.numerator[0] * reference[0]
+        rows[-1, 0] = config.actuator.numerator[0] * reference[0]
         self._plant = config.plant.stepper(width)
-        self._realizations = realizations
-        self._period = 0
 
     def run_period(self, nx_block: np.ndarray):
         """One period on process noise ``nx_block`` ``(N, width)``: views of
         the buffer's ``u0`` and ``y0``, valid until the next call."""
         rows, k = self._rows, self._matrix.shape[1]
-        if self._period:
-            rows[0, :k] = rows[-1, :k]
+        rows[0, :k] = rows[-1, :k]
         plant, matrix, products = self._plant, self._matrix, self._products
         multiply, add_reduce = np.multiply, np.add.reduce
-        # Overflow on the way to divergence is expected; it is detected and
-        # reported as an InstabilityError right below.  The row views are made
+        # Overflow on the way to divergence is expected; the caller detects it
+        # and reports it as an InstabilityError.  The row views are made
         # as the loop goes: kept for every period, they would hold ~0.6 kB a
         # sample for the whole run.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -676,12 +672,7 @@ class _LoopEngine:
                 p_t[...] = plant(u0_t, nx_t)
                 multiply(matrix, v_t, products)
                 add_reduce(products, 0, None, out_t)
-        u0, y0 = rows[:-1, 0], rows[1:, 1]
-        for i, m in enumerate(self._realizations):
-            _check_divergence(y0[:, i], y0.shape[0], f"closed loop, realization {m}",
-                              first_period=self._period)
-        self._period += 1
-        return u0, y0
+        return rows[:-1, 0], rows[1:, 1]
 
 
 def simulate_closed_loop_batch(config: ClosedLoopConfig, references,
@@ -719,7 +710,7 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references,
     nx_rngs = [derive_rng(master, "loop_process_noise", m) for m in range(width)]
 
     r_block = np.tile(np.stack([r.period(0) for r in references], axis=1), 2)
-    engine = _LoopEngine(config, r_block, [*range(width)] * 2)
+    engine = _LoopEngine(config, r_block)
     steady = _SteadyState(width)
     nx_block = np.zeros_like(r_block)
     u0, y0 = np.empty((2, width, p, n))
@@ -728,6 +719,11 @@ def simulate_closed_loop_batch(config: ClosedLoopConfig, references,
         for i, rng in enumerate(nx_rngs):
             nx_block[:, width + i] = generate_noise(config.process_noise_variance, n, rng)
         u0_block, y0_block = engine.run_period(nx_block)
+        # Periods count from the zero state, so a divergence is reported at the
+        # simulated period, warm-up included: noise-free columns first.
+        for i in range(2 * width):
+            _check_divergence(y0_block[:, i], n, f"closed loop, realization {i % width}",
+                              first_period=period)
         steady.update(y0_block[:, :width])
         j = period - steady.starts  # each noisy loop's record slot, if in 0..P-1
         rec = np.flatnonzero((j >= 0) & (j < p))

@@ -7,7 +7,6 @@ suite is deterministic.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from contextlib import contextmanager
 
@@ -83,8 +82,7 @@ def test_01_hammerstein_bla_within_band(tmp_path):
     # response at >= 95% of excited bins, in under 30 s single-threaded.
     with criterion("hammerstein_bla_reproduction"):
         start = time.perf_counter()
-        config = dataclasses.replace(hammerstein_demo_config(master_seed=2024),
-                                     decompose=False)
+        config = hammerstein_demo_config(master_seed=2024)
         summary = run_experiment(config, tmp_path / "run")
         elapsed = time.perf_counter() - start
         comparison = summary["analytic_comparison"]
@@ -131,8 +129,7 @@ def test_03_process_noise_gain_dependence():
                 loop="open", realizations=64, periods=4, samples_per_period=n,
                 sampling_frequency=1.0, excited_bins=tuple(range(1, n // 2)),
                 input_rms=1.0, system=DEMO, process_noise_variance=variance,
-                output_noise_variance=0.03 ** 2, master_seed=91,
-                decompose=False)
+                output_noise_variance=0.03 ** 2, master_seed=91)
             record, _ = run_open_loop_records(config)
             estimates[label] = robust_bla(record).g_bla
         measured = np.mean(np.abs(estimates["large"] / estimates["small"]))
@@ -299,7 +296,7 @@ def test_06_variance_formula_consistency():
                 samples_per_period=n, sampling_frequency=1.0,
                 excited_bins=tuple(bins), input_rms=1.0, system=DEMO,
                 process_noise_variance=s2_x, output_noise_variance=s2_y,
-                master_seed=10_000 + rep, decompose=False)
+                master_seed=10_000 + rep)
             record, _ = run_open_loop_records(config)
             est = robust_bla(record)
             acc_noise += est.var_noise

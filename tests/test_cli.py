@@ -3,6 +3,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -42,12 +43,12 @@ from blakit.systems import (
 
 def write_config(tmp_path, name="config.ini", system=None, **overrides):
     system = system if system is not None else hammerstein_demo_system()
-    config = dataclasses.replace(hammerstein_demo_config(
+    config = hammerstein_demo_config(
         realizations=overrides.pop("realizations", 3),
         periods=overrides.pop("periods", 2),
         samples_per_period=overrides.pop("samples_per_period", 128),
         master_seed=overrides.pop("master_seed", 5),
-    ), decompose=overrides.pop("decompose", False))
+    )
     fields = {**config.__dict__, "system": system,
               "excited_bins": tuple(range(1, config.samples_per_period // 2)),
               **overrides}
@@ -143,7 +144,6 @@ def experiment_configs(draw):
         output_noise_variance=draw(variance),
         input_noise_variance=draw(variance) if loop == "closed" else 0.0,
         master_seed=draw(st.integers(0, 2 ** 64 - 1)),
-        decompose=loop == "open" and draw(st.booleans()),
         compare_analytic=draw(st.booleans()),
     )
 
@@ -167,15 +167,13 @@ class TestConfigFile:
                 assert (type(read), read) == (type(wrote), wrote), field.name
 
     def test_round_trip(self, tmp_path):
-        path, config = write_config(tmp_path, process_noise_variance=0.04,
-                                    decompose=True)
+        path, config = write_config(tmp_path, process_noise_variance=0.04)
         back = read_experiment_config(path)
         assert back.realizations == config.realizations
         assert back.periods == config.periods
         assert back.samples_per_period == config.samples_per_period
         assert back.excited_bins == config.excited_bins
         assert back.process_noise_variance == 0.04
-        assert back.decompose
         assert back.master_seed == config.master_seed
         np.testing.assert_array_equal(back.system.dynamics.numerator,
                                       config.system.dynamics.numerator)
@@ -285,22 +283,32 @@ class TestSubcommands:
         assert comparison["tail_probability"] < comparison["false_fail_level"]
         assert comparison["pass"] is False
 
-    def test_estimate_writes_the_decomposition(self, tmp_path):
-        # The decomposition is a closed form of the config, so simulate +
-        # estimate writes every file of one decompose run byte for byte; the
-        # summaries differ only in what ran before the record.
-        path, _ = write_config(tmp_path, process_noise_variance=0.01,
-                               output_noise_variance=0.0009, decompose=True)
-        split, whole = tmp_path / "split", tmp_path / "whole"
-        assert main(["simulate", "--config", str(path), "--out", str(split)]) == EXIT_OK
-        assert main(["estimate", "--config", str(path), "--out", str(split)]) == EXIT_OK
-        assert main(["decompose", "--config", str(path), "--out", str(whole)]) == EXIT_OK
-        files, whole_files = hash_tree(split), hash_tree(whole)
-        del files["summary.json"], whole_files["summary.json"]
-        assert files == whole_files
-        assert {"decomposition_report.json", "decomposition_variances.csv"} <= set(files)
-        summary = json.loads((split / "summary.json").read_text())
-        assert summary["decomposition"] == {"enabled": True}
+    @pytest.mark.parametrize("loop", ["open", "closed"])
+    def test_estimate_writes_the_decomposition(self, tmp_path, loop):
+        # The loop decides the decomposition, a closed form of the config: in
+        # open loop simulate + estimate, demo-hammerstein --config and
+        # decompose write it and the same records and result, byte for byte;
+        # in closed loop neither of the first two writes it.  Apart from the
+        # configs the demo copies, the trees differ only in their summaries.
+        system = LOOP_SYSTEM if loop == "closed" else None
+        path, _ = write_config(tmp_path, system=system, loop=loop,
+                               process_noise_variance=0.01, output_noise_variance=0.0009)
+        assert "[decomposition]" not in path.read_text()
+        runs = {"split": ["simulate", "estimate"], "demo": ["demo-hammerstein"]}
+        if loop == "open":
+            runs["whole"] = ["decompose"]
+        trees = {}
+        for name, commands in runs.items():
+            for command in commands:
+                assert main([command, "--config", str(path),
+                             "--out", str(tmp_path / name)]) == EXIT_OK
+            trees[name] = {k: v for k, v in hash_tree(tmp_path / name).items()
+                           if k not in ("config.ini", "system.ini", "summary.json")}
+            summary = json.loads((tmp_path / name / "summary.json").read_text())
+            assert summary["decomposition"] == {"enabled": loop == "open"}
+        assert all(tree == trees["split"] for tree in trees.values())
+        written = {"decomposition_report.json", "decomposition_variances.csv"} & set(trees["split"])
+        assert len(written) == (2 if loop == "open" else 0)
 
     def test_estimate_without_bundle_is_config_error(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -363,7 +371,7 @@ class TestSubcommands:
 
     def test_decompose_writes_reports(self, tmp_path):
         path, _ = write_config(tmp_path, process_noise_variance=0.01,
-                               output_noise_variance=0.0009, decompose=True)
+                               output_noise_variance=0.0009)
         out = tmp_path / "out"
         assert main(["decompose", "--config", str(path), "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "decomposition_report.json").read_text())
@@ -376,7 +384,7 @@ class TestSubcommands:
 
     def test_decompose_prints_the_analytic_comparison(self, tmp_path, capsys):
         # What estimate prints: the block that says whether and why a run exits 4.
-        path, _ = write_config(tmp_path, process_noise_variance=0.01, decompose=True)
+        path, _ = write_config(tmp_path, process_noise_variance=0.01)
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(["decompose", "--config", str(path), "--out", str(out)]) == EXIT_OK
@@ -388,7 +396,7 @@ class TestSubcommands:
     def test_decompose_takes_any_open_loop_polynomial(self, tmp_path):
         system = dataclasses.replace(hammerstein_demo_system(), nonlinearity=PolynomialNonlinearity(
             coefficients=[1.0, 0.3, 0.1, 0.0, -0.01]))
-        path, _ = write_config(tmp_path, system=system, decompose=True, realizations=10,
+        path, _ = write_config(tmp_path, system=system, realizations=10,
                                samples_per_period=256, master_seed=0)
         out = tmp_path / "out"
         assert main(["decompose", "--config", str(path), "--out", str(out)]) == EXIT_OK
@@ -483,14 +491,54 @@ class TestInvalidInputExits2:
                      "--out", str(tmp_path / "out")])
         assert "seed" in message
 
-    def test_small_decomposition_ensemble(self, tmp_path, capsys):
-        # The decomposition draws no ensemble, so any ensemble_size is a key
-        # that no reader reads.
-        path, _ = write_config(tmp_path, decompose=True)
-        self.edit_config(path, "enabled = true\n", "enabled = true\nensemble_size = 50\n")
+    # The config.ini of a demo run from before the loop decided the
+    # decomposition: its [decomposition] section held the switch.
+    SWITCHED_DEMO_CONFIG = """\
+[experiment]
+loop = open
+realizations = 10
+periods = 2
+master_seed = 0
+
+[multisine]
+samples_per_period = 4096
+sampling_frequency_hz = 1
+excited_bins = 1:2047
+rms = 1
+
+[system]
+file = system.ini
+
+[noise]
+process_variance = 0.010000000000000002
+output_variance = 0.00089999999999999998
+input_variance = 0
+
+[decomposition]
+enabled = true
+
+[oracle]
+compare_analytic = true
+
+"""
+
+    @pytest.mark.parametrize("command", ["generate", "simulate", "estimate", "decompose"])
+    def test_retired_decomposition_switch_exits_2(self, tmp_path, capsys, command):
+        # The loop decides the decomposition, so the switch is a key that no
+        # reader reads, under every command and before anything is written.
+        path = tmp_path / "config.ini"
+        path.write_text(self.SWITCHED_DEMO_CONFIG)
+        write_system_file(tmp_path / "system.ini", hammerstein_demo_system())
+        message = self.assert_config_error(
+            capsys, [command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert message == f"{path}: key 'enabled' in section [decomposition] is unknown"
+        assert not (tmp_path / "out").exists()
+
+    def test_decompose_refuses_a_closed_loop(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, system=LOOP_SYSTEM, loop="closed")
         message = self.assert_config_error(
             capsys, ["decompose", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert "key 'ensemble_size' in section [decomposition] is unknown" in message
+        assert message == "output decomposition is defined for open loop only"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new, expected", [
@@ -526,7 +574,7 @@ class TestInvalidInputExits2:
             "output-variance-inf", "process-variance-nan", "input-variance-open-loop",
             "band-sigma-unknown", "min-fraction-unknown", "misspelt-key"])
     def test_malformed_config_value(self, tmp_path, capsys, old, new, expected):
-        path, _ = write_config(tmp_path, decompose=True)
+        path, _ = write_config(tmp_path)
         self.edit_config(path, old, new)
         message = self.assert_config_error(
             capsys, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -746,6 +794,17 @@ class TestInvalidInputExits2:
         assert f"{blocker} exists and is not a directory" in message
         assert blocker.read_text() == "a file, not a directory\n"
 
+    @pytest.mark.parametrize("command", ["generate", "simulate", "estimate", "decompose",
+                                         "demo-hammerstein"])
+    def test_out_name_too_long_for_the_os(self, tmp_path, capsys, command):
+        path, _ = write_config(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / ("x" * 300)
+        message = self.assert_config_error(
+            capsys, [command, "--config", str(path), "--out", str(out)])
+        assert message == f"--out {out}: {os.strerror(errno.ENAMETOOLONG)}"
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     @pytest.mark.parametrize("command", ["demo-hammerstein", "simulate"])
     def test_workers_below_one(self, tmp_path, capsys, command, workers):
@@ -884,7 +943,7 @@ print(json.dumps({"status": status, "loaded": "concurrent.futures" in sys.module
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
         path, _ = write_config(tmp_path, process_noise_variance=0.01,
-                               output_noise_variance=0.0009, decompose=True)
+                               output_noise_variance=0.0009)
         config = read_experiment_config(path)
         run_experiment(config, tmp_path / "a")
         run_experiment(config, tmp_path / "b")
