@@ -24,6 +24,7 @@ from .experiment import (
     read_experiment_config,
     run_experiment,
     run_records,
+    write_experiment,
     write_experiment_config,
     write_generated_signals,
 )
@@ -147,11 +148,13 @@ def _cmd_demo(args) -> int:
     else:
         config = hammerstein_demo_config(
             **sizes, master_seed=args.seed if args.seed is not None else 0)
+    # Built before anything is written; the copies go in before the summary hashes the tree.
+    record, ran = run_records(config)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     write_system_file(out / "system.ini", config.system)
     write_experiment_config(out / "config.ini", config, system_file="system.ini")
-    summary = run_experiment(config, out)
+    summary = write_experiment(config, out, record, ran)
     comparison = summary["analytic_comparison"]
     print(json.dumps({
         "fraction_in_band": comparison.get("fraction_in_band"),
@@ -183,6 +186,9 @@ def main(argv=None) -> int:
             try:
                 mode = path.stat().st_mode
             except (FileNotFoundError, NotADirectoryError):
+                if path.is_symlink():  # lstat finds it: the command could not make it
+                    raise ConfigurationError(
+                        f"--out {out}: {path} is a symbolic link whose target is missing")
                 continue  # absent: the command makes it
             except OSError as exc:  # e.g. a name too long for the OS
                 raise ConfigurationError(f"--out {out}: {exc.strerror or exc}") from exc

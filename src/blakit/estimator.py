@@ -1,11 +1,11 @@
-"""Nonparametric best-linear-approximation estimators and output decomposition.
+"""The nonparametric best-linear-approximation estimator and output decomposition.
 
 The robust estimator works on multiple periods (P) of multiple excitation
-realizations (M).  Period-to-period scatter feeds the noise variance
-estimate, realization-to-realization scatter the total variance estimate;
+realizations (M), in either loop.  Period-to-period scatter feeds the noise
+variance estimate, realization-to-realization scatter the total variance estimate;
 both carry the extra ``M`` and ``P`` factors so they quantify the
 variability of the final averaged frequency response, not of a single
-period.  Bins where the excitation power is zero are reported as undefined
+period.  Bins where the reference is zero are reported as undefined
 (NaN markers plus a ``defined`` mask) rather than zero or an exception.
 """
 
@@ -53,8 +53,8 @@ class ExperimentRecord:
     periodic and noise free in open loop, so one spectrum per realization),
     ``output_spectra[m, p]`` the output DFT of period ``p``, all on the half
     grid, bins ``0..N//2``.  Closed-loop records additionally carry the
-    reference spectra and per-period input spectra needed by the indirect
-    estimator.
+    reference spectra and per-period input spectra, both or neither; an
+    open-loop record's reference is its input.
     """
 
     input_spectra: np.ndarray
@@ -83,6 +83,9 @@ class ExperimentRecord:
         object.__setattr__(self, "excited_bins", bins[np.append(True, bins[1:] != bins[:-1])])
         object.__setattr__(self, "samples_per_period", n)
         object.__setattr__(self, "sampling_frequency", float(self.sampling_frequency))
+        if (self.reference_spectra is None) != (self.input_spectra_per_period is None):
+            raise ValueError("a closed-loop record needs both reference_spectra "
+                             "and input_spectra_per_period")
         for name, want_ndim in (("reference_spectra", 2), ("input_spectra_per_period", 3)):
             value = getattr(self, name)
             if value is None:
@@ -133,84 +136,57 @@ class BlaEstimate:
 
 
 def robust_bla(record: ExperimentRecord) -> BlaEstimate:
-    """Average per-period frequency-response ratios over periods, then realizations.
+    """The robust estimate of the indirect frequency response ``G_yr / G_ur``.
 
-    With ``g_mp = Y[m,p] / U[m]`` at every excited bin:
+    At every excited bin, with ``R`` the reference:
 
-        g_m       = mean_p g_mp
-        g_bla     = mean_m g_m
+        g         = mean_{m,p} (Y_mp / R_m) / d,   d = mean_{m,p} (U_mp / R_m)
+        g_mp      = (Y_mp / R_m - g (U_mp / R_m - d)) / d,   g_m = mean_p g_mp
         var_noise = sum_{m,p} |g_m - g_mp|^2 / (M^2 P (P-1))
-        var_total = sum_m |g_bla - g_m|^2 / (M (M-1))
+        var_total = sum_m |g - g_m|^2 / (M (M-1))
+
+    ``g_mp`` is the ratio linearized around ``g``.  The reference is
+    independent of every noise source, which keeps ``g`` consistent in
+    feedback.  A record without ``reference_spectra`` is the open loop,
+    whose reference is its input: ``U_mp / R_m`` is exactly 1 and
+    ``g_mp = Y_mp / U_m``.
     """
-    bins = record.excited_bins
-    u = record.input_spectra[:, bins]
-    y = record.output_spectra[:, :, bins]
-    defined = np.all(u != 0, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g_mp = y / u[:, None, :]
-    g_mp[:, :, ~defined] = 0.0  # masked as NaN after averaging
-    g_m = g_mp.mean(axis=1)
-    return _masked_estimate(record, g_m.mean(axis=0), g_m, g_mp, defined)
-
-
-def robust_bla_closed_loop(record: ExperimentRecord) -> BlaEstimate:
-    """Indirect (reference-based) robust estimate for closed-loop records.
-
-    The point estimate is the ratio of realization-averaged reference
-    cross-spectra,
-
-        g_bla = mean_m(Ybar[m] conj(R[m])) / mean_m(Ubar[m] conj(R[m])),
-
-    which stays consistent in feedback because the reference is independent
-    of every noise source; averaging before the division is what removes the
-    bias a per-realization ratio would keep.  The variance spectra reuse the
-    open-loop M/P sample-variance structure on linearized per-period
-    quantities ``(num - g_bla*(den - den_mean)) / den_mean`` whose
-    realization mean is exactly ``g_bla``; for constant-amplitude multisine
-    references with period-constant input this reduces bin for bin to the
-    open-loop estimator.
-    """
-    if record.reference_spectra is None or record.input_spectra_per_period is None:
-        raise ValueError("closed-loop estimation needs reference and per-period input spectra")
-    bins = record.excited_bins
-    r = record.reference_spectra[:, bins]
-    num_mp = record.output_spectra[:, :, bins] * np.conj(r)[:, None, :]
-    den_mp = record.input_spectra_per_period[:, :, bins] * np.conj(r)[:, None, :]
-    num_m = num_mp.mean(axis=1)
-    den_m = den_mp.mean(axis=1)
-    den_bar = den_m.mean(axis=0)
-    defined = np.all(r != 0, axis=0) & (den_bar != 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = num_m.mean(axis=0) / den_bar
-        g_m = (num_m - g[None, :] * (den_m - den_bar[None, :])) / den_bar
-        g_mp = (num_mp - g[None, None, :] * (den_mp - den_bar[None, None, :])) / den_bar
-    g_m[:, ~defined] = 0.0
-    g_mp[:, :, ~defined] = 0.0
-    return _masked_estimate(record, g, g_m, g_mp, defined)
-
-
-def _masked_estimate(record, g, g_m, g_mp, defined) -> BlaEstimate:
-    """Robust variances of ``g`` from ``g_m`` and ``g_mp``; NaN outside ``defined``."""
     m_count = record.realization_count
     p_count = record.period_count
     if m_count < 2 or p_count < 2:
         raise ValueError("robust estimation needs M >= 2 realizations and P >= 2 periods")
+    bins = record.excited_bins
+    open_loop = record.reference_spectra is None
+    r = (record.input_spectra if open_loop else record.reference_spectra)[:, bins]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_mp = record.output_spectra[:, :, bins] / r[:, None, :]
+        den = (np.ones((1, 1, bins.size)) if open_loop
+               else record.input_spectra_per_period[:, :, bins] / r[:, None, :])
+        d = den.mean(axis=1).mean(axis=0)
+        g = g_mp.mean(axis=1).mean(axis=0) / d
+        # In place: the variance sums below add in this array's memory order.
+        g_mp -= g * (den - d)
+        g_mp /= d
+    defined = np.all(r != 0, axis=0) & (d != 0)
+    g_mp[:, :, ~defined] = 0.0  # masked as NaN below
+    g_m = g_mp.mean(axis=1)
     var_noise = np.abs(g_m[:, None, :] - g_mp) ** 2
     var_noise = var_noise.sum(axis=(0, 1)) / (m_count ** 2 * p_count * (p_count - 1))
     var_total = (np.abs(g[None, :] - g_m) ** 2).sum(axis=0) / (m_count * (m_count - 1))
-    g = np.where(defined, g, complex(np.nan, np.nan))
-    var_noise = np.where(defined, var_noise, np.nan)
-    var_total = np.where(defined, var_total, np.nan)
     return BlaEstimate(
-        excited_bins=record.excited_bins,
-        g_bla=g,
-        var_noise=var_noise,
-        var_total=var_total,
-        realization_count=record.realization_count,
-        period_count=record.period_count,
+        excited_bins=bins,
+        g_bla=np.where(defined, g, complex(np.nan, np.nan)),
+        var_noise=np.where(defined, var_noise, np.nan),
+        var_total=np.where(defined, var_total, np.nan),
+        realization_count=m_count,
+        period_count=p_count,
         samples_per_period=record.samples_per_period,
         sampling_frequency=record.sampling_frequency,
     )
+
+
+# The indirect estimator's former name, which the benchmark's Volterra study imports.
+robust_bla_closed_loop = robust_bla
 
 
 @dataclass(frozen=True, eq=False)

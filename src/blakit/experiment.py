@@ -30,7 +30,6 @@ from .estimator import (
     read_bundle_manifest,
     read_record_bundle,
     robust_bla,
-    robust_bla_closed_loop,
     write_bla_csv,
     write_record_bundle,
 )
@@ -437,7 +436,13 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     self-describing summary JSON, and returns that summary.  Identical
     config and seed give byte-identical outputs.
     """
-    record, ran = run_records(config)
+    return write_experiment(config, out_dir, *run_records(config))
+
+
+def write_experiment(config: ExperimentConfig, out_dir, record: ExperimentRecord,
+                     ran: dict) -> dict:
+    """Write what ``run_experiment`` writes for ``(record, ran)`` from
+    ``run_records(config)``, creating ``out_dir``; return the summary."""
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_record_bundle(out_dir / "records", record)
@@ -512,8 +517,7 @@ def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentR
     decompose = config.loop == "open"
     if decompose:
         _run_decomposition(config, out_dir)
-    estimate = (robust_bla_closed_loop(record) if record.reference_spectra is not None
-                else robust_bla(record))
+    estimate = robust_bla(record)
     write_bla_csv(out_dir / "bla.csv", estimate)
     comparison = (_comparison_summary(config, estimate)
                   if config.compare_analytic else {"enabled": False})

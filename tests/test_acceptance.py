@@ -22,7 +22,6 @@ from blakit.estimator import (
     ExperimentRecord,
     predict_variances,
     robust_bla,
-    robust_bla_closed_loop,
 )
 from blakit.experiment import (
     ExperimentConfig,
@@ -350,7 +349,7 @@ def closed_loop_errors(m_count, nx_var, seed, n=256, p_count=4):
         samples_per_period=n, sampling_frequency=1.0,
         reference_spectra=r, input_spectra_per_period=u_pp)
     g_true = plant.bin_response(n)[bins]
-    indirect = robust_bla_closed_loop(record).g_bla
+    indirect = robust_bla(record).g_bla
     naive = (y_pp[:, :, bins] / u_pp[:, :, bins]).mean(axis=(0, 1))
     err_indirect = np.sqrt(np.mean(np.abs(indirect - g_true) ** 2))
     err_naive = np.sqrt(np.mean(np.abs(naive - g_true) ** 2))

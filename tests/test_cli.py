@@ -805,6 +805,21 @@ compare_analytic = true
         assert message == f"--out {out}: {os.strerror(errno.ENAMETOOLONG)}"
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("below", [False, True], ids=["link", "path-under-link"])
+    @pytest.mark.parametrize("command", ["generate", "simulate", "estimate", "decompose",
+                                         "demo-hammerstein"])
+    def test_out_dangling_symlink(self, tmp_path, capsys, command, below):
+        # stat says a dangling link is missing, but no command could create it.
+        path, _ = write_config(tmp_path)
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "nowhere" / "x")
+        before = sorted(tmp_path.rglob("*"))
+        out = link / "run" if below else link
+        message = self.assert_config_error(
+            capsys, [command, "--config", str(path), "--out", str(out)])
+        assert message == f"--out {out}: {link} is a symbolic link whose target is missing"
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     @pytest.mark.parametrize("command", ["demo-hammerstein", "simulate"])
     def test_workers_below_one(self, tmp_path, capsys, command, workers):
@@ -824,8 +839,7 @@ compare_analytic = true
         self.edit_config(path, "excited_bins = 1:63\n", "excited_bins = 1:3\n")
         out = tmp_path / "out"
         self.assert_config_error(capsys, [command, "--config", str(path), "--out", str(out)])
-        if command != "demo-hammerstein":  # the demo writes its config.ini first
-            assert not out.exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("fs", ["1e-308", "1e-310"])
     @pytest.mark.parametrize("command", ["generate", "simulate", "estimate", "decompose",

@@ -60,6 +60,25 @@ def hand_robust(u, y):
     return g, var_n, var_t
 
 
+def hand_indirect(r, u_pp, y):
+    """Loop transcription of ``G_yr / G_ur`` and of the variances of its
+    per-period ratios, linearized around it, through ``hand_robust``."""
+    m_count, p_count, n_bins = y.shape
+    g_yr = np.zeros(n_bins, dtype=complex)
+    g_ur = np.zeros(n_bins, dtype=complex)
+    for m in range(m_count):
+        for p in range(p_count):
+            g_yr += y[m, p] / r[m] / (m_count * p_count)
+            g_ur += u_pp[m, p] / r[m] / (m_count * p_count)
+    g = g_yr / g_ur
+    g_mp = np.empty((m_count, p_count, n_bins), dtype=complex)
+    for m in range(m_count):
+        for p in range(p_count):
+            g_mp[m, p] = (y[m, p] / r[m] - g * (u_pp[m, p] / r[m] - g_ur)) / g_ur
+    _, var_n, var_t = hand_robust(np.ones((m_count, n_bins)), g_mp)
+    return g, var_n, var_t
+
+
 def synthetic_record(g_bins, m_count, p_count, noise_power, rng, n=None):
     """Frequency-domain record: Y = G U + complex noise of given per-bin power."""
     n = g_bins.size if n is None else n
@@ -233,7 +252,7 @@ class TestProperties:
             input_spectra=u, output_spectra=y, excited_bins=bins, samples_per_period=n,
             sampling_frequency=1.0, reference_spectra=r,
             input_spectra_per_period=np.repeat(u[:, None, :], p_count, axis=1))
-        a, b = robust_bla(open_record), robust_bla_closed_loop(closed_record)
+        a, b = robust_bla(open_record), robust_bla(closed_record)
         assert_round_off(b.g_bla, a.g_bla, ratio)
         assert_round_off(b.var_noise, a.var_noise, ratio ** 2)
         assert_round_off(b.var_total, a.var_total, ratio ** 2)
@@ -241,10 +260,49 @@ class TestProperties:
 
 class TestClosedLoopRobust:
     def test_requires_reference_and_per_period_input(self):
+        # A closed-loop record holds both of its fields or neither.
         rng = np.random.default_rng(6)
         record = synthetic_record(np.ones(8, complex), 2, 2, 0.0, rng)
-        with pytest.raises(ValueError, match="reference"):
-            robust_bla_closed_loop(record)
+        u_pp = np.repeat(record.input_spectra[:, None, :], 2, axis=1)
+        for only in (dict(reference_spectra=record.input_spectra),
+                     dict(input_spectra_per_period=u_pp)):
+            with pytest.raises(ValueError, match="both reference_spectra"):
+                ExperimentRecord(
+                    input_spectra=record.input_spectra, output_spectra=record.output_spectra,
+                    excited_bins=record.excited_bins, samples_per_period=8,
+                    sampling_frequency=1.0, **only)
+
+    def test_one_estimator_for_both_loops(self):
+        assert robust_bla_closed_loop is robust_bla
+
+    def test_matches_hand_computation_with_unequal_reference_amplitudes(self):
+        # G_yr / G_ur weights every realization equally, whatever its |R_m|:
+        # the cross-spectral ratio mean(Y conj R) / mean(U conj R) would weight
+        # realization m by |R_m|^2 and differs here.
+        rng = np.random.default_rng(10)
+        m_count, p_count, n = 4, 3, 16
+        bins = np.arange(1, 8)
+        half = n // 2 + 1
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        r = draw(m_count, half) * rng.uniform(0.1, 10.0, (m_count, 1))
+        u_pp = draw(m_count, p_count, half)
+        y = draw(m_count, p_count, half)
+        record = ExperimentRecord(
+            input_spectra=u_pp.mean(axis=1), output_spectra=y, excited_bins=bins,
+            samples_per_period=n, sampling_frequency=1.0,
+            reference_spectra=r, input_spectra_per_period=u_pp)
+        est = robust_bla(record)
+        g, var_n, var_t = hand_indirect(r[:, bins], u_pp[:, :, bins], y[:, :, bins])
+        np.testing.assert_allclose(est.g_bla, g, rtol=1e-12)
+        np.testing.assert_allclose(est.var_noise, var_n, rtol=1e-12)
+        np.testing.assert_allclose(est.var_total, var_t, rtol=1e-12)
+        y_r, u_r = ((x[:, :, bins] * np.conj(r[:, None, bins])).mean(axis=(0, 1))
+                    for x in (y, u_pp))
+        weighted = y_r / u_r
+        assert np.all(np.abs(est.g_bla - weighted) > 1e-6 * np.abs(weighted))
 
     def test_linear_noiseless_synthetic_exact(self):
         rng = np.random.default_rng(7)
@@ -266,7 +324,7 @@ class TestClosedLoopRobust:
             input_spectra=u_pp.mean(axis=1), output_spectra=y, excited_bins=bins,
             samples_per_period=n, sampling_frequency=1.0,
             reference_spectra=r, input_spectra_per_period=u_pp)
-        est = robust_bla_closed_loop(record)
+        est = robust_bla(record)
         np.testing.assert_allclose(est.g_bla, g[bins], rtol=1e-12)
         np.testing.assert_allclose(est.var_noise, 0.0, atol=1e-25)
         np.testing.assert_allclose(est.var_total, 0.0, atol=1e-25)
@@ -287,7 +345,7 @@ class TestClosedLoopRobust:
             sampling_frequency=1.0, reference_spectra=u,
             input_spectra_per_period=u_pp)
         a = robust_bla(open_record)
-        b = robust_bla_closed_loop(closed_record)
+        b = robust_bla(closed_record)
         np.testing.assert_allclose(b.g_bla, a.g_bla, rtol=1e-12)
         np.testing.assert_allclose(b.var_noise, a.var_noise, rtol=1e-12)
         np.testing.assert_allclose(b.var_total, a.var_total, rtol=1e-12)
@@ -304,7 +362,7 @@ class TestClosedLoopRobust:
             input_spectra=u_pp.mean(axis=1), output_spectra=y, excited_bins=bins,
             samples_per_period=n, sampling_frequency=1.0,
             reference_spectra=r, input_spectra_per_period=u_pp)
-        est = robust_bla_closed_loop(record)
+        est = robust_bla(record)
         k = np.where(bins == 2)[0][0]
         assert not est.defined[k]
         assert est.defined.sum() == bins.size - 1
@@ -338,7 +396,7 @@ class TestClosedLoopRobust:
             samples_per_period=n, sampling_frequency=1.0,
             reference_spectra=r, input_spectra_per_period=u_pp)
         g_true = plant_lti.bin_response(n)[bins]
-        indirect = robust_bla_closed_loop(record).g_bla
+        indirect = robust_bla(record).g_bla
         naive = (y_pp[:, :, bins] / u_pp[:, :, bins]).mean(axis=(0, 1))
         err_indirect = np.sqrt(np.mean(np.abs(indirect - g_true) ** 2))
         err_naive = np.sqrt(np.mean(np.abs(naive - g_true) ** 2))
