@@ -24,11 +24,9 @@ from .experiment import (
     read_experiment_config,
     run_experiment,
     run_records,
-    write_experiment,
-    write_experiment_config,
     write_generated_signals,
 )
-from .systems import ConfigurationError, InstabilityError, write_system_file
+from .systems import ConfigurationError, InstabilityError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text, workers in (
             ("generate", "write the excitation signals", False),
             ("simulate", "simulate and write the record bundle", True),
-            ("estimate", "estimate from an existing record bundle", False),
-            ("decompose", "run the full open-loop experiment and its decomposition", True)):
+            ("estimate", "estimate from an existing record bundle", False)):
         _add_common(sub.add_parser(name, help=text), workers=workers)
 
     comp = sub.add_parser("compare", help="compare two result bundles")
@@ -80,11 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser(
         "demo-hammerstein",
-        help="run the canonical cubic Hammerstein experiment end to end")
+        help="run an experiment end to end: the canonical cubic Hammerstein "
+             "one, or that of --config")
     _add_common(demo, config_required=False, workers=True)
-    # Sizes of the built-in demo; a --config run takes its sizes from the config.
-    demo.add_argument("--realizations", type=int, help="default 10; not with --config")
-    demo.add_argument("--periods", type=int, help="default 2; not with --config")
+    # The built-in demo's period; a --config run takes its sizes from the config.
     demo.add_argument("--samples-per-period", type=int,
                       help="default 4096; not with --config")
 
@@ -122,13 +118,6 @@ def _cmd_estimate(args) -> int:
     return _print_comparison(estimate_from_bundle(_load_config(args), args.out))
 
 
-def _cmd_decompose(args) -> int:
-    config = _load_config(args)
-    if config.loop != "open":
-        raise ConfigurationError("output decomposition is defined for open loop only")
-    return _print_comparison(run_experiment(config, args.out))
-
-
 def _cmd_compare(args) -> int:
     summary, ok = compare_reports(args.bundle_a, args.bundle_b,
                                   g_rel_tol=args.g_rel_tol,
@@ -138,38 +127,21 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    names = ("realizations", "periods", "samples_per_period")
-    sizes = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    if args.config is not None:
-        if sizes:
-            flags = ", ".join("--" + name.replace("_", "-") for name in sizes)
-            raise ConfigurationError(f"{flags} cannot be combined with --config")
-        config = _load_config(args)
+    n = args.samples_per_period
+    if args.config is None:
+        config = hammerstein_demo_config(samples_per_period=4096 if n is None else n,
+                                         master_seed=args.seed or 0)
+    elif n is not None:
+        raise ConfigurationError("--samples-per-period cannot be combined with --config")
     else:
-        config = hammerstein_demo_config(
-            **sizes, master_seed=args.seed if args.seed is not None else 0)
-    # Built before anything is written; the copies go in before the summary hashes the tree.
-    record, ran = run_records(config)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    write_system_file(out / "system.ini", config.system)
-    write_experiment_config(out / "config.ini", config, system_file="system.ini")
-    summary = write_experiment(config, out, record, ran)
-    comparison = summary["analytic_comparison"]
-    print(json.dumps({
-        "fraction_in_band": comparison.get("fraction_in_band"),
-        "band_sigma": comparison.get("band_sigma"),
-        "pass": summary["pass"],
-        "out": str(out),
-    }, indent=2, sort_keys=True))
-    return EXIT_OK if summary["pass"] else EXIT_TOLERANCE
+        config = _load_config(args)
+    return _print_comparison(run_experiment(config, args.out))
 
 
 _COMMANDS = {
     "generate": _cmd_generate,
     "simulate": _cmd_simulate,
     "estimate": _cmd_estimate,
-    "decompose": _cmd_decompose,
     "compare": _cmd_compare,
     "demo-hammerstein": _cmd_demo,
 }

@@ -170,9 +170,10 @@ def robust_bla(record: ExperimentRecord) -> BlaEstimate:
     defined = np.all(r != 0, axis=0) & (d != 0)
     g_mp[:, :, ~defined] = 0.0  # masked as NaN below
     g_m = g_mp.mean(axis=1)
-    var_noise = np.abs(g_m[:, None, :] - g_mp) ** 2
-    var_noise = var_noise.sum(axis=(0, 1)) / (m_count ** 2 * p_count * (p_count - 1))
-    var_total = (np.abs(g[None, :] - g_m) ** 2).sum(axis=0) / (m_count * (m_count - 1))
+    with np.errstate(over="ignore"):  # a variance beyond the floats reads inf
+        var_noise = np.abs(g_m[:, None, :] - g_mp) ** 2
+        var_noise = var_noise.sum(axis=(0, 1)) / (m_count ** 2 * p_count * (p_count - 1))
+        var_total = (np.abs(g[None, :] - g_m) ** 2).sum(axis=0) / (m_count * (m_count - 1))
     return BlaEstimate(
         excited_bins=bins,
         g_bla=np.where(defined, g, complex(np.nan, np.nan)),
@@ -196,8 +197,9 @@ class Decomposition:
 
     ``var_noise`` and ``var_process`` are exact: white noise of variance s2
     has variance s2 in every unitary DFT bin, and the process-noise spectrum
-    is the simulator's closed form.  ``var_nonlinear`` comes from the single
-    supplied excitation (one squared sample, unbiased but coarse).
+    is the simulator's closed form.  ``var_nonlinear`` comes from one period
+    of the single supplied excitation (one squared sample, unbiased but
+    coarse).
     """
 
     var_nonlinear: np.ndarray
@@ -223,14 +225,13 @@ def decompose_output(simulator, u: PeriodicSignal, g_bla: np.ndarray) -> Decompo
                          f"expected shape ({n // 2 + 1},)")
 
     y_bar_bar, var_process = simulator.process_noise_statistics(u)
-    bla_period = inverse_dft(Spectrum(
+    y_nonlinear = y_bar_bar - inverse_dft(Spectrum(
         bins=g_bla * dft(u).bins,
         samples_per_period=n,
         sampling_frequency=u.sampling_frequency,
     ))
-    y_nonlinear = y_bar_bar - np.tile(bla_period, u.period_count)
     return Decomposition(
-        var_nonlinear=(np.abs(period_spectra(y_nonlinear, n)) ** 2).mean(axis=0),
+        var_nonlinear=np.abs(period_spectra(y_nonlinear, n)[0]) ** 2,
         var_process=var_process,
         var_noise=np.full(n // 2 + 1, float(simulator.output_noise_variance)),
     )

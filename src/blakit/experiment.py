@@ -57,6 +57,7 @@ from .systems import (
     _check_variance,
     read_system_file,
     simulate_closed_loop_batch,
+    write_system_file,
 )
 
 __all__ = [
@@ -384,7 +385,8 @@ def _comparison_summary(config: ExperimentConfig, estimate: BlaEstimate) -> dict
     # gain, and its var_total is 0 or round-off too: the band's floor is 16 eps of it.
     band = np.maximum(BAND_SIGMA * np.sqrt(np.maximum(estimate.var_total, 0.0)),
                       16 * np.finfo(float).eps * np.abs(full).max())
-    in_band = err[defined] <= band[defined]
+    # A band that overflowed to inf would hold any error: its bin is not in band.
+    in_band = (err[defined] <= band[defined]) & np.isfinite(band[defined])
     n = in_band.size
     expected = _in_band_probability(estimate.realization_count)
     tail = _binomial_tail(n - int(in_band.sum()), n, 1 - expected)
@@ -429,30 +431,28 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
-    """Simulate, estimate, and write the report bundle.
+    """Simulate, estimate, and write the report bundle; return its summary.
 
-    Writes the record bundle, then what ``_report`` writes: the output
-    decomposition in open loop, the frequency-response result CSV and a
-    self-describing summary JSON, and returns that summary.  Identical
-    config and seed give byte-identical outputs.
+    The record is built before ``out_dir`` is made, so a config too large
+    to allocate writes nothing.  Then ``out_dir`` gets copies of the config
+    and its system (``config.ini``, ``system.ini``), from which the
+    directory alone reruns the experiment, the record bundle, and what
+    ``_report`` writes: the output decomposition in open loop, the
+    frequency-response result CSV and a self-describing summary JSON.
+    Identical config and seed give byte-identical outputs.
     """
-    return write_experiment(config, out_dir, *run_records(config))
-
-
-def write_experiment(config: ExperimentConfig, out_dir, record: ExperimentRecord,
-                     ran: dict) -> dict:
-    """Write what ``run_experiment`` writes for ``(record, ran)`` from
-    ``run_records(config)``, creating ``out_dir``; return the summary."""
+    record, ran = run_records(config)
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    write_system_file(out_dir / "system.ini", config.system)
+    write_experiment_config(out_dir / "config.ini", config, system_file="system.ini")
     write_record_bundle(out_dir / "records", record)
     return _report(config, out_dir, record, ran=ran)
 
 
 def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> None:
     u = next(_excitations(config))
-    decomposition = decompose_output(
-        _simulator(config), u.tile(config.periods), _analytic_reference(config))
+    decomposition = decompose_output(_simulator(config), u, _analytic_reference(config))
     model = config.gaussian_model
     table = hermite_table(config.system.nonlinearity, model)
     (out_dir / "decomposition_report.json").write_text(json.dumps({
@@ -478,7 +478,7 @@ def estimate_from_bundle(config: ExperimentConfig, out_dir) -> dict:
     and period counts, and loop.  Otherwise ConfigurationError is raised
     before anything is written; the grid is checked on the manifest, before
     any spectrum is read.  The decomposition is a closed form of the config
-    alone, so it writes what ``run_experiment`` writes.
+    alone, so it is what ``run_experiment`` writes.
     """
     out_dir = pathlib.Path(out_dir)
     bundle = out_dir / "records"
@@ -614,15 +614,15 @@ def hammerstein_demo_system() -> SystemDescription:
     )
 
 
-def hammerstein_demo_config(realizations: int = 10, periods: int = 2,
-                            samples_per_period: int = 4096,
+def hammerstein_demo_config(samples_per_period: int = 4096,
                             master_seed: int = 0) -> ExperimentConfig:
-    """The flagship open-loop setup: unit-RMS flat multisine, cubic system,
-    process and output noise of standard deviation 0.1 and 0.03."""
+    """The flagship open-loop setup: 10 realizations of 2 periods of a
+    unit-RMS flat multisine, cubic system, process and output noise of
+    standard deviation 0.1 and 0.03."""
     return ExperimentConfig(
         loop="open",
-        realizations=realizations,
-        periods=periods,
+        realizations=10,
+        periods=2,
         samples_per_period=samples_per_period,
         sampling_frequency=1.0,
         excited_bins=tuple(range(1, samples_per_period // 2)),

@@ -449,9 +449,9 @@ class HammersteinSimulator:
     def process_noise_statistics(self, u: PeriodicSignal) -> tuple[np.ndarray, np.ndarray]:
         """What ``run`` averages to over the process noise, and its spectrum, exactly.
 
-        Returns ``(y_mean, var_process)``: ``y_mean`` is ``S[E f(u + nx)]``
-        over the periods of ``u``, the expectation of ``run``'s output
-        without output noise, and ``var_process`` the variance of one
+        Returns ``(y_mean, var_process)``: ``y_mean`` is one period of
+        ``S[E f(u + nx)]``, the expectation of each period of ``run``'s
+        output without output noise, and ``var_process`` the variance of one
         steady-state period's unitary DFT of that output, on bins
         ``0..N//2``.  With white ``nx``, ``f(u + nx) - E f(u + nx)`` is
         independent over time, with the periodic variance
@@ -462,10 +462,9 @@ class HammersteinSimulator:
         raises InstabilityError.
         """
         n = u.samples_per_period
-        p = u.period_count
         _check_periodic(u, "input")
         if self.process_noise_variance == 0:
-            return np.tile(self._periodic_output(u), p), np.zeros(n // 2 + 1)
+            return self._periodic_output(u), np.zeros(n // 2 + 1)
         with np.errstate(over="ignore", invalid="ignore"):  # reported right below
             mean, variance = _noise_moments(self.nonlinearity, u.period(0),
                                             self.process_noise_variance)
@@ -475,7 +474,7 @@ class HammersteinSimulator:
         # A standard deviation per bin; abs, as round-off may leave a zero variance negative.
         _check_divergence(np.sqrt(np.abs(var_process)), var_process.size,
                           "process-noise spectrum")
-        return np.tile(y_mean, p), var_process
+        return y_mean, var_process
 
     def _periodic_output(self, u: PeriodicSignal) -> np.ndarray:
         """One period of the exact noise-free periodic steady state."""

@@ -38,7 +38,7 @@ def _split_output(simulator, u, g_bla, seed) -> Split:
     y_total = measured.output.samples
     y_output_noise = generate_noise(simulator.output_noise_variance, p * n,
                                     derive_rng(seed, "decompose", "measured_ny"))
-    y_bar_bar, _ = simulator.process_noise_statistics(u)
+    y_bar_bar = np.tile(simulator.process_noise_statistics(u)[0], p)
     y_bla = np.tile(inverse_dft(Spectrum(
         bins=np.asarray(g_bla, dtype=complex) * dft(u).bins,
         samples_per_period=n,

@@ -44,12 +44,10 @@ from blakit.systems import (
 def write_config(tmp_path, name="config.ini", system=None, **overrides):
     system = system if system is not None else hammerstein_demo_system()
     config = hammerstein_demo_config(
-        realizations=overrides.pop("realizations", 3),
-        periods=overrides.pop("periods", 2),
         samples_per_period=overrides.pop("samples_per_period", 128),
         master_seed=overrides.pop("master_seed", 5),
     )
-    fields = {**config.__dict__, "system": system,
+    fields = {**config.__dict__, "realizations": 3, "system": system,
               "excited_bins": tuple(range(1, config.samples_per_period // 2)),
               **overrides}
     config = ExperimentConfig(**fields)
@@ -265,6 +263,8 @@ class TestSubcommands:
             assert simulated["estimate"].pop("lead_in_samples") == 1024
         else:  # period 2 repeats period 1, not exactly, so recording starts at period 2
             assert simulated["estimate"].pop("warmup_periods_used") == 2
+        # The full run also copies its config and system into its directory.
+        assert simulated["files"].pop("config.ini") and simulated["files"].pop("system.ini")
         assert estimated == simulated
 
     def test_estimate_against_a_wrong_reference_exits_4(self, tmp_path, capsys):
@@ -286,17 +286,15 @@ class TestSubcommands:
     @pytest.mark.parametrize("loop", ["open", "closed"])
     def test_estimate_writes_the_decomposition(self, tmp_path, loop):
         # The loop decides the decomposition, a closed form of the config: in
-        # open loop simulate + estimate, demo-hammerstein --config and
-        # decompose write it and the same records and result, byte for byte;
-        # in closed loop neither of the first two writes it.  Apart from the
-        # configs the demo copies, the trees differ only in their summaries.
+        # open loop simulate + estimate and demo-hammerstein --config both
+        # write it and the same records and result, byte for byte; in closed
+        # loop neither writes it.  Apart from the configs the demo copies,
+        # the trees differ only in their summaries.
         system = LOOP_SYSTEM if loop == "closed" else None
         path, _ = write_config(tmp_path, system=system, loop=loop,
                                process_noise_variance=0.01, output_noise_variance=0.0009)
         assert "[decomposition]" not in path.read_text()
         runs = {"split": ["simulate", "estimate"], "demo": ["demo-hammerstein"]}
-        if loop == "open":
-            runs["whole"] = ["decompose"]
         trees = {}
         for name, commands in runs.items():
             for command in commands:
@@ -359,7 +357,7 @@ class TestSubcommands:
         path, _ = write_config(tmp_path, output_noise_variance=1.0, process_noise_variance=0.0)
         (tmp_path / "system.ini").write_text(f"[S]\nb = {gain}\n\n[f]\ncoefficients = 1.0\n")
         out = tmp_path / "out"
-        assert main(["decompose", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert main(["demo-hammerstein", "--config", str(path), "--out", str(out)]) == EXIT_OK
 
         def refuse(constant):
             raise ValueError(f"summary.json holds {constant}")
@@ -373,7 +371,7 @@ class TestSubcommands:
         path, _ = write_config(tmp_path, process_noise_variance=0.01,
                                output_noise_variance=0.0009)
         out = tmp_path / "out"
-        assert main(["decompose", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert main(["demo-hammerstein", "--config", str(path), "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "decomposition_report.json").read_text())
         assert set(report) == {"hermite", "input_variance", "process_noise_variance"}
         assert report["process_noise_variance"] == 0.01
@@ -382,12 +380,12 @@ class TestSubcommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["decomposition"] == {"enabled": True}
 
-    def test_decompose_prints_the_analytic_comparison(self, tmp_path, capsys):
+    def test_demo_prints_the_analytic_comparison(self, tmp_path, capsys):
         # What estimate prints: the block that says whether and why a run exits 4.
         path, _ = write_config(tmp_path, process_noise_variance=0.01)
         out = tmp_path / "out"
         capsys.readouterr()
-        assert main(["decompose", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert main(["demo-hammerstein", "--config", str(path), "--out", str(out)]) == EXIT_OK
         printed = json.loads(capsys.readouterr().out)
         summary = json.loads((out / "summary.json").read_text())
         assert printed == summary["analytic_comparison"]
@@ -399,7 +397,7 @@ class TestSubcommands:
         path, _ = write_config(tmp_path, system=system, realizations=10,
                                samples_per_period=256, master_seed=0)
         out = tmp_path / "out"
-        assert main(["decompose", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert main(["demo-hammerstein", "--config", str(path), "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "decomposition_report.json").read_text())
         assert np.array(report["hermite"]).shape == (6, 6)
 
@@ -522,7 +520,7 @@ compare_analytic = true
 
 """
 
-    @pytest.mark.parametrize("command", ["generate", "simulate", "estimate", "decompose"])
+    @pytest.mark.parametrize("command", ["generate", "simulate", "estimate", "demo-hammerstein"])
     def test_retired_decomposition_switch_exits_2(self, tmp_path, capsys, command):
         # The loop decides the decomposition, so the switch is a key that no
         # reader reads, under every command and before anything is written.
@@ -532,13 +530,6 @@ compare_analytic = true
         message = self.assert_config_error(
             capsys, [command, "--config", str(path), "--out", str(tmp_path / "out")])
         assert message == f"{path}: key 'enabled' in section [decomposition] is unknown"
-        assert not (tmp_path / "out").exists()
-
-    def test_decompose_refuses_a_closed_loop(self, tmp_path, capsys):
-        path, _ = write_config(tmp_path, system=LOOP_SYSTEM, loop="closed")
-        message = self.assert_config_error(
-            capsys, ["decompose", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert message == "output decomposition is defined for open loop only"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new, expected", [
@@ -644,7 +635,7 @@ compare_analytic = true
         assert message == f"{directory / name}: {named} [{section}] is unknown"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["generate", "decompose"])
+    @pytest.mark.parametrize("command", ["generate", "demo-hammerstein"])
     def test_overflowing_excitation_writes_nothing(self, tmp_path, capsys, command):
         path, _ = write_config(tmp_path)
         self.edit_config(path, "rms = 1\n", "rms = 1e308\n")
@@ -761,13 +752,18 @@ compare_analytic = true
         ["estimate", "--workers", "2"],
         ["simulate", "--no-such-option"],
         ["demo-hammerstein", "--workers", "two"],
-    ], ids=["generate-workers", "estimate-workers", "unknown-option", "non-integer-workers"])
+        # demo-hammerstein --config runs what decompose ran, and a config sets any size.
+        ["decompose"],
+        ["demo-hammerstein", "--realizations", "4"],
+        ["demo-hammerstein", "--periods", "3"],
+    ], ids=["generate-workers", "estimate-workers", "unknown-option", "non-integer-workers",
+            "retired-decompose", "retired-realizations", "retired-periods"])
     def test_usage_error(self, tmp_path, capsys, argv):
         path, _ = write_config(tmp_path)
         out = tmp_path / "out"
         message = self.assert_config_error(
             capsys, [*argv, "--config", str(path), "--out", str(out)])
-        assert argv[-2] in message or argv[-1] in message
+        assert any(arg in message for arg in argv[-2:])
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--g-rel-tol", "--var-ratio-tol"])
@@ -783,7 +779,7 @@ compare_analytic = true
         assert hash_tree(out) == before
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "path-under-file"])
-    @pytest.mark.parametrize("command", ["generate", "simulate", "decompose", "demo-hammerstein"])
+    @pytest.mark.parametrize("command", ["generate", "simulate", "demo-hammerstein"])
     def test_out_is_not_a_directory(self, tmp_path, capsys, command, below):
         path, _ = write_config(tmp_path)
         blocker = tmp_path / "out"
@@ -794,7 +790,7 @@ compare_analytic = true
         assert f"{blocker} exists and is not a directory" in message
         assert blocker.read_text() == "a file, not a directory\n"
 
-    @pytest.mark.parametrize("command", ["generate", "simulate", "estimate", "decompose",
+    @pytest.mark.parametrize("command", ["generate", "simulate", "estimate",
                                          "demo-hammerstein"])
     def test_out_name_too_long_for_the_os(self, tmp_path, capsys, command):
         path, _ = write_config(tmp_path)
@@ -806,7 +802,7 @@ compare_analytic = true
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("below", [False, True], ids=["link", "path-under-link"])
-    @pytest.mark.parametrize("command", ["generate", "simulate", "estimate", "decompose",
+    @pytest.mark.parametrize("command", ["generate", "simulate", "estimate",
                                          "demo-hammerstein"])
     def test_out_dangling_symlink(self, tmp_path, capsys, command, below):
         # stat says a dangling link is missing, but no command could create it.
@@ -842,7 +838,7 @@ compare_analytic = true
         assert not out.exists()
 
     @pytest.mark.parametrize("fs", ["1e-308", "1e-310"])
-    @pytest.mark.parametrize("command", ["generate", "simulate", "estimate", "decompose",
+    @pytest.mark.parametrize("command", ["generate", "simulate", "estimate",
                                          "demo-hammerstein"])
     def test_sample_time_without_finite_value(self, tmp_path, capsys, command, fs):
         # At 1e-308 Hz the last of 128 samples is at 127e308 s, and at 1e-310 Hz
@@ -882,7 +878,7 @@ sys.exit(status)
                                                            os.environ.get("PYTHONPATH"))))}
         done = subprocess.run(
             [sys.executable, "-c", self.REFUSE_SCIPY, "demo-hammerstein",
-             "--samples-per-period", "256", "--realizations", "4", "--out", str(tmp_path / "out")],
+             "--samples-per-period", "256", "--out", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["pass"] is True
@@ -917,7 +913,7 @@ print(json.dumps({"status": status, "eager": eager, "loaded": "numpy.ma" in sys.
                                                            os.environ.get("PYTHONPATH"))))}
         done = subprocess.run(
             [sys.executable, "-c", self.NUMPY_MA, "demo-hammerstein",
-             "--samples-per-period", "64", "--realizations", "3", "--out", str(tmp_path / "out")],
+             "--samples-per-period", "64", "--out", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout.splitlines()[-1])
@@ -947,7 +943,7 @@ print(json.dumps({"status": status, "loaded": "concurrent.futures" in sys.module
                                                            os.environ.get("PYTHONPATH"))))}
         done = subprocess.run(
             [sys.executable, "-c", self.NO_POOL, "demo-hammerstein", "--samples-per-period", "64",
-             "--realizations", "3", "--workers", workers, "--out", str(tmp_path / "out")],
+             "--workers", workers, "--out", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout.splitlines()[-1])
@@ -1049,27 +1045,49 @@ class TestDemo:
     def test_demo_small_run_passes(self, tmp_path, capsys):
         out = tmp_path / "demo"
         code = main(["demo-hammerstein", "--out", str(out), "--seed", "3",
-                     "--samples-per-period", "256", "--realizations", "4"])
+                     "--samples-per-period", "256"])
         printed = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
         assert printed["pass"] is True
         assert (out / "config.ini").exists()
         assert (out / "system.ini").exists()
         summary = json.loads((out / "summary.json").read_text())
+        assert printed == summary["analytic_comparison"]
         assert summary["analytic_comparison"]["fraction_in_band"] >= 0.95
-        # c(4, 3) = 1 - (1 + 9/3)^-3, the in-band chance the gate tests against
-        assert summary["analytic_comparison"]["expected_fraction_in_band"] == 1 - 4.0 ** -3
+        # c(10, 3) = 1 - (1 + 9/9)^-9, the in-band chance the gate tests against
+        assert summary["analytic_comparison"]["expected_fraction_in_band"] == 1 - 2.0 ** -9
         assert summary["decomposition"]["enabled"] is True
-        # The written config reproduces the run exactly; only the summary's
-        # file inventory differs (the demo directory also holds the configs).
-        config = read_experiment_config(out / "config.ini")
+        # The written config reproduces the whole run directory byte for
+        # byte, in a new directory or in its own.
+        tree = hash_tree(out)
         rerun = tmp_path / "rerun"
-        run_experiment(config, rerun)
-        skip = ("config.ini", "system.ini", "summary.json")
-        assert {k: v for k, v in hash_tree(out).items() if k not in skip} == \
-            {k: v for k, v in hash_tree(rerun).items() if k not in skip}
+        run_experiment(read_experiment_config(out / "config.ini"), rerun)
+        assert hash_tree(rerun) == tree
+        assert main(["demo-hammerstein", "--config", str(out / "config.ini"),
+                     "--out", str(out)]) == EXIT_OK
+        assert hash_tree(out) == tree
 
-    @pytest.mark.parametrize("flag", ["--realizations", "--periods", "--samples-per-period"])
+    def test_overflowed_variance_fails_the_gate(self, tmp_path, capsys):
+        # An output variance of 1e308 is finite, but the estimator's variance
+        # sums overflow: every bin's band is inf, which holds no estimate.
+        out = tmp_path / "demo"
+        assert main(["demo-hammerstein", "--out", str(out), "--seed", "3",
+                     "--samples-per-period", "256"]) == EXIT_OK
+        TestInvalidInputExits2.edit_config(out / "config.ini",
+                                           "output_variance = 0.00089999999999999998",
+                                           "output_variance = 1e308")
+        capsys.readouterr()
+        code = main(["demo-hammerstein", "--config", str(out / "config.ini"),
+                     "--out", str(tmp_path / "huge")])
+        captured = capsys.readouterr()
+        assert code == EXIT_TOLERANCE and captured.err == ""
+        printed = json.loads(captured.out)
+        assert printed["pass"] is False and printed["fraction_in_band"] == 0.0
+        rows = (tmp_path / "huge" / "bla.csv").read_text().splitlines()[1:]
+        assert len(rows) == 127
+        assert all(row.split(",")[4:6] == ["inf", "inf"] for row in rows)
+
+    @pytest.mark.parametrize("flag", ["--samples-per-period"])
     def test_size_flag_with_config_exits_2(self, tmp_path, capsys, flag):
         path, _ = write_config(tmp_path)
         out = tmp_path / "run"

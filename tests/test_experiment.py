@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +130,8 @@ class TestOracleGate:
         assert summary["pass"] is False
 
 
+IDENTITY, DEMO_F = (1.0,), (1.0, 0.0, 0.1)  # f of the loop below and of the demo
+
 # A linear loop (test_07's) with the identity f, where the closed loop's oracle applies.
 CALIBRATION_LOOP = SystemDescription(
     dynamics=RationalLTI(b=[0.6, 0.3], a=[1.0, -0.4]),
@@ -147,24 +149,32 @@ class TestPipelineCalibration:
     probability about 6e-5 per row.  The seeds are 0..K-1, none chosen.
     """
 
-    @pytest.mark.parametrize("loop, n, m, process, output, runs", [
-        ("closed", 64, 3, 0.5, 0.01, 200),
-        ("open", 256, 3, 0.01, 0.0009, 80),
-        pytest.param("closed", 64, 10, 5.0, 1.0, 100, marks=pytest.mark.xfail(
+    @pytest.mark.parametrize("loop, f, n, m, process, output, runs", [
+        ("closed", IDENTITY, 64, 3, 0.5, 0.01, 200),
+        ("open", DEMO_F, 256, 3, 0.01, 0.0009, 80),
+        ("open", (1.0, 0.0, 0.3), 256, 10, 0.25, 0.0009, 40),
+        ("open", (1.0, 0.3, 0.1, 0.0, -0.01), 256, 3, 1.0, 0.0009, 80),
+        pytest.param("closed", IDENTITY, 64, 10, 5.0, 1.0, 100, marks=pytest.mark.xfail(
             strict=True, reason="ROADMAP item 10: at low SNR the closed loop's linearized "
                                 "band is too narrow (z = 8.5)")),
-        pytest.param("open", 16, 300, 0.0, 0.0009, 10, marks=pytest.mark.xfail(
+        pytest.param("closed", IDENTITY, 256, 10, 0.5, 0.01, 300, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 10: at M = 10 the closed loop's linearized "
+                                "band is too narrow at moderate SNR too (z = 5.3)")),
+        pytest.param("open", DEMO_F, 16, 300, 0.0, 0.0009, 10, marks=pytest.mark.xfail(
             strict=True, reason="ROADMAP item 1: at F = 7 the Gaussian-input reference is "
                                 "not the multisine's BLA (z = 60)")),
-    ], ids=["closed-m3", "open-m3", "closed-m10-low-snr", "open-f7-m300"])
-    def test_pooled_out_of_band_share(self, loop, n, m, process, output, runs):
+    ], ids=["closed-m3", "open-m3", "open-cubic-m10", "open-quintic-m3", "closed-m10-low-snr",
+            "closed-m10-n256", "open-f7-m300"])
+    def test_pooled_out_of_band_share(self, loop, f, n, m, process, output, runs):
+        base = CALIBRATION_LOOP if loop == "closed" else hammerstein_demo_system()
+        system = replace(base, nonlinearity=PolynomialNonlinearity(f))
         bins = misses = 0
         for seed in range(runs):
             config = ExperimentConfig(
                 loop=loop, realizations=m, periods=2, samples_per_period=n,
                 sampling_frequency=1.0, excited_bins=tuple(range(1, n // 2)), input_rms=1.0,
-                system=CALIBRATION_LOOP if loop == "closed" else hammerstein_demo_system(),
-                process_noise_variance=process, output_noise_variance=output, master_seed=seed)
+                system=system, process_noise_variance=process, output_noise_variance=output,
+                master_seed=seed)
             record, _ = run_records(config)
             summary = _comparison_summary(config, robust_bla(record))
             defined = summary["defined_bins"]
