@@ -18,6 +18,7 @@ import sys
 
 from .estimator import write_record_bundle
 from .experiment import (
+    _check_out_bundle,
     compare_reports,
     estimate_from_bundle,
     hammerstein_demo_config,
@@ -101,7 +102,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    record, _ = run_records(_load_config(args))
+    config = _load_config(args)
+    _check_out_bundle(config, args.out)
+    record, _ = run_records(config)
     write_record_bundle(args.out / "records", record)
     print(f"wrote record bundle ({record.realization_count} realizations, "
           f"{record.period_count} periods) under {args.out / 'records'}")

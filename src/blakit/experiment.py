@@ -78,7 +78,6 @@ __all__ = [
 class ExperimentConfig:
     """Everything a reproducible experiment depends on."""
 
-    loop: str
     realizations: int
     periods: int
     samples_per_period: int
@@ -90,11 +89,11 @@ class ExperimentConfig:
     output_noise_variance: float = 0.0
     input_noise_variance: float = 0.0
     master_seed: int = 0
-    compare_analytic: bool = True
 
     def __post_init__(self):
-        if self.loop not in ("open", "closed"):
-            raise ConfigurationError(f"loop must be 'open' or 'closed', got {self.loop!r}")
+        if (self.system.actuator is None) != (self.system.feedback is None):
+            raise ConfigurationError("the system needs both G_act and M (a closed loop) "
+                                     "or neither (an open loop)")
         if self.realizations < 2 or self.periods < 2:
             raise ConfigurationError(
                 "the robust estimator needs realizations >= 2 and periods >= 2"
@@ -127,14 +126,15 @@ class ExperimentConfig:
         if self.loop == "open" and self.input_noise_variance != 0:
             raise ConfigurationError("input_variance must be 0 in open loop, where the "
                                      "plant input is the noise-free excitation")
-        if self.loop == "closed" and (self.system.actuator is None
-                                      or self.system.feedback is None):
-            raise ConfigurationError("closed-loop experiments need G_act and M blocks")
-        if self.compare_analytic and not self._analytic_supported():
-            raise ConfigurationError("the closed loop's analytic reference needs f(x) = x")
         object.__setattr__(self, "excited_bins", tuple(bins))
 
+    @property
+    def loop(self) -> str:
+        """``"closed"`` for a system with ``G_act`` and ``M``, ``"open"`` for one with neither."""
+        return "open" if self.system.feedback is None else "closed"
+
     def _analytic_supported(self) -> bool:
+        """Whether the analytic reference exists: in open loop, or in closed loop with f(x) = x."""
         c = self.system.nonlinearity.coefficients
         return self.loop == "open" or (c.size == 1 and c[0] == 1.0)
 
@@ -175,7 +175,6 @@ def _bin_range(bins) -> str | None:
 # the system file's path.  A key without a _FALLBACKS entry (the field default,
 # or a file-only one) is required.  The reader refuses every other section and key.
 _CONFIG_KEYS = (
-    ("experiment", "loop", "loop", str),
     ("experiment", "realizations", "realizations", int),
     ("experiment", "periods", "periods", int),
     ("experiment", "master_seed", "master_seed", int),
@@ -187,15 +186,14 @@ _CONFIG_KEYS = (
     ("noise", "process_variance", "process_noise_variance", float),
     ("noise", "output_variance", "output_noise_variance", float),
     ("noise", "input_variance", "input_noise_variance", float),
-    ("oracle", "compare_analytic", "compare_analytic", bool),
 )
 _KEYS = {field: key for _, key, field, _ in _CONFIG_KEYS}
 _SCHEMA = {section: [key for s, key, _, _ in _CONFIG_KEYS if s == section]
            for section, *_ in _CONFIG_KEYS}
-_FALLBACKS = {"loop": "open", "sampling_frequency": 1.0, "excited_bins": "all", "input_rms": 1.0,
+_FALLBACKS = {"sampling_frequency": 1.0, "excited_bins": "all", "input_rms": 1.0,
               **{f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}}
-_GETTERS = {int: "getint", float: "getfloat", bool: "getboolean"}  # others: "get"
-_TEXT = {float: _fmt, bool: lambda flag: str(flag).lower(),  # others: str
+_GETTERS = {int: "getint", float: "getfloat"}  # others: "get"
+_TEXT = {float: _fmt,  # others: str
          "bins": lambda bins: _bin_range(bins) or ", ".join(map(str, bins))}
 
 
@@ -334,8 +332,8 @@ def write_generated_signals(config: ExperimentConfig, out_dir) -> list[pathlib.P
 
 
 def _analytic_reference(config: ExperimentConfig) -> np.ndarray:
-    # In closed loop f is the identity (checked at construction), whose gain
-    # is exactly 1.0, so this is the linear plant's response bit for bit.
+    # In closed loop it exists only for the identity f, whose gain is
+    # exactly 1.0, so there it is the linear plant's response bit for bit.
     return analytic_hammerstein_bla(
         config.system.dynamics, config.system.nonlinearity,
         config.gaussian_model, config.samples_per_period,
@@ -417,7 +415,7 @@ def _hash_tree(out_dir: pathlib.Path, skip: set[str]) -> dict:
 
 def _config_echo(config: ExperimentConfig) -> dict:
     # Shallow: asdict would deep-copy the system and the bins, both replaced below.
-    echo = {field.name: getattr(config, field.name) for field in fields(config)}
+    echo = {"loop": config.loop, **{f.name: getattr(config, f.name) for f in fields(config)}}
     system = config.system
     echo["system"] = {"f_coefficients": system.nonlinearity.coefficients.tolist()}
     for name, lti in (("S", system.dynamics), ("G_act", system.actuator),
@@ -439,8 +437,10 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     directory alone reruns the experiment, the record bundle, and what
     ``_report`` writes: the output decomposition in open loop, the
     frequency-response result CSV and a self-describing summary JSON.
-    Identical config and seed give byte-identical outputs.
+    Identical config and seed give byte-identical outputs.  An ``out_dir``
+    holding another experiment's record bundle is refused first.
     """
+    _check_out_bundle(config, out_dir)
     record, ran = run_records(config)
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -469,19 +469,12 @@ def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> None:
                  labels=_bin_labels(config.samples_per_period, config.sampling_frequency))
 
 
-def estimate_from_bundle(config: ExperimentConfig, out_dir) -> dict:
-    """Estimate from an existing record bundle, write what ``_report``
-    writes and return the summary.
-
-    The bundle must be readable and recorded on the grid of ``config``: the
-    same samples per period, sampling frequency, excited bins, realization
-    and period counts, and loop.  Otherwise ConfigurationError is raised
-    before anything is written; the grid is checked on the manifest, before
-    any spectrum is read.  The decomposition is a closed form of the config
-    alone, so it is what ``run_experiment`` writes.
+def _bundle_manifest(config: ExperimentConfig, bundle: pathlib.Path) -> dict:
+    """The manifest of the record bundle under ``bundle``, which must be
+    readable and recorded on the grid of ``config``: the same samples per
+    period, sampling frequency, excited bins, realization and period counts,
+    and loop.  Otherwise ConfigurationError is raised; no spectrum is read.
     """
-    out_dir = pathlib.Path(out_dir)
-    bundle = out_dir / "records"
     grid = {  # manifest key: config value
         "samples_per_period": config.samples_per_period,
         "sampling_frequency_hz": config.sampling_frequency,
@@ -493,8 +486,6 @@ def estimate_from_bundle(config: ExperimentConfig, out_dir) -> dict:
     try:
         manifest = read_bundle_manifest(bundle)
         mismatched = [name for name, wanted in grid.items() if manifest[name] != wanted]
-        # The manifest sizes the spectrum arrays: read them only on the config's grid.
-        record = None if mismatched else read_record_bundle(bundle, manifest)
     except KeyError as exc:
         raise ConfigurationError(f"{bundle / 'manifest.json'} lacks key {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
@@ -502,6 +493,32 @@ def estimate_from_bundle(config: ExperimentConfig, out_dir) -> dict:
     if mismatched:
         raise ConfigurationError(f"record bundle under {bundle} does not match the "
                                  f"config in: {', '.join(mismatched)}")
+    return manifest
+
+
+def _check_out_bundle(config: ExperimentConfig, out_dir) -> None:
+    """Refuse an ``out_dir`` holding a record bundle that ``_bundle_manifest``
+    refuses: a run there would mix its files with another experiment's."""
+    bundle = pathlib.Path(out_dir) / "records"
+    if (bundle / "manifest.json").exists():
+        _bundle_manifest(config, bundle)
+
+
+def estimate_from_bundle(config: ExperimentConfig, out_dir) -> dict:
+    """Estimate from an existing record bundle, write what ``_report``
+    writes and return the summary.
+
+    A bundle that ``_bundle_manifest`` refuses, or a damaged one, raises
+    ConfigurationError before anything is written.  The decomposition is a
+    closed form of the config alone, so it is what ``run_experiment`` writes.
+    """
+    out_dir = pathlib.Path(out_dir)
+    bundle = out_dir / "records"
+    manifest = _bundle_manifest(config, bundle)  # it sizes the spectrum arrays
+    try:
+        record = read_record_bundle(bundle, manifest)
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigurationError(f"cannot read the record bundle under {bundle}: {exc}") from exc
     return _report(config, out_dir, record)
 
 
@@ -520,7 +537,7 @@ def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentR
     estimate = robust_bla(record)
     write_bla_csv(out_dir / "bla.csv", estimate)
     comparison = (_comparison_summary(config, estimate)
-                  if config.compare_analytic else {"enabled": False})
+                  if config._analytic_supported() else {"enabled": False})
     summary = {
         "config": _config_echo(config),
         "estimate": {
@@ -620,7 +637,6 @@ def hammerstein_demo_config(samples_per_period: int = 4096,
     unit-RMS flat multisine, cubic system, process and output noise of
     standard deviation 0.1 and 0.03."""
     return ExperimentConfig(
-        loop="open",
         realizations=10,
         periods=2,
         samples_per_period=samples_per_period,

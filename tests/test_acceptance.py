@@ -125,7 +125,7 @@ def test_03_process_noise_gain_dependence():
         estimates = {}
         for label, variance in (("small", 0.01), ("large", 1.0)):
             config = ExperimentConfig(
-                loop="open", realizations=64, periods=4, samples_per_period=n,
+                realizations=64, periods=4, samples_per_period=n,
                 sampling_frequency=1.0, excited_bins=tuple(range(1, n // 2)),
                 input_rms=1.0, system=DEMO, process_noise_variance=variance,
                 output_noise_variance=0.03 ** 2, master_seed=91)
@@ -291,7 +291,7 @@ def test_06_variance_formula_consistency():
         acc_total = np.zeros(bins.size)
         for rep in range(reps):
             config = ExperimentConfig(
-                loop="open", realizations=m_count, periods=p_count,
+                realizations=m_count, periods=p_count,
                 samples_per_period=n, sampling_frequency=1.0,
                 excited_bins=tuple(bins), input_rms=1.0, system=DEMO,
                 process_noise_variance=s2_x, output_noise_variance=s2_y,

@@ -112,7 +112,8 @@ def lti_arrays(system: SystemDescription) -> list:
 
 @st.composite
 def experiment_configs(draw):
-    """Any valid ExperimentConfig: open loop on the cubic demo system, or a linear loop.
+    """Any valid ExperimentConfig: open loop on the cubic demo system, or a linear
+    loop, which its G_act and M blocks make a closed loop.
 
     Open loop has no input noise, so its input_noise_variance is 0.
     """
@@ -129,7 +130,6 @@ def experiment_configs(draw):
     frequency = positive.filter(lambda fs: math.isfinite((n - 1) * (1.0 / fs)))
     variance = st.floats(min_value=0.0, allow_infinity=False)
     return ExperimentConfig(
-        loop=loop,
         realizations=draw(st.integers(2, 1000)),
         periods=draw(st.integers(2, 100)),
         samples_per_period=n,
@@ -142,7 +142,6 @@ def experiment_configs(draw):
         output_noise_variance=draw(variance),
         input_noise_variance=draw(variance) if loop == "closed" else 0.0,
         master_seed=draw(st.integers(0, 2 ** 64 - 1)),
-        compare_analytic=draw(st.booleans()),
     )
 
 
@@ -155,6 +154,7 @@ class TestConfigFile:
         write_system_file(directory / "system.ini", config.system)
         write_experiment_config(directory / "config.ini", config, system_file="system.ini")
         back = read_experiment_config(directory / "config.ini")
+        assert back.loop == config.loop
         for field in dataclasses.fields(ExperimentConfig):
             wrote, read = getattr(config, field.name), getattr(back, field.name)
             if field.name == "system":
@@ -194,24 +194,38 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError, match="realizations"):
             write_config(tmp_path, realizations=1)
 
-    def test_closed_loop_needs_loop_blocks(self, tmp_path):
-        system = SystemDescription(
-            dynamics=RationalLTI(b=[0.3], a=[1.0, -0.5]),
-            nonlinearity=PolynomialNonlinearity.identity(),
-        )
-        with pytest.raises(ConfigurationError, match="G_act"):
-            write_config(tmp_path, system=system, loop="closed",
-                         compare_analytic=False)
+    def test_closed_loop_needs_loop_blocks(self, tmp_path, capsys):
+        # G_act and M make the loop closed, so a system with one of them is neither loop.
+        path, _ = write_config(tmp_path)
+        system, out = (tmp_path / "system.ini").read_text(), tmp_path / "out"
+        for block in ("G_act", "M"):
+            (tmp_path / "system.ini").write_text(f"{system}[{block}]\nb = 0.5\n")
+            message = TestInvalidInputExits2.assert_config_error(
+                capsys, ["demo-hammerstein", "--config", str(path), "--out", str(out)])
+            assert "both G_act and M" in message
+            assert not out.exists()
 
-    def test_cubic_closed_loop_has_no_analytic_reference(self, tmp_path):
+    def test_cubic_closed_loop_has_no_analytic_reference(self, tmp_path, capsys):
+        # The system alone makes the loop closed, and the oracle runs only
+        # where its reference exists: in closed loop, for f(x) = x.
         system = SystemDescription(
             dynamics=RationalLTI(b=[0.3], a=[1.0, -0.5]),
             nonlinearity=PolynomialNonlinearity(coefficients=[1.0, 0.0, 0.1]),
             actuator=RationalLTI.identity(),
             feedback=RationalLTI(b=[0.0, 0.4]),
         )
-        with pytest.raises(ConfigurationError, match="analytic"):
-            write_config(tmp_path, system=system, loop="closed")
+        path, config = write_config(tmp_path, system=system, process_noise_variance=0.01)
+        assert config.loop == "closed" and "loop" not in path.read_text()
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["demo-hammerstein", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"enabled": False}
+        assert json.loads((out / "records" / "manifest.json").read_text())["closed_loop"] is True
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["loop"] == "closed"
+        assert summary["analytic_comparison"] == {"enabled": False}
+        assert summary["decomposition"] == {"enabled": False}
+        assert summary["pass"] is True
 
 
 class TestSubcommands:
@@ -247,7 +261,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("loop", ["open", "closed"])
     def test_simulate_then_estimate_matches_run_experiment(self, tmp_path, loop):
         system = LOOP_SYSTEM if loop == "closed" else None
-        path, _ = write_config(tmp_path, system=system, loop=loop,
+        path, _ = write_config(tmp_path, system=system,
                                process_noise_variance=0.01, output_noise_variance=0.0009)
         split, whole = tmp_path / "split", tmp_path / "whole"
         assert main(["simulate", "--config", str(path), "--out", str(split)]) == EXIT_OK
@@ -291,7 +305,7 @@ class TestSubcommands:
         # loop neither writes it.  Apart from the configs the demo copies,
         # the trees differ only in their summaries.
         system = LOOP_SYSTEM if loop == "closed" else None
-        path, _ = write_config(tmp_path, system=system, loop=loop,
+        path, _ = write_config(tmp_path, system=system,
                                process_noise_variance=0.01, output_noise_variance=0.0009)
         assert "[decomposition]" not in path.read_text()
         runs = {"split": ["simulate", "estimate"], "demo": ["demo-hammerstein"]}
@@ -345,8 +359,7 @@ class TestSubcommands:
             dynamics=RationalLTI(b=[1e-6], a=[1.0, -0.999999]),
             nonlinearity=PolynomialNonlinearity.identity(),
         )
-        path, _ = write_config(tmp_path, system=system, samples_per_period=64,
-                               compare_analytic=False)
+        path, _ = write_config(tmp_path, system=system, samples_per_period=64)
         assert main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == EXIT_INSTABILITY
 
@@ -433,7 +446,7 @@ class TestSubcommands:
         system = LOOP_SYSTEM if loop == "closed" else SystemDescription(
             dynamics=dynamics, nonlinearity=PolynomialNonlinearity.identity())
         config = ExperimentConfig(
-            loop=loop, realizations=realizations, periods=2, samples_per_period=n,
+            realizations=realizations, periods=2, samples_per_period=n,
             sampling_frequency=1.0, excited_bins=tuple(range(1, n // 2)), input_rms=1.0,
             system=system, master_seed=3)
         summary = run_experiment(config, tmp_path / "out")
@@ -489,11 +502,10 @@ class TestInvalidInputExits2:
                      "--out", str(tmp_path / "out")])
         assert "seed" in message
 
-    # The config.ini of a demo run from before the loop decided the
-    # decomposition: its [decomposition] section held the switch.
+    # A demo run's config.ini with the [decomposition] section that held the
+    # switch before the loop decided the decomposition.
     SWITCHED_DEMO_CONFIG = """\
 [experiment]
-loop = open
 realizations = 10
 periods = 2
 master_seed = 0
@@ -515,9 +527,6 @@ input_variance = 0
 [decomposition]
 enabled = true
 
-[oracle]
-compare_analytic = true
-
 """
 
     @pytest.mark.parametrize("command", ["generate", "simulate", "estimate", "demo-hammerstein"])
@@ -533,7 +542,6 @@ compare_analytic = true
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new, expected", [
-        ("compare_analytic = true", "compare_analytic = ture", "invalid config file"),
         ("periods = 2\n", "periods = 2.5\n", "invalid config file"),
         ("realizations = 3\n", "", "invalid config file"),
         ("periods = 2\n", "", "invalid config file"),
@@ -553,17 +561,23 @@ compare_analytic = true
         ("process_variance = 0.010000000000000002", "process_variance = nan",
          "process_variance must be finite"),
         ("input_variance = 0", "input_variance = 0.5", "input_variance must be 0 in open loop"),
-        ("compare_analytic = true\n", "compare_analytic = true\nband_sigma = 3\n",
+        ("master_seed = 5\n", "master_seed = 5\n\n[oracle]\nband_sigma = 3\n",
          "key 'band_sigma' in section [oracle] is unknown"),
-        ("compare_analytic = true\n", "compare_analytic = true\nmin_fraction_in_band = 0.95\n",
+        ("master_seed = 5\n", "master_seed = 5\n\n[oracle]\nmin_fraction_in_band = 0.95\n",
          "key 'min_fraction_in_band' in section [oracle] is unknown"),
         ("process_variance = ", "proces_variance = ",
          "key 'proces_variance' in section [noise] is unknown"),
-    ], ids=["bad-boolean", "fractional-int", "no-realizations", "no-periods",
+        # The system decides the loop and whether the oracle's reference exists.
+        ("[experiment]\n", "[experiment]\nloop = open\n",
+         "key 'loop' in section [experiment] is unknown"),
+        ("input_variance = 0\n", "input_variance = 0\n\n[oracle]\ncompare_analytic = true\n",
+         "key 'compare_analytic' in section [oracle] is unknown"),
+    ], ids=["fractional-int", "no-realizations", "no-periods",
             "no-samples-per-period", "warmup-periods-unknown",
             "fs-zero", "fs-negative", "fs-nan", "rms-negative", "rms-nan", "rms-overflow",
             "output-variance-inf", "process-variance-nan", "input-variance-open-loop",
-            "band-sigma-unknown", "min-fraction-unknown", "misspelt-key"])
+            "band-sigma-unknown", "min-fraction-unknown", "misspelt-key", "retired-loop",
+            "retired-compare-analytic"])
     def test_malformed_config_value(self, tmp_path, capsys, old, new, expected):
         path, _ = write_config(tmp_path)
         self.edit_config(path, old, new)
@@ -575,7 +589,7 @@ compare_analytic = true
     @pytest.mark.parametrize("edit, expected", [
         (lambda text: text.replace(b"periods = 2\n", b"periods = 2\nperiods = 3\n"),
          "option 'periods' in section 'experiment' already exists"),
-        (lambda text: b"loop = open\n" + text, "File contains no section headers"),
+        (lambda text: b"periods = 2\n" + text, "File contains no section headers"),
         (lambda text: text + b"; \xff\n", "'utf-8' codec can't decode byte 0xff"),
     ], ids=["duplicate-key", "key-before-section", "non-utf8-byte"])
     def test_config_syntax_error(self, tmp_path, capsys, edit, expected):
@@ -669,7 +683,7 @@ compare_analytic = true
         (dict(samples_per_period=512, realizations=4), "samples_per_period, excited_bins, "
                                                        "realizations"),
         (dict(periods=3), "periods"),
-        (dict(loop="closed", system=LOOP_SYSTEM), "closed_loop"),
+        (dict(system=LOOP_SYSTEM), "closed_loop"),
     ], ids=["smaller-grid", "larger-grid", "periods", "loop"])
     def test_bundle_not_matching_config(self, tmp_path, capsys, estimate_with, field):
         recorded, _ = write_config(tmp_path, name="recorded.ini", samples_per_period=256)
@@ -681,6 +695,27 @@ compare_analytic = true
             capsys, ["estimate", "--config", str(other), "--out", str(out)])
         assert message.endswith(f"does not match the config in: {field}")
         assert sorted(p.name for p in out.iterdir()) == ["records"]
+
+    @pytest.mark.parametrize("command", ["simulate", "demo-hammerstein"])
+    def test_out_holding_another_bundle(self, tmp_path, capsys, command):
+        # A run into another experiment's directory would mix the two runs'
+        # files: a closed loop's summary would list the open loop's
+        # decomposition, and its records/ the open loop's extra spectra.
+        for name in ("open", "closed"):
+            (tmp_path / name).mkdir()
+        open_loop, _ = write_config(tmp_path / "open")
+        closed_loop, _ = write_config(tmp_path / "closed", system=LOOP_SYSTEM, realizations=4)
+        out = tmp_path / "out"
+        assert main(["demo-hammerstein", "--config", str(open_loop), "--out", str(out)]) == EXIT_OK
+        before = hash_tree(out)
+        message = self.assert_config_error(
+            capsys, [command, "--config", str(closed_loop), "--out", str(out)])
+        assert message == (f"record bundle under {out / 'records'} does not match the "
+                           f"config in: realizations, closed_loop")
+        assert hash_tree(out) == before
+        # A rerun on the bundle's own grid writes, here the same bytes.
+        assert main([command, "--config", str(open_loop), "--out", str(out)]) == EXIT_OK
+        assert hash_tree(out) == before
 
     # case -> (files under --out (a glob), their damaged text or None for no
     # file, the name the error message must hold); "compare" cases damage a
@@ -985,7 +1020,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("loop", ["open", "closed"])
     def test_realizations_do_not_depend_on_the_count(self, tmp_path, loop):
         # The staggered loop's realizations settle after 4, 3, 4 and 4 periods.
-        settings = (dict(system=STAGGERED_SYSTEM, loop="closed", samples_per_period=64,
+        settings = (dict(system=STAGGERED_SYSTEM, samples_per_period=64,
                          master_seed=32) if loop == "closed" else {})
         _, config = write_config(tmp_path, realizations=4, process_noise_variance=0.01,
                                  output_noise_variance=0.001, **settings)
@@ -1102,8 +1137,7 @@ class TestDemo:
     def test_run_directory_config_re_estimates(self, tmp_path):
         # A demo run from a closed-loop config writes that config's system
         # beside its own config.ini, so the run directory alone reproduces it.
-        path, _ = write_config(tmp_path, system=LOOP_SYSTEM, loop="closed",
-                               process_noise_variance=0.01)
+        path, _ = write_config(tmp_path, system=LOOP_SYSTEM, process_noise_variance=0.01)
         out, again = tmp_path / "run", tmp_path / "again"
         assert main(["demo-hammerstein", "--config", str(path), "--out", str(out)]) == EXIT_OK
         own = str(out / "config.ini")

@@ -39,7 +39,7 @@ def gate_summary(m: int, bias: float, snr_db: float, seed: int, input_level: flo
     Gaussian scatter of variance ``10**(-snr_db/10)``, the same in both periods.
     """
     config = ExperimentConfig(
-        loop="open", realizations=m, periods=2, samples_per_period=N,
+        realizations=m, periods=2, samples_per_period=N,
         sampling_frequency=1.0, excited_bins=tuple(range(1, N // 2)), input_rms=1.0,
         system=SystemDescription(dynamics=RationalLTI(b=[1.0]),
                                  nonlinearity=PolynomialNonlinearity.identity()))
@@ -155,14 +155,17 @@ class TestPipelineCalibration:
         ("open", (1.0, 0.0, 0.3), 256, 10, 0.25, 0.0009, 40),
         ("open", (1.0, 0.3, 0.1, 0.0, -0.01), 256, 3, 1.0, 0.0009, 80),
         pytest.param("closed", IDENTITY, 64, 10, 5.0, 1.0, 100, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 10: at low SNR the closed loop's linearized "
-                                "band is too narrow (z = 8.5)")),
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 10: at low SNR the closed loop's linearized band is too "
+                   "narrow (z = 8.5)")),
         pytest.param("closed", IDENTITY, 256, 10, 0.5, 0.01, 300, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 10: at M = 10 the closed loop's linearized "
-                                "band is too narrow at moderate SNR too (z = 5.3)")),
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 10: at M = 10 the closed loop's linearized band is too "
+                   "narrow at moderate SNR too (z = 5.3)")),
         pytest.param("open", DEMO_F, 16, 300, 0.0, 0.0009, 10, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 1: at F = 7 the Gaussian-input reference is "
-                                "not the multisine's BLA (z = 60)")),
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 1: at F = 7 the Gaussian-input reference is not the "
+                   "multisine's BLA (z = 60)")),
     ], ids=["closed-m3", "open-m3", "open-cubic-m10", "open-quintic-m3", "closed-m10-low-snr",
             "closed-m10-n256", "open-f7-m300"])
     def test_pooled_out_of_band_share(self, loop, f, n, m, process, output, runs):
@@ -171,7 +174,7 @@ class TestPipelineCalibration:
         bins = misses = 0
         for seed in range(runs):
             config = ExperimentConfig(
-                loop=loop, realizations=m, periods=2, samples_per_period=n,
+                realizations=m, periods=2, samples_per_period=n,
                 sampling_frequency=1.0, excited_bins=tuple(range(1, n // 2)), input_rms=1.0,
                 system=system, process_noise_variance=process, output_noise_variance=output,
                 master_seed=seed)
@@ -252,8 +255,9 @@ def test_array_holding_values_compare_by_identity(make):
 
 
 def asdict_echo(config: ExperimentConfig) -> dict:
-    """The summary's config block as ``asdict`` built it: the oracle of ``_config_echo``."""
-    echo = asdict(config)
+    """The summary's config block as ``asdict`` built it, after the loop that the
+    system decides: the oracle of ``_config_echo``."""
+    echo = {"loop": config.loop, **asdict(config)}
     system = config.system
     echo["system"] = {"f_coefficients": system.nonlinearity.coefficients.tolist()}
     for name, lti in (("S", system.dynamics), ("G_act", system.actuator),
@@ -268,7 +272,7 @@ def asdict_echo(config: ExperimentConfig) -> dict:
 
 def closed_loop_config() -> ExperimentConfig:
     return ExperimentConfig(
-        loop="closed", realizations=4, periods=3, samples_per_period=64,
+        realizations=4, periods=3, samples_per_period=64,
         sampling_frequency=250.0, excited_bins=(1, 4, 9, 16), input_rms=0.5,
         system=SystemDescription(dynamics=RationalLTI(b=[0.1], a=[1.0, -0.9]),
                                  nonlinearity=PolynomialNonlinearity.identity(),
