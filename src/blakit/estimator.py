@@ -20,13 +20,12 @@ import numpy as np
 from .signals import (
     PeriodicSignal,
     Spectrum,
+    _bin_labels,
     _read_table,
     _write_table,
     dft,
     inverse_dft,
     period_spectra,
-    read_spectrum_csv,
-    write_spectrum_csv,
 )
 
 __all__ = [
@@ -49,35 +48,30 @@ __all__ = [
 class ExperimentRecord:
     """Spectra of one multi-realization, multi-period experiment.
 
-    ``input_spectra[m]`` is the input DFT of realization ``m`` (the input is
-    periodic and noise free in open loop, so one spectrum per realization),
-    ``output_spectra[m, p]`` the output DFT of period ``p``, all on the half
-    grid, bins ``0..N//2``.  Closed-loop records additionally carry the
-    reference spectra and per-period input spectra, both or neither; an
-    open-loop record's reference is its input.
+    ``output_spectra[m, p]`` is the output DFT of period ``p`` of realization
+    ``m``, on the half grid, bins ``0..N//2``.  An open-loop record's
+    reference is ``input_spectra[m]``, the input DFT (noise free and periodic
+    in open loop, so one per realization).  A closed-loop record holds the
+    reference and per-period input spectra, both or neither, instead.
     """
 
-    input_spectra: np.ndarray
     output_spectra: np.ndarray
     excited_bins: np.ndarray
     samples_per_period: int
     sampling_frequency: float
+    input_spectra: np.ndarray | None = None
     reference_spectra: np.ndarray | None = None
     input_spectra_per_period: np.ndarray | None = None
 
     def __post_init__(self):
-        u = np.asarray(self.input_spectra, dtype=complex)
         y = np.asarray(self.output_spectra, dtype=complex)
         n = int(self.samples_per_period)
         half = n // 2 + 1
         bins = np.asarray(self.excited_bins, dtype=int)
-        if u.ndim != 2 or y.ndim != 3:
-            raise ValueError("input_spectra must be (M, N//2+1), output_spectra (M, P, N//2+1)")
-        if u.shape[0] != y.shape[0] or u.shape[1] != half or y.shape[2] != half:
-            raise ValueError("spectra shapes disagree with M and N//2+1")
+        if y.ndim != 3 or y.shape[2] != half:
+            raise ValueError(f"output_spectra shape {y.shape} is not (M, P, N//2+1)")
         if bins.size == 0 or bins.min() < 0 or bins.max() >= half:
             raise ValueError("excited bins must be inside the bin grid")
-        object.__setattr__(self, "input_spectra", u)
         object.__setattr__(self, "output_spectra", y)
         bins = np.sort(bins, axis=None)
         object.__setattr__(self, "excited_bins", bins[np.append(True, bins[1:] != bins[:-1])])
@@ -86,12 +80,15 @@ class ExperimentRecord:
         if (self.reference_spectra is None) != (self.input_spectra_per_period is None):
             raise ValueError("a closed-loop record needs both reference_spectra "
                              "and input_spectra_per_period")
-        for name, want_ndim in (("reference_spectra", 2), ("input_spectra_per_period", 3)):
+        if self.reference_spectra is None and self.input_spectra is None:
+            raise ValueError("an open-loop record needs input_spectra")
+        for name, want_ndim in (("input_spectra", 2), ("reference_spectra", 2),
+                                ("input_spectra_per_period", 3)):
             value = getattr(self, name)
             if value is None:
                 continue
             value = np.asarray(value, dtype=complex)
-            if value.ndim != want_ndim or value.shape[0] != u.shape[0] or value.shape[-1] != half:
+            if value.ndim != want_ndim or value.shape[0] != y.shape[0] or value.shape[-1] != half:
                 raise ValueError(f"{name} shape {value.shape} inconsistent with record")
             if want_ndim == 3 and value.shape[1] != y.shape[1]:
                 raise ValueError(f"{name} period count inconsistent with record")
@@ -99,7 +96,7 @@ class ExperimentRecord:
 
     @property
     def realization_count(self) -> int:
-        return self.input_spectra.shape[0]
+        return self.output_spectra.shape[0]
 
     @property
     def period_count(self) -> int:
@@ -298,36 +295,51 @@ def read_bla_csv(path) -> BlaEstimate:
     )
 
 
-# One spectrum CSV per realization (and period): (file name over the indices,
-# ExperimentRecord field, one file per period, closed loop only).
-_BUNDLE_FILES = (
-    ("u_m{0:03d}.csv", "input_spectra", False, False),
-    ("y_m{0:03d}_p{1:02d}.csv", "output_spectra", True, False),
-    ("u_m{0:03d}_p{1:02d}.csv", "input_spectra_per_period", True, True),
-    ("r_m{0:03d}.csv", "reference_spectra", False, True),
-)
+# A bundle's spectrum fields, one CSV each, keyed by the manifest's
+# "closed_loop": (ExperimentRecord field, one spectrum per period).
+_BUNDLE_FIELDS = {
+    False: (("input_spectra", False), ("output_spectra", True)),
+    True: (("reference_spectra", False), ("input_spectra_per_period", True),
+           ("output_spectra", True)),
+}
+
+
+def _bundle_files(closed_loop: bool) -> list[str]:
+    """The file names of a bundle: its manifest and one CSV per spectrum field."""
+    return ["manifest.json", *(f"{field}.csv" for field, _ in _BUNDLE_FIELDS[closed_loop])]
+
+
+def _bundle_header(shape) -> str:
+    """The header of a bundle CSV of spectra indexed by ``shape``, ``(M,)`` or
+    ``(M, P)``: ``bin_index,frequency_hz``, then a real and an imaginary
+    column per spectrum in C order (``m003_real``, ``m003_p01_imag``)."""
+    pattern = ("m{0:03d}", "m{0:03d}_p{1:02d}")[len(shape) - 1]
+    names = (pattern.format(*index) for index in np.ndindex(*shape))
+    return "bin_index,frequency_hz" + "".join(f",{name}_real,{name}_imag" for name in names)
 
 
 def write_record_bundle(directory, record: ExperimentRecord) -> None:
-    """Write an experiment record as per-(m, p) spectrum CSVs plus a manifest."""
+    """Write an experiment record as a manifest plus one CSV per spectrum
+    field, ``<field>.csv``: a row per bin ``0..N//2``, and a real and an
+    imaginary column per realization (and period)."""
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     n = record.samples_per_period
     fs = record.sampling_frequency
-    for pattern, field, _, _ in _BUNDLE_FILES:
+    closed = record.reference_spectra is not None
+    for field, _ in _BUNDLE_FIELDS[closed]:
         spectra = getattr(record, field)
-        if spectra is None:
-            continue
-        for index in np.ndindex(spectra.shape[:-1]):
-            write_spectrum_csv(directory / pattern.format(*index), Spectrum(
-                bins=spectra[index], samples_per_period=n, sampling_frequency=fs))
+        _write_table(directory / f"{field}.csv", _bundle_header(spectra.shape[:-1]),
+                     [part for spectrum in spectra.reshape(-1, n // 2 + 1)
+                      for part in (spectrum.real, spectrum.imag)],
+                     labels=_bin_labels(n, fs))
     manifest = {
         "realizations": record.realization_count,
         "periods": record.period_count,
         "samples_per_period": n,
         "sampling_frequency_hz": fs,
         "excited_bins": record.excited_bins.tolist(),
-        "closed_loop": record.reference_spectra is not None,
+        "closed_loop": closed,
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
@@ -340,19 +352,23 @@ def read_bundle_manifest(directory) -> dict:
 def read_record_bundle(directory, manifest: dict) -> ExperimentRecord:
     """Read the spectra of a bundle whose ``read_bundle_manifest`` is ``manifest``.
 
-    The manifest sizes the arrays, so check it first.  A damaged bundle
-    raises OSError, ValueError, TypeError or KeyError.
+    The manifest sizes the arrays and implies each CSV's header, so check
+    it first.  Each ``bin_index`` column must be exactly ``0..N//2`` for the
+    manifest's N, which N + 1 would pass on row count alone.  A damaged
+    bundle raises OSError, ValueError (naming the file), TypeError or KeyError.
     """
     directory = pathlib.Path(directory)
     n = manifest["samples_per_period"]
     spectra = {}
-    for pattern, field, per_period, closed_only in _BUNDLE_FILES:
-        if closed_only and not manifest["closed_loop"]:
-            continue
+    for field, per_period in _BUNDLE_FIELDS[manifest["closed_loop"]]:
         shape = (manifest["realizations"],) + ((manifest["periods"],) if per_period else ())
-        spectra[field] = np.empty(shape + (n // 2 + 1,), dtype=complex)
-        for index in np.ndindex(shape):
-            spectra[field][index] = read_spectrum_csv(directory / pattern.format(*index), n).bins
+        path = directory / f"{field}.csv"
+        columns = _read_table(path, _bundle_header(shape))
+        if not np.array_equal(columns[0], np.arange(n // 2 + 1)):
+            raise ValueError(f"{path}: bin_index must run 0..{n // 2} in order for N = {n}")
+        values = columns[2::2].astype(complex, order="C")
+        values.imag = columns[3::2]  # bit-exact, unlike real + 1j*imag (-0.0 and inf)
+        spectra[field] = values.reshape(shape + (n // 2 + 1,))
     return ExperimentRecord(
         excited_bins=np.asarray(manifest["excited_bins"], dtype=int),
         samples_per_period=n, sampling_frequency=manifest["sampling_frequency_hz"],

@@ -25,6 +25,7 @@ from .analytic import (
 from .estimator import (
     BlaEstimate,
     ExperimentRecord,
+    _bundle_files,
     decompose_output,
     read_bla_csv,
     read_bundle_manifest,
@@ -293,7 +294,7 @@ def run_closed_loop_records(config: ExperimentConfig) -> tuple[ExperimentRecord,
     n = config.samples_per_period
     u_pp = np.stack([period_spectra(rec.input_measured.samples, n) for rec in records])
     record = _record(
-        config, input_spectra=u_pp.mean(axis=1), input_spectra_per_period=u_pp,
+        config, input_spectra_per_period=u_pp,
         output_spectra=np.stack([period_spectra(rec.output_measured.samples, n)
                                  for rec in records]),
         reference_spectra=np.stack([dft(rec.reference).bins for rec in records]))
@@ -408,9 +409,13 @@ def _comparison_summary(config: ExperimentConfig, estimate: BlaEstimate) -> dict
     }
 
 
-def _hash_tree(out_dir: pathlib.Path, skip: set[str]) -> dict:
-    return {path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(out_dir.rglob("*")) if path.is_file() and path.name not in skip}
+def _digest(path: pathlib.Path) -> str:
+    """The SHA-256 of a file, read in blocks rather than whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -447,10 +452,11 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     write_system_file(out_dir / "system.ini", config.system)
     write_experiment_config(out_dir / "config.ini", config, system_file="system.ini")
     write_record_bundle(out_dir / "records", record)
-    return _report(config, out_dir, record, ran=ran)
+    return _report(config, out_dir, record, ran=ran, copies=["system.ini", "config.ini"])
 
 
-def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> None:
+def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> list[str]:
+    """Write the output decomposition under ``out_dir``; return the file names."""
     u = next(_excitations(config))
     decomposition = decompose_output(_simulator(config), u, _analytic_reference(config))
     model = config.gaussian_model
@@ -467,14 +473,20 @@ def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> None:
                   decomposition.var_noise),
                  newline="\n",
                  labels=_bin_labels(config.samples_per_period, config.sampling_frequency))
+    return ["decomposition_report.json", "decomposition_variances.csv"]
 
 
 def _bundle_manifest(config: ExperimentConfig, bundle: pathlib.Path) -> dict:
     """The manifest of the record bundle under ``bundle``, which must be
     readable and recorded on the grid of ``config``: the same samples per
     period, sampling frequency, excited bins, realization and period counts,
-    and loop.  Otherwise ConfigurationError is raised; no spectrum is read.
+    and loop.  Otherwise, or when the bundle has the old layout of one CSV
+    per spectrum, ConfigurationError is raised; no spectrum is read.
     """
+    if (bundle / "y_m000_p00.csv").exists():  # every bundle of that layout holds it
+        raise ConfigurationError(
+            f"record bundle under {bundle} has the old layout of one CSV per spectrum "
+            f"(y_m000_p00.csv); simulate into another --out, or remove {bundle} first")
     grid = {  # manifest key: config value
         "samples_per_period": config.samples_per_period,
         "sampling_frequency_hz": config.sampling_frequency,
@@ -523,17 +535,20 @@ def estimate_from_bundle(config: ExperimentConfig, out_dir) -> dict:
 
 
 def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentRecord,
-            ran: dict | None = None) -> dict:
+            ran: dict | None = None, copies=()) -> dict:
     """Write the output decomposition in open loop, where it is defined,
     estimate from ``record``, then write ``bla.csv`` and ``summary.json``
     and return the summary.
 
-    ``summary.json`` hashes every other file under ``out_dir``.  ``ran``
-    (from ``run_records``) is known only for a record simulated in this run.
+    ``summary.json`` hashes the files under ``out_dir`` that this run wrote
+    or read: the config ``copies`` that a full run writes, the record
+    bundle, and the files written here; no other file there.  ``ran`` (from
+    ``run_records``) is known only for a record simulated in this run.
     """
     decompose = config.loop == "open"
+    files = [*copies, *(f"records/{name}" for name in _bundle_files(config.loop == "closed"))]
     if decompose:
-        _run_decomposition(config, out_dir)
+        files += _run_decomposition(config, out_dir)
     estimate = robust_bla(record)
     write_bla_csv(out_dir / "bla.csv", estimate)
     comparison = (_comparison_summary(config, estimate)
@@ -551,7 +566,7 @@ def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentR
         "decomposition": {"enabled": decompose},
         "pass": bool(comparison.get("pass", True)),
     }
-    summary["files"] = _hash_tree(out_dir, skip={"summary.json"})
+    summary["files"] = {name: _digest(out_dir / name) for name in [*files, "bla.csv"]}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     return summary
 

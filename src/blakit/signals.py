@@ -31,7 +31,6 @@ __all__ = [
     "inverse_dft",
     "generate_noise",
     "write_signal_csv",
-    "read_spectrum_csv",
     "write_spectrum_csv",
 ]
 
@@ -269,32 +268,40 @@ def _fmt(x: float) -> str:
     return _FLOAT % float(x)
 
 
+# Cells per formatting pass: the floats and text of one pass are held at once.
+_BLOCK_CELLS = 4096
+
+
 def _write_table(path, header: str, columns, newline: str = "\r\n", labels=None) -> None:
-    """Write a header line and equal-length columns as CSV in one formatting pass.
+    """Write a header line and equal-length columns as CSV, in passes of whole rows.
 
     ``labels``, when given, is a leading column of preformatted strings, one
     per row, written as they are through one ``%s``: the
     ``bin_index,frequency_hz`` text of ``_bin_labels``, which every table on
     one grid shares.  Integer and boolean columns print with ``%d``, all
-    others with ``_FLOAT``; the rows come from one ``%`` of a repeated row
-    template over one flat tuple.  With the default CRLF line ending this is
-    byte for byte what ``csv.writer`` writes for the same strings.
+    others with ``_FLOAT``; each pass is one ``%`` of a repeated row template
+    over one flat tuple of at most ``_BLOCK_CELLS`` cells (or one row).  With
+    the default CRLF line ending this is byte for byte what ``csv.writer``
+    writes for the same strings.
     """
     columns = [np.asarray(c) for c in columns]
     fields = ["%d" if c.dtype.kind in "biu" else _FLOAT for c in columns]
-    cells = [c.tolist() for c in columns]
     if labels is not None:
         fields.insert(0, "%s")
-        cells.insert(0, labels)
-    width = len(cells)
-    rows = len(cells[0])
-    template = ",".join(fields)
-    flat = [None] * (rows * width)
-    for j, column in enumerate(cells):
-        flat[j::width] = column
+        columns.insert(0, labels)
+    width = len(columns)
+    rows = len(columns[0])
+    step = max(1, _BLOCK_CELLS // width)
+    row = ",".join(fields) + newline
     with open(path, "w", newline="") as fh:
         fh.write(header + newline)
-        fh.write(((template + newline) * rows) % tuple(flat))
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            flat = [None] * ((stop - start) * width)
+            for j, column in enumerate(columns):
+                part = column[start:stop]
+                flat[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+            fh.write((row * (stop - start)) % tuple(flat))
 
 
 @functools.lru_cache(maxsize=4)
@@ -337,22 +344,3 @@ def write_spectrum_csv(path, spectrum: Spectrum) -> None:
     bins = spectrum.bins
     _write_table(path, _SPECTRUM_HEADER, (bins.real, bins.imag),
                  labels=_bin_labels(spectrum.samples_per_period, spectrum.sampling_frequency))
-
-
-def read_spectrum_csv(path, samples_per_period: int) -> Spectrum:
-    """Read the spectrum of one period of ``samples_per_period`` (N) samples.
-
-    N is passed, not inferred: N and N + 1 give the same row count when N
-    is even.  The ``bin_index`` column must be exactly ``0..N//2``; rows out
-    of order, missing or extra (a full-grid file, say) raise ValueError
-    naming the file.
-    """
-    index, frequency, real, imag = _read_table(path, _SPECTRUM_HEADER)
-    n = int(samples_per_period)
-    if n < 2:
-        raise ValueError(f"{path}: samples_per_period must be >= 2, got {n}")
-    if not np.array_equal(index, np.arange(n // 2 + 1)):
-        raise ValueError(f"{path}: bin_index must run 0..{n // 2} in order for N = {n}")
-    bins = real.astype(complex)
-    bins.imag = imag  # bit-exact, unlike real + 1j*imag (-0.0 and inf)
-    return Spectrum(bins=bins, samples_per_period=n, sampling_frequency=frequency[1] * n)

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blakit.cli import EXIT_CONFIG, EXIT_INSTABILITY, EXIT_OK, EXIT_TOLERANCE, main
+from blakit.estimator import read_bundle_manifest, read_record_bundle
 from blakit.experiment import (
     _SCHEMA,
     ExperimentConfig,
@@ -31,6 +32,7 @@ from blakit.experiment import (
     run_records,
     write_experiment_config,
 )
+from blakit.signals import Spectrum, write_spectrum_csv
 from blakit.systems import (
     _SYSTEM_KEYS,
     ConfigurationError,
@@ -93,15 +95,36 @@ def swap_rows(text: str, i: int, j: int) -> str:
 
 
 def full_grid(text: str, n: int = 128) -> str:
-    """The full-grid spectrum CSV that older writers made of an ``n``-sample
-    period at 1 Hz: the file's rows 0..n//2, then their conjugate mirror."""
+    """A bundle CSV of an ``n``-sample period at 1 Hz on the full grid, which
+    older writers used: its rows 0..n//2, then their conjugate mirror."""
     header, *rows = text.splitlines(True)
     rows = rows[: n // 2 + 1]
     for k in range(n // 2 + 1, n):
-        _, _, real, imag = rows[n - k].rstrip("\n").split(",")
-        imag = imag[1:] if imag.startswith("-") else "-" + imag
-        rows.append(f"{k},{k * (1.0 / n):.17g},{real},{imag}\n")
+        cells = rows[n - k].rstrip("\n").split(",")[2:]
+        cells[1::2] = [c[1:] if c.startswith("-") else "-" + c for c in cells[1::2]]
+        rows.append(",".join([str(k), f"{k * (1.0 / n):.17g}", *cells]) + "\n")
     return header + "".join(rows)
+
+
+def column_pairs(text: str, change) -> str:
+    """``text`` with ``change`` applied to the cells of each line after the
+    ``bin_index`` and ``frequency_hz`` columns, as a list."""
+    lines = [line.split(",") for line in text.splitlines()]
+    return "".join(",".join(line[:2] + change(line[2:])) + "\n" for line in lines)
+
+
+def old_layout(bundle: pathlib.Path) -> None:
+    """Rewrite the open-loop ``bundle`` in the layout of one spectrum CSV per
+    realization and period (``u_m000.csv``, ``y_m000_p00.csv``, ...) that
+    earlier versions wrote."""
+    record = read_record_bundle(bundle, read_bundle_manifest(bundle))
+    n, fs = record.samples_per_period, record.sampling_frequency
+    for m, u in enumerate(record.input_spectra):
+        write_spectrum_csv(bundle / f"u_m{m:03d}.csv", Spectrum(u, n, fs))
+        for p, y in enumerate(record.output_spectra[m]):
+            write_spectrum_csv(bundle / f"y_m{m:03d}_p{p:02d}.csv", Spectrum(y, n, fs))
+    for name in ("input_spectra.csv", "output_spectra.csv"):
+        (bundle / name).unlink()
 
 
 def lti_arrays(system: SystemDescription) -> list:
@@ -280,6 +303,27 @@ class TestSubcommands:
         # The full run also copies its config and system into its directory.
         assert simulated["files"].pop("config.ini") and simulated["files"].pop("system.ini")
         assert estimated == simulated
+
+    def test_summary_lists_only_the_files_of_its_run(self, tmp_path):
+        # generate writes signals/ with no grid check, and a later run of
+        # another size in the same directory neither writes nor reads them.
+        ten, _ = write_config(tmp_path, name="ten.ini", realizations=10)
+        three, _ = write_config(tmp_path, name="three.ini")
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(ten), "--out", str(out)]) == EXIT_OK
+        assert len(list((out / "signals").iterdir())) == 20
+        assert main(["demo-hammerstein", "--config", str(three), "--out", str(out)]) == EXIT_OK
+        files = json.loads((out / "summary.json").read_text())["files"]
+        bundle = ["records/input_spectra.csv", "records/manifest.json",
+                  "records/output_spectra.csv"]
+        written = ["bla.csv", "decomposition_report.json", "decomposition_variances.csv"]
+        assert sorted(files) == sorted([*bundle, *written, "config.ini", "system.ini"])
+        tree = hash_tree(out)
+        assert files == {name: tree[name] for name in files}
+        # estimate reads the bundle and writes no config copy.
+        assert main(["estimate", "--config", str(three), "--out", str(out)]) == EXIT_OK
+        files = json.loads((out / "summary.json").read_text())["files"]
+        assert sorted(files) == sorted([*bundle, *written])
 
     def test_estimate_against_a_wrong_reference_exits_4(self, tmp_path, capsys):
         # A bundle simulated at process variance 0.01, estimated under a config
@@ -722,15 +766,24 @@ enabled = true
     # run's bla.csv and run compare, the others damage its record bundle and
     # run estimate.
     DAMAGED = {
-        "missing-csv": ("records/y_m001_p00.csv", None, "y_m001_p00.csv"),
-        "header-only-csv": ("records/y_m001_p00.csv",
-                            lambda text: text.splitlines(True)[0], "y_m001_p00.csv"),
-        "short-csv": ("records/y_m001_p00.csv",
-                      lambda text: "".join(text.splitlines(True)[:-10]), "y_m001_p00.csv"),
-        "truncated-csv": ("records/y_m001_p00.csv",
-                          lambda text: text[:text.index(",", len(text) // 2)], "y_m001_p00.csv"),
-        "non-numeric-cell": ("records/y_m001_p00.csv",
-                             lambda text: text.replace("\n5,", "\n5,abc", 1), "y_m001_p00.csv"),
+        "missing-csv": ("records/output_spectra.csv", None, "output_spectra.csv"),
+        "header-only-csv": ("records/output_spectra.csv",
+                            lambda text: text.splitlines(True)[0], "output_spectra.csv"),
+        "short-csv": ("records/output_spectra.csv",
+                      lambda text: "".join(text.splitlines(True)[:-10]), "output_spectra.csv"),
+        "truncated-csv": ("records/output_spectra.csv",
+                          lambda text: text[:text.index(",", len(text) // 2)],
+                          "output_spectra.csv"),
+        "non-numeric-cell": ("records/output_spectra.csv",
+                             lambda text: text.replace("\n5,", "\n5,abc", 1),
+                             "output_spectra.csv"),
+        # A realization too few or too many: the header is not the manifest's.
+        "missing-column-pair": ("records/output_spectra.csv",
+                                lambda text: column_pairs(text, lambda cells: cells[:-2]),
+                                "output_spectra.csv"),
+        "extra-column-pair": ("records/input_spectra.csv",
+                              lambda text: column_pairs(text, lambda cells: cells + cells[-2:]),
+                              "input_spectra.csv"),
         "manifest-without-periods": ("records/manifest.json",
                                      lambda text: text.replace('"periods": 2,', ""),
                                      "manifest.json"),
@@ -747,9 +800,9 @@ enabled = true
             lambda text: text.replace('"samples_per_period": 128',
                                       '"samples_per_period": 1000000000000'),
             "does not match the config in: samples_per_period"),
-        "swapped-rows": ("records/y_m001_p00.csv", lambda text: swap_rows(text, 3, 4),
-                         "y_m001_p00.csv"),
-        "full-grid-bundle": ("records/*_m*.csv", full_grid, "u_m000.csv"),
+        "swapped-rows": ("records/output_spectra.csv", lambda text: swap_rows(text, 3, 4),
+                         "output_spectra.csv"),
+        "full-grid-bundle": ("records/*.csv", full_grid, "input_spectra.csv"),
         "compare-without-bla": ("bla.csv", None, "bla.csv"),
         "compare-fractional-bin": ("bla.csv", lambda text: text.replace("\n3,", "\n3.5,", 1),
                                    "bla.csv"),
@@ -781,6 +834,21 @@ enabled = true
         argv = ["compare", str(out), str(out)] if compare else estimate
         assert named in self.assert_config_error(capsys, argv)
         assert hash_tree(out) == before  # nothing written
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "demo-hammerstein"])
+    def test_bundle_in_the_old_layout(self, tmp_path, capsys, command):
+        # A bundle of one CSV per spectrum, as earlier versions wrote: estimate
+        # cannot read it, and a run there would mix both layouts.
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        old_layout(out / "records")
+        before = hash_tree(out)
+        message = self.assert_config_error(
+            capsys, [command, "--config", str(path), "--out", str(out)])
+        assert message.startswith(f"record bundle under {out / 'records'} has the old layout "
+                                  f"of one CSV per spectrum")
+        assert hash_tree(out) == before
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--workers", "2"],
@@ -1026,9 +1094,9 @@ class TestDeterminism:
                                  output_noise_variance=0.001, **settings)
         four, _ = run_records(config)
         two, _ = run_records(dataclasses.replace(config, realizations=2))
-        names = ["input_spectra", "output_spectra"]
-        if loop == "closed":
-            names += ["reference_spectra", "input_spectra_per_period"]
+        names = ["output_spectra"]
+        names += (["reference_spectra", "input_spectra_per_period"] if loop == "closed"
+                  else ["input_spectra"])
         for name in names:
             np.testing.assert_array_equal(getattr(two, name), getattr(four, name)[:2])
 
@@ -1092,9 +1160,11 @@ class TestDemo:
         # c(10, 3) = 1 - (1 + 9/9)^-9, the in-band chance the gate tests against
         assert summary["analytic_comparison"]["expected_fraction_in_band"] == 1 - 2.0 ** -9
         assert summary["decomposition"]["enabled"] is True
+        # In a new directory the summary lists every other file there.
+        tree = hash_tree(out)
+        assert summary["files"] == {k: v for k, v in tree.items() if k != "summary.json"}
         # The written config reproduces the whole run directory byte for
         # byte, in a new directory or in its own.
-        tree = hash_tree(out)
         rerun = tmp_path / "rerun"
         run_experiment(read_experiment_config(out / "config.ini"), rerun)
         assert hash_tree(rerun) == tree

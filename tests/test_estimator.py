@@ -272,6 +272,21 @@ class TestClosedLoopRobust:
                     excited_bins=record.excited_bins, samples_per_period=8,
                     sampling_frequency=1.0, **only)
 
+    def test_needs_a_reference(self):
+        # An open-loop record's reference is its input; a closed-loop one
+        # needs no input_spectra.
+        rng = np.random.default_rng(7)
+        record = synthetic_record(np.ones(8, complex), 2, 2, 0.0, rng)
+        common = dict(output_spectra=record.output_spectra, excited_bins=record.excited_bins,
+                      samples_per_period=8, sampling_frequency=1.0)
+        with pytest.raises(ValueError, match="open-loop record needs input_spectra"):
+            ExperimentRecord(**common)
+        u_pp = np.repeat(record.input_spectra[:, None, :], 2, axis=1)
+        closed = ExperimentRecord(**common, reference_spectra=record.input_spectra,
+                                  input_spectra_per_period=u_pp)
+        assert closed.input_spectra is None and closed.realization_count == 2
+        np.testing.assert_array_equal(robust_bla(closed).g_bla, robust_bla(record).g_bla)
+
     def test_one_estimator_for_both_loops(self):
         assert robust_bla_closed_loop is robust_bla
 
@@ -584,6 +599,12 @@ class TestSerialization:
         record = synthetic_record(np.ones(16, complex), 3, 2, 0.1, rng)
         write_record_bundle(tmp_path / "bundle", record)
         bundle = tmp_path / "bundle"
+        assert sorted(p.name for p in bundle.iterdir()) == [
+            "input_spectra.csv", "manifest.json", "output_spectra.csv"]
+        header = (bundle / "output_spectra.csv").read_text().splitlines()[0]
+        assert header == ("bin_index,frequency_hz," + ",".join(
+            f"m{m:03d}_p{p:02d}_{part}" for m in range(3) for p in range(2)
+            for part in ("real", "imag")))
         back = read_record_bundle(bundle, read_bundle_manifest(bundle))
         np.testing.assert_array_equal(back.input_spectra, record.input_spectra)
         np.testing.assert_array_equal(back.output_spectra, record.output_spectra)
@@ -601,6 +622,71 @@ class TestSerialization:
             input_spectra_per_period=u_pp)
         write_record_bundle(tmp_path / "bundle", record)
         bundle = tmp_path / "bundle"
+        # The closed loop's reference is R, not U: the bundle holds no input_spectra.
+        assert sorted(p.name for p in bundle.iterdir()) == [
+            "input_spectra_per_period.csv", "manifest.json", "output_spectra.csv",
+            "reference_spectra.csv"]
         back = read_record_bundle(bundle, read_bundle_manifest(bundle))
         np.testing.assert_array_equal(back.reference_spectra, record.reference_spectra)
         np.testing.assert_array_equal(back.input_spectra_per_period, u_pp)
+        np.testing.assert_array_equal(back.output_spectra, record.output_spectra)
+        assert back.input_spectra is None
+
+    EDGES = [-0.0, 5e-324, -2.5e-310, np.inf, -np.inf, 1e308, 0.1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), closed=st.booleans(), m_count=st.integers(1, 3),
+           p_count=st.integers(1, 3), n=st.integers(2, 12),
+           fs=st.floats(min_value=1e-3, max_value=1e6))
+    def test_bundle_round_trip_is_bit_exact(self, tmp_path_factory, data, closed, m_count,
+                                            p_count, n, fs):
+        # Every finite or infinite value, signed zeros and subnormals included,
+        # reads back bit for bit in either loop, and the record read back
+        # writes the same bytes again.
+        half = n // 2 + 1
+
+        def spectra(*shape):
+            size = 2 * half * int(np.prod(shape))
+            parts = np.array(data.draw(st.lists(st.floats(allow_nan=False),
+                                                min_size=size, max_size=size)))
+            parts[:len(self.EDGES)] = self.EDGES[:parts.size]
+            z = np.empty(shape + (half,), dtype=complex)
+            z.real = parts[::2].reshape(z.shape)
+            z.imag = parts[1::2].reshape(z.shape)
+            return z
+
+        fields = dict(output_spectra=spectra(m_count, p_count))
+        fields.update(dict(reference_spectra=spectra(m_count),
+                           input_spectra_per_period=spectra(m_count, p_count)) if closed
+                      else dict(input_spectra=spectra(m_count)))
+        record = ExperimentRecord(excited_bins=[half - 1], samples_per_period=n,
+                                  sampling_frequency=fs, **fields)
+        directory = tmp_path_factory.mktemp("bundle")
+        write_record_bundle(directory / "a", record)
+        back = read_record_bundle(directory / "a", read_bundle_manifest(directory / "a"))
+        for name, value in fields.items():
+            assert np.array_equal(getattr(back, name).view(np.uint64), value.view(np.uint64))
+        assert (back.input_spectra is None) == closed
+        assert back.sampling_frequency == fs and back.samples_per_period == n
+        write_record_bundle(directory / "b", back)
+        for path in (directory / "a").iterdir():
+            assert path.read_bytes() == (directory / "b" / path.name).read_bytes()
+
+    def test_bundle_bin_index_must_be_the_half_grid(self, tmp_path):
+        rng = np.random.default_rng(16)
+        record = synthetic_record(np.ones(8, complex), 2, 2, 0.1, rng)
+        bundle = tmp_path / "bundle"
+        write_record_bundle(bundle, record)
+        manifest = read_bundle_manifest(bundle)
+        # N is the manifest's, not inferred: N = 8 and 9 both give five rows.
+        back = read_record_bundle(bundle, {**manifest, "samples_per_period": 9})
+        np.testing.assert_array_equal(back.output_spectra, record.output_spectra)
+        for n in (7, 10):
+            with pytest.raises(ValueError, match="input_spectra.csv.*bin_index"):
+                read_record_bundle(bundle, {**manifest, "samples_per_period": n})
+        path = bundle / "output_spectra.csv"
+        header, *rows = path.read_text().splitlines(True)
+        rows[1], rows[2] = rows[2], rows[1]
+        path.write_text(header + "".join(rows))
+        with pytest.raises(ValueError, match="output_spectra.csv.*bin_index"):
+            read_record_bundle(bundle, manifest)

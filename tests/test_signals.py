@@ -17,10 +17,10 @@ from blakit.signals import (
     generate_noise,
     inverse_dft,
     period_spectra,
-    read_spectrum_csv,
     write_signal_csv,
     write_spectrum_csv,
 )
+from blakit.signals import _SPECTRUM_HEADER, _bin_labels, _read_table, _write_table
 
 
 def cosine_sum_oracle(spec: MultisineSpec, phases: np.ndarray) -> np.ndarray:
@@ -68,6 +68,12 @@ def complex_bins(real, imag) -> np.ndarray:
     bins.real = real
     bins.imag = imag
     return bins
+
+
+def read_spectrum(path) -> np.ndarray:
+    """The bins of a ``write_spectrum_csv`` file, bit for bit."""
+    _, _, real, imag = _read_table(path, _SPECTRUM_HEADER)
+    return complex_bins(real, imag)
 
 
 def csv_writer_spectrum_bytes(path, spectrum: Spectrum) -> bytes:
@@ -274,10 +280,10 @@ class TestCsv:
                                           seed=2))
         path = tmp_path / "spectrum.csv"
         write_spectrum_csv(path, spectrum)
-        back = read_spectrum_csv(path, 64)
-        np.testing.assert_array_equal(back.bins, spectrum.bins)
-        assert back.sampling_frequency == pytest.approx(spectrum.sampling_frequency)
-        assert back.samples_per_period == spectrum.samples_per_period
+        np.testing.assert_array_equal(read_spectrum(path), spectrum.bins)
+        index, frequency, _, _ = _read_table(path, _SPECTRUM_HEADER)
+        np.testing.assert_array_equal(index, np.arange(33))
+        assert frequency[1] * 64 == pytest.approx(spectrum.sampling_frequency)
 
     EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1, -2.5e-17]
 
@@ -331,26 +337,35 @@ class TestCsv:
         spectrum = Spectrum(bins=bins, samples_per_period=n, sampling_frequency=fs)
         path = tmp_path_factory.mktemp("csv") / "spectrum.csv"
         write_spectrum_csv(path, spectrum)
-        back = read_spectrum_csv(path, n)
-        assert back.samples_per_period == n
-        assert np.array_equal(back.bins.view(np.uint64), spectrum.bins.view(np.uint64))
-        assert back.sampling_frequency == pytest.approx(fs, rel=1e-12)
-
-    def test_bin_index_must_be_the_half_grid(self, tmp_path):
-        path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(path, dft(make_signal(np.arange(8.0))))
-        assert read_spectrum_csv(path, 9).samples_per_period == 9  # N = 8 and 9: five rows
-        for n in (7, 10):
-            with pytest.raises(ValueError, match="spectrum.csv.*bin_index"):
-                read_spectrum_csv(path, n)
-        header, *rows = path.read_text().splitlines(True)
-        rows[1], rows[2] = rows[2], rows[1]
-        path.write_text(header + "".join(rows))
-        with pytest.raises(ValueError, match="spectrum.csv.*bin_index"):
-            read_spectrum_csv(path, 8)
+        back = read_spectrum(path)
+        assert np.array_equal(back.view(np.uint64), spectrum.bins.view(np.uint64))
+        frequency = _read_table(path, _SPECTRUM_HEADER)[1]
+        assert frequency[1] * n == pytest.approx(fs, rel=1e-12)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            read_spectrum_csv(path, 4)
+        with pytest.raises(ValueError, match="bad.csv: the first line"):
+            _read_table(path, _SPECTRUM_HEADER)
+
+    @pytest.mark.parametrize("block_cells", [1, 5, 42, 4096, 16384])
+    def test_table_bytes_do_not_depend_on_the_block(self, tmp_path, monkeypatch, block_cells):
+        # A wide table is formatted in passes of at most _BLOCK_CELLS cells
+        # (or one row); its bytes are csv.writer's whatever the pass size,
+        # with a last pass shorter than the others.
+        monkeypatch.setattr("blakit.signals._BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(3)
+        n, width = 200, 41
+        values = rng.standard_normal((width, n // 2 + 1))
+        values[0, :len(self.EDGE_VALUES)] = self.EDGE_VALUES
+        labels = _bin_labels(n, 0.7)
+        header = ",".join(["bin_index", "frequency_hz", *(f"c{j}" for j in range(width))])
+        path = tmp_path / "table.csv"
+        _write_table(path, header, values, labels=labels)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header.split(","))
+            for k, label in enumerate(labels):
+                writer.writerow([*label.split(","), *(format(v, ".17g") for v in values[:, k])])
+        assert path.read_bytes() == reference.read_bytes()
