@@ -39,10 +39,7 @@ from .systems import (
 )
 from .estimator import (
     BlaEstimate,
-    Decomposition,
     ExperimentRecord,
-    decompose_output,
-    predict_variances,
     robust_bla,
     robust_bla_closed_loop,
 )
@@ -50,7 +47,9 @@ from .analytic import (
     GaussianInputModel,
     analytic_hammerstein_bla,
     bussgang_gain,
+    decompose_output,
     hermite_table,
+    predict_variances,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""The nonparametric best-linear-approximation estimator and output decomposition.
+"""The nonparametric best-linear-approximation estimator and its serialization.
 
 The robust estimator works on multiple periods (P) of multiple excitation
 realizations (M), in either loop.  Period-to-period scatter feeds the noise
@@ -6,7 +6,8 @@ variance estimate, realization-to-realization scatter the total variance estimat
 both carry the extra ``M`` and ``P`` factors so they quantify the
 variability of the final averaged frequency response, not of a single
 period.  Bins where the reference is zero are reported as undefined
-(NaN markers plus a ``defined`` mask) rather than zero or an exception.
+(NaN markers plus a ``defined`` mask) rather than zero or an exception.  The
+module also serializes results and record bundles; closed forms are in ``analytic``.
 """
 
 from __future__ import annotations
@@ -17,25 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import (
-    PeriodicSignal,
-    Spectrum,
-    _bin_labels,
-    _read_table,
-    _write_table,
-    dft,
-    inverse_dft,
-    period_spectra,
-)
+from .signals import _bin_labels, _read_table, _write_table
 
 __all__ = [
     "ExperimentRecord",
     "BlaEstimate",
-    "Decomposition",
     "robust_bla",
     "robust_bla_closed_loop",
-    "decompose_output",
-    "predict_variances",
     "write_bla_csv",
     "read_bla_csv",
     "write_record_bundle",
@@ -185,81 +174,6 @@ def robust_bla(record: ExperimentRecord) -> BlaEstimate:
 
 # The indirect estimator's former name, which the benchmark's Volterra study imports.
 robust_bla_closed_loop = robust_bla
-
-
-@dataclass(frozen=True, eq=False)
-class Decomposition:
-    """Per-bin variance spectra of the output's constituents, on the half bin
-    grid ``0..N//2``.
-
-    ``var_noise`` and ``var_process`` are exact: white noise of variance s2
-    has variance s2 in every unitary DFT bin, and the process-noise spectrum
-    is the simulator's closed form.  ``var_nonlinear`` comes from one period
-    of the single supplied excitation (one squared sample, unbiased but
-    coarse).
-    """
-
-    var_nonlinear: np.ndarray
-    var_process: np.ndarray
-    var_noise: np.ndarray
-
-
-def decompose_output(simulator, u: PeriodicSignal, g_bla: np.ndarray) -> Decomposition:
-    """Variance spectra of the nonlinear distortion, the process noise and the
-    output noise in ``simulator``'s output for the excitation ``u``.
-
-    Nothing is simulated or drawn.  The simulator's
-    ``process_noise_statistics`` gives the noise-averaged output and the
-    process-noise spectrum in closed form; the supplied reference response
-    ``g_bla`` (on bins ``0..N//2``) then separates the linear part from the
-    nonlinear distortion.  The simulator is a ``HammersteinSimulator``,
-    whose white output noise gives ``var_noise`` in every bin.
-    """
-    n = u.samples_per_period
-    g_bla = np.asarray(g_bla, dtype=complex)
-    if g_bla.shape != (n // 2 + 1,):
-        raise ValueError(f"g_bla must have one value per bin 0..N//2, "
-                         f"expected shape ({n // 2 + 1},)")
-
-    y_bar_bar, var_process = simulator.process_noise_statistics(u)
-    y_nonlinear = y_bar_bar - inverse_dft(Spectrum(
-        bins=g_bla * dft(u).bins,
-        samples_per_period=n,
-        sampling_frequency=u.sampling_frequency,
-    ))
-    return Decomposition(
-        var_nonlinear=np.abs(period_spectra(y_nonlinear, n)[0]) ** 2,
-        var_process=var_process,
-        var_noise=np.full(n // 2 + 1, float(simulator.output_noise_variance)),
-    )
-
-
-def predict_variances(var_noise_spectrum, var_process_spectrum, var_nonlinear_spectrum,
-                      input_power, realization_count: int, period_count: int):
-    """Expected values of the robust method's two variance estimates.
-
-        E{var_noise} = (s2_n + s2_p) / (M P |U|^2)
-        E{var_total} = s2_s / (M |U|^2) + (s2_n + s2_p) / (M P |U|^2)
-
-    Bins with zero input power are undefined (NaN).
-    """
-    s2_n = np.asarray(var_noise_spectrum, dtype=float)
-    s2_p = np.asarray(var_process_spectrum, dtype=float)
-    s2_s = np.asarray(var_nonlinear_spectrum, dtype=float)
-    u2 = np.asarray(input_power, dtype=float)
-    for name, arr in (("var_noise_spectrum", s2_n), ("var_process_spectrum", s2_p),
-                      ("var_nonlinear_spectrum", s2_s), ("input_power", u2)):
-        if np.any(arr < 0):
-            raise ValueError(f"{name} must be >= 0")
-    m = int(realization_count)
-    p = int(period_count)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pred_noise = (s2_n + s2_p) / (m * p * u2)
-        pred_total = s2_s / (m * u2) + pred_noise
-    undefined = np.broadcast_to(u2 == 0, pred_noise.shape)
-    pred_noise = np.where(undefined, np.nan, pred_noise)
-    pred_total = np.where(undefined, np.nan, pred_total)
-    return pred_noise, pred_total
 
 
 # ---------------------------------------------------------------------------

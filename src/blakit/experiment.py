@@ -20,13 +20,13 @@ import numpy as np
 from .analytic import (
     GaussianInputModel,
     analytic_hammerstein_bla,
+    decompose_output,
     hermite_table,
 )
 from .estimator import (
     BlaEstimate,
     ExperimentRecord,
     _bundle_files,
-    decompose_output,
     read_bla_csv,
     read_bundle_manifest,
     read_record_bundle,
@@ -375,8 +375,8 @@ def _binomial_tail(misses: int, n: int, p: float) -> float:
     return outward(range(misses, n + 1))
 
 
-def _comparison_summary(config: ExperimentConfig, estimate: BlaEstimate) -> dict:
-    full = _analytic_reference(config)
+def _comparison_summary(full: np.ndarray, estimate: BlaEstimate) -> dict:
+    """The oracle gate of ``estimate`` against ``full``, the reference on bins ``0..N//2``."""
     reference = full[estimate.excited_bins]
     defined = estimate.defined
     err = np.abs(estimate.g_bla - reference)
@@ -455,23 +455,19 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     return _report(config, out_dir, record, ran=ran, copies=["system.ini", "config.ini"])
 
 
-def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path) -> list[str]:
-    """Write the output decomposition under ``out_dir``; return the file names."""
-    u = next(_excitations(config))
-    decomposition = decompose_output(_simulator(config), u, _analytic_reference(config))
+def _run_decomposition(config: ExperimentConfig, out_dir: pathlib.Path,
+                       reference: np.ndarray) -> list[str]:
+    """Write the output decomposition around ``reference``; return the file names."""
+    variances = decompose_output(_simulator(config), next(_excitations(config)), reference)
     model = config.gaussian_model
-    table = hermite_table(config.system.nonlinearity, model)
     (out_dir / "decomposition_report.json").write_text(json.dumps({
         "input_variance": model.input_variance,
         "process_noise_variance": model.process_noise_variance,
-        "hermite": table.tolist(),
+        "hermite": hermite_table(config.system.nonlinearity, model).tolist(),
     }, indent=2, sort_keys=True))
-
     _write_table(out_dir / "decomposition_variances.csv",
                  "bin_index,frequency_hz,var_nonlinear,var_process,var_noise",
-                 (decomposition.var_nonlinear, decomposition.var_process,
-                  decomposition.var_noise),
-                 newline="\n",
+                 variances, newline="\n",
                  labels=_bin_labels(config.samples_per_period, config.sampling_frequency))
     return ["decomposition_report.json", "decomposition_variances.csv"]
 
@@ -547,12 +543,13 @@ def _report(config: ExperimentConfig, out_dir: pathlib.Path, record: ExperimentR
     """
     decompose = config.loop == "open"
     files = [*copies, *(f"records/{name}" for name in _bundle_files(config.loop == "closed"))]
+    reference = _analytic_reference(config) if config._analytic_supported() else None
     if decompose:
-        files += _run_decomposition(config, out_dir)
+        files += _run_decomposition(config, out_dir, reference)
     estimate = robust_bla(record)
     write_bla_csv(out_dir / "bla.csv", estimate)
-    comparison = (_comparison_summary(config, estimate)
-                  if config._analytic_supported() else {"enabled": False})
+    comparison = (_comparison_summary(reference, estimate)
+                  if reference is not None else {"enabled": False})
     summary = {
         "config": _config_echo(config),
         "estimate": {

@@ -319,18 +319,24 @@ def _read_table(path, header: str) -> np.ndarray:
     """The columns of a CSV that ``_write_table`` wrote, ``_FLOAT`` text bit for bit.
 
     Content other than ``header`` and rows of one number per header column
-    raises ValueError naming the file.
+    raises ValueError naming the file, and for a wrong header its first differing column.
     """
+    expected = header.split(",")
     with open(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)  # loadtxt warns of a table without rows
-        if fh.readline().rstrip("\n") != header:
-            raise ValueError(f"{path}: the first line is not {header!r}")
+        found = fh.readline().rstrip("\n").split(",")
+        if found != expected:
+            found, expected = found + [None], expected + [None]
+            i = next(i for i, (a, b) in enumerate(zip(found, expected)) if a != b)
+            raise ValueError(f"{path}: the first line has {len(found) - 1} columns, expected "
+                             f"{len(expected) - 1}; column {i + 1} is {found[i]!r}, "
+                             f"expected {expected[i]!r}")
         try:
             columns = np.loadtxt(fh, delimiter=",", ndmin=2, unpack=True)
         except (ValueError, UserWarning) as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    if len(columns) != header.count(",") + 1:
-        raise ValueError(f"{path}: the rows do not match {header!r}")
+    if len(columns) != len(expected):
+        raise ValueError(f"{path}: the rows have {len(columns)} columns, not {len(expected)}")
     return columns
 
 

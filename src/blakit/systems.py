@@ -21,12 +21,11 @@ spectra on the input's own grid.  A noise-free run filters one period; a
 noisy run filters ``f(u + nx)`` once over whole periods, a lead-in of at
 least ``settling_length()`` samples and the recorded ones, so that, for
 simple dominant poles, the noise that wraps round onto a recorded sample has
-decayed below ``STEADY_STATE_RTOL``.  What the white process noise does on
-average, and its variance spectrum, are exact
-(``HammersteinSimulator.process_noise_statistics``).  Open-loop dynamics
-whose dominant mode needs more than ``_MAX_WARMUP`` periods to decay that
-far raise InstabilityError before any draw.  Noisy simulations are a pure
-function of their seeds.
+decayed below ``STEADY_STATE_RTOL``.  Open-loop dynamics whose dominant
+mode needs more than ``_MAX_WARMUP`` periods to decay that far raise
+InstabilityError before any draw.  Noisy simulations are a pure function of
+their seeds.  This module only simulates: what the process noise averages
+to, and every other closed form of the plant, is in ``analytic``.
 """
 
 from __future__ import annotations
@@ -233,75 +232,6 @@ class PolynomialNonlinearity:
         return out
 
 
-def _noise_moments(nonlinearity: PolynomialNonlinearity, x: np.ndarray,
-                   variance: float) -> tuple[np.ndarray, np.ndarray]:
-    """``E f(x + n)`` and ``Var f(x + n)`` per sample of ``x``, for ``n ~ N(0, variance)``.
-
-    A 10-point Gauss-Hermite rule with its weights normalized to 1 is exact
-    for polynomials of degree up to 19, so for ``f`` and ``f**2`` of every
-    accepted ``f`` (degree <= 9).  The variance
-    is the weighted sum of squared deviations from that mean, so nothing
-    cancels when it is small.
-    """
-    nodes, weights = np.polynomial.hermite_e.hermegauss(10)
-    weights = (weights / weights.sum())[:, None]
-    values = nonlinearity(x + np.sqrt(variance) * nodes[:, None])
-    mean = np.sum(weights * values, axis=0)
-    return mean, np.sum(weights * np.square(values - mean), axis=0)
-
-
-def _modulated_noise_variance(lti: RationalLTI, v: np.ndarray) -> np.ndarray:
-    """Per-bin variance of one steady-state period's unitary DFT of ``S[z]``.
-
-    ``z`` is zero-mean and independent over time, with the ``N``-periodic
-    variance ``v`` (one period given).  In the observable state-space form of
-    ``S``, ``x(t+1) = Phi x(t) + Gamma z(t)`` and ``y = x_0 + b_0 z``, a
-    period's DFT is ``Y_k = S_k Z_k + c_k eta / sqrt(N)``, the transient term
-    of Pintelon & Schoukens (System Identification, 2nd ed., 2012), with
-    ``c_k = e_0 (I - w_k Phi)^-1``, whose entries are ``w_k^j / A(w_k)`` for
-    ``w_k = exp(-2 pi i k / N)``, and ``eta = (I - Phi^N) x(0) - xi``, where
-    ``xi = sum_s g(s) z(s)`` and ``g(s) = Phi^(N-1-s) Gamma``.  The period's
-    start state ``x(0)`` is independent of the period's own ``z``, so
-
-        var_k = |S_k|^2 mean(v) + c_k E[eta eta^T] c_k^H / N
-                - 2 Re(S_k rfft(v g)_k c_k^H) / N,
-
-    with ``E[eta eta^T] = (I - Phi^N) Pi (I - Phi^N)^T + Xi`` and
-    ``Xi = sum_s v(s) g(s) g(s)^T``.  ``Pi``, the state covariance at a
-    period's start, solves the Lyapunov equation ``Pi = Phi^N Pi Phi^N^T + Xi``;
-    it is summed by doubling until the powers of ``Phi^N`` underflow to 0.
-    Memory is O(N * order).
-    """
-    n = v.size
-    order = lti.order  # 0: no state, no transient
-    b = np.pad(lti.numerator, (0, order + 1 - lti.numerator.size))
-    a = np.pad(lti.denominator, (0, order + 1 - lti.denominator.size))
-    phi = np.eye(order, k=1)
-    phi[:, :1] = -a[1:, None]
-    g = (b[1:] - a[1:] * b[0])[None, :]  # rows Phi^j Gamma, j = 0, 1, ...
-    power = phi
-    while len(g) < n:
-        g = np.concatenate([g, g @ power.T])
-        power = power @ power
-    g = g[n - 1::-1]  # row s is Phi^(N-1-s) Gamma
-    xi = np.einsum("ti,t,tj->ij", g, v, g)
-    with np.errstate(under="ignore"):  # the powers of Phi^N underflow to 0 by design
-        decay = np.linalg.matrix_power(phi, n)
-        pi, power = xi, decay
-        while power.any():  # pi = sum_j Phi^(jN) Xi Phi^(jN)^T, doubling the terms
-            pi = pi + power @ pi @ power.T
-            power = power @ power
-    leak = np.eye(order) - decay
-    eta = leak @ pi @ leak.T + xi
-    w = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
-    c = w[:, None] ** np.arange(order) / np.polynomial.polynomial.polyval(w, a)[:, None]
-    response = lti.bin_response(n)
-    transient = np.einsum("ki,ij,kj->k", c, eta, c.conj()).real
-    mixed = (response * np.einsum("ki,ki->k", np.fft.rfft(v[:, None] * g, axis=0),
-                                  c.conj())).real
-    return np.abs(response) ** 2 * v.mean() + (transient - 2.0 * mixed) / n
-
-
 class _SteadyState:
     """The closed loop's warm-up rule, applied to each column of a run on its own.
 
@@ -373,7 +303,7 @@ class HammersteinSimulator:
     Both noise sequences are white Gaussian, each drawn from its own
     generator, so a run is a pure function of the two seeds.  What redraws
     of the process noise average to, and its variance spectrum, need no
-    run: ``process_noise_statistics`` gives both exactly.
+    run: ``analytic.process_noise_statistics`` gives both exactly.
     """
 
     def __init__(self, dynamics: RationalLTI, nonlinearity: PolynomialNonlinearity,
@@ -445,36 +375,6 @@ class HammersteinSimulator:
         ny = generate_noise(self.output_noise_variance, p * n, output_noise_rng)
         return SimulationRecord(output=PeriodicSignal(y0 + ny, n, p, u.sampling_frequency),
                                 lead_in_samples=lead)
-
-    def process_noise_statistics(self, u: PeriodicSignal) -> tuple[np.ndarray, np.ndarray]:
-        """What ``run`` averages to over the process noise, and its spectrum, exactly.
-
-        Returns ``(y_mean, var_process)``: ``y_mean`` is one period of
-        ``S[E f(u + nx)]``, the expectation of each period of ``run``'s
-        output without output noise, and ``var_process`` the variance of one
-        steady-state period's unitary DFT of that output, on bins
-        ``0..N//2``.  With white ``nx``, ``f(u + nx) - E f(u + nx)`` is
-        independent over time, with the periodic variance
-        ``v = Var f(u + nx)``.  ``E f`` and ``v`` come from
-        ``_noise_moments`` and ``var_process`` from
-        ``_modulated_noise_variance``.  Nothing is drawn.  ``u`` must be
-        periodic, as for ``run``, and a non-finite or diverging result
-        raises InstabilityError.
-        """
-        n = u.samples_per_period
-        _check_periodic(u, "input")
-        if self.process_noise_variance == 0:
-            return self._periodic_output(u), np.zeros(n // 2 + 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported right below
-            mean, variance = _noise_moments(self.nonlinearity, u.period(0),
-                                            self.process_noise_variance)
-            y_mean = self.dynamics.filter(mean)
-            var_process = _modulated_noise_variance(self.dynamics, variance)
-        _check_divergence(y_mean, n, "noise-averaged steady state")
-        # A standard deviation per bin; abs, as round-off may leave a zero variance negative.
-        _check_divergence(np.sqrt(np.abs(var_process)), var_process.size,
-                          "process-noise spectrum")
-        return y_mean, var_process
 
     def _periodic_output(self, u: PeriodicSignal) -> np.ndarray:
         """One period of the exact noise-free periodic steady state."""

@@ -7,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from blakit.analytic import process_noise_statistics
 from blakit.signals import Spectrum, derive_rng, dft, generate_noise, inverse_dft
 
 
@@ -23,7 +24,7 @@ def _split_output(simulator, u, g_bla, seed) -> Split:
 
     The run draws its noise from the ``("decompose", "measured_nx")`` and
     ``("decompose", "measured_ny")`` streams of ``seed``; the output noise is
-    redrawn from a twin of the second.  ``process_noise_statistics`` gives
+    redrawn from a twin of the second.  ``analytic.process_noise_statistics`` gives
     the noise-averaged output ``S[E f(u + nx)]``, and ``g_bla`` (bins
     ``0..N//2``) its linear part ``y_bla``.  ``y_nonlinear`` and
     ``y_process`` are differences, so ``y_bla + y_nonlinear + y_process +
@@ -38,7 +39,7 @@ def _split_output(simulator, u, g_bla, seed) -> Split:
     y_total = measured.output.samples
     y_output_noise = generate_noise(simulator.output_noise_variance, p * n,
                                     derive_rng(seed, "decompose", "measured_ny"))
-    y_bar_bar = np.tile(simulator.process_noise_statistics(u)[0], p)
+    y_bar_bar = np.tile(process_noise_statistics(simulator, u)[0], p)
     y_bla = np.tile(inverse_dft(Spectrum(
         bins=np.asarray(g_bla, dtype=complex) * dft(u).bins,
         samples_per_period=n,

@@ -17,10 +17,10 @@ from blakit.analytic import (
     GaussianInputModel,
     analytic_hammerstein_bla,
     bussgang_gain,
+    predict_variances,
 )
 from blakit.estimator import (
     ExperimentRecord,
-    predict_variances,
     robust_bla,
 )
 from blakit.experiment import (

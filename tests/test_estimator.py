@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blakit.analytic import analytic_hammerstein_bla, GaussianInputModel
+from blakit.analytic import (
+    GaussianInputModel,
+    analytic_hammerstein_bla,
+    decompose_output,
+    predict_variances,
+)
 from blakit.estimator import (
     BlaEstimate,
     ExperimentRecord,
-    decompose_output,
-    predict_variances,
     read_bla_csv,
     read_bundle_manifest,
     read_record_bundle,
@@ -474,23 +477,23 @@ class TestDecomposition:
         sim, g = self.make_sim(), self.analytic_g(0.01)
         y_nonlinear = split_output(sim, u, g, seed=1).y_nonlinear
         monkeypatch.setattr(HammersteinSimulator, "run", lambda *args: pytest.fail("ran"))
-        dec = decompose_output(sim, u, g)
+        var_nonlinear, _, _ = decompose_output(sim, u, g)
         want = (np.abs(period_spectra(y_nonlinear, 512)) ** 2).mean(axis=0)
-        assert dec.var_nonlinear.tobytes() == want.tobytes()
+        assert var_nonlinear.tobytes() == want.tobytes()
 
     def test_variance_spectra_scales(self):
         process_var = 0.01
         output_var = 0.0009
         u = self.make_input()
-        dec = decompose_output(self.make_sim(process_var, output_var), u,
-                               self.analytic_g(process_var))
+        _, var_process, var_noise = decompose_output(self.make_sim(process_var, output_var), u,
+                                                     self.analytic_g(process_var))
         n = u.samples_per_period
         bins = np.arange(1, n // 2)
         # White output noise: the exact flat spectrum at the noise variance.
-        assert np.array_equal(dec.var_noise, np.full(n // 2 + 1, output_var))
+        assert np.array_equal(var_noise, np.full(n // 2 + 1, output_var))
         # Process contribution rides through the dynamics: compare band shape.
         shape = np.abs(DYNAMICS.bin_response(n)[bins]) ** 2
-        ratio = dec.var_process[bins] / shape
+        ratio = var_process[bins] / shape
         smooth = np.convolve(ratio, np.ones(32) / 32, mode="valid")
         assert smooth.max() / smooth.min() < 2.0
 
@@ -504,15 +507,16 @@ class TestDecomposition:
         output_var, draws = 0.0009, 4000
         spec = MultisineSpec.flat(n, 1.0, np.arange(1, (n + 1) // 2), rms=1.0)
         u = generate_multisine(spec, seed=n).tile(2)
-        dec = decompose_output(self.make_sim(0.0, output_var), u, DYNAMICS.bin_response(n))
+        _, _, var_noise = decompose_output(self.make_sim(0.0, output_var), u,
+                                           DYNAMICS.bin_response(n))
         noise = np.concatenate([generate_noise(output_var, n, derive_rng(n, "white", j))
                                 for j in range(draws)])
         estimate = np.var(period_spectra(noise, n), axis=0, ddof=1)
         interior = np.arange(1, (n + 1) // 2)
         real_bins = [0] if n % 2 else [0, n // 2]
-        assert (abs(estimate[interior].mean() - dec.var_noise[interior].mean())
+        assert (abs(estimate[interior].mean() - var_noise[interior].mean())
                 < 6 * output_var / np.sqrt((draws - 1) * interior.size))
-        assert np.all(np.abs(estimate[real_bins] - dec.var_noise[real_bins])
+        assert np.all(np.abs(estimate[real_bins] - var_noise[real_bins])
                       < 6 * output_var * np.sqrt(2 / (draws - 1)))
 
 
@@ -539,6 +543,19 @@ class TestPredictVariances:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             predict_variances(-1.0, 0.0, 0.0, 1.0, 2, 2)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_nan_spectrum_rejected(self, position):
+        # NaN passes a "< 0" check; it must be refused like a negative value.
+        args = [1.0, 1.0, 1.0, np.array([1.0, 2.0])]
+        args[position] = np.array([1.0, np.nan])
+        with pytest.raises(ValueError, match="not NaN"):
+            predict_variances(*args, 4, 2)
+
+    @pytest.mark.parametrize("counts", [(0, 2), (4, 0), (-1, 2)])
+    def test_counts_below_one_rejected(self, counts):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            predict_variances(1.0, 1.0, 1.0, 1.0, *counts)
 
 
 class TestUnbiasedness:

@@ -17,6 +17,7 @@ from blakit.experiment import (
     BAND_SIGMA,
     FALSE_FAIL_LEVEL,
     ExperimentConfig,
+    _analytic_reference,
     _bin_range,
     _binomial_tail,
     _comparison_summary,
@@ -51,7 +52,7 @@ def gate_summary(m: int, bias: float, snr_db: float, seed: int, input_level: flo
     record = ExperimentRecord(
         input_spectra=u, output_spectra=np.repeat((g_m * u)[:, None, :], 2, axis=1),
         excited_bins=np.arange(1, N // 2), samples_per_period=N, sampling_frequency=1.0)
-    return _comparison_summary(config, robust_bla(record))
+    return _comparison_summary(_analytic_reference(config), robust_bla(record))
 
 
 class TestOracleGate:
@@ -179,7 +180,7 @@ class TestPipelineCalibration:
                 system=system, process_noise_variance=process, output_noise_variance=output,
                 master_seed=seed)
             record, _ = run_records(config)
-            summary = _comparison_summary(config, robust_bla(record))
+            summary = _comparison_summary(_analytic_reference(config), robust_bla(record))
             defined = summary["defined_bins"]
             bins += defined
             misses += defined - round(summary["fraction_in_band"] * defined)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 from scipy import stats
 
+from blakit.analytic import _noise_moments, process_noise_statistics
 from blakit.signals import (MultisineSpec, PeriodicSignal, derive_rng, dft, generate_multisine,
                             generate_noise, period_spectra)
 from blakit.systems import (
@@ -31,7 +32,6 @@ from blakit.systems import (
     simulate_closed_loop_batch,
     write_system_file,
     _LoopEngine,
-    _noise_moments,
 )
 from blakit.volterra import (DualVolterraKernel, NoiseMomentModel,
                              evaluate_kernel, expected_kernel, gaussian_power_moment)
@@ -526,6 +526,21 @@ class TestProcessNoiseStatistics:
         assert np.all(np.abs(mean - want_mean) <= 1e-12 * scale + floor)
         assert np.all(np.abs(var - want_var) <= 1e-12 * scale ** 2 + floor)
 
+    @pytest.mark.parametrize("degree", range(1, 10))
+    def test_variance_sweep_matches_exact_rationals(self, degree):
+        # Over variances 2^-12 .. 2^3, dyadic coefficients and samples (exact
+        # floats).  The variance is a sum of squares of g's derivatives, whose
+        # round-off stays within a few eps of the variance of |f| at |x|,
+        # where no term cancels (1.5 eps at most here).
+        rng = np.random.default_rng(degree)
+        f = PolynomialNonlinearity(rng.integers(-16, 17, degree) / 8)
+        x = rng.integers(-48, 49, 6) / 16
+        for variance in 2.0 ** np.arange(-12, 4, 3):
+            _, var = _noise_moments(f, x, float(variance))
+            want = gaussian_expansion(f.coefficients, x, variance)[1]
+            scale = gaussian_expansion(np.abs(f.coefficients), np.abs(x), variance)[1]
+            assert np.all(np.abs(var - want) <= 4 * np.finfo(float).eps * scale)
+
     @pytest.mark.parametrize("n", [64, 63])
     @pytest.mark.parametrize("dynamics", [
         DEMO_S, RationalLTI(b=[0.7]), RationalLTI(b=[0.5, -0.3, 0.2, 0.1]),
@@ -534,7 +549,7 @@ class TestProcessNoiseStatistics:
     def test_spectrum_matches_brute_force_sum(self, dynamics, n):
         u = flat_multisine(n=n, bins=np.arange(1, (n + 1) // 2), seed=n)
         sim = HammersteinSimulator(dynamics, CUBIC, process_noise_variance=0.04)
-        _, var_process = sim.process_noise_statistics(u)
+        _, var_process = process_noise_statistics(sim, u)
         _, v = _noise_moments(CUBIC, u.period(0), 0.04)
         np.testing.assert_allclose(var_process, brute_force_variance(dynamics, v), rtol=1e-12)
 
@@ -542,7 +557,7 @@ class TestProcessNoiseStatistics:
         # E f(u + nx) = u + 0.1 (u^3 + 3 s2 u) for the cubic, one period of it.
         u = flat_multisine(n=64, seed=6).tile(3)
         sim = HammersteinSimulator(DEMO_S, CUBIC, process_noise_variance=0.04)
-        y_mean, _ = sim.process_noise_statistics(u)
+        y_mean, _ = process_noise_statistics(sim, u)
         inner = u.samples + 0.1 * u.samples ** 3 + 0.3 * 0.04 * u.samples
         expected = DEMO_S.filter(inner[:64])
         np.testing.assert_allclose(y_mean, expected, rtol=0,
@@ -551,7 +566,7 @@ class TestProcessNoiseStatistics:
     def test_without_process_noise_it_is_the_periodic_output(self):
         u = flat_multisine(n=64, seed=6).tile(2)
         sim = HammersteinSimulator(DEMO_S, CUBIC)
-        y_mean, var_process = sim.process_noise_statistics(u)
+        y_mean, var_process = process_noise_statistics(sim, u)
         assert np.array_equal(np.tile(y_mean, 2), sim.run(u).output.samples)
         assert np.array_equal(var_process, np.zeros(33))
 
@@ -561,11 +576,11 @@ class TestProcessNoiseStatistics:
         samples[64 + 5] += 1e-12
         sim = HammersteinSimulator(DEMO_S, CUBIC, process_noise_variance=0.01)
         with pytest.raises(ValueError, match="input period 1 differs from period 0"):
-            sim.process_noise_statistics(PeriodicSignal(samples, 64, 2, 1.0))
+            process_noise_statistics(sim, PeriodicSignal(samples, 64, 2, 1.0))
         f = PolynomialNonlinearity(coefficients=[1.0] + [0.0] * 7 + [1e300])
         sim = HammersteinSimulator(DEMO_S, f, process_noise_variance=100.0)
         with np.errstate(all="raise"), pytest.raises(InstabilityError) as info:
-            sim.process_noise_statistics(flat_multisine(n=64, seed=9, rms=1e-200))
+            process_noise_statistics(sim, flat_multisine(n=64, seed=9, rms=1e-200))
         assert info.value.peak == np.inf
 
     def test_process_noise_is_white_only(self):
@@ -612,7 +627,7 @@ class TestProcessNoiseEnsemble:
             sim.run(u, process_noise_rng=derive_rng(4, i))
         assert calls == [((16 + 2) * 64,) if process_var else (64,)] * 6
         calls.clear()
-        sim.process_noise_statistics(u)
+        process_noise_statistics(sim, u)
         assert calls == [(64,)]
 
     def test_consumer_keeps_its_floating_point_error_handling(self):
@@ -623,7 +638,7 @@ class TestProcessNoiseEnsemble:
             before = np.geterr()
             sim.run(u, process_noise_rng=derive_rng(4, 0))
             assert np.geterr() == before
-            sim.process_noise_statistics(u)
+            process_noise_statistics(sim, u)
             assert np.geterr() == before
 
     def test_warmup_probed_once(self, monkeypatch):
@@ -636,7 +651,7 @@ class TestProcessNoiseEnsemble:
         u = flat_multisine(n=64, seed=8).tile(2)
         sim.run(u, process_noise_rng=derive_rng(4, 0))
         assert len(calls) == 1
-        sim.process_noise_statistics(u)
+        process_noise_statistics(sim, u)
         assert len(calls) == 1
 
     # Nine cases of two checks each, every check at level FALSE_FAIL / 18, so
@@ -662,7 +677,7 @@ class TestProcessNoiseEnsemble:
         # normal quantile.
         u = flat_multisine(n=n, bins=np.arange(1, (n + 1) // 2), seed=n)
         sim = HammersteinSimulator(dynamics, CUBIC, process_noise_variance=0.01)
-        y_mean, var_process = sim.process_noise_statistics(u)
+        y_mean, var_process = process_noise_statistics(sim, u)
         mu = period_spectra(y_mean, n)[0]
         spectra = period_spectra(np.concatenate([
             sim.run(u, process_noise_rng=derive_rng(n, "ensemble", i)).output.samples
